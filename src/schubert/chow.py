@@ -219,6 +219,19 @@ class ChowClass:
         """Pushforward to a point: the coefficient of the point class."""
         return self.coeffs.get(self.ring.top, _ZERO)
 
+    def pair(self, other: ChowClass) -> Fraction:
+        """The integral of ``self * other`` without forming the product: by
+        Poincare duality sigma_la pairs to 1 with sigma_complement(la) and to
+        0 with every other basis class."""
+        self._require_same_ring(other)
+        box = self.ring.box
+        acc = _ZERO
+        for la, x in self.coeffs.items():
+            y = other.coeffs.get(complement(la, box))
+            if y is not None:
+                acc += x * y
+        return acc
+
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 

@@ -20,6 +20,7 @@ from fractions import Fraction
 from .charclass import RankTwoData, rank_two_chern
 from .chow import GrassmannRing
 from .classify import (
+    FILTER_RULES,
     G14,
     BundleType,
     CandidateRecord,
@@ -37,8 +38,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_MISMATCH = 4
-
-FILTER_RULES = ("positivity", "schur", "schwarzenberger", "griffiths")
 
 
 # -- rendering helpers ---------------------------------------------------------

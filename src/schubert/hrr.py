@@ -1,12 +1,13 @@
 """Hirzebruch-Riemann-Roch on Grassmannians.
 
 The Euler characteristic of a bundle is the exact rational
-``integral(ch(E) * td(T))``; it is an integer whenever the Chern data comes
-from an actual bundle, and the value is returned unreduced as a Fraction so
-integrality filters can see a failure.  ``euler_polynomial`` packages
-chi(E(k)) as a polynomial in the twist k, produced by exact forward-
-difference interpolation of direct evaluations.  Everything is stateless
-given the immutable ring inputs; evaluations at distinct twists commute.
+``integral(ch(E) * td(T))``, read as one Poincare pairing; it is an integer
+whenever the Chern data comes from an actual bundle, and the value is
+returned unreduced as a Fraction so integrality filters can see a failure.
+``euler_polynomial`` packages chi(E(k)) as a polynomial in the twist k:
+twisting multiplies ch(E) by exp(k*h), so the coefficient of k^j is the
+pairing of ch(E) with h^j * td(T) / j!.  Everything is stateless given the
+immutable ring inputs.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
-from .charclass import ChernVector, RankTwoData, exp_nilpotent, rank_two_chern, tangent_bundle
+from .charclass import ChernVector, RankTwoData, rank_two_chern, tangent_bundle
 from .chow import ChowClass, GrassmannRing, Scalar
 
 
@@ -27,18 +27,21 @@ def tangent_todd(ring: GrassmannRing) -> ChowClass:
 
 @lru_cache(maxsize=None)
 def _twist_kernels(ring: GrassmannRing) -> tuple[ChowClass, ...]:
-    # exp(k*h) * td(T) for k = 0..dim: twisting by O(k) multiplies the Chern
-    # character by exp(k*h), so chi(E(k)) is one pairing against these.
-    td = tangent_todd(ring)
+    # h^j * td(T) / j! for j = 0..dim: twisting by O(k) multiplies the Chern
+    # character by exp(k*h) = sum_j k^j * h^j / j!, so the coefficient of k^j
+    # in chi(E(k)) is one pairing against the j-th kernel.
+    kernel = tangent_todd(ring)
     h = ring.hyperplane()
-    return tuple(
-        exp_nilpotent(Fraction(k) * h) * td for k in range(ring.dimension + 1)
-    )
+    kernels = [kernel]
+    for j in range(1, ring.dimension + 1):
+        kernel = kernel * h / j
+        kernels.append(kernel)
+    return tuple(kernels)
 
 
 def euler_characteristic(v: ChernVector) -> Fraction:
     """chi(E) = integral of ch(E) * td(T)."""
-    return (v.ch() * tangent_todd(v.ring)).integrate()
+    return v.ch().pair(tangent_todd(v.ring))
 
 
 @dataclass(frozen=True)
@@ -65,30 +68,9 @@ class EulerPolynomial:
 
 
 def euler_polynomial(v: ChernVector) -> EulerPolynomial:
-    """Interpolate chi of the twists of ``v`` at k = 0..dimension."""
+    """chi(E(k)) = sum_j k^j * integral(ch(E) * h^j * td(T)) / j!."""
     character = v.ch()
-    values = [(character * kernel).integrate() for kernel in _twist_kernels(v.ring)]
-    return EulerPolynomial(_interpolate(values))
-
-
-def _interpolate(values: list[Fraction]) -> tuple[Fraction, ...]:
-    """Monomial coefficients of the polynomial through (i, values[i])."""
-    n = len(values)
-    deltas = []
-    layer = [Fraction(v) for v in values]
-    for _ in range(n):
-        deltas.append(layer[0])
-        layer = [layer[i + 1] - layer[i] for i in range(len(layer) - 1)]
-    coeffs = [Fraction(0)] * n
-    falling = [Fraction(1)]  # coefficients of x(x-1)...(x-j+1)
-    for j, delta in enumerate(deltas):
-        scale = delta / factorial(j)
-        for i, fc in enumerate(falling):
-            coeffs[i] += scale * fc
-        falling = [Fraction(0)] + falling
-        for i in range(len(falling) - 1):
-            falling[i] -= j * falling[i + 1]
-    return tuple(coeffs)
+    return EulerPolynomial(tuple(character.pair(kernel) for kernel in _twist_kernels(v.ring)))
 
 
 PROJECTIVE_3_SPACE = GrassmannRing(0, 3)

@@ -4,11 +4,13 @@ Nothing here touches the Littlewood-Richardson tableau enumeration: products
 go through Jacobi-Trudi determinants and iterated Pieri strip additions in
 the untruncated symmetric-function ring, partitions are enumerated by brute
 force over raw sequences, and strips are checked on explicit cell sets.
+Euler characteristics of line bundles come from Borel-Weil and the
+hook-content formula, with no Chern classes, Todd class or ring products.
 """
 
 from collections import defaultdict
 from itertools import permutations, product
-from math import comb
+from math import comb, prod
 
 
 def brute_force_box_partitions(rows: int, cols: int, degree: int) -> list[tuple[int, ...]]:
@@ -139,3 +141,23 @@ def pieri_product(ring, la, mu) -> dict[tuple[int, ...], int]:
         for nu, c in total.items()
         if c and len(nu) <= box.rows and (not nu or nu[0] <= box.cols)
     }
+
+
+def line_bundle_chi(k: int, n: int, t: int) -> int:
+    """chi(O(t)) on G(k, n), without Riemann-Roch.
+
+    For t >= 0, Borel-Weil identifies it with the dimension of the GL_{n+1}
+    representation of the (k+1) x t rectangle, given by the hook-content
+    formula.  O(t) has no cohomology for -(n+1) < t < 0, and Serre duality
+    with K = O(-(n+1)) covers t <= -(n+1).
+    """
+    if t < 0:
+        if t > -(n + 1):
+            return 0
+        return (-1) ** ((k + 1) * (n - k)) * line_bundle_chi(k, n, -t - (n + 1))
+    rows = k + 1
+    rectangle = [(r, c) for r in range(rows) for c in range(t)]
+    contents = prod(n + 1 + c - r for r, c in rectangle)
+    hooks = prod((t - c) + (rows - r) - 1 for r, c in rectangle)
+    assert contents % hooks == 0
+    return contents // hooks

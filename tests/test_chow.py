@@ -117,13 +117,14 @@ def _random_class(ring, rng):
     return ChowClass(ring, coeffs)
 
 
-@pytest.mark.parametrize("ring_args", [(1, 4), (1, 3)])
+@pytest.mark.parametrize("ring_args", [(1, 4), (1, 3), (2, 5)])
 def test_mul_commutative_associative(ring_args):
     ring = GrassmannRing(*ring_args)
     rng = random.Random(1391)
     for _ in range(25):
         x, y, z = (_random_class(ring, rng) for _ in range(3))
         assert x * y == y * x
+        assert x.pair(y) == (x * y).integrate()
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
 
@@ -153,6 +154,8 @@ def test_mismatched_rings_rejected(g14, g13):
         g14.hyperplane() * g13.hyperplane()
     with pytest.raises(ValueError):
         g14.hyperplane() + g13.hyperplane()
+    with pytest.raises(ValueError):
+        g14.hyperplane().pair(g13.hyperplane())
 
 
 def test_zero_coefficients_pruned(g14):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -197,6 +198,21 @@ def test_replay_byte_identical_across_runs(capsys):
     out1 = run(capsys, "replay", "--format", "json")[1]
     out2 = run(capsys, "replay", "--format", "json")[1]
     assert out1 == out2
+
+
+# SHA-256 of the stdout of `replay --format json` and `filter --format csv`:
+# a change to either is a change to the reproduced tables, made on purpose.
+REPLAY_JSON_SHA256 = "f395afca46faf0aeeba393351b36b00ed5611ccf142578f5e3f18a9dc26fc1f5"
+FILTER_CSV_SHA256 = "9b5588bb0896cb699dc9ee6512c735fe818da22293817c783d569afb8d4367f0"
+
+
+def test_golden_output_digests(capsys):
+    code, out, _ = run(capsys, "replay", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REPLAY_JSON_SHA256
+    code, out, _ = run(capsys, "filter", "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FILTER_CSV_SHA256
 
 
 # -- one real subprocess pass through the module entry point -------------------------

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from schubert import (
     ChernVector,
     EulerPolynomial,
+    GrassmannRing,
     RankTwoData,
     chi_p3,
     euler_characteristic,
@@ -11,6 +14,8 @@ from schubert import (
     line_bundle,
     rank_two_chern,
 )
+
+from oracles import line_bundle_chi
 
 
 def test_chi_of_line_bundles(g14):
@@ -112,3 +117,14 @@ def test_integer_valued_for_split_and_tautological(g14):
     assert poly.is_integer_valued()
     for _ in range(20):
         assert poly(rng.randint(-50, 50)).denominator == 1
+
+
+@pytest.mark.parametrize("ring_args", [(0, 3), (1, 4), (1, 6), (2, 6), (3, 7)])
+def test_line_bundle_chi_matches_borel_weil(ring_args):
+    k, n = ring_args
+    ring = GrassmannRing(k, n)
+    poly = euler_polynomial(line_bundle(ring, 0))
+    for t in range(-(n + 3), 5):
+        expected = line_bundle_chi(k, n, t)
+        assert euler_characteristic(line_bundle(ring, t)) == expected
+        assert poly(t) == expected
