@@ -158,7 +158,7 @@ class PowerSumVector:
         return ChernVector(self.ring, self.rank, {d: c[d] for d in range(1, dim + 1)})
 
     def ch(self) -> ChowClass:
-        acc = Fraction(self.rank) * self.ring.one()
+        acc = self.rank * self.ring.one()
         for m in range(1, self.ring.dimension + 1):
             acc = acc + self.p[m] / factorial(m)
         return acc
@@ -221,7 +221,7 @@ def exp_nilpotent(x: ChowClass) -> ChowClass:
 
 def line_bundle(ring: GrassmannRing, t: Scalar) -> ChernVector:
     """The Chern vector of O(t): first Chern class t times the hyperplane."""
-    return ChernVector(ring, 1, {1: Fraction(t) * ring.hyperplane()})
+    return ChernVector(ring, 1, {1: t * ring.hyperplane()})
 
 
 def rank_two_chern(ring: GrassmannRing, data: RankTwoData) -> ChernVector:
@@ -229,10 +229,10 @@ def rank_two_chern(ring: GrassmannRing, data: RankTwoData) -> ChernVector:
     e, a, b = data
     c2 = ring.zero()
     if a:
-        c2 = c2 + Fraction(a) * ring.sigma((2,))
+        c2 = c2 + a * ring.sigma((2,))
     if b:
-        c2 = c2 + Fraction(b) * ring.sigma((1, 1))
-    return ChernVector(ring, 2, {1: Fraction(e) * ring.hyperplane(), 2: c2})
+        c2 = c2 + b * ring.sigma((1, 1))
+    return ChernVector(ring, 2, {1: e * ring.hyperplane(), 2: c2})
 
 
 def chern_from_character(ring: GrassmannRing, rank: int, character: ChowClass) -> ChernVector:

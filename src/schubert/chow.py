@@ -6,11 +6,14 @@ finite rational combinations of Schubert classes indexed by partitions in
 the (k+1) x (n-k) box, and multiplication expands through
 Littlewood-Richardson coefficients truncated to the box.
 
-Coefficients are exact :class:`fractions.Fraction` values throughout; no
-floating point enters the engine anywhere.  Rings are immutable and
-shareable; the memoized table of structure constants is a pure cache
-(identical inputs always produce identical rows), so concurrent use needs
-no coordination.
+A class holds integer numerators over one common positive denominator,
+kept in lowest terms, so ring arithmetic runs on ints and cancels once per
+operation; :class:`fractions.Fraction` appears only where a single number
+leaves the class (``coefficient``, ``integrate``, ``pair``, ``coeffs`` and
+the repr).  No floating point enters the engine anywhere.  Rings are
+immutable and shareable; the memoized tables of structure constants and
+dual indices are pure caches (identical inputs always produce identical
+rows), so concurrent use needs no coordination.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable
 
 from .partitions import (
@@ -32,8 +36,6 @@ from .partitions import (
 )
 
 Scalar = int | Fraction
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -71,10 +73,10 @@ class GrassmannRing:
         return ChowClass._raw(self, {})
 
     def one(self) -> ChowClass:
-        return ChowClass._raw(self, {(): Fraction(1)})
+        return ChowClass._raw(self, {(): 1})
 
     def point(self) -> ChowClass:
-        return ChowClass._raw(self, {self.top: Fraction(1)})
+        return ChowClass._raw(self, {self.top: 1})
 
     def hyperplane(self) -> ChowClass:
         """The ample generator sigma_(1)."""
@@ -85,7 +87,7 @@ class GrassmannRing:
         la = partition(la)
         if not fits(la, self.box):
             raise ValueError(f"partition {la} outside the {self.box.rows}x{self.box.cols} box")
-        return ChowClass._raw(self, {la: Fraction(1)})
+        return ChowClass._raw(self, {la: 1})
 
     def omega(self, i: int, j: int) -> ChowClass:
         """Class of lines meeting a fixed i-plane inside a fixed j-plane.
@@ -111,9 +113,14 @@ class GrassmannRing:
 
 
 class ChowClass:
-    """Finite rational combination of Schubert classes, possibly inhomogeneous."""
+    """Finite rational combination of Schubert classes, possibly inhomogeneous.
 
-    __slots__ = ("ring", "coeffs")
+    Stored in lowest terms: nonzero integer numerators ``num`` keyed by
+    partition over one denominator ``den > 0`` with
+    ``gcd(den, *num.values()) == 1``, so equal classes have equal fields.
+    """
+
+    __slots__ = ("ring", "num", "den")
 
     def __init__(self, ring: GrassmannRing, coeffs: dict):
         clean: dict[Partition, Fraction] = {}
@@ -125,36 +132,54 @@ class ChowClass:
             if not fits(la, ring.box):
                 raise ValueError(f"partition {la} outside the box of {ring}")
             clean[la] = c
+        # over the lcm of the denominators the numerators are already coprime to it
+        den = lcm(*(c.denominator for c in clean.values()))
         self.ring = ring
-        self.coeffs = clean
+        self.num = {la: c.numerator * (den // c.denominator) for la, c in clean.items()}
+        self.den = den
 
     @classmethod
-    def _raw(cls, ring: GrassmannRing, coeffs: dict[Partition, Fraction]) -> ChowClass:
-        # internal fast path: keys already normalized, in the box, nonzero
+    def _raw(cls, ring: GrassmannRing, num: dict[Partition, int], den: int = 1) -> ChowClass:
+        # internal fast path: keys already normalized and in the box, numerators
+        # nonzero, den > 0; only the common factor is left to cancel
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {la: x // g for la, x in num.items()}
         self = object.__new__(cls)
         self.ring = ring
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
         return self
 
     def _require_same_ring(self, other: ChowClass) -> None:
         if self.ring != other.ring:
             raise ValueError(f"classes live in different rings: {self.ring} vs {other.ring}")
 
+    @property
+    def coeffs(self) -> dict[Partition, Fraction]:
+        """The nonzero coefficients, by Schubert index (a fresh dict)."""
+        den = self.den
+        return {la: Fraction(x, den) for la, x in self.num.items()}
+
     # -- additive structure ------------------------------------------------
 
     def __add__(self, other: ChowClass) -> ChowClass:
         self._require_same_ring(other)
-        acc = dict(self.coeffs)
-        for la, c in other.coeffs.items():
-            s = acc.get(la, _ZERO) + c
+        den = lcm(self.den, other.den)
+        sx, sy = den // self.den, den // other.den
+        acc = dict(self.num) if sx == 1 else {la: x * sx for la, x in self.num.items()}
+        for la, y in other.num.items():
+            s = acc.get(la, 0) + y * sy
             if s:
                 acc[la] = s
             else:
                 acc.pop(la, None)
-        return ChowClass._raw(self.ring, acc)
+        return ChowClass._raw(self.ring, acc, den)
 
     def __neg__(self) -> ChowClass:
-        return ChowClass._raw(self.ring, {la: -c for la, c in self.coeffs.items()})
+        return ChowClass._raw(self.ring, {la: -x for la, x in self.num.items()}, self.den)
 
     def __sub__(self, other: ChowClass) -> ChowClass:
         return self + (-other)
@@ -165,30 +190,31 @@ class ChowClass:
         if isinstance(other, ChowClass):
             self._require_same_ring(other)
             box = self.ring.box
-            acc: dict[Partition, Fraction] = {}
-            for la, x in self.coeffs.items():
-                for mu, y in other.coeffs.items():
+            acc: dict[Partition, int] = {}
+            get = acc.get
+            for la, x in self.num.items():
+                for mu, y in other.num.items():
                     xy = x * y
                     for nu, c in _basis_product(box, la, mu):
-                        s = acc.get(nu, _ZERO) + xy * c
-                        if s:
-                            acc[nu] = s
-                        else:
-                            acc.pop(nu, None)
-            return ChowClass._raw(self.ring, acc)
-        return self._scaled(other)
+                        acc[nu] = get(nu, 0) + xy * c
+            num = {nu: s for nu, s in acc.items() if s}
+            return ChowClass._raw(self.ring, num, self.den * other.den)
+        return self._scaled(*_ratio(other))
 
     def __rmul__(self, scalar: Scalar) -> ChowClass:
-        return self._scaled(scalar)
+        return self._scaled(*_ratio(scalar))
 
     def __truediv__(self, scalar: Scalar) -> ChowClass:
-        return self._scaled(Fraction(1, 1) / Fraction(scalar))
+        p, q = _ratio(scalar)
+        if not p:
+            raise ZeroDivisionError("division of a class by zero")
+        return self._scaled(q, p) if p > 0 else self._scaled(-q, -p)
 
-    def _scaled(self, scalar: Scalar) -> ChowClass:
-        scalar = Fraction(scalar)
-        if not scalar:
+    def _scaled(self, p: int, q: int) -> ChowClass:
+        """Multiply by p/q, given q > 0."""
+        if not p:
             return ChowClass._raw(self.ring, {})
-        return ChowClass._raw(self.ring, {la: scalar * c for la, c in self.coeffs.items()})
+        return ChowClass._raw(self.ring, {la: p * x for la, x in self.num.items()}, q * self.den)
 
     def __pow__(self, exponent: int) -> ChowClass:
         if exponent < 0:
@@ -201,59 +227,69 @@ class ChowClass:
     # -- structure ------------------------------------------------------------
 
     def coefficient(self, la) -> Fraction:
-        return self.coeffs.get(partition(la), _ZERO)
+        return Fraction(self.num.get(partition(la), 0), self.den)
 
     def graded(self, degree: int) -> ChowClass:
         """The homogeneous component of the given degree."""
         return ChowClass._raw(
-            self.ring, {la: c for la, c in self.coeffs.items() if weight(la) == degree}
+            self.ring, {la: x for la, x in self.num.items() if weight(la) == degree}, self.den
         )
 
     def degrees(self) -> list[int]:
-        return sorted({weight(la) for la in self.coeffs})
+        return sorted({weight(la) for la in self.num})
 
     def is_homogeneous(self, degree: int) -> bool:
-        return all(weight(la) == degree for la in self.coeffs)
+        return all(weight(la) == degree for la in self.num)
 
     def integrate(self) -> Fraction:
         """Pushforward to a point: the coefficient of the point class."""
-        return self.coeffs.get(self.ring.top, _ZERO)
+        return Fraction(self.num.get(self.ring.top, 0), self.den)
 
     def pair(self, other: ChowClass) -> Fraction:
         """The integral of ``self * other`` without forming the product: by
         Poincare duality sigma_la pairs to 1 with sigma_complement(la) and to
         0 with every other basis class."""
         self._require_same_ring(other)
-        box = self.ring.box
-        acc = _ZERO
-        for la, x in self.coeffs.items():
-            y = other.coeffs.get(complement(la, box))
+        duals = _duals(self.ring.box)
+        ys = other.num
+        acc = 0
+        for la, x in self.num.items():
+            y = ys.get(duals[la])
             if y is not None:
                 acc += x * y
-        return acc
+        return Fraction(acc, self.den * other.den)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ChowClass)
             and self.ring == other.ring
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash((self.ring, tuple(sorted(self.coeffs.items()))))
+        return hash((self.ring, self.den, tuple(sorted(self.num.items()))))
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.num:
             return "0"
         terms = []
-        for la in sorted(self.coeffs, key=lambda p: (weight(p), p)):
-            c = self.coeffs[la]
+        for la in sorted(self.num, key=lambda p: (weight(p), p)):
+            c = Fraction(self.num[la], self.den)
             name = "s(" + ",".join(map(str, la)) + ")"
             terms.append(name if c == 1 else f"{c}*{name}")
         return " + ".join(terms)
+
+
+def _ratio(scalar: Scalar) -> tuple[int, int]:
+    """Numerator and positive denominator of an exact scalar; ints and
+    Fractions are read as they are, anything else goes through Fraction."""
+    if not isinstance(scalar, (int, Fraction)):
+        scalar = Fraction(scalar)
+    return scalar.numerator, scalar.denominator
 
 
 @lru_cache(maxsize=None)
@@ -267,6 +303,16 @@ def _basis_product(box: Box, la: Partition, mu: Partition) -> tuple[tuple[Partit
         if c:
             rows.append((nu, c))
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _duals(box: Box) -> dict[Partition, Partition]:
+    """Every index in the box mapped to its Poincare-dual index (shared; never mutate)."""
+    return {
+        la: complement(la, box)
+        for d in range(box.rows * box.cols + 1)
+        for la in enumerate_partitions(box, d)
+    }
 
 
 def duality_pairing(ring: GrassmannRing, la, mu) -> Fraction:

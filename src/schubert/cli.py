@@ -39,6 +39,11 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_MISMATCH = 4
 
+# Largest ring dimension ``intersect`` accepts: the Littlewood-Richardson
+# enumeration recurses once per skew cell, and a product in a ring of
+# dimension d has at most d of them.
+MAX_INTERSECT_DIMENSION = 64
+
 
 # -- rendering helpers ---------------------------------------------------------
 
@@ -197,6 +202,13 @@ def cmd_intersect(args) -> int:
     except ValueError as exc:
         print(f"error: malformed partition list: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if ring.dimension > MAX_INTERSECT_DIMENSION:
+        print(
+            f"error: G({ring.k},{ring.n}) has dimension {ring.dimension}; intersect "
+            f"supports dimension at most {MAX_INTERSECT_DIMENSION}",
+            file=sys.stderr,
+        )
+        return EXIT_DOMAIN
     acc = ring.one()
     for la in indices:
         try:
@@ -305,7 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
         return p
 
-    p = with_format(sub.add_parser("intersect", help="integrate a product of Schubert classes"))
+    p = with_format(sub.add_parser(
+        "intersect",
+        help="integrate a product of Schubert classes",
+        description="Integrate a product of Schubert classes on G(k, n). Rings of "
+        f"dimension (k+1)(n-k) above {MAX_INTERSECT_DIMENSION} are refused with exit code 3.",
+    ))
     p.add_argument("--k", type=int, required=True, help="planes of projective dimension k")
     p.add_argument("--n", type=int, required=True, help="ambient projective dimension n")
     p.add_argument("classes", help="partitions: parts ','-separated, factors ';'-separated, e.g. '2,1;3'")

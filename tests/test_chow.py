@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -127,6 +128,27 @@ def test_mul_commutative_associative(ring_args):
         assert x.pair(y) == (x * y).integrate()
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
+
+
+@pytest.mark.parametrize("ring_args", [(1, 4), (1, 3), (2, 5)])
+def test_canonical_form(ring_args):
+    # numerators over one positive denominator in lowest terms, no zero
+    # numerators, so that equal classes have equal fields and hashes
+    ring = GrassmannRing(*ring_args)
+    rng = random.Random(3301)
+    for _ in range(25):
+        x = _random_class(ring, rng) * Fraction(rng.randint(-6, 6), rng.randint(1, 12))
+        x = x + _random_class(ring, rng) / rng.randint(1, 12)
+        y = _random_class(ring, rng) / 6
+        for z in (x, y, x * y, x + y, x - y, -x, x.graded(2), 4 * y):
+            assert z.den > 0
+            assert gcd(z.den, *z.num.values()) == 1
+            assert all(z.num.values())
+        rebuilt = ChowClass(ring, x.coeffs)
+        assert rebuilt == x
+        assert hash(rebuilt) == hash(x)
+        assert (x / 3) * 3 == x
+        assert (x - x).den == 1
 
 
 def test_inhomogeneous_classes(g14):

@@ -49,6 +49,13 @@ def test_intersect_bad_ring(capsys):
     assert run(capsys, "intersect", "--k", "4", "--n", "4", "1")[0] == 2
 
 
+def test_intersect_ring_size_bound(capsys):
+    code, out, err = run(capsys, "intersect", "--k", "0", "--n", "2400", "1200;1200")
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert run(capsys, "intersect", "--k", "0", "--n", "64", "32;32")[:2] == (0, "1\n")
+
+
 def test_chi_examples(capsys):
     assert run(capsys, "chi", "--e", "-1", "--a", "6", "--b", "6", "--twist", "5")[:2] == (0, "-935\n")
     assert run(capsys, "chi", "--e", "0", "--a", "0", "--b", "0", "--twist", "0")[:2] == (0, "2\n")

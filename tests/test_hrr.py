@@ -38,6 +38,19 @@ def test_euler_polynomial_on_p3(p3):
         assert poly(k) == (k + 1) * (k + 2) * (k + 3) * Fraction(1, 6)
 
 
+def test_euler_polynomial_call_matches_naive_sum(g14):
+    polys = (
+        euler_polynomial(rank_two_chern(g14, RankTwoData(-1, 6, 6))),
+        EulerPolynomial((Fraction(3, 4), Fraction(-5, 6), Fraction(0), Fraction(7, 10))),
+        EulerPolynomial((Fraction(2),)),
+    )
+    for poly in polys:
+        for k in (*range(-5, 6), Fraction(1, 2), Fraction(-7, 3), Fraction(22, 9)):
+            value = poly(k)
+            assert isinstance(value, Fraction)
+            assert value == sum(c * Fraction(k) ** j for j, c in enumerate(poly.coefficients))
+
+
 def test_euler_polynomial_values(g14):
     assert euler_polynomial(rank_two_chern(g14, RankTwoData(0, 0, 0)))(0) == 2
     assert euler_polynomial(rank_two_chern(g14, RankTwoData(-1, 6, 6)))(5) == -935
