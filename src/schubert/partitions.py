@@ -5,10 +5,11 @@ empty tuple is the empty partition.  ``partition()`` normalizes away
 trailing zeros and every function here returns normalized tuples, so
 partitions compare and hash structurally.
 
-Littlewood-Richardson coefficients are computed by direct enumeration of
-lattice-word skew tableaux.  At the box sizes this library targets the
-enumeration is instantaneous and easy to audit, which beats any asymptotic
-cleverness.  Everything in this module is a pure function on immutable
+Littlewood-Richardson coefficients come from one iterative enumerator of
+lattice-word skew tableaux, ``skew_lr_expansion``, which collects every
+content of a skew shape at once.  Direct enumeration is easy to audit and,
+at the box sizes this library targets, beats asymptotic cleverness.
+Everything in this module is a pure function on immutable
 values and safe to call concurrently.
 """
 
@@ -103,53 +104,64 @@ def is_vertical_strip(mu: Partition, la: Partition) -> bool:
     return all(mu[i] - padded[i] <= 1 for i in range(len(mu)))
 
 
+def skew_lr_expansion(outer: Partition, inner: Partition) -> dict[Partition, int]:
+    """s_{outer/inner} in the Schur basis: ``{ka: c^outer_{inner,ka}}`` over
+    the nonzero coefficients; empty unless inner <= outer.
+
+    Each column-strict filling of outer/inner whose reverse reading word (rows
+    top to bottom, right to left within a row) is a lattice word adds one at
+    its content ka.  The cells, in reading order, form an explicit stack, so
+    the search depth meets no recursion limit.
+    """
+    if not contains(outer, inner):
+        return {}
+    rows = len(outer)
+    inner = inner + (0,) * (rows - len(inner))
+    cells = [(r, c) for r in range(rows) for c in range(outer[r] - 1, inner[r] - 1, -1)]
+    size = len(cells)
+    at = {cell: i for i, cell in enumerate(cells)}
+    # fill[i] is the label of cell i, 0 while unset; past the cells it holds 0
+    # (no cell above) and then r + 1, the largest label row r may take
+    fill = [0] * (size + 1) + list(range(1, rows + 1))
+    above = [at.get((r - 1, c), size) for r, c in cells]  # labels strictly exceed it
+    right = [at.get((r, c + 1), size + 1 + r) for r, c in cells]  # and do not exceed this
+    counts = [size + 1] + [0] * (rows + 1)  # cells per label; counts[0] admits label 1
+    out: dict[Partition, int] = {}
+    i = 0
+    while i >= 0:
+        if i == size:
+            ka = tuple(counts[1 : counts.index(0)])
+            out[ka] = out.get(ka, 0) + 1
+            i -= 1
+            continue
+        v = fill[i]
+        if v:
+            counts[v] -= 1  # move cell i on to its next label
+        v = max(v, fill[above[i]]) + 1
+        hi = fill[right[i]]
+        while v <= hi and counts[v] >= counts[v - 1]:  # keep the word a lattice word
+            v += 1
+        if v > hi:
+            fill[i] = 0
+            i -= 1
+        else:
+            fill[i] = v
+            counts[v] += 1
+            i += 1
+    return out
+
+
 @lru_cache(maxsize=None)
 def lr_coefficient(la: Partition, mu: Partition, nu: Partition) -> int:
     """Littlewood-Richardson coefficient: multiplicity of s_nu in s_la * s_mu.
 
-    Counts column-strict fillings of the skew shape nu/la with content mu
-    whose reverse reading word (rows top to bottom, right to left within a
-    row) is a lattice word.  Zero whenever |nu| != |la| + |mu| or the shapes
-    are not nested.
+    The coefficient of s_mu in the skew Schur function s_{nu/la}, read from
+    :func:`skew_lr_expansion`.  Zero whenever |nu| != |la| + |mu| or the
+    shapes are not nested.
     """
     la, mu, nu = partition(la), partition(mu), partition(nu)
     if weight(la) + weight(mu) != weight(nu):
         return 0
     if not contains(nu, la) or not contains(nu, mu):
         return 0
-    if not mu:
-        return 1
-    rows = len(nu)
-    inner = la + (0,) * (rows - len(la))
-    entries = len(mu)
-    # Cells listed in reading-word order, so the lattice condition and the
-    # content bound can be maintained incrementally.
-    cells = [(r, c) for r in range(rows) for c in range(nu[r] - 1, inner[r] - 1, -1)]
-    fill: dict[tuple[int, int], int] = {}
-    counts = [0] * (entries + 1)
-
-    def place(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        lo, hi = 1, entries
-        right = fill.get((r, c + 1))
-        if right is not None:
-            hi = min(hi, right)  # rows weakly increase
-        above = fill.get((r - 1, c))
-        if above is not None:
-            lo = max(lo, above + 1)  # columns strictly increase
-        total = 0
-        for v in range(lo, hi + 1):
-            if counts[v] >= mu[v - 1]:
-                continue
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue
-            counts[v] += 1
-            fill[(r, c)] = v
-            total += place(idx + 1)
-            del fill[(r, c)]
-            counts[v] -= 1
-        return total
-
-    return place(0)
+    return skew_lr_expansion(nu, la).get(mu, 0)

@@ -6,6 +6,7 @@ import pytest
 
 from schubert import GrassmannRing, dual_partition
 from schubert.chow import ChowClass
+from schubert.partitions import conjugate, weight
 
 from oracles import catalan, pieri_product
 
@@ -99,7 +100,7 @@ def test_poincare_duality_exhaustive(g14):
             assert (g14.sigma(la) * g14.sigma(mu)).integrate() == expected
 
 
-@pytest.mark.parametrize("ring_args", [(1, 4), (1, 3)])
+@pytest.mark.parametrize("ring_args", [(1, 4), (1, 3), (2, 5), (3, 5)])
 def test_pieri_oracle_agrees_with_lr_product(ring_args):
     ring = GrassmannRing(*ring_args)
     basis = ring.all_partitions()
@@ -108,6 +109,49 @@ def test_pieri_oracle_agrees_with_lr_product(ring_args):
             got = (ring.sigma(la) * ring.sigma(mu)).coeffs
             expected = pieri_product(ring, la, mu)
             assert {k: Fraction(v) for k, v in expected.items()} == got
+
+
+def test_pieri_oracle_on_random_pairs():
+    # a 4 x 4 box, where products carry up to four LR labels; pairs are drawn
+    # with |la| + |mu| <= dim, so that most products are not zero by degree
+    ring = GrassmannRing(3, 7)
+    basis = ring.all_partitions()
+    rng = random.Random(2718)
+    for _ in range(60):
+        la = rng.choice(basis)
+        mu = rng.choice([m for m in basis if weight(la) + weight(m) <= ring.dimension])
+        got = (ring.sigma(la) * ring.sigma(mu)).coeffs
+        assert {k: Fraction(v) for k, v in pieri_product(ring, la, mu).items()} == got
+
+
+@pytest.mark.parametrize("ring_args", [(2, 6), (1, 5)])
+def test_grassmann_duality_transposes_products(ring_args):
+    # G(k, n) and G(n-k-1, n) are isomorphic, with sigma_la matching
+    # sigma_la' (conjugate partition) and the boxes transposed
+    ring = GrassmannRing(*ring_args)
+    dual = GrassmannRing(ring.n - ring.k - 1, ring.n)
+    assert dual.box == (ring.box.cols, ring.box.rows)
+    basis = ring.all_partitions()
+    for la in basis:
+        for mu in basis:
+            got = ring.sigma(la) * ring.sigma(mu)
+            transposed = dual.sigma(conjugate(la)) * dual.sigma(conjugate(mu))
+            assert {conjugate(nu): c for nu, c in got.num.items()} == transposed.num
+
+
+def test_products_in_a_long_box_do_not_recurse():
+    # P^2400: sigma_(1) * sigma_(1) fills a one-row skew shape of 2398 cells
+    ring = GrassmannRing(0, 2400)
+    assert ring.sigma((1,)) * ring.sigma((1,)) == ring.sigma((2,))
+    assert ring.sigma((1200,)) * ring.sigma((1200,)) == ring.point()
+
+
+def test_box_is_computed_once():
+    ring = GrassmannRing(1, 4)
+    assert ring.box is ring.box
+    other = GrassmannRing(1, 4)
+    assert ring == other and hash(ring) == hash(other)
+    assert ring != GrassmannRing(1, 3)
 
 
 def _random_class(ring, rng):

@@ -12,6 +12,7 @@ from schubert.partitions import (
     is_vertical_strip,
     lr_coefficient,
     partition,
+    skew_lr_expansion,
     weight,
 )
 
@@ -116,6 +117,15 @@ def test_lr_known_values():
     # weight or containment failures vanish
     assert lr_coefficient((2,), (1,), (2,)) == 0
     assert lr_coefficient((2, 2), (1,), (3, 1, 1)) == 0
+
+
+def test_skew_lr_expansion_examples():
+    assert skew_lr_expansion((2, 1), (1,)) == {(2,): 1, (1, 1): 1}
+    assert skew_lr_expansion((3, 2, 1), (2, 1)) == {(3,): 1, (2, 1): 2, (1, 1, 1): 1}
+    assert skew_lr_expansion((2, 1), (2, 1)) == {(): 1}
+    assert skew_lr_expansion((2,), (1, 1)) == {}
+    # one row of 2399 cells, far beyond the recursion limit
+    assert skew_lr_expansion((2400,), (1,)) == {(2399,): 1}
 
 
 @given(small_partitions, small_partitions)
