@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import NamedTuple
 
 from .chow import ChowClass, GrassmannRing, Scalar
@@ -88,11 +88,13 @@ class ChernVector:
         """Power sums of the Chern roots via Newton's identities:
         p_m = c1*p_{m-1} - c2*p_{m-2} + ... + (-1)^{m-1} m*c_m."""
         dim = self.ring.dimension
+        c = self.c
         p = [self.ring.zero()] * (dim + 1)
         for m in range(1, dim + 1):
-            acc = ((-1) ** (m - 1) * m) * self.c[m]
+            acc = ((-1) ** (m - 1) * m) * c[m]
             for i in range(1, m):
-                acc = acc + ((-1) ** (i - 1)) * (self.c[i] * p[m - i])
+                if c[i]:  # a zero Chern class contributes no term
+                    acc = acc + ((-1) ** (i - 1)) * (c[i] * p[m - i])
             p[m] = acc
         return PowerSumVector(self.ring, self.rank, tuple(p))
 
@@ -153,7 +155,8 @@ class PowerSumVector:
         for m in range(1, dim + 1):
             acc = self.ring.zero()
             for i in range(1, m + 1):
-                acc = acc + ((-1) ** (i - 1)) * (self.p[i] * c[m - i])
+                if c[m - i]:  # a zero Chern class contributes no term
+                    acc = acc + ((-1) ** (i - 1)) * (self.p[i] * c[m - i])
             c[m] = acc / m
         return ChernVector(self.ring, self.rank, {d: c[d] for d in range(1, dim + 1)})
 
@@ -233,6 +236,108 @@ def rank_two_chern(ring: GrassmannRing, data: RankTwoData) -> ChernVector:
     if b:
         c2 = c2 + b * ring.sigma((1, 1))
     return ChernVector(ring, 2, {1: e * ring.hyperplane(), 2: c2})
+
+
+class RankTwoForm(NamedTuple):
+    """A polynomial in rank-two coordinates (e, a, b) with integer
+    coefficients over one positive denominator ``den``.
+
+    ``top`` bounds the weighted degree i + 2(l + r) of every term
+    e^i * a^l * b^r.  Each row (l, r, coeffs) is a^l * b^r times a
+    polynomial in e of degree d = top - 2(l + r), whose coefficients
+    ``coeffs`` run from that of e^d down to that of e^0.
+    """
+
+    rows: tuple[tuple[int, int, tuple[int, ...]], ...]
+    den: int
+    top: int
+
+    @classmethod
+    def from_terms(cls, terms: dict[tuple[int, int, int], Scalar]) -> RankTwoForm:
+        """The form sum c * e^i * a^l * b^r over ``terms`` {(i, l, r): c}."""
+        terms = {key: Fraction(c) for key, c in terms.items() if c}
+        den = lcm(*(c.denominator for c in terms.values()))
+        top = max((i + 2 * (l + r) for i, l, r in terms), default=0)
+        rows = []
+        for l, r in sorted({(l, r) for _, l, r in terms}):
+            d = top - 2 * (l + r)
+            coeffs = (terms.get((i, l, r), 0) * den for i in range(d, -1, -1))
+            rows.append((l, r, tuple(int(c) for c in coeffs)))
+        return cls(tuple(rows), den, top)
+
+    def __call__(self, data: RankTwoData) -> Fraction:
+        # With q a common denominator of the coordinates, x = e*q, y = a*q^2
+        # and z = b*q^2 are integers, and q^top times the value is
+        # sum y^l * z^r * (sum_i c_i * x^i * q^(d - i)) over the rows, each
+        # inner sum by Horner; for integer data q = 1.
+        e, a, b = data
+        q = lcm(e.denominator, a.denominator, b.denominator)
+        qq = q * q
+        x = e.numerator * (q // e.denominator)
+        y = a.numerator * (qq // a.denominator)
+        z = b.numerator * (qq // b.denominator)
+        acc = 0
+        for l, r, coeffs in self.rows:
+            inner, q_power = 0, 1
+            for c in coeffs:
+                inner = inner * x + c * q_power
+                q_power *= q
+            acc += inner * y**l * z**r
+        return Fraction(acc, self.den * q**self.top)
+
+
+def rank_two_character(dim: int) -> dict[tuple[int, int], Fraction]:
+    """ch of a rank-two bundle up to degree ``dim``, as the coefficient of
+    c1^i * c2^j for each (i, j): ch = 2 + sum_m p_m / m!, where the power
+    sums obey p_m = c1*p_{m-1} - c2*p_{m-2} from p_0 = 2 and p_1 = c1."""
+    p = [{(0, 0): 2}, {(1, 0): 1}]
+    for _ in range(2, dim + 1):
+        pm = {(i + 1, j): w for (i, j), w in p[-1].items()}
+        for (i, j), w in p[-2].items():
+            pm[(i, j + 1)] = pm.get((i, j + 1), 0) - w
+        p.append(pm)
+    out = {(0, 0): Fraction(2)}
+    for m in range(1, dim + 1):
+        for key, w in p[m].items():
+            out[key] = Fraction(w, factorial(m))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _rank_two_monomials(ring: GrassmannRing) -> dict[tuple[int, int, int], ChowClass]:
+    """h^i * s(2)^l * s(1,1)^r for every (i, l, r) with i + 2(l + r) <= dim."""
+    dim = ring.dimension
+    h = _hyperplane_powers(ring)
+    s2, s11 = ring.sigma((2,)), ring.sigma((1, 1))
+    out = {}
+    s2_power = ring.one()
+    for l in range(dim // 2 + 1):
+        base = s2_power
+        for r in range(dim // 2 - l + 1):
+            for i in range(dim - 2 * (l + r) + 1):
+                out[(i, l, r)] = h[i] * base
+            base = base * s11
+        s2_power = s2_power * s2
+    return out
+
+
+def rank_two_form(
+    ring: GrassmannRing, weights: dict[tuple[int, int], Scalar], kernel: ChowClass
+) -> RankTwoForm:
+    """The integral of P(c1, c2) * kernel for rank-two data (e, a, b), as a
+    form: ``weights`` maps (i, j) to the coefficient of c1^i * c2^j in P.
+
+    With c1 = e*h and c2 = a*s(2) + b*s(1,1), c1^i * c2^j expands to
+    sum_l C(j, l) * e^i * a^l * b^(j-l) * h^i * s(2)^l * s(1,1)^(j-l), so
+    each coefficient of the form is one pairing of a monomial class."""
+    monomials = _rank_two_monomials(ring)
+    terms = {}
+    for (i, j), w in weights.items():
+        for l in range(j + 1):
+            monomial = monomials.get((i, l, j - l))
+            if monomial is not None:  # None above the top degree
+                terms[(i, l, j - l)] = w * comb(j, l) * monomial.pair(kernel)
+    return RankTwoForm.from_terms(terms)
 
 
 def chern_from_character(ring: GrassmannRing, rank: int, character: ChowClass) -> ChernVector:

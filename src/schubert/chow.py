@@ -192,10 +192,15 @@ class ChowClass:
         if isinstance(other, ChowClass):
             self._require_same_ring(other)
             box = self.ring.box
+            weights = _weights(box)
+            dim = box.rows * box.cols
             acc: dict[Partition, int] = {}
             get = acc.get
             for la, x in self.num.items():
+                room = dim - weights[la]
                 for mu, y in other.num.items():
+                    if weights[mu] > room:
+                        continue  # the product lies above the top degree
                     xy = x * y
                     for nu, c in _basis_product(box, la, mu):
                         acc[nu] = get(nu, 0) + xy * c
@@ -317,6 +322,12 @@ def _duals(box: Box) -> dict[Partition, Partition]:
         for d in range(box.rows * box.cols + 1)
         for la in enumerate_partitions(box, d)
     }
+
+
+@lru_cache(maxsize=None)
+def _weights(box: Box) -> dict[Partition, int]:
+    """Every index in the box mapped to its degree (shared; never mutate)."""
+    return {la: weight(la) for la in _duals(box)}
 
 
 def duality_pairing(ring: GrassmannRing, la, mu) -> Fraction:

@@ -209,14 +209,20 @@ def cmd_intersect(args) -> int:
             file=sys.stderr,
         )
         return EXIT_DOMAIN
-    acc = ring.one()
-    for la in indices:
-        try:
-            acc = acc * ring.sigma(la)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DOMAIN
-    _emit_scalar(acc.integrate(), args.format)
+    try:
+        factors = [ring.sigma(la) for la in indices]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    # Degree-0 factors are the unit, and each other factor raises the degree,
+    # so at most `dimension` products are made before the product vanishes.
+    acc = None
+    for la, factor in zip(indices, factors):
+        if la:
+            acc = factor if acc is None else acc * factor
+            if not acc:
+                break
+    _emit_scalar((ring.one() if acc is None else acc).integrate(), args.format)
     return EXIT_OK
 
 
@@ -322,7 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="integrate a product of Schubert classes",
         description="Integrate a product of Schubert classes on G(k, n). Rings of "
         f"dimension (k+1)(n-k) above {MAX_INTERSECT_DIMENSION} are refused with exit code 3, "
-        "which bounds the work of each product.",
+        "which bounds the work of each product. Degree-0 factors are skipped and the "
+        "product stops once it vanishes, so a request makes at most (k+1)(n-k) products "
+        "however many factors it lists.",
     ))
     p.add_argument("--k", type=int, required=True, help="planes of projective dimension k")
     p.add_argument("--n", type=int, required=True, help="ambient projective dimension n")

@@ -6,8 +6,16 @@ whenever the Chern data comes from an actual bundle, and the value is
 returned unreduced as a Fraction so integrality filters can see a failure.
 ``euler_polynomial`` packages chi(E(k)) as a polynomial in the twist k:
 twisting multiplies ch(E) by exp(k*h), so the coefficient of k^j is the
-pairing of ch(E) with h^j * td(T) / j!.  Everything is stateless given the
-immutable ring inputs.
+pairing of ch(E) with h^j * td(T) / j!.
+
+For rank-two data (e, a, b) on a ring of lines, chi(E) is a fixed
+polynomial in the coordinates: ``chi_form`` builds it once per ring from the
+pairings of the monomial classes h^i * s(2)^l * s(1,1)^r with td(T),
+weighted by the rank-two Newton coefficients of ch, and evaluates it in
+integers.  The candidate scan reads its Euler characteristics from it; the
+general path above (``euler_characteristic`` of a Chern vector) serves every
+other caller and is the oracle the form is checked against.  Everything is
+stateless given the immutable ring inputs.
 """
 
 from __future__ import annotations
@@ -17,7 +25,15 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .charclass import ChernVector, RankTwoData, rank_two_chern, tangent_bundle
+from .charclass import (
+    ChernVector,
+    RankTwoData,
+    RankTwoForm,
+    rank_two_character,
+    rank_two_chern,
+    rank_two_form,
+    tangent_bundle,
+)
 from .chow import ChowClass, GrassmannRing, Scalar
 
 
@@ -43,6 +59,13 @@ def _twist_kernels(ring: GrassmannRing) -> tuple[ChowClass, ...]:
 def euler_characteristic(v: ChernVector) -> Fraction:
     """chi(E) = integral of ch(E) * td(T)."""
     return v.ch().pair(tangent_todd(v.ring))
+
+
+@lru_cache(maxsize=None)
+def chi_form(ring: GrassmannRing) -> RankTwoForm:
+    """chi(E) of rank-two data (e, a, b) on ``ring`` as one form: the pairing
+    of ch(E), written in c1 and c2, with td(T)."""
+    return rank_two_form(ring, rank_two_character(ring.dimension), tangent_todd(ring))
 
 
 @dataclass(frozen=True)

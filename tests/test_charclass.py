@@ -9,6 +9,7 @@ from schubert import (
     GrassmannRing,
     RankTwoData,
     chern_from_character,
+    dual_partition,
     line_bundle,
     rank_two_chern,
     tangent_bundle,
@@ -16,7 +17,7 @@ from schubert import (
     tautological_subbundle,
     todd_log_coefficients,
 )
-from schubert.charclass import exp_nilpotent
+from schubert.charclass import RankTwoForm, exp_nilpotent, rank_two_character, rank_two_form
 
 
 def _random_vector(ring, rng, max_rank=3):
@@ -212,3 +213,32 @@ def test_component_validation(g14):
         ChernVector(g14, 2, {1: g14.sigma((2,))})  # wrong degree
     with pytest.raises(ValueError):
         ChernVector(g14, 2, {0: g14.one()})
+
+
+def test_rank_two_form_call_matches_naive_sum():
+    terms = {(0, 0, 0): 7, (3, 0, 0): -2, (1, 1, 0): Fraction(5, 12), (0, 1, 2): 3, (2, 0, 1): Fraction(-1, 8)}
+    form = RankTwoForm.from_terms(terms)
+    assert (form.den, form.top) == (24, 6)
+    rng = random.Random(161)
+    for denominators in ((1,), (1, 2, 3, 4)):
+        for _ in range(30):
+            data = RankTwoData(
+                *(Fraction(rng.randint(-20, 20), rng.choice(denominators)) for _ in range(3))
+            )
+            if all(x.denominator == 1 for x in data):
+                data = RankTwoData(*map(int, data))  # the int path of the scan's twists
+            naive = sum(c * data.e**i * data.a**l * data.b**r for (i, l, r), c in terms.items())
+            assert form(data) == naive
+
+
+@pytest.mark.parametrize("ring_args", [(1, 4), (1, 5), (2, 5)])
+def test_rank_two_character_matches_ch(ring_args):
+    # the (e, a, b)-form of ch(E) paired with each basis class is ch(E)'s coefficient
+    ring = GrassmannRing(*ring_args)
+    weights = rank_two_character(ring.dimension)
+    rng = random.Random(2024)
+    for la in ring.all_partitions():
+        form = rank_two_form(ring, weights, ring.sigma(dual_partition(ring, la)))
+        for _ in range(5):
+            data = RankTwoData(rng.randint(-3, 3), rng.randint(-6, 6), Fraction(rng.randint(-6, 6), 2))
+            assert form(data) == rank_two_chern(ring, data).ch().coefficient(la)

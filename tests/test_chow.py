@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from schubert import GrassmannRing, dual_partition
+from schubert import GrassmannRing, chow, dual_partition
 from schubert.chow import ChowClass
 from schubert.partitions import conjugate, weight
 
@@ -229,3 +229,26 @@ def test_zero_coefficients_pruned(g14):
     assert (1,) not in cls.coeffs
     assert cls.coefficient((2,)) == 3
     assert cls.coefficient((1,)) == 0
+
+
+@pytest.mark.parametrize("ring_args", [(1, 4), (2, 5)])
+def test_products_skip_pairs_above_the_top_degree(monkeypatch, ring_args):
+    ring = GrassmannRing(*ring_args)
+    full = ChowClass(ring, {la: 1 for la in ring.all_partitions()})
+    expected = ChowClass(ring, {})
+    for la in ring.all_partitions():
+        for mu in ring.all_partitions():
+            expected = expected + ring.sigma(la) * ring.sigma(mu)
+    looked_up = []
+    plain = chow._basis_product
+
+    def recording(box, la, mu):
+        looked_up.append((la, mu))
+        return plain(box, la, mu)
+
+    monkeypatch.setattr(chow, "_basis_product", recording)
+    assert full * full == expected
+    dim = ring.dimension
+    assert all(weight(la) + weight(mu) <= dim for la, mu in looked_up)
+    basis = ring.all_partitions()
+    assert len(looked_up) == sum(weight(la) + weight(mu) <= dim for la in basis for mu in basis)

@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 
 from schubert import classify
+from schubert.chow import ChowClass
 from schubert.cli import main
 
 def run(capsys, *argv):
@@ -241,3 +242,29 @@ def test_subprocess_entry_point():
         text=True,
     )
     assert proc.returncode == 2
+
+
+def test_intersect_work_is_bounded_by_the_dimension(capsys, monkeypatch):
+    products = []
+    plain = ChowClass.__mul__
+
+    def counting(x, y):
+        if isinstance(y, ChowClass):
+            products.append(1)
+        return plain(x, y)
+
+    monkeypatch.setattr(ChowClass, "__mul__", counting)
+    dim = 6
+    cases = (
+        (";".join(["0"] * 9994 + ["1"] * 6), "5\n"),  # degree-0 factors are the unit
+        (";".join(["1"] * 10000), "0\n"),  # vanishes past the top degree
+        (";".join(["1,1", "3"] + ["2,1"] * 9998), "0\n"),  # vanishes below it
+    )
+    for classes, answer in cases:
+        products.clear()
+        assert run(capsys, "intersect", "--k", "1", "--n", "4", classes)[:2] == (0, answer)
+        assert len(products) <= dim
+    # every factor is checked against the box, even after the product vanished
+    classes = ";".join(["1"] * 9999 + ["4"])
+    code, out, err = run(capsys, "intersect", "--k", "1", "--n", "4", classes)
+    assert (code, out) == (3, "") and err.count("\n") == 1

@@ -14,6 +14,7 @@ from schubert import (
     line_bundle,
     rank_two_chern,
 )
+from schubert.hrr import chi_form
 
 from oracles import line_bundle_chi
 
@@ -141,3 +142,17 @@ def test_line_bundle_chi_matches_borel_weil(ring_args):
         expected = line_bundle_chi(k, n, t)
         assert euler_characteristic(line_bundle(ring, t)) == expected
         assert poly(t) == expected
+
+
+@pytest.mark.parametrize("ring_args", [(1, 4), (1, 5)])
+def test_chi_form_matches_general_path(ring_args):
+    ring = GrassmannRing(*ring_args)
+    form = chi_form(ring)
+    rng = random.Random(31415)
+    for _ in range(40):
+        data = RankTwoData(rng.randint(-3, 3), rng.randint(-6, 20), rng.randint(-6, 20))
+        for t in (0, rng.randint(-4, 6), Fraction(5, 2), Fraction(rng.randint(-9, 9), 4)):
+            twisted = data.twisted(t)
+            got = form(twisted)
+            assert isinstance(got, Fraction)
+            assert got == euler_characteristic(rank_two_chern(ring, twisted)), twisted

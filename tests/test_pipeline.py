@@ -1,15 +1,23 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from schubert import (
+    G14,
     FilterContext,
+    GrassmannRing,
     RankTwoData,
+    ReplayMismatch,
     SplittingType,
+    classify,
     enumerate_candidates,
+    euler_characteristic,
+    euler_polynomial,
     fano_splitting_types,
     griffiths_filter,
     positivity_filter,
+    rank_two_chern,
     replay_proof,
     restriction_to_p3,
     schur_filter,
@@ -25,6 +33,7 @@ from schubert.classify import (
     SCAN_LO,
     STEP1_SURVIVORS,
     evaluate_candidate,
+    schur3_form,
     step1_matches,
     survivors,
 )
@@ -272,3 +281,57 @@ def test_normalization_at_the_boundary():
         assert RankTwoData(e, 5, -3).normalized().e in (0, -1)
     with pytest.raises(ValueError):
         FilterContext(2)
+
+
+def _schur3_pairings(ring, data, cycles):
+    v = rank_two_chern(ring, data)
+    c1, c2 = v.c[1], v.c[2]
+    schur3 = c1 * c1 * c1 - 2 * (c1 * c2)
+    return [schur3.pair(ring.omega(i, j)) for i, j in cycles]
+
+
+def test_scan_witnesses_match_general_path():
+    cycles = ((0, 4), (1, 3))
+    for rec in enumerate_candidates():
+        data = rec.data
+        schur = rec.verdict("schur")
+        if schur is not None:
+            twisted = data.twisted(FilterContext(data.e).m)
+            assert [
+                schur.witness["pairing_lines_through_point"],
+                schur.witness["pairing_lines_in_hyperplane"],
+            ] == _schur3_pairings(G14, twisted, cycles)
+        integrality = rec.verdict("schwarzenberger")
+        if integrality is not None:
+            poly = euler_polynomial(rank_two_chern(G14, data))
+            assert integrality.witness["chi"] == tuple(poly(k) for k in range(G14.dimension + 1))
+        griffiths = rec.verdict("griffiths")
+        if griffiths is not None and griffiths.witness["applies"]:
+            expected = euler_characteristic(rank_two_chern(G14, data.twisted(5)))
+            assert griffiths.witness["chi_at_5"] == expected
+
+
+@pytest.mark.parametrize("ring_args", [(1, 4), (1, 5)])
+def test_schur_forms_match_ring_products(ring_args):
+    ring = GrassmannRing(*ring_args)
+    cycles = ((0, 4), (1, 3))
+    rng = random.Random(8128)
+    for _ in range(30):
+        data = RankTwoData(rng.randint(-3, 3), rng.randint(-6, 20), rng.randint(-6, 20))
+        twisted = data.twisted(Fraction(rng.randint(-7, 7), rng.choice((1, 2, 3))))
+        got = [schur3_form(ring, i, j)(twisted) for i, j in cycles]
+        assert got == _schur3_pairings(ring, twisted, cycles)
+
+
+@pytest.mark.parametrize("name", ["chi_form", "schur3_form"])
+def test_preflight_rejects_a_wrong_form(monkeypatch, name):
+    right = getattr(classify, name)
+
+    def wrong(*args):
+        form = right(*args)
+        return form._replace(den=2 * form.den)
+
+    monkeypatch.setattr(classify, name, wrong)
+    with pytest.raises(ReplayMismatch) as info:
+        classify._preflight()
+    assert info.value.step == "preflight"
