@@ -4,8 +4,11 @@ scan and the full classification replay.
 Output goes to stdout, diagnostics to stderr.  ``--format`` selects plain
 text (default), csv, or json; json renders every rational as
 ``{"num": "...", "den": "..."}`` with integer strings, and tables as arrays
-of row objects.  Exit codes: 0 success, 2 usage error, 3 domain error,
-4 regression mismatch against the frozen tables.
+of row objects.  The indented JSON of ``filter`` and ``replay`` is streamed
+to stdout by one writer whose text equals ``json.dumps(doc, indent=2)``:
+with an indent, ``json`` falls back to its pure-Python encoder, which is
+slower than this writer.  Exit codes: 0 success, 2 usage error, 3 domain
+error, 4 regression mismatch against the frozen tables.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .charclass import RankTwoData, rank_two_chern
 from .chow import GrassmannRing
@@ -48,12 +52,17 @@ MAX_INTERSECT_DIMENSION = 64
 # -- rendering helpers ---------------------------------------------------------
 
 
+def _exact(value) -> int | Fraction:
+    """``value`` itself when it is an int or a Fraction, else ``Fraction(value)``."""
+    return value if type(value) is int or isinstance(value, Fraction) else Fraction(value)
+
+
 def _frac_text(value) -> str:
-    return str(Fraction(value))
+    return str(_exact(value))
 
 
 def _frac_json(value) -> dict:
-    q = Fraction(value)
+    q = _exact(value)
     return {"num": str(q.numerator), "den": str(q.denominator)}
 
 
@@ -77,6 +86,58 @@ def _witness_text(value) -> str:
     if isinstance(value, (tuple, list)):
         return "|".join(_witness_text(v) for v in value)
     return str(value)
+
+
+def _print_json_indented(doc) -> None:
+    """Write ``doc`` to stdout as ``print(json.dumps(doc, indent=2))`` would.
+
+    One recursive pass streams the text fragment by fragment, so the whole
+    document is never held as one string.  Only exact JSON values are
+    accepted: dict with str keys, list, str, int, bool and None.  Anything
+    else, a float or a Fraction included, raises TypeError.
+    """
+    write = sys.stdout.write
+
+    def emit(value, newline: str) -> None:
+        if isinstance(value, str):
+            write(encode_basestring_ascii(value))
+        elif value is None:
+            write("null")
+        elif value is True:
+            write("true")
+        elif value is False:
+            write("false")
+        elif isinstance(value, int):
+            write(int.__repr__(value))
+        elif isinstance(value, dict):
+            if not value:
+                write("{}")
+                return
+            inner = newline + "  "
+            sep = "{" + inner
+            for key, item in value.items():
+                if not isinstance(key, str):
+                    raise TypeError(f"JSON object key {key!r} is not a str")
+                write(sep + encode_basestring_ascii(key) + ": ")
+                emit(item, inner)
+                sep = "," + inner
+            write(newline + "}")
+        elif isinstance(value, list):
+            if not value:
+                write("[]")
+                return
+            inner = newline + "  "
+            sep = "[" + inner
+            for item in value:
+                write(sep)
+                emit(item, inner)
+                sep = "," + inner
+            write(newline + "]")
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not exact JSON")
+
+    emit(doc, "\n")
+    write("\n")
 
 
 def _print_csv(columns: list[str], rows: list[dict]) -> None:
@@ -259,7 +320,7 @@ FILTER_COLUMNS = ["e", "a", "b", *FILTER_RULES, "status", "detail", "witness"]
 def cmd_filter(args) -> int:
     records = enumerate_candidates()
     if args.format == "json":
-        print(json.dumps([_record_json(r) for r in records], indent=2))
+        _print_json_indented([_record_json(r) for r in records])
     else:
         rows = [_record_row(r) for r in records]
         if args.format == "csv":
@@ -292,7 +353,7 @@ def cmd_replay(args) -> int:
             "step4_results": [_record_json(r) for r in report.step4_results],
             "final_list": [_final_json(b) for b in report.final_list],
         }
-        print(json.dumps(doc, indent=2))
+        _print_json_indented(doc)
     else:
         rows = [_step_row("step1", r) for r in report.step1_table]
         rows += [_step_row("step2", r) for r in report.step2_results]

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -6,9 +7,13 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
 from schubert import classify
 from schubert.chow import ChowClass
-from schubert.cli import main
+from schubert.cli import _print_json_indented, main
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -221,6 +226,73 @@ def test_golden_output_digests(capsys):
     code, out, _ = run(capsys, "filter", "--format", "csv")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == FILTER_CSV_SHA256
+
+
+# The other four table outputs, measured before the indented-JSON writer
+# replaced json.dumps(..., indent=2).
+MORE_GOLDEN_SHA256 = {
+    ("filter", "json"): "21a2a2f67cc0e22adeb9d612e626d5e5681a7b8a355bc2bd2229f1bb68608062",
+    ("replay", "csv"): "5dcc936fd80298876c4884e8a80bd6e0a9aa7ac2b088f8e8dcf32837ec94d4c8",
+    ("filter", "plain"): "45e2679b0c6187640b6771fb616917f6b129f566a6579acf029b9569ed982f42",
+    ("replay", "plain"): "1177023c2c7d1d274763bfdb85d58d18259dea5bb7abe7044a4406f85080b9fe",
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(MORE_GOLDEN_SHA256))
+def test_more_golden_output_digests(capsys, command, fmt):
+    code, out, _ = run(capsys, command, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MORE_GOLDEN_SHA256[command, fmt]
+
+
+@pytest.mark.parametrize("command", ["replay", "filter"])
+def test_indented_json_round_trips_through_the_stdlib(capsys, command):
+    code, out, _ = run(capsys, command, "--format", "json")
+    assert code == 0
+    assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+# -- the indented JSON writer against json.dumps(indent=2) ------------------------------
+
+# Quotes, backslashes, control characters, a lone surrogate and non-ASCII
+# text, each drawn often enough to appear in most trees.
+json_text = st.text(st.characters() | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\ud800é€😀'))
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | json_text
+)
+json_trees = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(json_text, children, max_size=4),
+    max_leaves=30,
+)
+
+
+def captured_json(doc) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _print_json_indented(doc)
+    return buf.getvalue()
+
+
+@given(json_trees)
+@example({})
+@example([])
+@example({"": [], "x": {}, "y": [[], {}]})
+@example([-(2**64), 10**300, 0, True, False, None, ""])
+def test_indented_json_writer_matches_json_dumps(doc):
+    assert captured_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [0.0, 1.5, Fraction(1, 2)])
+def test_indented_json_writer_is_exact_only(value):
+    for doc in (value, [value], {"k": value}, [1, {"k": [value]}]):
+        with pytest.raises(TypeError):
+            captured_json(doc)
 
 
 # -- one real subprocess pass through the module entry point -------------------------
