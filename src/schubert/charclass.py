@@ -8,9 +8,10 @@ rational coefficients, which avoids transcribing degree-six universal Todd
 polynomials by hand.  The Todd series coefficients are derived at first use
 by exact truncated power-series arithmetic, never hard-coded.
 
-Twisting by a rational multiple of the hyperplane class is supported; the
-resulting "Chern classes" need not be integral, which is exactly what the
-positivity filters downstream require.
+Rank-two data (e, a, b) on a ring of lines is twisted in its coordinates by
+``RankTwoData.twisted``, which every pipeline path uses; ``ChernVector.twist``
+twists a bundle of any rank through its power sums.  Rational twists are
+supported, and their "Chern classes" need not be integral.
 """
 
 from __future__ import annotations
@@ -351,22 +352,14 @@ def chern_from_character(ring: GrassmannRing, rank: int, character: ChowClass) -
 
 @lru_cache(maxsize=None)
 def tangent_bundle(ring: GrassmannRing) -> ChernVector:
-    """Tangent bundle of G(k, n), recovered from ch(T) = ch(S-dual) * ch(Q).
-
-    The dual tautological subbundle has c_i = sigma_(1^i); the tautological
-    quotient has c_i = sigma_(i)."""
-    sub_rank, quot_rank = ring.k + 1, ring.n - ring.k
-    sub_dual = ChernVector(
-        ring, sub_rank, {d: ring.sigma((1,) * d) for d in range(1, sub_rank + 1)}
-    )
-    quotient = ChernVector(
-        ring, quot_rank, {d: ring.sigma((d,)) for d in range(1, quot_rank + 1)}
-    )
-    return chern_from_character(ring, sub_rank * quot_rank, sub_dual.tensor_ch(quotient))
+    """Tangent bundle of G(k, n), recovered from ch(T) = ch(S-dual) * ch(Q)."""
+    sub_dual = tautological_subbundle(ring).dual()
+    quotient = tautological_quotient(ring)
+    return chern_from_character(ring, sub_dual.rank * quotient.rank, sub_dual.tensor_ch(quotient))
 
 
 def tautological_subbundle(ring: GrassmannRing) -> ChernVector:
-    """The rank k+1 tautological subbundle, as the dual of S-dual."""
+    """The rank k+1 tautological subbundle, as the dual of S-dual (c_i = sigma_(1^i))."""
     sub_rank = ring.k + 1
     sub_dual = ChernVector(
         ring, sub_rank, {d: ring.sigma((1,) * d) for d in range(1, sub_rank + 1)}

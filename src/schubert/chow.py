@@ -202,7 +202,8 @@ class ChowClass:
                     if weights[mu] > room:
                         continue  # the product lies above the top degree
                     xy = x * y
-                    for nu, c in _basis_product(box, la, mu):
+                    pair = (la, mu) if la <= mu else (mu, la)  # one cache entry per unordered pair
+                    for nu, c in _basis_product(box, *pair):
                         acc[nu] = get(nu, 0) + xy * c
             num = {nu: s for nu, s in acc.items() if s}
             return ChowClass._raw(self.ring, num, self.den * other.den)
@@ -306,9 +307,8 @@ def _basis_product(box: Box, la: Partition, mu: Partition) -> tuple[tuple[Partit
     With ' the box complement, the coefficient of sigma_nu is the integral of
     sigma_la * sigma_mu * sigma_nu', which is c^{la'}_{mu,nu'}: the whole row
     is the skew expansion of la'/mu, content ka landing on sigma_ka'.
+    ``ChowClass.__mul__`` passes each unordered pair once, as la <= mu.
     """
-    if mu < la:
-        la, mu = mu, la  # LR symmetry halves the cache
     duals = _duals(box)
     row = skew_lr_expansion(duals[la], mu)
     return tuple((duals[ka], c) for ka, c in row.items())
@@ -328,11 +328,6 @@ def _duals(box: Box) -> dict[Partition, Partition]:
 def _weights(box: Box) -> dict[Partition, int]:
     """Every index in the box mapped to its degree (shared; never mutate)."""
     return {la: weight(la) for la in _duals(box)}
-
-
-def duality_pairing(ring: GrassmannRing, la, mu) -> Fraction:
-    """The integral of sigma_la * sigma_mu; 1 exactly on complementary pairs."""
-    return (ring.sigma(la) * ring.sigma(mu)).integrate()
 
 
 def dual_partition(ring: GrassmannRing, la) -> Partition:

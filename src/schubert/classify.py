@@ -227,9 +227,7 @@ def bundle_name(st: SplittingType) -> str:
 
 def positivity_filter(ctx: FilterContext, a: int, b: int) -> Verdict:
     """Both Chern coordinates of the Q-twist E(m) must be strictly positive."""
-    m = ctx.m
-    shift = m * ctx.e + m * m
-    qa, qb = a + shift, b + shift
+    _, qa, qb = RankTwoData(ctx.e, a, b).twisted(ctx.m)
     return Verdict(
         "positivity",
         qa > 0 and qb > 0,
@@ -375,9 +373,11 @@ NONSPLIT_NAME = (
 
 
 def survivors(records, stage: str) -> list[CandidateRecord]:
-    """Records that pass every filter up to and including ``stage``."""
-    wanted = FILTER_RULES[: FILTER_RULES.index(stage) + 1]
-    return [r for r in records if all(r.passed(s) for s in wanted)]
+    """Records that pass every filter up to and including ``stage``: verdicts
+    follow ``FILTER_RULES`` up to the first failure, so passing ``stage`` is enough."""
+    if stage not in FILTER_RULES:
+        raise ValueError(f"unknown filter stage {stage!r}")
+    return [r for r in records if r.passed(stage)]
 
 
 def step1_matches(records) -> bool:
@@ -401,8 +401,7 @@ def section_constraints(e: int, a: int, b: int, j: int) -> SectionConstraints:
     """Zero-locus coordinates (a + j(e+j), b + j(e+j)) of a section of E(j)
     that is minimal (no section one twist lower); both vanish exactly when
     the bundle splits as O(-j) + O(e+j)."""
-    va = a + j * (e + j)
-    vb = b + j * (e + j)
+    _, va, vb = RankTwoData(e, a, b).twisted(j)
     return SectionConstraints(va, vb, va == 0 and vb == 0)
 
 
@@ -443,10 +442,6 @@ def restriction_to_p3(e: int, a: int) -> tuple[int, int]:
 
 
 # -- the four-step replay -------------------------------------------------------
-
-
-def _chi_of(data: RankTwoData) -> Fraction:
-    return euler_characteristic(rank_two_chern(G14, data))
 
 
 def _preflight() -> None:
@@ -507,7 +502,7 @@ def _preflight() -> None:
 
 def _step2() -> CandidateRecord:
     data = STEP2_DATA
-    chi_m2 = _chi_of(data.twisted(-2))
+    chi_m2 = euler_characteristic(rank_two_chern(G14, data.twisted(-2)))
     if chi_m2 != STEP2_CHI_TWIST_MINUS_2:
         raise ReplayMismatch("step2", f"chi(E(-2)) = {chi_m2}, expected {STEP2_CHI_TWIST_MINUS_2}")
     sections = Verdict(

@@ -8,7 +8,8 @@ of row objects.  The indented JSON of ``filter`` and ``replay`` is streamed
 to stdout by one writer whose text equals ``json.dumps(doc, indent=2)``:
 with an indent, ``json`` falls back to its pure-Python encoder, which is
 slower than this writer.  Exit codes: 0 success, 2 usage error, 3 domain
-error, 4 regression mismatch against the frozen tables.
+error, 4 regression mismatch against the frozen tables; a reader closing
+stdout early (``schubert replay | head``) ends it silently with 141, as SIGPIPE would.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -42,28 +44,22 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_MISMATCH = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 # Largest ring dimension ``intersect`` accepts, a bound on the work of each
 # product: a ring of dimension d has skew shapes of at most d cells to fill,
 # and at d <= 64 at most 12870 basis classes (G(7,15)).
 MAX_INTERSECT_DIMENSION = 64
 
+# Largest n ``splitting-types`` accepts; it prints about n/2 lines, so this bounds its work.
+MAX_SPLITTING_TYPES_N = 10_000
+
 
 # -- rendering helpers ---------------------------------------------------------
 
 
-def _exact(value) -> int | Fraction:
-    """``value`` itself when it is an int or a Fraction, else ``Fraction(value)``."""
-    return value if type(value) is int or isinstance(value, Fraction) else Fraction(value)
-
-
-def _frac_text(value) -> str:
-    return str(_exact(value))
-
-
-def _frac_json(value) -> dict:
-    q = _exact(value)
-    return {"num": str(q.numerator), "den": str(q.denominator)}
+def _frac_json(value: int | Fraction) -> dict:
+    return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
 def _witness_json(value):
@@ -81,8 +77,6 @@ def _witness_text(value) -> str:
         return "true" if value else "false"
     if value is None:
         return "none"
-    if isinstance(value, (int, Fraction)):
-        return _frac_text(value)
     if isinstance(value, (tuple, list)):
         return "|".join(_witness_text(v) for v in value)
     return str(value)
@@ -160,23 +154,26 @@ def _emit_scalar(value: Fraction, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(_frac_json(value)))
     else:
-        print(_frac_text(value))
+        print(value)
 
 
 # -- candidate record serialization ---------------------------------------------
 
 
+def _witness_string(rec: CandidateRecord) -> str:
+    return ";".join(
+        f"{k}={_witness_text(val)}" for v in rec.verdicts for k, val in v.witness.items()
+    )
+
+
 def _record_row(rec: CandidateRecord) -> dict:
-    row = {"e": rec.data.e, "a": rec.data.a, "b": rec.data.b}
-    witness_bits = []
-    for rule in FILTER_RULES:
-        v = rec.verdict(rule)
-        row[rule] = "" if v is None else ("pass" if v.passed else "fail")
-        if v is not None:
-            witness_bits.extend(f"{k}={_witness_text(val)}" for k, val in v.witness.items())
+    # the verdicts follow FILTER_RULES up to the first failure; later rules stay blank
+    row = {"e": rec.data.e, "a": rec.data.a, "b": rec.data.b, **dict.fromkeys(FILTER_RULES, "")}
+    for v in rec.verdicts:
+        row[v.rule] = "pass" if v.passed else "fail"
     row["status"] = rec.status
     row["detail"] = rec.detail
-    row["witness"] = ";".join(witness_bits)
+    row["witness"] = _witness_string(rec)
     return row
 
 
@@ -200,9 +197,6 @@ def _record_json(rec: CandidateRecord) -> dict:
 
 
 def _step_row(section: str, rec: CandidateRecord) -> dict:
-    witness_bits = []
-    for v in rec.verdicts:
-        witness_bits.extend(f"{k}={_witness_text(val)}" for k, val in v.witness.items())
     return {
         "section": section,
         "e": rec.data.e,
@@ -210,7 +204,7 @@ def _step_row(section: str, rec: CandidateRecord) -> dict:
         "b": rec.data.b,
         "action": rec.status,
         "outcome": rec.detail,
-        "witness": ";".join(witness_bits),
+        "witness": _witness_string(rec),
     }
 
 
@@ -299,6 +293,9 @@ def cmd_chi_p3(args) -> int:
 
 
 def cmd_splitting_types(args) -> int:
+    if args.n > MAX_SPLITTING_TYPES_N:
+        print(f"error: splitting-types supports n at most {MAX_SPLITTING_TYPES_N}", file=sys.stderr)
+        return EXIT_DOMAIN
     try:
         types = fano_splitting_types(args.e, args.n)
     except ValueError as exc:
@@ -417,7 +414,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = with_format(sub.add_parser("replay", help="replay the full four-step classification"))
     p.set_defaults(func=cmd_replay)
 
-    p = with_format(sub.add_parser("splitting-types", help="Fano splitting types on a line"))
+    p = with_format(sub.add_parser(
+        "splitting-types",
+        help="Fano splitting types on a line",
+        description="List the splitting types (p, q), p + q = e, 2p + n + 1 - e > 0. n above "
+        f"{MAX_SPLITTING_TYPES_N} is refused with exit code 3, bounding the output to n/2 lines.",
+    ))
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_splitting_types)
@@ -435,4 +437,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # the last buffered block may meet a closed pipe too
+    except BrokenPipeError:  # the reader has gone; keep the flush at exit from failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)

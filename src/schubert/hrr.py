@@ -14,8 +14,9 @@ pairings of the monomial classes h^i * s(2)^l * s(1,1)^r with td(T),
 weighted by the rank-two Newton coefficients of ch, and evaluates it in
 integers.  The candidate scan reads its Euler characteristics from it; the
 general path above (``euler_characteristic`` of a Chern vector) serves every
-other caller and is the oracle the form is checked against.  Everything is
-stateless given the immutable ring inputs.
+other caller and is the oracle the form is checked against.  Every path
+twists rank-two data in its coordinates, by ``RankTwoData.twisted``, and
+everything is stateless given the immutable ring inputs.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ PROJECTIVE_3_SPACE = GrassmannRing(0, 3)
 
 
 def chi_p3(c1: int, c2: int, t: int) -> Fraction:
-    """chi on P^3 of rank-two Chern data (c1, c2) twisted by t, i.e. of the
-    data (c1 + 2t, c2 + t*c1 + t^2)."""
-    v = rank_two_chern(PROJECTIVE_3_SPACE, RankTwoData(c1, c2, 0))
-    return euler_characteristic(v.twist(t))
+    """chi on P^3 of rank-two data (c1, c2) twisted by t (``RankTwoData.twisted``),
+    i.e. of (c1 + 2t, c2 + t*c1 + t^2); P^3 has no s(1,1), so b stays 0."""
+    e, a, _ = RankTwoData(c1, c2, 0).twisted(t)
+    return euler_characteristic(rank_two_chern(PROJECTIVE_3_SPACE, RankTwoData(e, a, 0)))

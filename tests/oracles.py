@@ -5,7 +5,9 @@ go through Jacobi-Trudi determinants and iterated Pieri strip additions in
 the untruncated symmetric-function ring, partitions are enumerated by brute
 force over raw sequences, and strips are checked on explicit cell sets.
 Euler characteristics of line bundles come from Borel-Weil and the
-hook-content formula, with no Chern classes, Todd class or ring products.
+hook-content formula, and those of homogeneous bundles from Borel-Weil-Bott
+and the Weyl dimension formula, with no Chern classes, Todd class or ring
+products.
 """
 
 from collections import defaultdict
@@ -161,3 +163,31 @@ def line_bundle_chi(k: int, n: int, t: int) -> int:
     hooks = prod((t - c) + (rows - r) - 1 for r, c in rectangle)
     assert contents % hooks == 0
     return contents // hooks
+
+
+def bott_chi(k: int, n: int, alpha, beta) -> int:
+    """chi(Sigma^alpha S* (x) Sigma^beta Q) on G(k, n), by Borel-Weil-Bott.
+
+    ``alpha`` (k+1 parts) and ``beta`` (n-k parts) are weakly decreasing,
+    negative parts allowed; O(1) = det S*, so twisting by O(t) adds t to
+    every part of ``alpha``.  Since Sigma^beta Q = Sigma^beta' Q* with beta'
+    the negated reversal of beta, the bundle is the GL_{n+1} weight
+    w = (alpha | beta'), read so that Sigma^alpha S* has H^0 = Sigma^alpha V*.
+    Bott: with rho = (n, n-1, ..., 0), if w + rho has a repeated entry every
+    cohomology group vanishes; otherwise the only one is in degree l, the
+    number of inversions of w + rho, and its dimension is the Weyl dimension
+    of w + rho sorted, prod_{i<j} (v_i - v_j) / (j - i).
+    """
+    assert len(alpha) == k + 1 and len(beta) == n - k
+    weight = [*alpha, *(-b for b in reversed(beta))]
+    size = n + 1
+    shifted = [w + size - 1 - i for i, w in enumerate(weight)]
+    if len(set(shifted)) < size:
+        return 0
+    pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    inversions = sum(shifted[i] < shifted[j] for i, j in pairs)
+    v = sorted(shifted, reverse=True)
+    num = prod(v[i] - v[j] for i, j in pairs)
+    den = prod(j - i for i, j in pairs)
+    assert num % den == 0
+    return (-1) ** inversions * (num // den)

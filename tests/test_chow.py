@@ -252,3 +252,31 @@ def test_products_skip_pairs_above_the_top_degree(monkeypatch, ring_args):
     assert all(weight(la) + weight(mu) <= dim for la, mu in looked_up)
     basis = ring.all_partitions()
     assert len(looked_up) == sum(weight(la) + weight(mu) <= dim for la in basis for mu in basis)
+
+
+@pytest.mark.parametrize("ring_args", [(1, 4), (2, 5)])
+def test_products_look_up_each_unordered_pair_in_one_order(monkeypatch, ring_args):
+    ring = GrassmannRing(*ring_args)
+    basis = ring.all_partitions()
+    full = ChowClass(ring, {la: 1 for la in basis})
+    expected = ChowClass(ring, {})
+    for la in basis:
+        for mu in basis:
+            expected = expected + ring.sigma(mu) * ring.sigma(la)
+    looked_up = []
+    plain = chow._basis_product
+
+    def recording(box, la, mu):
+        looked_up.append((la, mu))
+        return plain(box, la, mu)
+
+    monkeypatch.setattr(chow, "_basis_product", recording)
+    assert full * full == expected
+    assert looked_up and all(la <= mu for la, mu in looked_up)
+    monkeypatch.undo()
+    # so the cache holds one row per unordered pair below the top degree
+    chow._basis_product.cache_clear()
+    assert full * full == expected
+    dim = ring.dimension
+    unordered = sum(la <= mu and weight(la) + weight(mu) <= dim for la in basis for mu in basis)
+    assert chow._basis_product.cache_info().currsize == unordered

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from schubert import classify
 from schubert.chow import ChowClass
-from schubert.cli import _print_json_indented, main
+from schubert.cli import MAX_SPLITTING_TYPES_N, _print_json_indented, main
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -87,6 +88,17 @@ def test_splitting_types(capsys):
     code, out, _ = run(capsys, "splitting-types", "--e", "0", "--n", "5")
     assert code == 0 and out == "(-2,2)\n(-1,1)\n(0,0)\n"
     assert run(capsys, "splitting-types", "--e", "0", "--n", "1")[0] == 2
+
+
+def test_splitting_types_n_is_bounded(capsys):
+    n = MAX_SPLITTING_TYPES_N
+    code, out, _ = run(capsys, "splitting-types", "--e", "0", "--n", str(n))
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == n // 2 + 1
+    assert lines[0] == f"({-(n // 2)},{n // 2})" and lines[-1] == "(0,0)"
+    code, out, err = run(capsys, "splitting-types", "--e", "0", "--n", str(n + 1))
+    assert (code, out) == (3, "") and err.count("\n") == 1
+    assert str(MAX_SPLITTING_TYPES_N) in err
 
 
 def test_help_exits_zero(capsys):
@@ -314,6 +326,32 @@ def test_subprocess_entry_point():
         text=True,
     )
     assert proc.returncode == 2
+
+
+def test_closed_pipe_ends_silently():
+    # the reader takes one byte of a 2 MB document and closes the pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "schubert", "replay", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (141, b"")
+    # a pipe already closed when the command writes its one short line
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "schubert", "chi", "--e", "-1", "--a", "6", "--b", "6"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_intersect_work_is_bounded_by_the_dimension(capsys, monkeypatch):

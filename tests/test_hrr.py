@@ -13,10 +13,13 @@ from schubert import (
     euler_polynomial,
     line_bundle,
     rank_two_chern,
+    tangent_bundle,
+    tautological_quotient,
+    tautological_subbundle,
 )
 from schubert.hrr import chi_form
 
-from oracles import line_bundle_chi
+from oracles import bott_chi, line_bundle_chi
 
 
 def test_chi_of_line_bundles(g14):
@@ -156,3 +159,58 @@ def test_chi_form_matches_general_path(ring_args):
             got = form(twisted)
             assert isinstance(got, Fraction)
             assert got == euler_characteristic(rank_two_chern(ring, twisted)), twisted
+
+
+def test_chi_p3_matches_closed_form_and_chern_vector_twist(p3):
+    # Riemann-Roch on P^3 for rank two with c3 = 0, at x = c1 and y = c2 of
+    # the twisted data: 2 + 11x/6 + x^2 - 2y + (x^3 - 3xy)/6
+    for c1 in range(-3, 4):
+        for c2 in range(-6, 13):
+            v = rank_two_chern(p3, RankTwoData(c1, c2, 0))
+            for t in range(-4, 7):
+                x, y = c1 + 2 * t, c2 + t * c1 + t * t
+                closed = 2 + Fraction(11 * x, 6) + x * x - 2 * y + Fraction(x**3 - 3 * x * y, 6)
+                got = chi_p3(c1, c2, t)
+                assert got == closed, (c1, c2, t)
+                assert got == euler_characteristic(v.twist(t)), (c1, c2, t)
+
+
+def test_bott_oracle_agrees_with_borel_weil():
+    for k, n in ((0, 3), (1, 4), (2, 5), (3, 7)):
+        for t in range(-(n + 3), 4):
+            expected = line_bundle_chi(k, n, t)
+            assert bott_chi(k, n, (t,) * (k + 1), (0,) * (n - k)) == expected
+            assert bott_chi(k, n, (0,) * (k + 1), (t,) * (n - k)) == expected
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_tautological_subbundle_chi_matches_bott(n):
+    # S = Sigma^(0,-1) S* and S* = Sigma^(1,0) S*, twisted by t
+    ring = GrassmannRing(1, n)
+    form = chi_form(ring)
+    sub = tautological_subbundle(ring)
+    cases = ((sub, RankTwoData(-1, 0, 1), (0, -1)), (sub.dual(), RankTwoData(1, 0, 1), (1, 0)))
+    for bundle, data, alpha in cases:
+        for t in range(-(n + 3), 4):
+            expected = bott_chi(1, n, (alpha[0] + t, alpha[1] + t), (0,) * (n - 1))
+            assert form(data.twisted(t)) == expected, (data, t)
+            assert euler_characteristic(rank_two_chern(ring, data.twisted(t))) == expected
+            assert euler_characteristic(bundle.twist(t)) == expected
+
+
+@pytest.mark.parametrize("ring_args", [(1, 4), (2, 5), (3, 7)])
+def test_quotient_and_tangent_chi_match_bott(ring_args):
+    # Q = Sigma^(1,0..) Q, Q* = Sigma^(0..,-1) Q, T = S* (x) Q
+    k, n = ring_args
+    ring = GrassmannRing(k, n)
+    quotient = tautological_quotient(ring)
+    rest = (0,) * (n - k - 1)
+    cases = (
+        (quotient, (0,) * (k + 1), (1, *rest)),
+        (quotient.dual(), (0,) * (k + 1), (*rest, -1)),
+        (tangent_bundle(ring), (1,) + (0,) * k, (1, *rest)),
+    )
+    for bundle, alpha, beta in cases:
+        for t in range(-(n + 2), 3):
+            expected = bott_chi(k, n, tuple(a + t for a in alpha), beta)
+            assert euler_characteristic(bundle.twist(t)) == expected, (bundle, t)

@@ -27,6 +27,7 @@ from schubert import (
     split_fano_bundles,
 )
 from schubert.classify import (
+    FILTER_RULES,
     GRIFFITHS_ELIMINATED,
     NONSPLIT_DATA,
     SCAN_HI,
@@ -168,6 +169,15 @@ def test_verdict_order_is_fixed():
     for rec in enumerate_candidates():
         rules = tuple(v.rule for v in rec.verdicts)
         assert rules == order[: len(rules)]
+
+
+def test_survivors_match_every_rule_up_to_the_stage():
+    records = enumerate_candidates()
+    for i, stage in enumerate(FILTER_RULES):
+        wanted = FILTER_RULES[: i + 1]
+        assert survivors(records, stage) == [r for r in records if all(r.passed(s) for s in wanted)]
+    with pytest.raises(ValueError):
+        survivors(records, "section-bound")
 
 
 def test_candidate_evaluation_is_order_independent():
