@@ -526,12 +526,12 @@ def _step2() -> CandidateRecord:
 def _step3() -> tuple[CandidateRecord, ...]:
     out = []
     for data, expected_chi in STEP3_TABLE:
-        chi = chi_p3(int(data.e), int(data.a), -1)
+        chi = chi_p3(data.e, data.a, -1)
         if chi != expected_chi:
             raise ReplayMismatch(
                 "step3", f"chi of the restriction of {data} at twist -1 is {chi}, expected {expected_chi}"
             )
-        restricted = restriction_to_p3(int(data.e), int(data.a))
+        restricted = restriction_to_p3(data.e, data.a)
         sections = Verdict(
             "restricted-sections",
             True,
@@ -558,8 +558,8 @@ def _step3() -> tuple[CandidateRecord, ...]:
                 CandidateRecord(data, (sections, bound, consistency), "eliminated", "forced-split-consistency")
             )
             continue
-        st = split_detect(int(data.e), int(data.a), int(data.b))
-        if st != SplittingType(int(data.e) - 1, 1):
+        st = split_detect(*data)
+        if st != SplittingType(data.e - 1, 1):
             raise ReplayMismatch("step3", f"split detection disagrees on {data}: {st}")
         consistency = Verdict(
             "forced-split-consistency", True, {"expected_b": data.a, "b": data.b}, CITE_SECTION_BOUND
@@ -571,7 +571,7 @@ def _step3() -> tuple[CandidateRecord, ...]:
 def _step4() -> tuple[CandidateRecord, ...]:
     out = []
     for data, expected_chi in STEP4_TABLE:
-        chi = chi_p3(int(data.e), int(data.a), 0)
+        chi = chi_p3(data.e, data.a, 0)
         if chi != expected_chi:
             raise ReplayMismatch(
                 "step4", f"chi of the restriction of {data} is {chi}, expected {expected_chi}"
@@ -579,7 +579,7 @@ def _step4() -> tuple[CandidateRecord, ...]:
         sections = Verdict(
             "restricted-sections", True, {"chi_p3_twist_0": chi}, CITE_LE_POTIER
         )
-        st = split_detect(int(data.e), int(data.a), int(data.b))
+        st = split_detect(*data)
         uniform = Verdict(
             "uniform-classification",
             True,
@@ -616,7 +616,7 @@ def replay_proof() -> ClassificationReport:
     for rec in step2 + step3 + step4:
         if rec.status != "classified":
             continue
-        st = split_detect(int(rec.data.e), int(rec.data.a), int(rec.data.b))
+        st = split_detect(*rec.data)
         if st is None:
             nonsplit.append(rec.data)
         else:

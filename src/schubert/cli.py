@@ -7,16 +7,17 @@ text (default), csv, or json; json renders every rational as
 of row objects.  The indented JSON of ``filter`` and ``replay`` is streamed
 to stdout by one writer whose text equals ``json.dumps(doc, indent=2)``:
 with an indent, ``json`` falls back to its pure-Python encoder, which is
-slower than this writer.  Exit codes: 0 success, 2 usage error, 3 domain
-error, 4 regression mismatch against the frozen tables; a reader closing
-stdout early (``schubert replay | head``) ends it silently with 141, as SIGPIPE would.
+slower than this writer.  Their csv and plain tables go through one table
+printer, which streams csv row by row.  Exit codes: 0 success, 2 usage error,
+3 domain error, 4 regression mismatch against the frozen tables; a reader
+closing stdout early (``schubert replay | head``) ends it silently with 141,
+as SIGPIPE would, in every format.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -51,7 +52,8 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 # and at d <= 64 at most 12870 basis classes (G(7,15)).
 MAX_INTERSECT_DIMENSION = 64
 
-# Largest n ``splitting-types`` accepts; it prints about n/2 lines, so this bounds its work.
+# Largest |e| and n ``splitting-types`` accepts; it prints about n/2 lines of
+# (p, q) with |p|, |q| <= |e| + n, so this bounds its work.
 MAX_SPLITTING_TYPES_N = 10_000
 
 
@@ -134,17 +136,16 @@ def _print_json_indented(doc) -> None:
     write("\n")
 
 
-def _print_csv(columns: list[str], rows: list[dict]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([row.get(c, "") for c in columns])
-    sys.stdout.write(buf.getvalue())
-
-
-def _print_plain(columns: list[str], rows: list[dict]) -> None:
-    table = [columns] + [[str(row.get(c, "")) for c in columns] for row in rows]
+def _print_table(fmt: str, columns: list[str], rows) -> None:
+    """Write ``rows``, dicts keyed by ``columns``, to stdout as csv (streamed row
+    by row) or as plain text (each column padded to its widest cell)."""
+    cells = ([row[c] for c in columns] for row in rows)
+    if fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(cells)
+        return
+    table = [columns, *([str(cell) for cell in r] for r in cells)]
     widths = [max(len(r[i]) for r in table) for i in range(len(columns))]
     for r in table:
         sys.stdout.write("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() + "\n")
@@ -196,28 +197,11 @@ def _record_json(rec: CandidateRecord) -> dict:
     }
 
 
-def _step_row(section: str, rec: CandidateRecord) -> dict:
-    return {
-        "section": section,
-        "e": rec.data.e,
-        "a": rec.data.a,
-        "b": rec.data.b,
-        "action": rec.status,
-        "outcome": rec.detail,
-        "witness": _witness_string(rec),
-    }
+REPLAY_COLUMNS = ["section", "e", "a", "b", "action", "outcome", "witness"]
 
 
-def _final_row(entry: BundleType) -> dict:
-    return {
-        "section": "final",
-        "e": entry.data.e,
-        "a": entry.data.a,
-        "b": entry.data.b,
-        "action": entry.kind,
-        "outcome": entry.name,
-        "witness": "",
-    }
+def _replay_row(section: str, data: RankTwoData, action: str, outcome: str, witness: str = "") -> dict:
+    return dict(zip(REPLAY_COLUMNS, (section, *data, action, outcome, witness)))
 
 
 def _final_json(entry: BundleType) -> dict:
@@ -293,8 +277,8 @@ def cmd_chi_p3(args) -> int:
 
 
 def cmd_splitting_types(args) -> int:
-    if args.n > MAX_SPLITTING_TYPES_N:
-        print(f"error: splitting-types supports n at most {MAX_SPLITTING_TYPES_N}", file=sys.stderr)
+    if max(abs(args.e), args.n) > MAX_SPLITTING_TYPES_N:
+        print(f"error: splitting-types supports |e| and n at most {MAX_SPLITTING_TYPES_N}", file=sys.stderr)
         return EXIT_DOMAIN
     try:
         types = fano_splitting_types(args.e, args.n)
@@ -304,7 +288,7 @@ def cmd_splitting_types(args) -> int:
     if args.format == "json":
         print(json.dumps([{"p": t.p, "q": t.q} for t in types]))
     elif args.format == "csv":
-        _print_csv(["p", "q"], [{"p": t.p, "q": t.q} for t in types])
+        _print_table("csv", ["p", "q"], ({"p": t.p, "q": t.q} for t in types))
     else:
         for t in types:
             print(f"({t.p},{t.q})")
@@ -319,11 +303,7 @@ def cmd_filter(args) -> int:
     if args.format == "json":
         _print_json_indented([_record_json(r) for r in records])
     else:
-        rows = [_record_row(r) for r in records]
-        if args.format == "csv":
-            _print_csv(FILTER_COLUMNS, rows)
-        else:
-            _print_plain(FILTER_COLUMNS, rows)
+        _print_table(args.format, FILTER_COLUMNS, (_record_row(r) for r in records))
     pre = len(survivors(records, "schwarzenberger"))
     post = len(survivors(records, "griffiths"))
     if not step1_matches(records):
@@ -333,34 +313,27 @@ def cmd_filter(args) -> int:
     return EXIT_OK
 
 
-REPLAY_COLUMNS = ["section", "e", "a", "b", "action", "outcome", "witness"]
-
-
 def cmd_replay(args) -> int:
     try:
         report = replay_proof()
     except ReplayMismatch as exc:
         print(f"regression at {exc.step}: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    sections = (
+        ("step1", "step1_table", report.step1_table),
+        ("step2", "step2_results", report.step2_results),
+        ("step3", "step3_table", report.step3_table),
+        ("step4", "step4_results", report.step4_results),
+    )
     if args.format == "json":
-        doc = {
-            "step1_table": [_record_json(r) for r in report.step1_table],
-            "step2_results": [_record_json(r) for r in report.step2_results],
-            "step3_table": [_record_json(r) for r in report.step3_table],
-            "step4_results": [_record_json(r) for r in report.step4_results],
-            "final_list": [_final_json(b) for b in report.final_list],
-        }
+        doc = {key: [_record_json(r) for r in records] for _, key, records in sections}
+        doc["final_list"] = [_final_json(b) for b in report.final_list]
         _print_json_indented(doc)
     else:
-        rows = [_step_row("step1", r) for r in report.step1_table]
-        rows += [_step_row("step2", r) for r in report.step2_results]
-        rows += [_step_row("step3", r) for r in report.step3_table]
-        rows += [_step_row("step4", r) for r in report.step4_results]
-        rows += [_final_row(b) for b in report.final_list]
-        if args.format == "csv":
-            _print_csv(REPLAY_COLUMNS, rows)
-        else:
-            _print_plain(REPLAY_COLUMNS, rows)
+        rows = [_replay_row(s, r.data, r.status, r.detail, _witness_string(r))
+                for s, _, records in sections for r in records]
+        rows += [_replay_row("final", b.data, b.kind, b.name) for b in report.final_list]
+        _print_table(args.format, REPLAY_COLUMNS, rows)
     print("replay complete: all witnesses match; final list has "
           f"{len(report.final_list)} entries", file=sys.stderr)
     return EXIT_OK
@@ -417,8 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = with_format(sub.add_parser(
         "splitting-types",
         help="Fano splitting types on a line",
-        description="List the splitting types (p, q), p + q = e, 2p + n + 1 - e > 0. n above "
-        f"{MAX_SPLITTING_TYPES_N} is refused with exit code 3, bounding the output to n/2 lines.",
+        description="List the splitting types (p, q), p + q = e, 2p + n + 1 - e > 0. |e| or n "
+        f"above {MAX_SPLITTING_TYPES_N} is refused with exit code 3, bounding the output to n/2 "
+        "short lines.",
     ))
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--n", type=int, required=True)

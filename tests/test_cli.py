@@ -101,6 +101,16 @@ def test_splitting_types_n_is_bounded(capsys):
     assert str(MAX_SPLITTING_TYPES_N) in err
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_splitting_types_e_is_bounded(capsys, sign):
+    e = sign * MAX_SPLITTING_TYPES_N
+    code, out, _ = run(capsys, "splitting-types", "--e", str(e), "--n", "4")
+    assert code == 0 and len(out.splitlines()) == 3
+    code, out, err = run(capsys, "splitting-types", "--e", str(e + sign), "--n", "4")
+    assert (code, out) == (3, "") and err.count("\n") == 1
+    assert str(MAX_SPLITTING_TYPES_N) in err
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 
@@ -328,17 +338,26 @@ def test_subprocess_entry_point():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+@pytest.mark.parametrize("command", ["filter", "replay"])
+def test_closed_pipe_ends_silently_in_every_table_format(command, fmt):
+    # the reader takes one byte of the table and closes the pipe, with stdout
+    # buffered and unbuffered (PYTHONUNBUFFERED, as python -u): unbuffered,
+    # one large write that meets the closed pipe comes back short, not as an error
+    for unbuffered in ("", "1"):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "schubert", command, "--format", fmt],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+        )
+        assert len(proc.stdout.read(1)) == 1
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (141, b""), f"PYTHONUNBUFFERED={unbuffered!r}"
+
+
 def test_closed_pipe_ends_silently():
-    # the reader takes one byte of a 2 MB document and closes the pipe
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "schubert", "replay", "--format", "json"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-    )
-    assert proc.stdout.read(1) == b"{"
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=120)
-    assert (proc.returncode, err) == (141, b"")
     # a pipe already closed when the command writes its one short line
     read_end, write_end = os.pipe()
     os.close(read_end)

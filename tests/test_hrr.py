@@ -17,7 +17,7 @@ from schubert import (
     tautological_quotient,
     tautological_subbundle,
 )
-from schubert.hrr import chi_form
+from schubert.hrr import chi_form, tangent_todd
 
 from oracles import bott_chi, line_bundle_chi
 
@@ -214,3 +214,27 @@ def test_quotient_and_tangent_chi_match_bott(ring_args):
         for t in range(-(n + 2), 3):
             expected = bott_chi(k, n, tuple(a + t for a in alpha), beta)
             assert euler_characteristic(bundle.twist(t)) == expected, (bundle, t)
+
+
+@pytest.mark.parametrize("ring_args", [(1, 4), (1, 5), (2, 5)])
+def test_sym2_and_wedge2_chi_match_bott_through_adams_operations(ring_args):
+    # psi^2 multiplies ch_m by 2^m, and ch(Sym^2 E), ch(Wedge^2 E) are
+    # (ch(E)^2 + psi^2 ch(E)) / 2 and (ch(E)^2 - psi^2 ch(E)) / 2;
+    # Sym^2 S* = Sigma^(2,0..) S* and Wedge^2 Q = Sigma^(1,1,0..) Q
+    k, n = ring_args
+    ring = GrassmannRing(k, n)
+    todd = tangent_todd(ring)
+    cases = (
+        (tautological_subbundle(ring).dual(), 1, (2,) + (0,) * k, (0,) * (n - k)),
+        (tautological_quotient(ring), -1, (0,) * (k + 1), (1, 1) + (0,) * (n - k - 2)),
+    )
+    for bundle, sign, alpha, beta in cases:
+        ch = bundle.ch()
+        psi2 = ring.zero()
+        for m in range(ring.dimension + 1):
+            psi2 = psi2 + 2**m * ch.graded(m)
+        ch_square = (ch * ch + sign * psi2) / 2
+        for t in range(-(n + 3), 4):
+            expected = bott_chi(k, n, tuple(a + t for a in alpha), beta)
+            got = (ch_square * line_bundle(ring, t).ch()).pair(todd)
+            assert got == expected, (bundle, sign, t)
