@@ -11,7 +11,9 @@ by exact truncated power-series arithmetic, never hard-coded.
 Rank-two data (e, a, b) on a ring of lines is twisted in its coordinates by
 ``RankTwoData.twisted``, which every pipeline path uses; ``ChernVector.twist``
 twists a bundle of any rank through its power sums.  Rational twists are
-supported, and their "Chern classes" need not be integral.
+supported, and their "Chern classes" need not be integral.  A
+``RankTwoForm`` in (e, a, b) folds at a fixed e and twist into a
+``PlaneForm`` in (a, b) alone, which evaluates in integers at integer (a, b).
 """
 
 from __future__ import annotations
@@ -285,6 +287,51 @@ class RankTwoForm(NamedTuple):
                 q_power *= q
             acc += inner * y**l * z**r
         return Fraction(acc, self.den * q**self.top)
+
+    def at_twist(self, e: Scalar, t: Scalar) -> PlaneForm:
+        """The form at ``RankTwoData(e, a, b).twisted(t)`` as a polynomial in
+        (a, b) alone.
+
+        The twist sends (e, a, b) to (x, a + s, b + s), so the row
+        (l, r, coeffs) becomes P(x) * (a + s)^l * (b + s)^r with P(x) a
+        constant, and each power of a sum expands binomially.  With q the
+        least common multiple of the denominators of x and s, x*q and s*q^2
+        are integers, and the coefficient of a^i * b^j is an integer over
+        den * q^top."""
+        x, s, _ = RankTwoData(Fraction(e), 0, 0).twisted(Fraction(t))
+        q = lcm(x.denominator, s.denominator)
+        xq, sqq = int(x * q), int(s * q * q)
+        half = self.top // 2
+        out = [[0] * (half + 1 - i) for i in range(half + 1)]  # out[i][j]: a^i * b^j
+        for l, r, coeffs in self.rows:
+            # q^d * P(x) by Horner, for d = top - 2(l + r)
+            p, q_power = 0, 1
+            for c in coeffs:
+                p = p * xq + c * q_power
+                q_power *= q
+            for i in range(l + 1):
+                for j in range(r + 1):
+                    out[i][j] += p * comb(l, i) * comb(r, j) * sqq ** (l - i + r - j) * q ** (2 * (i + j))
+        return PlaneForm(tuple(tuple(reversed(row)) for row in reversed(out)), self.den * q**self.top)
+
+
+class PlaneForm(NamedTuple):
+    """A polynomial in (a, b) with integer coefficients over one positive
+    denominator ``den``: ``rows`` runs from the polynomial in b multiplying
+    the highest power of a down to the one multiplying a^0, each with its
+    coefficients from the highest power of b down to b^0."""
+
+    rows: tuple[tuple[int, ...], ...]
+    den: int
+
+    def __call__(self, a: int, b: int) -> Fraction:
+        acc = 0
+        for row in self.rows:
+            inner = 0
+            for c in row:
+                inner = inner * b + c
+            acc = acc * a + inner
+        return Fraction(acc, self.den)
 
 
 def rank_two_character(dim: int) -> dict[tuple[int, int], Fraction]:

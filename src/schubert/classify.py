@@ -27,12 +27,16 @@ witnesses are checked against frozen expected tables; any mismatch raises
 :class:`ReplayMismatch` naming the step, so the replay doubles as a
 regression gate for the whole engine.
 
-The scan does no ring arithmetic per candidate.  Its Euler characteristics
-and Schur pairings are polynomials in (e, a, b), built once per ring as
-forms (``hrr.chi_form``, ``schur3_form``) and evaluated in integers at the
-twisted data; they give the same exact rationals as the general path
-(``rank_two_chern`` -> ``ch`` -> ``pair``), which the preflight checks them
-against before the scan runs.
+The scan does no ring arithmetic and no rational twist per candidate.  Its
+Euler characteristics and Schur pairings are polynomials in (e, a, b), built
+once per ring as forms (``hrr.chi_form``, ``schur3_form``).  For each
+normalized e, every form is folded at each twist the scan reads (k = 0..6
+and the ample Q-twist m) into a polynomial in (a, b) alone
+(``RankTwoForm.at_twist``, cached by ``scan_forms``), which the filters
+evaluate in integers at integer (a, b).  They give the same exact rationals
+as the general path (``rank_two_chern`` -> ``ch`` -> ``pair``): the
+preflight checks the forms against that path, then the folded forms against
+the forms at the twisted data, before the scan runs.
 
 Candidate evaluation is a pure map over an immutable context: verdicts do
 not depend on evaluation order, and the report is assembled in canonical
@@ -48,6 +52,7 @@ from math import comb, isqrt
 from typing import NamedTuple
 
 from .charclass import (
+    PlaneForm,
     RankTwoData,
     RankTwoForm,
     line_bundle,
@@ -225,19 +230,10 @@ def bundle_name(st: SplittingType) -> str:
 # -- the four scan filters ----------------------------------------------------
 
 
-def positivity_filter(ctx: FilterContext, a: int, b: int) -> Verdict:
-    """Both Chern coordinates of the Q-twist E(m) must be strictly positive."""
-    _, qa, qb = RankTwoData(ctx.e, a, b).twisted(ctx.m)
-    return Verdict(
-        "positivity",
-        qa > 0 and qb > 0,
-        {"qa": qa, "qb": qb},
-        CITE_AMPLE_POSITIVITY,
-    )
-
-
 # s_(3) = c1^3 - 2*c1*c2, as the coefficients of c1^i * c2^j
 SCHUR3_WEIGHTS = {(3, 0): 1, (1, 1): -2}
+# the incidence cycles omega(i, j) of lines through a point and of lines in a hyperplane
+SCHUR_CYCLES = ((0, 4), (1, 3))
 
 
 @lru_cache(maxsize=None)
@@ -245,6 +241,40 @@ def schur3_form(ring: GrassmannRing, i: int, j: int) -> RankTwoForm:
     """The pairing of s_(3)(E) with the incidence cycle omega(i, j), as a
     form in the rank-two coordinates (e, a, b)."""
     return rank_two_form(ring, SCHUR3_WEIGHTS, ring.omega(i, j))
+
+
+class ScanForms(NamedTuple):
+    """What the four filters read at one normalized e, as functions of (a, b)."""
+
+    shift: Fraction  # the Q-twist E(m) adds it to both a and b
+    schur: tuple[PlaneForm, PlaneForm]  # s_(3)(E(m)) paired with each of SCHUR_CYCLES
+    chi: tuple[PlaneForm, ...]  # chi(E(k)) for k = 0..dim
+
+
+@lru_cache(maxsize=None)
+def scan_forms(e: int) -> ScanForms:
+    """The scan's forms folded at e and at each twist the filters read."""
+    m = FilterContext(e).m
+    chi = chi_form(G14)
+    return ScanForms(
+        RankTwoData(e, 0, 0).twisted(m).a,
+        tuple(schur3_form(G14, i, j).at_twist(e, m) for i, j in SCHUR_CYCLES),
+        tuple(chi.at_twist(e, k) for k in range(G14.dimension + 1)),
+    )
+
+
+def positivity_filter(ctx: FilterContext, a: int, b: int) -> Verdict:
+    """Both Chern coordinates of the Q-twist E(m) must be strictly positive."""
+    shift = scan_forms(ctx.e).shift
+    # a + shift and b + shift, as integers over the positive denominator q
+    q = shift.denominator
+    qa, qb = a * q + shift.numerator, b * q + shift.numerator
+    return Verdict(
+        "positivity",
+        qa > 0 and qb > 0,
+        {"qa": Fraction(qa, q), "qb": Fraction(qb, q)},
+        CITE_AMPLE_POSITIVITY,
+    )
 
 
 def schur_filter(ctx: FilterContext, a: int, b: int) -> Verdict:
@@ -260,9 +290,8 @@ def schur_filter(ctx: FilterContext, a: int, b: int) -> Verdict:
     a + b <= 12; both readings leave the same candidates after the
     integrality filter).
     """
-    data = RankTwoData(ctx.e, a, b).twisted(ctx.m)
-    pair_point = schur3_form(G14, 0, 4)(data)
-    pair_hyper = schur3_form(G14, 1, 3)(data)
+    point, hyper = scan_forms(ctx.e).schur
+    pair_point, pair_hyper = point(a, b), hyper(a, b)
     bound = 12 if ctx.e == 0 else 13
     passed = a <= 6 and b <= bound - a
     return Verdict(
@@ -280,9 +309,7 @@ def schur_filter(ctx: FilterContext, a: int, b: int) -> Verdict:
 def schwarzenberger_filter(ctx: FilterContext, a: int, b: int) -> Verdict:
     """Every chi(E(k)) must be an integer.  chi(E(k)) is a polynomial of
     degree at most dim in k, so integrality at k = 0..dim settles every twist."""
-    chi = chi_form(G14)
-    data = RankTwoData(ctx.e, a, b)
-    chis = tuple(chi(data.twisted(k)) for k in range(G14.dimension + 1))
+    chis = tuple(chi(a, b) for chi in scan_forms(ctx.e).chi)
     return Verdict(
         "schwarzenberger",
         all(chi.denominator == 1 for chi in chis),
@@ -296,7 +323,7 @@ def griffiths_filter(ctx: FilterContext, a: int, b: int) -> Verdict:
     so chi(E(5)) < 0 eliminates the candidate.  Vacuous for e = 0."""
     if ctx.e != -1:
         return Verdict("griffiths", True, {"applies": False}, CITE_GRIFFITHS)
-    chi5 = chi_form(G14)(RankTwoData(ctx.e, a, b).twisted(5))
+    chi5 = scan_forms(ctx.e).chi[5](a, b)
     return Verdict(
         "griffiths",
         chi5 >= 0,
@@ -478,12 +505,32 @@ def _preflight() -> None:
         v = rank_two_chern(ring, data)
         c1, c2 = v.c[1], v.c[2]
         schur3 = c1 * c1 * c1 - 2 * (c1 * c2)
-        for i, j in ((0, 4), (1, 3)):
+        for i, j in SCHUR_CYCLES:
             got, expected = schur3_form(ring, i, j)(data), schur3.pair(ring.omega(i, j))
             if got != expected:
                 raise ReplayMismatch(
                     "preflight", f"s(3) form on omega({i},{j}) gives {got} on {data}, expected {expected}"
                 )
+    # the folded forms against the forms at the twisted data, checked only
+    # now so that a wrong form is refused before it is folded and cached.
+    # Both sides are polynomials of degree at most top/2 in (a, b), which
+    # the points i + j <= top/2 determine; a scan corner is probed as well.
+    for e in (0, -1):
+        m = FilterContext(e).m
+        forms = scan_forms(e)
+        folded = [(chi, k, form) for k, form in enumerate(forms.chi)]
+        folded += [(schur3_form(ring, *ij), m, form) for ij, form in zip(SCHUR_CYCLES, forms.schur)]
+        for unfolded, t, form in folded:
+            degree = unfolded.top // 2
+            probes = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+            for a, b in (*probes, (SCAN_LO, SCAN_HI)):
+                got, expected = form(a, b), unfolded(RankTwoData(e, a, b).twisted(t))
+                if got != expected:
+                    raise ReplayMismatch(
+                        "preflight",
+                        f"folded form gives {got} at (e, a, b, twist) = ({e}, {a}, {b}, {t}), "
+                        f"expected {expected}",
+                    )
     # tautological sequence and Whitney data of split bundles
     if tautological_subbundle(ring).total() * tautological_quotient(ring).total() != ring.one():
         raise ReplayMismatch("preflight", "c(S) * c(Q) != 1")

@@ -56,6 +56,11 @@ MAX_INTERSECT_DIMENSION = 64
 # (p, q) with |p|, |q| <= |e| + n, so this bounds its work.
 MAX_SPLITTING_TYPES_N = 10_000
 
+# Largest |e|, |a|, |b| and |twist| ``chi`` and ``chi-p3`` accept.  An answer
+# is a polynomial of degree 6 in them, so at this bound it has about 40
+# digits, far below the 4300 digits Python prints of one int.
+MAX_CHI_ARGUMENT = 10**6
+
 
 # -- rendering helpers ---------------------------------------------------------
 
@@ -265,13 +270,26 @@ def cmd_intersect(args) -> int:
     return EXIT_OK
 
 
+def _chi_arguments_too_large(command: str, values: dict[str, int]) -> bool:
+    """Print the one-line refusal when an argument is above MAX_CHI_ARGUMENT."""
+    if max(map(abs, values.values())) <= MAX_CHI_ARGUMENT:
+        return False
+    names = ", ".join(f"|{name}|" for name in values)
+    print(f"error: {command} supports {names} at most {MAX_CHI_ARGUMENT}", file=sys.stderr)
+    return True
+
+
 def cmd_chi(args) -> int:
+    if _chi_arguments_too_large("chi", {"e": args.e, "a": args.a, "b": args.b, "twist": args.twist}):
+        return EXIT_DOMAIN
     data = RankTwoData(args.e, args.a, args.b).twisted(args.twist)
     _emit_scalar(euler_characteristic(rank_two_chern(G14, data)), args.format)
     return EXIT_OK
 
 
 def cmd_chi_p3(args) -> int:
+    if _chi_arguments_too_large("chi-p3", {"e": args.e, "a": args.a, "twist": args.twist}):
+        return EXIT_DOMAIN
     _emit_scalar(chi_p3(args.e, args.a, args.twist), args.format)
     return EXIT_OK
 
@@ -368,14 +386,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("classes", help="partitions: parts ','-separated, factors ';'-separated, e.g. '2,1;3'")
     p.set_defaults(func=cmd_intersect)
 
-    p = with_format(sub.add_parser("chi", help="Euler characteristic of rank-two data on G(1,4)"))
+    p = with_format(sub.add_parser(
+        "chi",
+        help="Euler characteristic of rank-two data on G(1,4)",
+        description="Euler characteristic of the rank-two data (e, a, b) on G(1,4), twisted by "
+        f"--twist. |e|, |a|, |b| or |twist| above {MAX_CHI_ARGUMENT} is refused with exit code 3, "
+        "which keeps every answer short.",
+    ))
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--twist", type=int, default=0)
     p.set_defaults(func=cmd_chi)
 
-    p = with_format(sub.add_parser("chi-p3", help="Euler characteristic of restricted data on P^3"))
+    p = with_format(sub.add_parser(
+        "chi-p3",
+        help="Euler characteristic of restricted data on P^3",
+        description="Euler characteristic on P^3 of the rank-two data (e, a), twisted by --twist. "
+        f"|e|, |a| or |twist| above {MAX_CHI_ARGUMENT} is refused with exit code 3, which keeps "
+        "every answer short.",
+    ))
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--twist", type=int, default=0)

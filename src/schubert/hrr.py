@@ -12,9 +12,10 @@ For rank-two data (e, a, b) on a ring of lines, chi(E) is a fixed
 polynomial in the coordinates: ``chi_form`` builds it once per ring from the
 pairings of the monomial classes h^i * s(2)^l * s(1,1)^r with td(T),
 weighted by the rank-two Newton coefficients of ch, and evaluates it in
-integers.  The candidate scan reads its Euler characteristics from it; the
-general path above (``euler_characteristic`` of a Chern vector) serves every
-other caller and is the oracle the form is checked against.  Every path
+integers.  The candidate scan reads its Euler characteristics from it,
+folded at each twist into a polynomial in (a, b) (``RankTwoForm.at_twist``);
+the general path above (``euler_characteristic`` of a Chern vector) serves
+every other caller and is the oracle the form is checked against.  Every path
 twists rank-two data in its coordinates, by ``RankTwoData.twisted``, and
 everything is stateless given the immutable ring inputs.
 """

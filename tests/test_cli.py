@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from schubert import classify
 from schubert.chow import ChowClass
-from schubert.cli import MAX_SPLITTING_TYPES_N, _print_json_indented, main
+from schubert.cli import MAX_CHI_ARGUMENT, MAX_SPLITTING_TYPES_N, _print_json_indented, main
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -78,6 +78,31 @@ def test_chi_p3_examples(capsys):
     assert run(capsys, "chi-p3", "--e", "0", "--a", "-4", "--twist", "-1")[:2] == (0, "4\n")
     assert run(capsys, "chi-p3", "--e", "-1", "--a", "-2", "--twist", "-1")[:2] == (0, "1\n")
     assert run(capsys, "chi-p3", "--e", "0", "--a", "0", "--twist", "0")[:2] == (0, "2\n")
+
+
+CHI_ARGUMENTS = {"chi": ("--e", "--a", "--b", "--twist"), "chi-p3": ("--e", "--a", "--twist")}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("command", sorted(CHI_ARGUMENTS))
+def test_chi_arguments_are_bounded(capsys, command, sign):
+    names = CHI_ARGUMENTS[command]
+
+    def argv(values):
+        return [command, *(x for name, value in zip(names, values) for x in (name, str(value)))]
+
+    code, out, _ = run(capsys, *argv([sign * MAX_CHI_ARGUMENT] * len(names)))
+    assert code == 0 and len(out.strip()) < 50
+    Fraction(out.strip())
+    huge = sign * 10**4289  # 4290 digits: parses as an int, but its chi would not print
+    refused = [[huge] * len(names)]
+    for i in range(len(names)):
+        for value in (sign * (MAX_CHI_ARGUMENT + 1), huge):
+            refused.append([value if j == i else 0 for j in range(len(names))])
+    for values in refused:
+        code, out, err = run(capsys, *argv(values))
+        assert (code, out) == (3, "") and err.count("\n") == 1 and "Traceback" not in err
+        assert str(MAX_CHI_ARGUMENT) in err
 
 
 def test_splitting_types(capsys):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,14 +27,18 @@ from schubert import (
     split_detect,
     split_fano_bundles,
 )
+from schubert.charclass import RankTwoForm
+from schubert.hrr import chi_form
 from schubert.classify import (
     FILTER_RULES,
     GRIFFITHS_ELIMINATED,
     NONSPLIT_DATA,
     SCAN_HI,
     SCAN_LO,
+    SCHUR_CYCLES,
     STEP1_SURVIVORS,
     evaluate_candidate,
+    scan_forms,
     schur3_form,
     step1_matches,
     survivors,
@@ -345,3 +350,77 @@ def test_preflight_rejects_a_wrong_form(monkeypatch, name):
     with pytest.raises(ReplayMismatch) as info:
         classify._preflight()
     assert info.value.step == "preflight"
+
+
+@pytest.mark.parametrize("name", ["chi_form", "schur3_form"])
+def test_preflight_refuses_a_wrong_form_before_folding_it(monkeypatch, name):
+    # a wrong form folded into the scan's cache would outlive the monkeypatch
+    right = getattr(classify, name)
+
+    def wrong(*args):
+        form = right(*args)
+        return form._replace(den=3 * form.den)
+
+    monkeypatch.setattr(classify, name, wrong)
+    scan_forms.cache_clear()
+    with pytest.raises(ReplayMismatch):
+        classify._preflight()
+    assert scan_forms.cache_info().currsize == 0
+
+
+def test_positivity_witnesses_and_witness_types():
+    records = enumerate_candidates()
+    assert len(records) == 1458
+    for rec in records:
+        e, a, b = rec.data
+        witness = rec.verdict("positivity").witness
+        assert (witness["qa"], witness["qb"]) == RankTwoData(e, a, b).twisted(FilterContext(e).m)[1:]
+        for v in rec.verdicts:
+            for value in v.witness.values():
+                for x in value if isinstance(value, tuple) else (value,):
+                    assert isinstance(x, bool) or type(x) is Fraction, (rec.data, v.rule, x)
+
+
+@pytest.mark.parametrize("e", [0, -1])
+def test_folded_forms_match_the_unfolded_forms(e):
+    # the scan's folds and folds at random rational twists, against the form
+    # at the twisted data, on (a, b) far beyond the scan square
+    rng = random.Random(5815 + e)
+    m = FilterContext(e).m
+    chi = chi_form(G14)
+    forms = scan_forms(e)
+    folds = [(chi, k, folded) for k, folded in enumerate(forms.chi)]
+    folds += [(schur3_form(G14, i, j), m, folded) for (i, j), folded in zip(SCHUR_CYCLES, forms.schur)]
+    for form in (chi, *(schur3_form(G14, i, j) for i, j in SCHUR_CYCLES)):
+        for _ in range(6):
+            t = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+            folds.append((form, t, form.at_twist(e, t)))
+    assert len(folds) == G14.dimension + 1 + len(SCHUR_CYCLES) + 18
+    for form, t, folded in folds:
+        for _ in range(20):
+            a, b = rng.randint(-10**4, 10**4), rng.randint(-10**4, 10**4)
+            got, expected = folded(a, b), form(RankTwoData(e, a, b).twisted(t))
+            assert type(got) is Fraction and type(expected) is Fraction
+            assert got == expected, (e, t, a, b)
+    assert forms.shift == RankTwoData(e, 0, 0).twisted(m).a
+
+
+def test_scan_folds_each_form_once_per_twist(monkeypatch):
+    folds = Counter()
+    fold = RankTwoForm.at_twist
+
+    def counting(form, e, t):
+        folds[form, e, t] += 1
+        return fold(form, e, t)
+
+    monkeypatch.setattr(RankTwoForm, "at_twist", counting)
+    scan_forms.cache_clear()
+    enumerate_candidates.cache_clear()
+    records = enumerate_candidates()
+    info = scan_forms.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)  # one set of folded forms per e
+    assert len(folds) == 2 * (G14.dimension + 1 + len(SCHUR_CYCLES))
+    assert set(folds.values()) == {1}
+    # every other filter call is a hit; only Griffiths at e = 0 reads no form
+    lookups = sum(v.witness.get("applies", True) for r in records for v in r.verdicts)
+    assert info.hits + info.misses == lookups
