@@ -7,11 +7,13 @@ text (default), csv, or json; json renders every rational as
 of row objects.  The indented JSON of ``filter`` and ``replay`` is streamed
 to stdout by one writer whose text equals ``json.dumps(doc, indent=2)``:
 with an indent, ``json`` falls back to its pure-Python encoder, which is
-slower than this writer.  Their csv and plain tables go through one table
-printer, which streams csv row by row.  Exit codes: 0 success, 2 usage error,
-3 domain error, 4 regression mismatch against the frozen tables; a reader
-closing stdout early (``schubert replay | head``) ends it silently with 141,
-as SIGPIPE would, in every format.
+slower than this writer.  The documents hold the candidate records
+themselves, and the writer turns each into its text from one template, in
+one write, with no dict tree built for it.  Their csv and plain tables go
+through one table printer, which streams csv row by row.  Exit codes: 0
+success, 2 usage error, 3 domain error, 4 regression mismatch against the
+frozen tables; a reader closing stdout early (``schubert replay | head``)
+ends it silently with 141, as SIGPIPE would, in every format.
 """
 
 from __future__ import annotations
@@ -69,16 +71,6 @@ def _frac_json(value: int | Fraction) -> dict:
     return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
-def _witness_json(value):
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (int, Fraction)):
-        return _frac_json(value)
-    if isinstance(value, (tuple, list)):
-        return [_witness_json(v) for v in value]
-    return str(value)
-
-
 def _witness_text(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -95,12 +87,16 @@ def _print_json_indented(doc) -> None:
     One recursive pass streams the text fragment by fragment, so the whole
     document is never held as one string.  Only exact JSON values are
     accepted: dict with str keys, list, str, int, bool and None.  Anything
-    else, a float or a Fraction included, raises TypeError.
+    else, a float or a Fraction included, raises TypeError.  One more node
+    type stands for its JSON object: a :class:`CandidateRecord` is written
+    by :func:`_record_json_text` in one piece, with no dict built for it.
     """
     write = sys.stdout.write
 
     def emit(value, newline: str) -> None:
-        if isinstance(value, str):
+        if isinstance(value, CandidateRecord):
+            write(_record_json_text(value, newline))
+        elif isinstance(value, str):
             write(encode_basestring_ascii(value))
         elif value is None:
             write("null")
@@ -183,23 +179,55 @@ def _record_row(rec: CandidateRecord) -> dict:
     return row
 
 
-def _record_json(rec: CandidateRecord) -> dict:
-    return {
-        "e": rec.data.e,
-        "a": rec.data.a,
-        "b": rec.data.b,
-        "status": rec.status,
-        "detail": rec.detail,
-        "verdicts": [
-            {
-                "rule": v.rule,
-                "passed": v.passed,
-                "witness": {k: _witness_json(val) for k, val in v.witness.items()},
-                "citation": v.citation,
-            }
-            for v in rec.verdicts
-        ],
-    }
+def _witness_json_text(value, newline: str) -> str:
+    """A witness value as JSON text at the indent of ``newline``: bool and
+    None as themselves, int and Fraction as ``{"num", "den"}`` strings, any
+    tuple or list (a SplittingType too) as a list, anything else as its str."""
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    inner = newline + "  "
+    if isinstance(value, (int, Fraction)):
+        return f'{{{inner}"num": "{value.numerator}",{inner}"den": "{value.denominator}"{newline}}}'
+    if isinstance(value, (tuple, list)):
+        if not value:
+            return "[]"
+        items = ("," + inner).join([_witness_json_text(v, inner) for v in value])
+        return f"[{inner}{items}{newline}]"
+    return encode_basestring_ascii(str(value))
+
+
+def _record_json_text(rec: CandidateRecord, newline: str) -> str:
+    """The JSON object of ``rec`` at the indent of ``newline``, as
+    ``json.dumps(indent=2)`` writes it: e, a, b, status, detail, then the
+    verdicts, each an object of rule, passed, witness and citation."""
+    key = newline + "  "  # the record's keys
+    item = key + "  "  # the verdict objects
+    field = item + "  "  # their keys
+    entry = field + "  "  # the witness keys
+    verdicts = []
+    for v in rec.verdicts:
+        witness = ",".join([
+            f"{entry}{encode_basestring_ascii(k)}: {_witness_json_text(val, entry)}"
+            for k, val in v.witness.items()
+        ])
+        verdicts.append(
+            f'{{{field}"rule": {encode_basestring_ascii(v.rule)},'
+            f'{field}"passed": {"true" if v.passed else "false"},'
+            f'{field}"witness": {"{" + witness + field + "}" if witness else "{}"},'
+            f'{field}"citation": {encode_basestring_ascii(v.citation)}{item}}}'
+        )
+    verdict_list = "[" + item + ("," + item).join(verdicts) + key + "]" if verdicts else "[]"
+    e, a, b = map(int.__repr__, rec.data)  # a Fraction raises TypeError, as in the writer
+    return (
+        f'{{{key}"e": {e},{key}"a": {a},{key}"b": {b},'
+        f'{key}"status": {encode_basestring_ascii(rec.status)},'
+        f'{key}"detail": {encode_basestring_ascii(rec.detail)},'
+        f'{key}"verdicts": {verdict_list}{newline}}}'
+    )
 
 
 REPLAY_COLUMNS = ["section", "e", "a", "b", "action", "outcome", "witness"]
@@ -247,11 +275,9 @@ def cmd_intersect(args) -> int:
         print(f"error: malformed partition list: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if ring.dimension > MAX_INTERSECT_DIMENSION:
-        print(
-            f"error: G({ring.k},{ring.n}) has dimension {ring.dimension}; intersect "
-            f"supports dimension at most {MAX_INTERSECT_DIMENSION}",
-            file=sys.stderr,
-        )
+        # k and n may have thousands of digits, their dimension twice as many
+        print(f"error: intersect supports G(k,n) of dimension (k+1)(n-k) at most {MAX_INTERSECT_DIMENSION}",
+              file=sys.stderr)
         return EXIT_DOMAIN
     try:
         factors = [ring.sigma(la) for la in indices]
@@ -319,7 +345,7 @@ FILTER_COLUMNS = ["e", "a", "b", *FILTER_RULES, "status", "detail", "witness"]
 def cmd_filter(args) -> int:
     records = enumerate_candidates()
     if args.format == "json":
-        _print_json_indented([_record_json(r) for r in records])
+        _print_json_indented(list(records))
     else:
         _print_table(args.format, FILTER_COLUMNS, (_record_row(r) for r in records))
     pre = len(survivors(records, "schwarzenberger"))
@@ -344,7 +370,7 @@ def cmd_replay(args) -> int:
         ("step4", "step4_results", report.step4_results),
     )
     if args.format == "json":
-        doc = {key: [_record_json(r) for r in records] for _, key, records in sections}
+        doc = {key: list(records) for _, key, records in sections}
         doc["final_list"] = [_final_json(b) for b in report.final_list]
         _print_json_indented(doc)
     else:

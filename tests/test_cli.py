@@ -13,6 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from schubert import classify
+from schubert.charclass import RankTwoData
 from schubert.chow import ChowClass
 from schubert.cli import MAX_CHI_ARGUMENT, MAX_SPLITTING_TYPES_N, _print_json_indented, main
 
@@ -61,6 +62,13 @@ def test_intersect_ring_size_bound(capsys):
     assert (code, out) == (3, "")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert run(capsys, "intersect", "--k", "0", "--n", "64", "32;32")[:2] == (0, "1\n")
+
+
+def test_intersect_refusal_prints_no_unbounded_integer(capsys):
+    # k and n each under the 4300-digit int-string limit, their dimension about 8000 digits
+    code, out, err = run(capsys, "intersect", "--k", str(10**4000), "--n", str(2 * 10**4000), "1")
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "Traceback" not in err and len(err) < 200
 
 
 def test_chi_examples(capsys):
@@ -340,6 +348,112 @@ def test_indented_json_writer_is_exact_only(value):
     for doc in (value, [value], {"k": value}, [1, {"k": [value]}]):
         with pytest.raises(TypeError):
             captured_json(doc)
+
+
+# -- candidate records, written from one template ---------------------------------------
+
+
+def record_json_form(rec: classify.CandidateRecord) -> dict:
+    """The JSON object of a record as a dict tree, built here and not by the cli."""
+
+    def witness(value):
+        if isinstance(value, bool) or value is None:
+            return value
+        if isinstance(value, (int, Fraction)):
+            return {"num": str(value.numerator), "den": str(value.denominator)}
+        if isinstance(value, (tuple, list)):  # a SplittingType too
+            return [witness(v) for v in value]
+        return str(value)
+
+    return {
+        "e": rec.data.e,
+        "a": rec.data.a,
+        "b": rec.data.b,
+        "status": rec.status,
+        "detail": rec.detail,
+        "verdicts": [
+            {
+                "rule": v.rule,
+                "passed": v.passed,
+                "witness": {k: witness(val) for k, val in v.witness.items()},
+                "citation": v.citation,
+            }
+            for v in rec.verdicts
+        ],
+    }
+
+
+def assert_record_written_as_json_dumps(rec: classify.CandidateRecord) -> None:
+    form = record_json_form(rec)
+    assert captured_json(rec) == json.dumps(form, indent=2) + "\n", rec.data  # depth 0
+    assert captured_json({"k": [rec]}) == json.dumps({"k": [form]}, indent=2) + "\n", rec.data  # depth 2
+
+
+def test_record_template_matches_json_dumps_on_every_replayed_record():
+    report = classify.replay_proof()
+    records = [
+        *classify.enumerate_candidates(),
+        *report.step1_table,
+        *report.step2_results,
+        *report.step3_table,
+        *report.step4_results,
+    ]
+    assert len(records) == 2 * 1458 + 1 + 5 + 3
+    for rec in records:
+        assert_record_written_as_json_dumps(rec)
+
+
+witness_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.fractions()
+    | st.builds(classify.SplittingType, st.integers(), st.integers())
+    | json_text
+)
+witness_values = st.recursive(
+    witness_leaves,
+    lambda children: st.lists(children, max_size=3) | st.lists(children, max_size=3).map(tuple),
+    max_leaves=8,
+)
+verdicts = st.builds(
+    classify.Verdict,
+    rule=json_text,
+    passed=st.booleans(),
+    witness=st.dictionaries(json_text, witness_values, max_size=4),
+    citation=json_text,
+)
+candidate_records = st.builds(
+    classify.CandidateRecord,
+    data=st.builds(RankTwoData, st.integers(), st.integers(), st.integers()),
+    verdicts=st.lists(verdicts, max_size=4).map(tuple),
+    status=json_text,
+    detail=json_text,
+)
+
+
+@given(candidate_records)
+@example(classify.CandidateRecord(RankTwoData(0, 0, 0), (), "", ""))
+@example(classify.CandidateRecord(
+    RankTwoData(-1, 6, 6),
+    (classify.Verdict("r", False, {}, ""), classify.Verdict("s", True, {"t": (), "u": []}, "")),
+    "\ud800\"\n",
+    "\x00é",
+))
+@example(classify.CandidateRecord(
+    RankTwoData(-(10**30), 10**30, 0),
+    (classify.Verdict("r", True, {
+        "split": classify.SplittingType(-2, 3),
+        "chi": (Fraction(-7, 2), 0, (True, None, "x")),
+        "q": Fraction(10**40, 3),
+    }, "c"),),
+    "surviving",
+    "",
+))
+def test_record_template_matches_json_dumps_on_synthetic_records(rec):
+    assert_record_written_as_json_dumps(rec)
+    forms = [record_json_form(rec)] * 2
+    assert captured_json([rec, rec]) == json.dumps(forms, indent=2) + "\n"
 
 
 # -- one real subprocess pass through the module entry point -------------------------
