@@ -407,18 +407,22 @@ def survivors(records, stage: str) -> list[CandidateRecord]:
     return [r for r in records if r.passed(stage)]
 
 
-def step1_matches(records) -> bool:
-    """True iff the scan reproduces the frozen candidate table exactly."""
+def step1_survivors(records) -> list[CandidateRecord]:
+    """The records that pass the integrality filter, once the scan is checked
+    against the frozen candidate table, its one Griffiths elimination and its
+    witness; raises :class:`ReplayMismatch` at step1 on any difference."""
     pre = survivors(records, "schwarzenberger")
-    got = {e: tuple((r.data.a, r.data.b) for r in pre if r.data.e == e) for e in (0, -1)}
-    expected = {e: tuple(sorted(v)) for e, v in STEP1_SURVIVORS.items()}
-    if {e: tuple(sorted(v)) for e, v in got.items()} != expected:
-        return False
+    got = {e: sorted((r.data.a, r.data.b) for r in pre if r.data.e == e) for e in (0, -1)}
     killed = [r for r in pre if not r.passed("griffiths")]
-    if len(killed) != 1 or killed[0].data != GRIFFITHS_ELIMINATED:
-        return False
-    witness = killed[0].verdict("griffiths").witness["chi_at_5"]
-    return witness == GRIFFITHS_WITNESS
+    if (
+        got != {e: sorted(v) for e, v in STEP1_SURVIVORS.items()}
+        or [r.data for r in killed] != [GRIFFITHS_ELIMINATED]
+        or killed[0].verdict("griffiths").witness["chi_at_5"] != GRIFFITHS_WITNESS
+    ):
+        raise ReplayMismatch(
+            "step1", "candidate table mismatch: got " + ", ".join(str(tuple(r.data)) for r in pre)
+        )
+    return pre
 
 
 # -- section arithmetic and split detection ------------------------------------
@@ -647,12 +651,7 @@ def replay_proof() -> ClassificationReport:
     _preflight()
 
     records = enumerate_candidates()
-    if not step1_matches(records):
-        pre = survivors(records, "schwarzenberger")
-        raise ReplayMismatch(
-            "step1",
-            "candidate table mismatch: got " + ", ".join(str(tuple(r.data)) for r in pre),
-        )
+    step1_survivors(records)
 
     step2 = (_step2(),)
     step3 = _step3()

@@ -10,10 +10,12 @@ with an indent, ``json`` falls back to its pure-Python encoder, which is
 slower than this writer.  The documents hold the candidate records
 themselves, and the writer turns each into its text from one template, in
 one write, with no dict tree built for it.  Their csv and plain tables go
-through one table printer, which streams csv row by row.  Exit codes: 0
-success, 2 usage error, 3 domain error, 4 regression mismatch against the
-frozen tables; a reader closing stdout early (``schubert replay | head``)
-ends it silently with 141, as SIGPIPE would, in every format.
+through one table printer, which streams csv row by row; each row is a
+sequence of cells in column order, read straight off the record.  Exit
+codes: 0 success, 2 usage error, 3 domain error, 4 regression mismatch
+against the frozen tables; a reader closing stdout early
+(``schubert replay | head``) ends it silently with 141, as SIGPIPE would,
+in every format.
 """
 
 from __future__ import annotations
@@ -37,11 +39,10 @@ from .classify import (
     enumerate_candidates,
     fano_splitting_types,
     replay_proof,
-    step1_matches,
-    survivors,
+    step1_survivors,
 )
 from .hrr import chi_p3, euler_characteristic
-from .partitions import partition
+from .partitions import fits, partition
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -138,15 +139,14 @@ def _print_json_indented(doc) -> None:
 
 
 def _print_table(fmt: str, columns: list[str], rows) -> None:
-    """Write ``rows``, dicts keyed by ``columns``, to stdout as csv (streamed row
-    by row) or as plain text (each column padded to its widest cell)."""
-    cells = ([row[c] for c in columns] for row in rows)
+    """Write ``rows``, sequences of cells in the order of ``columns``, to stdout as
+    csv (streamed row by row) or as plain text (each column padded to its widest cell)."""
     if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows(cells)
+        writer.writerows(rows)
         return
-    table = [columns, *([str(cell) for cell in r] for r in cells)]
+    table = [columns, *([str(cell) for cell in r] for r in rows)]
     widths = [max(len(r[i]) for r in table) for i in range(len(columns))]
     for r in table:
         sys.stdout.write("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() + "\n")
@@ -168,15 +168,11 @@ def _witness_string(rec: CandidateRecord) -> str:
     )
 
 
-def _record_row(rec: CandidateRecord) -> dict:
+def _record_row(rec: CandidateRecord) -> tuple:
     # the verdicts follow FILTER_RULES up to the first failure; later rules stay blank
-    row = {"e": rec.data.e, "a": rec.data.a, "b": rec.data.b, **dict.fromkeys(FILTER_RULES, "")}
-    for v in rec.verdicts:
-        row[v.rule] = "pass" if v.passed else "fail"
-    row["status"] = rec.status
-    row["detail"] = rec.detail
-    row["witness"] = _witness_string(rec)
-    return row
+    marks = ["pass" if v.passed else "fail" for v in rec.verdicts]
+    return (*rec.data, *marks, *[""] * (len(FILTER_RULES) - len(marks)), rec.status, rec.detail,
+            _witness_string(rec))
 
 
 def _witness_json_text(value, newline: str) -> str:
@@ -233,10 +229,6 @@ def _record_json_text(rec: CandidateRecord, newline: str) -> str:
 REPLAY_COLUMNS = ["section", "e", "a", "b", "action", "outcome", "witness"]
 
 
-def _replay_row(section: str, data: RankTwoData, action: str, outcome: str, witness: str = "") -> dict:
-    return dict(zip(REPLAY_COLUMNS, (section, *data, action, outcome, witness)))
-
-
 def _final_json(entry: BundleType) -> dict:
     return {
         "kind": entry.kind,
@@ -257,17 +249,19 @@ def _parse_partition_list(text: str) -> list[tuple[int, ...]]:
     if not any(chunks):
         raise ValueError("empty class list")
     out = []
-    for chunk in chunks:
-        parts = [int(p) for p in chunk.split(",")]  # ValueError on malformed syntax
-        out.append(partition(parts))  # ValueError when not weakly decreasing
+    for i, chunk in enumerate(chunks, 1):
+        try:
+            out.append(partition(int(p) for p in chunk.split(",")))
+        except ValueError:  # name the factor by its position: its parts may be many or long
+            raise ValueError(f"factor {i} is not a weakly decreasing list of non-negative integers") from None
     return out
 
 
 def cmd_intersect(args) -> int:
     try:
         ring = GrassmannRing(args.k, args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ValueError:  # k and n may have thousands of digits: print neither
+        print("error: intersect needs 0 <= k < n", file=sys.stderr)
         return EXIT_USAGE
     try:
         indices = _parse_partition_list(args.classes)
@@ -279,11 +273,12 @@ def cmd_intersect(args) -> int:
         print(f"error: intersect supports G(k,n) of dimension (k+1)(n-k) at most {MAX_INTERSECT_DIMENSION}",
               file=sys.stderr)
         return EXIT_DOMAIN
-    try:
-        factors = [ring.sigma(la) for la in indices]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    outside = next((i for i, la in enumerate(indices, 1) if not fits(la, ring.box)), None)
+    if outside is not None:
+        print(f"error: factor {outside} does not fit in the {ring.box.rows}x{ring.box.cols} box "
+              f"of G({args.k},{args.n})", file=sys.stderr)
         return EXIT_DOMAIN
+    factors = [ring.sigma(la) for la in indices]
     # Degree-0 factors are the unit, and each other factor raises the degree,
     # so at most `dimension` products are made before the product vanishes.
     acc = None
@@ -332,7 +327,7 @@ def cmd_splitting_types(args) -> int:
     if args.format == "json":
         print(json.dumps([{"p": t.p, "q": t.q} for t in types]))
     elif args.format == "csv":
-        _print_table("csv", ["p", "q"], ({"p": t.p, "q": t.q} for t in types))
+        _print_table("csv", ["p", "q"], types)
     else:
         for t in types:
             print(f"({t.p},{t.q})")
@@ -347,13 +342,14 @@ def cmd_filter(args) -> int:
     if args.format == "json":
         _print_json_indented(list(records))
     else:
-        _print_table(args.format, FILTER_COLUMNS, (_record_row(r) for r in records))
-    pre = len(survivors(records, "schwarzenberger"))
-    post = len(survivors(records, "griffiths"))
-    if not step1_matches(records):
-        print("regression: candidate table differs from the frozen table", file=sys.stderr)
+        _print_table(args.format, FILTER_COLUMNS, map(_record_row, records))
+    try:
+        pre = step1_survivors(records)
+    except ReplayMismatch as exc:
+        print(f"regression at {exc.step}: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    print(f"{pre} candidates pass the integrality filter; {post} survive", file=sys.stderr)
+    post = sum(r.status == "surviving" for r in records)
+    print(f"{len(pre)} candidates pass the integrality filter; {post} survive", file=sys.stderr)
     return EXIT_OK
 
 
@@ -374,9 +370,9 @@ def cmd_replay(args) -> int:
         doc["final_list"] = [_final_json(b) for b in report.final_list]
         _print_json_indented(doc)
     else:
-        rows = [_replay_row(s, r.data, r.status, r.detail, _witness_string(r))
+        rows = [(s, *r.data, r.status, r.detail, _witness_string(r))
                 for s, _, records in sections for r in records]
-        rows += [_replay_row("final", b.data, b.kind, b.name) for b in report.final_list]
+        rows += [("final", *b.data, b.kind, b.name, "") for b in report.final_list]
         _print_table(args.format, REPLAY_COLUMNS, rows)
     print("replay complete: all witnesses match; final list has "
           f"{len(report.final_list)} entries", file=sys.stderr)

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from .charclass import (
     ChernVector,
@@ -81,16 +80,10 @@ class EulerPolynomial:
         return len(self.coefficients) - 1
 
     def __call__(self, k: Scalar) -> Fraction:
-        # Horner in integers: with k = p/q and c_j = n_j/d over the common
-        # denominator d, chi = sum_j n_j p^j q^(D-j) / (d q^D) for D = degree.
-        k = Fraction(k)
-        p, q = k.numerator, k.denominator
-        den = lcm(*(c.denominator for c in self.coefficients))
-        acc, q_power = 0, 1
+        acc = Fraction(0)
         for c in reversed(self.coefficients):
-            acc = acc * p + c.numerator * (den // c.denominator) * q_power
-            q_power *= q
-        return Fraction(acc * q, den * q_power)  # q_power ends at q^(D+1)
+            acc = acc * k + c
+        return acc
 
     def is_integer_valued(self) -> bool:
         """Integrality at degree+1 consecutive integers, which (by the

@@ -15,7 +15,15 @@ from hypothesis import strategies as st
 from schubert import classify
 from schubert.charclass import RankTwoData
 from schubert.chow import ChowClass
-from schubert.cli import MAX_CHI_ARGUMENT, MAX_SPLITTING_TYPES_N, _print_json_indented, main
+from schubert.cli import (
+    FILTER_COLUMNS,
+    MAX_CHI_ARGUMENT,
+    MAX_SPLITTING_TYPES_N,
+    _print_json_indented,
+    _print_table,
+    _record_row,
+    main,
+)
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -64,10 +72,23 @@ def test_intersect_ring_size_bound(capsys):
     assert run(capsys, "intersect", "--k", "0", "--n", "64", "32;32")[:2] == (0, "1\n")
 
 
-def test_intersect_refusal_prints_no_unbounded_integer(capsys):
+# Refusals whose message once echoed an argument: each argument is far longer
+# than the line allowed for its refusal.
+UNBOUNDED_INTERSECT_REFUSALS = {
     # k and n each under the 4300-digit int-string limit, their dimension about 8000 digits
-    code, out, err = run(capsys, "intersect", "--k", str(10**4000), "--n", str(2 * 10**4000), "1")
-    assert (code, out) == (3, "")
+    "dimension-too-large": (3, ["--k", str(10**4000), "--n", str(2 * 10**4000), "1"]),
+    "k-not-below-n": (2, ["--k", str(2 * 10**4000), "--n", "1", "1"]),
+    "parts-not-decreasing": (2, ["--k", "1", "--n", "4", ",".join(["1,2"] * 5000)]),
+    "too-many-parts": (3, ["--k", "1", "--n", "4", ",".join(["1"] * 10000)]),
+    "part-too-large": (3, ["--k", "1", "--n", "4", str(10**4000)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNBOUNDED_INTERSECT_REFUSALS))
+def test_intersect_refusal_prints_no_unbounded_integer(capsys, case):
+    exit_code, args = UNBOUNDED_INTERSECT_REFUSALS[case]
+    code, out, err = run(capsys, "intersect", *args)
+    assert (code, out) == (exit_code, "")
     assert err.count("\n") == 1 and "Traceback" not in err and len(err) < 200
 
 
@@ -205,11 +226,21 @@ def test_filter_plain_matches_csv(capsys):
     assert header == csv_rows[0]
 
 
-def test_filter_regression_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(classify, "STEP1_SURVIVORS", {0: ((0, 0),), -1: ()})
+# One wrong frozen value per part of the step-1 check: the candidate table,
+# the record the Griffiths test removes, and its witness chi(E(5)).
+WRONG_STEP1_VALUES = {
+    "STEP1_SURVIVORS": {0: ((0, 0),), -1: ()},
+    "GRIFFITHS_ELIMINATED": RankTwoData(-1, 0, 1),
+    "GRIFFITHS_WITNESS": Fraction(935),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_STEP1_VALUES))
+def test_filter_regression_exit_code(capsys, monkeypatch, name):
+    monkeypatch.setattr(classify, name, WRONG_STEP1_VALUES[name])
     code, _, err = run(capsys, "filter", "--format", "csv")
     assert code == 4
-    assert "regression" in err
+    assert "regression at step1" in err
 
 
 def test_filter_byte_identical_across_runs(capsys):
@@ -454,6 +485,132 @@ def test_record_template_matches_json_dumps_on_synthetic_records(rec):
     assert_record_written_as_json_dumps(rec)
     forms = [record_json_form(rec)] * 2
     assert captured_json([rec, rec]) == json.dumps(forms, indent=2) + "\n"
+
+
+# -- csv tables, built here cell by cell and written by csv.writer ---------------------
+
+FILTER_CSV_HEADER = ["e", "a", "b", "positivity", "schur", "schwarzenberger", "griffiths",
+                     "status", "detail", "witness"]
+REPLAY_CSV_HEADER = ["section", "e", "a", "b", "action", "outcome", "witness"]
+
+
+def witness_cell(rec: classify.CandidateRecord) -> str:
+    """Every witness of ``rec`` as key=value, joined by ';'; a tuple or list (a
+    SplittingType too) joins its items by '|', bool and None print in lower case."""
+
+    def text(value) -> str:
+        if isinstance(value, (tuple, list)):
+            return "|".join(text(v) for v in value)
+        if value is None or isinstance(value, bool):
+            return str(value).lower()
+        return str(value)
+
+    return ";".join(f"{key}={text(value)}" for v in rec.verdicts for key, value in v.witness.items())
+
+
+def filter_csv_cells(rec: classify.CandidateRecord) -> list:
+    # a rule the record did not reach has no verdict and a blank cell
+    marks = {v.rule: "pass" if v.passed else "fail" for v in rec.verdicts}
+    cells = {rule: marks.get(rule, "") for rule in FILTER_CSV_HEADER[3:7]}
+    cells.update(e=rec.data.e, a=rec.data.a, b=rec.data.b, status=rec.status, detail=rec.detail,
+                 witness=witness_cell(rec))
+    return [cells[column] for column in FILTER_CSV_HEADER]
+
+
+def csv_lines(header: list[str], rows) -> list[str]:
+    # compared as lists of lines, which pytest reports at the first difference
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().splitlines(keepends=True)
+
+
+def test_filter_csv_matches_an_independent_writer(capsys):
+    code, out, _ = run(capsys, "filter", "--format", "csv")
+    assert code == 0
+    records = classify.enumerate_candidates()
+    assert len(records) == 1458
+    assert out.splitlines(keepends=True) == csv_lines(FILTER_CSV_HEADER, map(filter_csv_cells, records))
+
+
+def test_replay_csv_matches_an_independent_writer(capsys):
+    code, out, _ = run(capsys, "replay", "--format", "csv")
+    assert code == 0
+    report = classify.replay_proof()
+    sections = {
+        "step1": report.step1_table,
+        "step2": report.step2_results,
+        "step3": report.step3_table,
+        "step4": report.step4_results,
+    }
+    rows = [
+        dict(section=section, e=rec.data.e, a=rec.data.a, b=rec.data.b, action=rec.status,
+             outcome=rec.detail, witness=witness_cell(rec))
+        for section, records in sections.items()
+        for rec in records
+    ]
+    rows += [
+        dict(section="final", e=b.data.e, a=b.data.a, b=b.data.b, action=b.kind, outcome=b.name,
+             witness="")
+        for b in report.final_list
+    ]
+    assert len(rows) == 1458 + 1 + 5 + 3 + 6
+    expected = csv_lines(REPLAY_CSV_HEADER, ([row[c] for c in REPLAY_CSV_HEADER] for row in rows))
+    assert out.splitlines(keepends=True) == expected
+
+
+# Text with the characters csv quotes or the witness cell uses as separators.
+csv_cell_text = st.text(st.characters() | st.sampled_from(',"\n\r;|= '))
+csv_witness_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.fractions()
+    | st.builds(classify.SplittingType, st.integers(), st.integers())
+    | csv_cell_text,
+    lambda children: st.lists(children, max_size=3) | st.lists(children, max_size=3).map(tuple),
+    max_leaves=8,
+)
+
+
+@st.composite
+def filter_records(draw) -> classify.CandidateRecord:
+    """A record whose verdicts follow FILTER_RULES up to some rule, as the scan's do."""
+    reached = draw(st.integers(0, len(classify.FILTER_RULES)))
+    verdicts = [
+        classify.Verdict(
+            rule,
+            draw(st.booleans()),
+            draw(st.dictionaries(csv_cell_text, csv_witness_values, max_size=3)),
+            draw(csv_cell_text),
+        )
+        for rule in classify.FILTER_RULES[:reached]
+    ]
+    data = draw(st.builds(RankTwoData, st.integers(), st.integers(), st.integers()))
+    return classify.CandidateRecord(data, tuple(verdicts), draw(csv_cell_text), draw(csv_cell_text))
+
+
+@given(st.lists(filter_records(), max_size=4))
+@example([])
+@example([classify.CandidateRecord(
+    RankTwoData(-1, 6, 6),
+    (
+        classify.Verdict("positivity", True, {'say "a,b"': "x\ny", "none": None}, ""),
+        classify.Verdict("schur", False, {
+            "split": classify.SplittingType(-2, 3),
+            "chi": (Fraction(-7, 2), 0, (True, False, "q,\"")),
+        }, ""),
+    ),
+    "eliminated",
+    'schur, "quoted"\r\n',
+)])
+def test_filter_csv_rows_match_an_independent_writer_on_synthetic_records(records):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _print_table("csv", FILTER_COLUMNS, map(_record_row, records))
+    expected = csv_lines(FILTER_CSV_HEADER, map(filter_csv_cells, records))
+    assert buf.getvalue().splitlines(keepends=True) == expected
 
 
 # -- one real subprocess pass through the module entry point -------------------------
