@@ -353,10 +353,10 @@ def rank_two_character(dim: int) -> dict[tuple[int, int], Fraction]:
 
 @lru_cache(maxsize=None)
 def _rank_two_monomials(ring: GrassmannRing) -> dict[tuple[int, int, int], ChowClass]:
-    """h^i * s(2)^l * s(1,1)^r for every (i, l, r) with i + 2(l + r) <= dim."""
+    """h^i * s(2)^l * s(1,1)^r for every (i, l, r) with i + 2(l + r) <= dim; s(1,1) is 0 if k = 0."""
     dim = ring.dimension
     h = _hyperplane_powers(ring)
-    s2, s11 = ring.sigma((2,)), ring.sigma((1, 1))
+    s2, s11 = ring.sigma((2,)), ring.sigma((1, 1)) if ring.k else ring.zero()
     out = {}
     s2_power = ring.one()
     for l in range(dim // 2 + 1):

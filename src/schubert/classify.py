@@ -33,10 +33,12 @@ once per ring as forms (``hrr.chi_form``, ``schur3_form``).  For each
 normalized e, every form is folded at each twist the scan reads (k = 0..6
 and the ample Q-twist m) into a polynomial in (a, b) alone
 (``RankTwoForm.at_twist``, cached by ``scan_forms``), which the filters
-evaluate in integers at integer (a, b).  They give the same exact rationals
-as the general path (``rank_two_chern`` -> ``ch`` -> ``pair``): the
-preflight checks the forms against that path, then the folded forms against
-the forms at the twisted data, before the scan runs.
+evaluate in integers at integer (a, b).  Step 2 reads chi(E(-2)), and steps
+3 and 4 the restricted chi on P^3 (``hrr.chi_p3``), from forms as well.  They
+give the same exact rationals as the general path (``rank_two_chern`` ->
+``ch`` -> ``pair``), which runs only in the preflight: it checks the G(1,4)
+forms against that path, then the folded forms against the forms at the
+twisted data, before the scan runs.  The frozen tables gate every value.
 
 Candidate evaluation is a pure map over an immutable context: verdicts do
 not depend on evaluation order, and the report is assembled in canonical
@@ -553,7 +555,7 @@ def _preflight() -> None:
 
 def _step2() -> CandidateRecord:
     data = STEP2_DATA
-    chi_m2 = euler_characteristic(rank_two_chern(G14, data.twisted(-2)))
+    chi_m2 = chi_form(G14)(data.twisted(-2))
     if chi_m2 != STEP2_CHI_TWIST_MINUS_2:
         raise ReplayMismatch("step2", f"chi(E(-2)) = {chi_m2}, expected {STEP2_CHI_TWIST_MINUS_2}")
     sections = Verdict(

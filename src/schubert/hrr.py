@@ -8,16 +8,19 @@ returned unreduced as a Fraction so integrality filters can see a failure.
 twisting multiplies ch(E) by exp(k*h), so the coefficient of k^j is the
 pairing of ch(E) with h^j * td(T) / j!.
 
-For rank-two data (e, a, b) on a ring of lines, chi(E) is a fixed
-polynomial in the coordinates: ``chi_form`` builds it once per ring from the
-pairings of the monomial classes h^i * s(2)^l * s(1,1)^r with td(T),
-weighted by the rank-two Newton coefficients of ch, and evaluates it in
-integers.  The candidate scan reads its Euler characteristics from it,
-folded at each twist into a polynomial in (a, b) (``RankTwoForm.at_twist``);
-the general path above (``euler_characteristic`` of a Chern vector) serves
-every other caller and is the oracle the form is checked against.  Every path
-twists rank-two data in its coordinates, by ``RankTwoData.twisted``, and
-everything is stateless given the immutable ring inputs.
+For rank-two data (e, a, b) on a ring of lines or on a projective space,
+chi(E) is a fixed polynomial in the coordinates: ``chi_form`` builds it once
+per ring from the pairings of the monomial classes h^i * s(2)^l * s(1,1)^r
+with td(T), weighted by the rank-two Newton coefficients of ch, and
+evaluates it in integers.  Every rank-two chi the CLI and the replay print
+reads it: the candidate scan, folded at each twist into a polynomial in
+(a, b) (``RankTwoForm.at_twist``), the ``chi`` command, step 2 of the replay
+and ``chi_p3``, whose form on P^3 has no b terms.  The general path above
+(``euler_characteristic`` of a Chern vector) serves bundles of other ranks
+and is the oracle the form is checked against, in the replay's preflight
+and in the tests.  Every path twists rank-two data in its coordinates, by
+``RankTwoData.twisted``, and everything is stateless given the immutable
+ring inputs.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .charclass import (
     RankTwoData,
     RankTwoForm,
     rank_two_character,
-    rank_two_chern,
     rank_two_form,
     tangent_bundle,
 )
@@ -102,7 +104,7 @@ PROJECTIVE_3_SPACE = GrassmannRing(0, 3)
 
 
 def chi_p3(c1: int, c2: int, t: int) -> Fraction:
-    """chi on P^3 of rank-two data (c1, c2) twisted by t (``RankTwoData.twisted``),
-    i.e. of (c1 + 2t, c2 + t*c1 + t^2); P^3 has no s(1,1), so b stays 0."""
+    """chi on P^3 of rank-two data (c1, c2) twisted by t (``RankTwoData.twisted``), i.e. of
+    (c1 + 2t, c2 + t*c1 + t^2), read off ``chi_form``; P^3 has no s(1,1), so b stays 0."""
     e, a, _ = RankTwoData(c1, c2, 0).twisted(t)
-    return euler_characteristic(rank_two_chern(PROJECTIVE_3_SPACE, RankTwoData(e, a, 0)))
+    return chi_form(PROJECTIVE_3_SPACE)(RankTwoData(e, a, 0))

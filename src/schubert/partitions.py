@@ -31,8 +31,10 @@ class Box(NamedTuple):
 def partition(parts: Iterable[int]) -> Partition:
     """Normalize ``parts`` to a partition tuple, dropping trailing zeros."""
     t = tuple(int(x) for x in parts)
-    while t and t[-1] == 0:
-        t = t[:-1]
+    end = len(t)
+    while end and t[end - 1] == 0:
+        end -= 1
+    t = t[:end]  # one slice, not one per trailing zero
     if (t and t[-1] < 0) or any(t[i] < t[i + 1] for i in range(len(t) - 1)):
         raise ValueError(f"not a weakly decreasing sequence of non-negative parts: {parts!r}")
     return t

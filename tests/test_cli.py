@@ -2,10 +2,13 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from schubert import classify
-from schubert.charclass import RankTwoData
+from schubert.charclass import RankTwoData, rank_two_chern
 from schubert.chow import ChowClass
 from schubert.cli import (
     FILTER_COLUMNS,
@@ -24,6 +27,7 @@ from schubert.cli import (
     _record_row,
     main,
 )
+from schubert.hrr import euler_characteristic
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -90,6 +94,60 @@ def test_intersect_refusal_prints_no_unbounded_integer(capsys, case):
     code, out, err = run(capsys, "intersect", *args)
     assert (code, out) == (exit_code, "")
     assert err.count("\n") == 1 and "Traceback" not in err and len(err) < 200
+
+
+def test_intersect_strips_many_trailing_zeros_quickly(capsys):
+    # 60 000 zeros after a 1: a 120 KB argument, under the 128 KB per-argument limit
+    start = time.perf_counter()
+    assert run(capsys, "intersect", "--k", "1", "--n", "4", "1" + ",0" * 60_000)[:2] == (0, "0\n")
+    assert time.perf_counter() - start < 2.0
+
+
+# One valid argument list per command with int options: each option's value is
+# replaced in turn by a long malformed one.
+USAGE_ERROR_BASES = {
+    "intersect": ["--k", "1", "--n", "4", "1"],
+    "chi": ["--e", "0", "--a", "0", "--b", "0", "--twist", "0"],
+    "chi-p3": ["--e", "0", "--a", "0", "--twist", "0"],
+    "splitting-types": ["--e", "0", "--n", "4"],
+}
+USAGE_ERROR_CASES = [
+    (command, option)
+    for command, base in sorted(USAGE_ERROR_BASES.items())
+    for option in base
+    if option.startswith("--")
+] + [("chi", "--format"), ("filter", "unrecognized")]
+
+
+@pytest.mark.parametrize("fill", ["x", "9"])
+@pytest.mark.parametrize("command, option", USAGE_ERROR_CASES)
+def test_usage_errors_are_bounded(capsys, command, option, fill):
+    value = fill * 100_000
+    argv = list(USAGE_ERROR_BASES.get(command, []))
+    if option in argv:
+        argv[argv.index(option) + 1] = value
+    elif option == "--format":
+        argv += ["--format", value]
+    else:
+        argv.append(value)
+    code, out, err = run(capsys, command, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: ") and "error: " in err
+    assert len(err.encode()) < 1024 and "Traceback" not in err and value not in err
+
+
+def test_chi_matches_the_general_path(capsys):
+    rng = random.Random(1109)
+    cases = [
+        (rng.randint(-9, 9), rng.randint(-99, 99), rng.randint(-99, 99), rng.randint(-9, 9)) for _ in range(50)
+    ]
+    cases += itertools.product((-MAX_CHI_ARGUMENT, MAX_CHI_ARGUMENT), repeat=4)
+    for e, a, b, t in cases:
+        expected = euler_characteristic(rank_two_chern(classify.G14, RankTwoData(e, a, b).twisted(t)))
+        argv = ["chi", "--e", str(e), "--a", str(a), "--b", str(b), "--twist", str(t)]
+        assert run(capsys, *argv)[:2] == (0, f"{expected}\n")
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0 and from_json_rational(json.loads(out)) == expected
 
 
 def test_chi_examples(capsys):

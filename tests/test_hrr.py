@@ -161,6 +161,21 @@ def test_chi_form_matches_general_path(ring_args):
             assert got == euler_characteristic(rank_two_chern(ring, twisted)), twisted
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_chi_form_on_projective_space_matches_general_path(n):
+    # a one-row box has no s(1,1): the form has no b terms, and chi_p3 reads it at b = 0
+    ring = GrassmannRing(0, n)
+    form = chi_form(ring)
+    assert all(r == 0 for _, r, _ in form.rows)
+    rng = random.Random(2024 + n)
+    for _ in range(40):
+        data = RankTwoData(rng.randint(-9, 9), rng.randint(-30, 30), 0)
+        for t in (0, rng.randint(-6, 6), Fraction(rng.randint(-9, 9), 2)):
+            e, a, _ = data.twisted(t)
+            twisted = RankTwoData(e, a, 0)
+            assert form(twisted) == euler_characteristic(rank_two_chern(ring, twisted)), (n, twisted)
+
+
 def test_chi_p3_matches_closed_form_and_chern_vector_twist(p3):
     # Riemann-Roch on P^3 for rank two with c3 = 0, at x = c1 and y = c2 of
     # the twisted data: 2 + 11x/6 + x^2 - 2y + (x^3 - 3xy)/6

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -37,6 +39,13 @@ def test_partition_normalizes_trailing_zeros():
     assert partition((3, 1, 0, 0)) == (3, 1)
     assert partition(()) == ()
     assert partition((0, 0)) == ()
+
+
+def test_partition_strips_many_trailing_zeros_at_once():
+    # stripping one zero at a time copies the tuple per zero: over a minute here
+    start = time.perf_counter()
+    assert partition((1,) + (0,) * 200_000) == (1,)
+    assert time.perf_counter() - start < 2.0
 
 
 @pytest.mark.parametrize("bad", [(1, 2), (2, 3, 1), (-1,), (3, -2)])
