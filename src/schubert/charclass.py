@@ -24,6 +24,7 @@ from math import comb, factorial, lcm
 from typing import NamedTuple
 
 from .chow import ChowClass, GrassmannRing, Scalar
+from .partitions import fits
 
 
 class RankTwoData(NamedTuple):
@@ -353,10 +354,11 @@ def rank_two_character(dim: int) -> dict[tuple[int, int], Fraction]:
 
 @lru_cache(maxsize=None)
 def _rank_two_monomials(ring: GrassmannRing) -> dict[tuple[int, int, int], ChowClass]:
-    """h^i * s(2)^l * s(1,1)^r for every (i, l, r) with i + 2(l + r) <= dim; s(1,1) is 0 if k = 0."""
+    """h^i * s(2)^l * s(1,1)^r for every (i, l, r) with i + 2(l + r) <= dim;
+    s(2) or s(1,1) is 0 where its index does not fit the ring's box."""
     dim = ring.dimension
     h = _hyperplane_powers(ring)
-    s2, s11 = ring.sigma((2,)), ring.sigma((1, 1)) if ring.k else ring.zero()
+    s2, s11 = (ring.sigma(la) if fits(la, ring.box) else ring.zero() for la in ((2,), (1, 1)))
     out = {}
     s2_power = ring.one()
     for l in range(dim // 2 + 1):

@@ -110,8 +110,9 @@ class GrassmannRing:
         for _ in range(self.dimension):
             acc = acc * h
         deg = acc.integrate()
-        assert deg.denominator == 1
-        return int(deg)
+        if deg.denominator != 1:
+            raise ArithmeticError(f"the Plucker degree of {self} came out as {deg}, not an integer")
+        return deg.numerator
 
 
 class ChowClass:

@@ -5,18 +5,19 @@ Output goes to stdout, diagnostics to stderr.  ``--format`` selects plain
 text (default), csv, or json; json renders every rational as
 ``{"num": "...", "den": "..."}`` with integer strings, and tables as arrays
 of row objects.  The indented JSON of ``filter`` and ``replay`` is streamed
-to stdout by one writer whose text equals ``json.dumps(doc, indent=2)``:
-with an indent, ``json`` falls back to its pure-Python encoder, which is
-slower than this writer.  The documents hold the candidate records
-themselves, and the writer turns each into its text from one template, in
-one write, with no dict tree built for it.  Their csv and plain tables go
-through one table printer, which streams csv row by row; each row is a
-sequence of cells in column order, read straight off the record.  Exit
-codes: 0 success, 2 usage error (its message cut to its two ends, since
-argparse quotes a bad argument in full), 3 domain error, 4 regression mismatch
-against the frozen tables; a reader closing stdout early
-(``schubert replay | head``) ends it silently with 141, as SIGPIPE would,
-in every format.
+to stdout with text equal to ``json.dumps(doc, indent=2)``: with an indent,
+``json`` falls back to its pure-Python encoder, which is slower.  Each
+document is a fixed frame of lists, and one list writer streams them, each
+item turned into its text from one template, in one write: a candidate
+record by ``_record_json_text``, a final-list entry by ``_final_json_text``.
+No dict tree is built and no whole list is held as one string.  Their csv
+and plain tables go through one table printer, which streams csv row by
+row; each row is a sequence of cells in column order, read straight off the
+record.  Exit codes: 0 success, 2 usage error (its message cut to its two
+ends, since argparse quotes a bad argument in full), 3 domain error, 4
+regression mismatch against the frozen tables; a reader closing stdout
+early (``schubert replay | head``) ends it silently with 141, as SIGPIPE
+would, in every format.
 """
 
 from __future__ import annotations
@@ -87,60 +88,20 @@ def _witness_text(value) -> str:
     return str(value)
 
 
-def _print_json_indented(doc) -> None:
-    """Write ``doc`` to stdout as ``print(json.dumps(doc, indent=2))`` would.
-
-    One recursive pass streams the text fragment by fragment, so the whole
-    document is never held as one string.  Only exact JSON values are
-    accepted: dict with str keys, list, str, int, bool and None.  Anything
-    else, a float or a Fraction included, raises TypeError.  One more node
-    type stands for its JSON object: a :class:`CandidateRecord` is written
-    by :func:`_record_json_text` in one piece, with no dict built for it.
-    """
+def _write_json_list(items, text, newline: str) -> None:
+    """Write ``items`` to stdout as ``json.dumps(indent=2)`` lays out a list at
+    the indent of ``newline``: each item is ``text(item, inner)``, written with
+    the separator before it in one write, so the list is never held whole."""
+    if not items:
+        sys.stdout.write("[]")
+        return
     write = sys.stdout.write
-
-    def emit(value, newline: str) -> None:
-        if isinstance(value, CandidateRecord):
-            write(_record_json_text(value, newline))
-        elif isinstance(value, str):
-            write(encode_basestring_ascii(value))
-        elif value is None:
-            write("null")
-        elif value is True:
-            write("true")
-        elif value is False:
-            write("false")
-        elif isinstance(value, int):
-            write(int.__repr__(value))
-        elif isinstance(value, dict):
-            if not value:
-                write("{}")
-                return
-            inner = newline + "  "
-            sep = "{" + inner
-            for key, item in value.items():
-                if not isinstance(key, str):
-                    raise TypeError(f"JSON object key {key!r} is not a str")
-                write(sep + encode_basestring_ascii(key) + ": ")
-                emit(item, inner)
-                sep = "," + inner
-            write(newline + "}")
-        elif isinstance(value, list):
-            if not value:
-                write("[]")
-                return
-            inner = newline + "  "
-            sep = "[" + inner
-            for item in value:
-                write(sep)
-                emit(item, inner)
-                sep = "," + inner
-            write(newline + "]")
-        else:
-            raise TypeError(f"Object of type {type(value).__name__} is not exact JSON")
-
-    emit(doc, "\n")
-    write("\n")
+    inner = newline + "  "
+    sep = "[" + inner
+    for item in items:
+        write(sep + text(item, inner))
+        sep = "," + inner
+    write(newline + "]")
 
 
 def _print_table(fmt: str, columns: list[str], rows) -> None:
@@ -222,7 +183,7 @@ def _record_json_text(rec: CandidateRecord, newline: str) -> str:
             f'{field}"citation": {encode_basestring_ascii(v.citation)}{item}}}'
         )
     verdict_list = "[" + item + ("," + item).join(verdicts) + key + "]" if verdicts else "[]"
-    e, a, b = map(int.__repr__, rec.data)  # a Fraction raises TypeError, as in the writer
+    e, a, b = map(int.__repr__, rec.data)  # a Fraction raises TypeError
     return (
         f'{{{key}"e": {e},{key}"a": {a},{key}"b": {b},'
         f'{key}"status": {encode_basestring_ascii(rec.status)},'
@@ -234,16 +195,18 @@ def _record_json_text(rec: CandidateRecord, newline: str) -> str:
 REPLAY_COLUMNS = ["section", "e", "a", "b", "action", "outcome", "witness"]
 
 
-def _final_json(entry: BundleType) -> dict:
-    return {
-        "kind": entry.kind,
-        "p": entry.split.p if entry.split else None,
-        "q": entry.split.q if entry.split else None,
-        "e": entry.data.e,
-        "a": entry.data.a,
-        "b": entry.data.b,
-        "name": entry.name,
-    }
+def _final_json_text(entry: BundleType, newline: str) -> str:
+    """The JSON object of a final-list entry at the indent of ``newline``, as
+    ``json.dumps(indent=2)`` writes it: kind, p, q (null for the non-split
+    entry), e, a, b, name."""
+    key = newline + "  "
+    p, q = map(int.__repr__, entry.split) if entry.split else ("null", "null")
+    e, a, b = map(int.__repr__, entry.data)  # a Fraction raises TypeError
+    return (
+        f'{{{key}"kind": {encode_basestring_ascii(entry.kind)},{key}"p": {p},{key}"q": {q},'
+        f'{key}"e": {e},{key}"a": {a},{key}"b": {b},'
+        f'{key}"name": {encode_basestring_ascii(entry.name)}{newline}}}'
+    )
 
 
 # -- commands --------------------------------------------------------------------
@@ -283,16 +246,16 @@ def cmd_intersect(args) -> int:
         print(f"error: factor {outside} does not fit in the {ring.box.rows}x{ring.box.cols} box "
               f"of G({args.k},{args.n})", file=sys.stderr)
         return EXIT_DOMAIN
-    factors = [ring.sigma(la) for la in indices]
     # Degree-0 factors are the unit, and each other factor raises the degree,
     # so at most `dimension` products are made before the product vanishes.
+    # The last factor is paired with the product, not multiplied into it.
+    *head, last = [ring.sigma(la) for la in indices if la] or [ring.one()]
     acc = None
-    for la, factor in zip(indices, factors):
-        if la:
-            acc = factor if acc is None else acc * factor
-            if not acc:
-                break
-    _emit_scalar((ring.one() if acc is None else acc).integrate(), args.format)
+    for factor in head:
+        acc = factor if acc is None else acc * factor
+        if not acc:
+            break
+    _emit_scalar(last.integrate() if acc is None else acc.pair(last), args.format)
     return EXIT_OK
 
 
@@ -344,7 +307,8 @@ FILTER_COLUMNS = ["e", "a", "b", *FILTER_RULES, "status", "detail", "witness"]
 def cmd_filter(args) -> int:
     records = enumerate_candidates()
     if args.format == "json":
-        _print_json_indented(list(records))
+        _write_json_list(records, _record_json_text, "\n")
+        sys.stdout.write("\n")
     else:
         _print_table(args.format, FILTER_COLUMNS, map(_record_row, records))
     try:
@@ -370,9 +334,14 @@ def cmd_replay(args) -> int:
         ("step4", "step4_results", report.step4_results),
     )
     if args.format == "json":
-        doc = {key: list(records) for _, key, records in sections}
-        doc["final_list"] = [_final_json(b) for b in report.final_list]
-        _print_json_indented(doc)
+        lists = [(key, records, _record_json_text) for _, key, records in sections]
+        lists.append(("final_list", report.final_list, _final_json_text))
+        sep = "{"
+        for key, items, text in lists:
+            sys.stdout.write(f'{sep}\n  "{key}": ')
+            _write_json_list(items, text, "\n  ")
+            sep = ","
+        sys.stdout.write("\n}\n")
     else:
         rows = [(s, *r.data, r.status, r.detail, _witness_string(r))
                 for s, _, records in sections for r in records]

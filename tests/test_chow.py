@@ -92,6 +92,13 @@ def test_degree_catalan_law():
         assert GrassmannRing(1, n).plucker_degree() == catalan(n - 1)
 
 
+def test_degree_refuses_a_non_integer_integral(g14, monkeypatch):
+    # an error, not an assert: `python -O` would strip an assert and int() truncate 5/2 to 2
+    monkeypatch.setattr(ChowClass, "integrate", lambda self: Fraction(5, 2))
+    with pytest.raises(ArithmeticError, match="5/2"):
+        g14.plucker_degree()
+
+
 def test_poincare_duality_exhaustive(g14):
     basis = g14.all_partitions()
     for la in basis:

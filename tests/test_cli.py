@@ -22,9 +22,11 @@ from schubert.cli import (
     FILTER_COLUMNS,
     MAX_CHI_ARGUMENT,
     MAX_SPLITTING_TYPES_N,
-    _print_json_indented,
+    _final_json_text,
     _print_table,
+    _record_json_text,
     _record_row,
+    _write_json_list,
     main,
 )
 from schubert.hrr import euler_characteristic
@@ -396,47 +398,30 @@ def test_indented_json_round_trips_through_the_stdlib(capsys, command):
     assert json.dumps(json.loads(out), indent=2) + "\n" == out
 
 
-# -- the indented JSON writer against json.dumps(indent=2) ------------------------------
+# -- the list writer and its templates against json.dumps(indent=2) ----------------------
 
 # Quotes, backslashes, control characters, a lone surrogate and non-ASCII
-# text, each drawn often enough to appear in most trees.
+# text, each drawn often enough to appear in most values.
 json_text = st.text(st.characters() | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\ud800é€😀'))
-json_scalars = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=-(10**400), max_value=10**400)
-    | json_text
-)
-json_trees = st.recursive(
-    json_scalars,
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(json_text, children, max_size=4),
-    max_leaves=30,
-)
 
 
-def captured_json(doc) -> str:
+def captured_json(items, text, depth: int) -> str:
+    """``items`` as the list writer writes them with the template ``text``: at
+    depth 0, as the document of ``filter``, or at depth 1, as ``replay`` writes
+    its lists, framed here as the value of the key "k" to make one document."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        _print_json_indented(doc)
-    return buf.getvalue()
+        _write_json_list(items, text, "\n  " if depth else "\n")
+    return '{\n  "k": ' + buf.getvalue() + "\n}" if depth else buf.getvalue()
 
 
-@given(json_trees)
-@example({})
-@example([])
-@example({"": [], "x": {}, "y": [[], {}]})
-@example([-(2**64), 10**300, 0, True, False, None, ""])
-def test_indented_json_writer_matches_json_dumps(doc):
-    assert captured_json(doc) == json.dumps(doc, indent=2) + "\n"
+def json_dumps_at_depth(forms: list, depth: int) -> str:
+    return json.dumps({"k": forms} if depth else forms, indent=2)
 
 
-@pytest.mark.parametrize("value", [0.0, 1.5, Fraction(1, 2)])
-def test_indented_json_writer_is_exact_only(value):
-    for doc in (value, [value], {"k": value}, [1, {"k": [value]}]):
-        with pytest.raises(TypeError):
-            captured_json(doc)
+def test_list_writer_writes_an_empty_list_as_json_dumps():
+    for depth in (0, 1):
+        assert captured_json([], _record_json_text, depth) == json_dumps_at_depth([], depth)
 
 
 # -- candidate records, written from one template ---------------------------------------
@@ -472,10 +457,11 @@ def record_json_form(rec: classify.CandidateRecord) -> dict:
     }
 
 
-def assert_record_written_as_json_dumps(rec: classify.CandidateRecord) -> None:
-    form = record_json_form(rec)
-    assert captured_json(rec) == json.dumps(form, indent=2) + "\n", rec.data  # depth 0
-    assert captured_json({"k": [rec]}) == json.dumps({"k": [form]}, indent=2) + "\n", rec.data  # depth 2
+def assert_records_written_as_json_dumps(records: list) -> None:
+    forms = [record_json_form(rec) for rec in records]
+    for depth in (0, 1):
+        got = captured_json(records, _record_json_text, depth)
+        assert got == json_dumps_at_depth(forms, depth), (records[0].data, depth)
 
 
 def test_record_template_matches_json_dumps_on_every_replayed_record():
@@ -489,7 +475,7 @@ def test_record_template_matches_json_dumps_on_every_replayed_record():
     ]
     assert len(records) == 2 * 1458 + 1 + 5 + 3
     for rec in records:
-        assert_record_written_as_json_dumps(rec)
+        assert_records_written_as_json_dumps([rec])
 
 
 witness_leaves = (
@@ -540,9 +526,71 @@ candidate_records = st.builds(
     "",
 ))
 def test_record_template_matches_json_dumps_on_synthetic_records(rec):
-    assert_record_written_as_json_dumps(rec)
-    forms = [record_json_form(rec)] * 2
-    assert captured_json([rec, rec]) == json.dumps(forms, indent=2) + "\n"
+    assert_records_written_as_json_dumps([rec])
+    assert_records_written_as_json_dumps([rec, rec])
+
+
+# -- final-list entries, written from one template --------------------------------------
+
+
+def final_json_form(entry: classify.BundleType) -> dict:
+    """The JSON object of a final-list entry as a dict, built here and not by the cli."""
+    return {
+        "kind": entry.kind,
+        "p": None if entry.split is None else entry.split.p,
+        "q": None if entry.split is None else entry.split.q,
+        "e": entry.data.e,
+        "a": entry.data.a,
+        "b": entry.data.b,
+        "name": entry.name,
+    }
+
+
+def assert_entries_written_as_json_dumps(entries) -> None:
+    forms = [final_json_form(entry) for entry in entries]
+    for depth in (0, 1):
+        assert captured_json(entries, _final_json_text, depth) == json_dumps_at_depth(forms, depth), depth
+
+
+def test_final_template_matches_json_dumps_on_the_final_list():
+    entries = classify.replay_proof().final_list
+    assert len(entries) == 6 and sum(entry.split is None for entry in entries) == 1
+    assert_entries_written_as_json_dumps(entries)
+
+
+big_ints = st.integers() | st.integers(min_value=-(10**40), max_value=10**40)
+bundle_types = st.builds(
+    classify.BundleType,
+    kind=json_text,
+    split=st.none() | st.builds(classify.SplittingType, big_ints, big_ints),
+    data=st.builds(RankTwoData, big_ints, big_ints, big_ints),
+    name=json_text,
+)
+
+
+@given(bundle_types)
+@example(classify.BundleType("nonsplit", None, RankTwoData(-1, 2, 1), "Q"))
+@example(classify.BundleType(
+    'split"\\\n\t\x00',
+    classify.SplittingType(-(10**39) - 1, 10**40 - 1),
+    RankTwoData(-(10**40) + 1, -(10**39), 10**39),
+    "\ud800é😀\u2028",
+))
+def test_final_template_matches_json_dumps_on_synthetic_entries(entry):
+    assert_entries_written_as_json_dumps([entry])
+    assert_entries_written_as_json_dumps([entry, entry])
+
+
+@pytest.mark.parametrize("value", [0.0, 1.5, Fraction(1, 2)])
+def test_templates_write_integer_coordinates_only(value):
+    data = RankTwoData(0, value, 0)
+    with pytest.raises(TypeError):
+        _record_json_text(classify.CandidateRecord(data, (), "", ""), "\n")
+    with pytest.raises(TypeError):
+        _final_json_text(classify.BundleType("split", None, data, ""), "\n")
+    split = classify.SplittingType(value, 0)
+    with pytest.raises(TypeError):
+        _final_json_text(classify.BundleType("split", split, RankTwoData(0, 0, 0), ""), "\n")
 
 
 # -- csv tables, built here cell by cell and written by csv.writer ---------------------
@@ -747,6 +795,10 @@ def test_intersect_work_is_bounded_by_the_dimension(capsys, monkeypatch):
         products.clear()
         assert run(capsys, "intersect", "--k", "1", "--n", "4", classes)[:2] == (0, answer)
         assert len(products) <= dim
+    # sigma_1^6: four products, then the last factor is paired, not multiplied
+    products.clear()
+    assert run(capsys, "intersect", "--k", "1", "--n", "4", "1;1;1;1;1;1")[:2] == (0, "5\n")
+    assert len(products) == 4
     # every factor is checked against the box, even after the product vanished
     classes = ";".join(["1"] * 9999 + ["4"])
     code, out, err = run(capsys, "intersect", "--k", "1", "--n", "4", classes)

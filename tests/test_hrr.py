@@ -176,6 +176,28 @@ def test_chi_form_on_projective_space_matches_general_path(n):
             assert form(twisted) == euler_characteristic(rank_two_chern(ring, twisted)), (n, twisted)
 
 
+@pytest.mark.parametrize("ring_args, zero", [
+    ((0, 1), "ab"),  # P^1: a 1x1 box, neither s(2) nor s(1,1)
+    ((1, 2), "a"),  # G(1,2) and G(2,3): one column, no s(2)
+    ((2, 3), "a"),
+    ((0, 2), "b"),  # P^2 and P^3: one row, no s(1,1)
+    ((0, 3), "b"),
+], ids=["P1", "G(1,2)", "G(2,3)", "P2", "P3"])
+def test_chi_form_matches_general_path_on_small_boxes(ring_args, zero):
+    # s(2) or s(1,1) is 0 where its index does not fit the box; the data sets
+    # the matching coordinate to 0, so that rank_two_chern never builds it
+    ring = GrassmannRing(*ring_args)
+    form = chi_form(ring)
+    rng = random.Random(sum(ring_args))
+    for _ in range(40):
+        e, a, b = rng.randint(-9, 9), rng.randint(-30, 30), rng.randint(-30, 30)
+        data = RankTwoData(e, 0 if "a" in zero else a, 0 if "b" in zero else b)
+        assert form(data) == euler_characteristic(rank_two_chern(ring, data)), (ring_args, data)
+    if ring_args in ((0, 1), (1, 2), (2, 3)):
+        # these three are P^1, P^2 and P^3 in their Plucker embeddings: chi(O + O(1)) = 1 + (dim + 1)
+        assert form(RankTwoData(1, 0, 0)) == ring.dimension + 2
+
+
 def test_chi_p3_matches_closed_form_and_chern_vector_twist(p3):
     # Riemann-Roch on P^3 for rank two with c3 = 0, at x = c1 and y = c2 of
     # the twisted data: 2 + 11x/6 + x^2 - 2y + (x^3 - 3xy)/6
