@@ -11,10 +11,16 @@ A class holds integer numerators over one common positive denominator,
 kept in lowest terms, so ring arithmetic runs on ints and cancels once per
 operation; :class:`fractions.Fraction` appears only where a single number
 leaves the class (``coefficient``, ``integrate``, ``pair``, ``coeffs`` and
-the repr).  No floating point enters the engine anywhere.  Rings are
-immutable and shareable; the memoized tables of structure constants and
-dual indices are pure caches (identical inputs always produce identical
-rows), so concurrent use needs no coordination.
+the repr).  No floating point enters the engine anywhere.
+
+Products read one table per ring: for each basis index la, the rows of
+sigma_la * sigma_mu met so far, by mu.  A pair whose product is zero by
+degree or by containment maps to an empty tuple with no LR work; every
+other pair reads the one LR row of its unordered pair, so no empty row is
+built or cached.  Rings are immutable and shareable; the product table,
+its rows and the dual indices are pure caches (identical inputs always
+produce identical rows, and a stored row never changes), so concurrent use
+needs no coordination.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .partitions import (
     Box,
     Partition,
     complement,
+    contains,
     enumerate_partitions,
     fits,
     lr_coefficient,  # unused here; the benchmark's tracer rebinds it by name in this module
@@ -193,19 +200,20 @@ class ChowClass:
         if isinstance(other, ChowClass):
             self._require_same_ring(other)
             box = self.ring.box
-            weights = _weights(box)
-            dim = box.rows * box.cols
+            table = _table(box)
             acc: dict[Partition, int] = {}
             get = acc.get
             for la, x in self.num.items():
-                room = dim - weights[la]
+                rows = table[la]
+                row_of = rows.get
                 for mu, y in other.num.items():
-                    if weights[mu] > room:
-                        continue  # the product lies above the top degree
-                    xy = x * y
-                    pair = (la, mu) if la <= mu else (mu, la)  # one cache entry per unordered pair
-                    for nu, c in _basis_product(box, *pair):
-                        acc[nu] = get(nu, 0) + xy * c
+                    row = row_of(mu)
+                    if row is None:  # first met: fill the pair in both orders
+                        row = rows[mu] = table[mu][la] = _table_row(box, la, mu)
+                    if row:
+                        xy = x * y
+                        for nu, c in row:
+                            acc[nu] = get(nu, 0) + xy * c
             num = {nu: s for nu, s in acc.items() if s}
             return ChowClass._raw(self.ring, num, self.den * other.den)
         return self._scaled(*_ratio(other))
@@ -230,6 +238,8 @@ class ChowClass:
             raise ValueError("negative powers are not defined")
         acc = self.ring.one()
         for _ in range(exponent):
+            if not acc:
+                break  # every further power is zero too
             acc = acc * self
         return acc
 
@@ -302,13 +312,32 @@ def _ratio(scalar: Scalar) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
+def _table(box: Box) -> dict[Partition, dict[Partition, tuple[tuple[Partition, int], ...]]]:
+    """The ring's product table: for each basis index la, the rows of
+    sigma_la * sigma_mu met so far, by mu (shared; only ``ChowClass.__mul__``
+    adds to it, from ``_table_row``).  A pair whose product is zero maps to ``()``."""
+    return {la: {} for la in _duals(box)}
+
+
+def _table_row(box: Box, la: Partition, mu: Partition) -> tuple[tuple[Partition, int], ...]:
+    """The table's row for a pair met for the first time: ``()`` without LR
+    work when the product is zero (the pair lies above the top degree, or mu
+    is not inside la's dual), else the unordered pair's ``_basis_product``."""
+    weights = _weights(box)
+    if weights[la] + weights[mu] > box.rows * box.cols or not contains(_duals(box)[la], mu):
+        return ()
+    return _basis_product(box, la, mu) if la <= mu else _basis_product(box, mu, la)
+
+
+@lru_cache(maxsize=None)
 def _basis_product(box: Box, la: Partition, mu: Partition) -> tuple[tuple[Partition, int], ...]:
     """sigma_la * sigma_mu expanded in the Schubert basis, truncated to the box.
 
     With ' the box complement, the coefficient of sigma_nu is the integral of
     sigma_la * sigma_mu * sigma_nu', which is c^{la'}_{mu,nu'}: the whole row
     is the skew expansion of la'/mu, content ka landing on sigma_ka'.
-    ``ChowClass.__mul__`` passes each unordered pair once, as la <= mu.
+    ``_table_row`` asks for each unordered pair once, as la <= mu, and only
+    when mu lies inside la', so no row here is empty.
     """
     duals = _duals(box)
     row = skew_lr_expansion(duals[la], mu)

@@ -119,14 +119,31 @@ def skew_lr_expansion(outer: Partition, inner: Partition) -> dict[Partition, int
         return {}
     rows = len(outer)
     inner = inner + (0,) * (rows - len(inner))
-    cells = [(r, c) for r in range(rows) for c in range(outer[r] - 1, inner[r] - 1, -1)]
-    size = len(cells)
-    at = {cell: i for i, cell in enumerate(cells)}
+    size = sum(outer) - sum(inner)
     # fill[i] is the label of cell i, 0 while unset; past the cells it holds 0
     # (no cell above) and then r + 1, the largest label row r may take
     fill = [0] * (size + 1) + list(range(1, rows + 1))
-    above = [at.get((r - 1, c), size) for r, c in cells]  # labels strictly exceed it
-    right = [at.get((r, c + 1), size + 1 + r) for r, c in cells]  # and do not exceed this
+    # Neighbour indices from row offsets, with no cell list or lookup: row
+    # r's cells run right to left, from column outer[r] - 1 down to inner[r],
+    # and its first cell has index first.  The cell right of cell i is cell
+    # i - 1, except for a row's first cell.  The cell above column c is in
+    # row r - 1, whose first cell has index prev and column outer[r - 1] - 1,
+    # so it has index prev + outer[r - 1] - 1 - c; for c < inner[r - 1] (an
+    # empty row above included) there is none.
+    above: list[int] = []  # labels strictly exceed fill[above[i]]
+    right: list[int] = []  # and do not exceed fill[right[i]]
+    prev = 0
+    for r in range(rows):
+        first = len(above)
+        cols = range(outer[r] - 1, inner[r] - 1, -1)
+        if cols:
+            right += [size + 1 + r, *range(first, first + len(cols) - 1)]
+        if r:
+            top, lo = prev + outer[r - 1] - 1, inner[r - 1]
+            above += [top - c if c >= lo else size for c in cols]
+        else:
+            above += [size] * len(cols)
+        prev = first
     counts = [size + 1] + [0] * (rows + 1)  # cells per label; counts[0] admits label 1
     out: dict[Partition, int] = {}
     i = 0
@@ -139,7 +156,8 @@ def skew_lr_expansion(outer: Partition, inner: Partition) -> dict[Partition, int
         v = fill[i]
         if v:
             counts[v] -= 1  # move cell i on to its next label
-        v = max(v, fill[above[i]]) + 1
+        a = fill[above[i]]
+        v = (v if v > a else a) + 1
         hi = fill[right[i]]
         while v <= hi and counts[v] >= counts[v - 1]:  # keep the word a lattice word
             v += 1

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -6,7 +7,7 @@ import pytest
 
 from schubert import GrassmannRing, chow, dual_partition
 from schubert.chow import ChowClass
-from schubert.partitions import conjugate, weight
+from schubert.partitions import conjugate, contains, weight
 
 from oracles import catalan, pieri_product
 
@@ -73,6 +74,15 @@ def test_integrate_examples(g14):
     assert (s((3,)) * s((3,))).integrate() == 1
     assert (s((2, 1)) * s((3,))).integrate() == 0
     assert (s((1,)) ** 6).integrate() == 5
+
+
+def test_powers_stop_at_the_first_zero_power(g14):
+    # sigma_1 is nilpotent: its seventh power is zero, so no further product is made
+    start = time.perf_counter()
+    assert g14.hyperplane() ** 10**9 == g14.zero()
+    assert time.perf_counter() - start < 1.0
+    assert (g14.hyperplane() ** 6).integrate() == 5
+    assert g14.zero() ** 0 == g14.one()
 
 
 def test_dictionary_consistency(g14):
@@ -238,52 +248,54 @@ def test_zero_coefficients_pruned(g14):
     assert cls.coefficient((1,)) == 0
 
 
-@pytest.mark.parametrize("ring_args", [(1, 4), (2, 5)])
-def test_products_skip_pairs_above_the_top_degree(monkeypatch, ring_args):
-    ring = GrassmannRing(*ring_args)
-    full = ChowClass(ring, {la: 1 for la in ring.all_partitions()})
+def _full_square_after_a_cold_clear(monkeypatch, ring):
+    """``full * full`` with every basis coefficient 1, from empty product
+    caches, and every ``_basis_product`` row it built, with the row."""
+    basis = ring.all_partitions()
+    full = ChowClass(ring, {la: 1 for la in basis})
     expected = ChowClass(ring, {})
-    for la in ring.all_partitions():
-        for mu in ring.all_partitions():
+    for la in basis:
+        for mu in basis:
             expected = expected + ring.sigma(la) * ring.sigma(mu)
-    looked_up = []
+    chow._table.cache_clear()
+    chow._basis_product.cache_clear()
+    built = []
     plain = chow._basis_product
 
     def recording(box, la, mu):
-        looked_up.append((la, mu))
-        return plain(box, la, mu)
+        row = plain(box, la, mu)
+        built.append((la, mu, row))
+        return row
 
     monkeypatch.setattr(chow, "_basis_product", recording)
     assert full * full == expected
+    assert full * full == expected  # a second product reads the table and builds nothing
+    monkeypatch.undo()
+    return built
+
+
+@pytest.mark.parametrize("ring_args", [(1, 4), (2, 5)])
+def test_products_skip_pairs_above_the_top_degree(monkeypatch, ring_args):
+    # and every pair with mu outside la's dual, whose product is zero too
+    ring = GrassmannRing(*ring_args)
+    built = _full_square_after_a_cold_clear(monkeypatch, ring)
     dim = ring.dimension
-    assert all(weight(la) + weight(mu) <= dim for la, mu in looked_up)
-    basis = ring.all_partitions()
-    assert len(looked_up) == sum(weight(la) + weight(mu) <= dim for la in basis for mu in basis)
+    assert built
+    for la, mu, row in built:
+        assert weight(la) + weight(mu) <= dim
+        assert contains(dual_partition(ring, la), mu)
+        assert row  # no empty row is built, so none is cached
+    assert chow._basis_product.cache_info().currsize == len(built)
 
 
 @pytest.mark.parametrize("ring_args", [(1, 4), (2, 5)])
 def test_products_look_up_each_unordered_pair_in_one_order(monkeypatch, ring_args):
     ring = GrassmannRing(*ring_args)
     basis = ring.all_partitions()
-    full = ChowClass(ring, {la: 1 for la in basis})
-    expected = ChowClass(ring, {})
-    for la in basis:
-        for mu in basis:
-            expected = expected + ring.sigma(mu) * ring.sigma(la)
-    looked_up = []
-    plain = chow._basis_product
-
-    def recording(box, la, mu):
-        looked_up.append((la, mu))
-        return plain(box, la, mu)
-
-    monkeypatch.setattr(chow, "_basis_product", recording)
-    assert full * full == expected
-    assert looked_up and all(la <= mu for la, mu in looked_up)
-    monkeypatch.undo()
-    # so the cache holds one row per unordered pair below the top degree
-    chow._basis_product.cache_clear()
-    assert full * full == expected
-    dim = ring.dimension
-    unordered = sum(la <= mu and weight(la) + weight(mu) <= dim for la in basis for mu in basis)
-    assert chow._basis_product.cache_info().currsize == unordered
+    built = _full_square_after_a_cold_clear(monkeypatch, ring)
+    pairs = [(la, mu) for la, mu, _ in built]
+    assert all(la <= mu for la, mu in pairs)
+    assert len(pairs) == len(set(pairs))  # each row is built once
+    # and every unordered pair with a nonzero product has its row
+    nonzero = {(la, mu) for la in basis for mu in basis if la <= mu and contains(dual_partition(ring, la), mu)}
+    assert set(pairs) == nonzero

@@ -1,9 +1,11 @@
+import random
 import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from schubert import GrassmannRing
 from schubert.partitions import (
     Box,
     complement,
@@ -20,9 +22,11 @@ from schubert.partitions import (
 
 from oracles import (
     brute_force_box_partitions,
+    cells,
     is_horizontal_strip_cells,
     is_vertical_strip_cells,
     partitions_of,
+    pieri_product,
 )
 
 # every partition of weight <= 8 with at most 4 rows and parts <= 8
@@ -135,6 +139,53 @@ def test_skew_lr_expansion_examples():
     assert skew_lr_expansion((2,), (1, 1)) == {}
     # one row of 2399 cells, far beyond the recursion limit
     assert skew_lr_expansion((2400,), (1,)) == {(2399,): 1}
+
+
+def _random_skew_shape(rng, kind):
+    """A seeded outer/inner pair of one of three kinds: inner inside outer
+    with an empty middle row, inner inside outer with as many rows, or inner
+    not inside outer."""
+    rows = rng.randint(3 if kind == "empty middle row" else 1, 4)
+    outer = sorted((rng.randint(1, 5) for _ in range(rows)), reverse=True)
+    if kind == "not inside":
+        while True:
+            inner = sorted((rng.randint(0, 6) for _ in range(rng.randint(1, 5))), reverse=True)
+            if not cells(inner) <= cells(outer):
+                return tuple(outer), partition(inner)
+    low = 1 if kind == "as long" else 0
+    inner, cap = [], outer[0]
+    for part in outer:
+        cap = rng.randint(low, min(cap, part))
+        inner.append(cap)
+    if kind == "empty middle row":
+        r = rng.randint(1, rows - 2)
+        inner = [max(x, outer[r]) if i < r else x for i, x in enumerate(inner)]
+        inner[r] = outer[r]
+    return tuple(outer), partition(inner)
+
+
+@pytest.mark.parametrize("kind", ["empty middle row", "as long", "not inside"])
+def test_skew_lr_expansion_matches_the_pieri_oracle(kind):
+    # c^outer_{inner,nu} is the coefficient of s_outer in s_inner * s_nu, read
+    # from the Jacobi-Trudi/Pieri oracle in a box that holds outer and inner
+    # whole, so nothing the coefficient needs is truncated
+    rng = random.Random(f"skew {kind}")
+    for _ in range(30):
+        outer, inner = _random_skew_shape(rng, kind)
+        rows = max(len(outer), len(inner))
+        cols = max(outer[0], inner[0] if inner else 0)
+        ring = GrassmannRing(rows - 1, rows - 1 + cols)
+        expected = {}
+        for nu in partitions_of(weight(outer) - weight(inner), len(outer), outer[0]):
+            c = pieri_product(ring, inner, nu).get(outer, 0)
+            if c:
+                expected[nu] = c
+        got = skew_lr_expansion(outer, inner)
+        assert got == expected, (outer, inner)
+        if kind == "not inside":
+            assert got == {}
+        else:
+            assert got  # a skew Schur function of a nested pair is not zero
 
 
 @given(small_partitions, small_partitions)
