@@ -6,7 +6,12 @@ class computations run through power sums of the Chern roots
 (:class:`PowerSumVector`): both are polynomial in power sums with universal
 rational coefficients, which avoids transcribing degree-six universal Todd
 polynomials by hand.  The Todd series coefficients are derived at first use
-by exact truncated power-series arithmetic, never hard-coded.
+by exact truncated power-series arithmetic, never hard-coded, and the
+exponential of a class is built degree by degree by the graded recurrence of
+``exp_nilpotent``, one product of two homogeneous pieces per term.  The
+tangent bundle's power sums are read once off its Chern character
+(``tangent_power_sums``); its Chern classes and its Todd class both start
+from them.
 
 Rank-two data (e, a, b) on a ring of lines is twisted in its coordinates by
 ``RankTwoData.twisted``, which every pipeline path uses; ``ChernVector.twist``
@@ -107,15 +112,8 @@ class ChernVector:
         return self.power_sums().ch()
 
     def todd(self) -> ChowClass:
-        """Todd class: exp of the power sums weighted by the series
-        log(x / (1 - exp(-x)))."""
-        coeffs = todd_log_coefficients(self.ring.dimension)
-        ps = self.power_sums()
-        acc = self.ring.zero()
-        for m in range(1, self.ring.dimension + 1):
-            if coeffs[m - 1]:
-                acc = acc + coeffs[m - 1] * ps.p[m]
-        return exp_nilpotent(acc)
+        """Todd class, from the power sums (``PowerSumVector.todd``)."""
+        return self.power_sums().todd()
 
     def twist(self, t: Scalar) -> ChernVector:
         """Chern data of the tensor with t times the hyperplane bundle."""
@@ -170,6 +168,16 @@ class PowerSumVector:
             acc = acc + self.p[m] / factorial(m)
         return acc
 
+    def todd(self) -> ChowClass:
+        """Todd class: exp of the power sums weighted by the series
+        log(x / (1 - exp(-x)))."""
+        coeffs = todd_log_coefficients(self.ring.dimension)
+        acc = self.ring.zero()
+        for m in range(1, self.ring.dimension + 1):
+            if coeffs[m - 1]:
+                acc = acc + coeffs[m - 1] * self.p[m]
+        return exp_nilpotent(acc)
+
     def twisted(self, t: Scalar) -> PowerSumVector:
         """Shift every Chern root by t*h: p_m becomes
         sum_j C(m, j) t^j h^j p_{m-j} with p_0 the rank."""
@@ -212,17 +220,27 @@ def todd_log_coefficients(n: int) -> tuple[Fraction, ...]:
 
 
 def exp_nilpotent(x: ChowClass) -> ChowClass:
-    """exp of a class with no degree-zero part (a finite sum in a truncated ring)."""
+    """exp of a class with no degree-zero part (a finite sum in a truncated ring).
+
+    Built degree by degree: y = exp(x) solves dy = y * dx, so its graded
+    pieces obey m * y_m = sum_{j=1..m} j * x_j * y_{m-j} from y_0 = 1.  Each
+    term is one product of two homogeneous classes, skipped when either is
+    zero, so no power of the whole class is ever formed."""
     if x.coefficient(()):
         raise ValueError("exp needs a class with vanishing degree-zero part")
     ring = x.ring
+    dim = ring.dimension
+    scaled = [j * x.graded(j) for j in range(dim + 1)]  # j * x_j
+    y = [ring.one()]
     acc = ring.one()
-    power = ring.one()
-    for j in range(1, ring.dimension + 1):
-        power = power * x
-        if not power:
-            break
-        acc = acc + power / factorial(j)
+    for m in range(1, dim + 1):
+        ym = ring.zero()
+        for j in range(1, m + 1):
+            if scaled[j] and y[m - j]:
+                ym = ym + scaled[j] * y[m - j]
+        ym = ym / m
+        y.append(ym)
+        acc = acc + ym
     return acc
 
 
@@ -391,20 +409,33 @@ def rank_two_form(
 
 
 def chern_from_character(ring: GrassmannRing, rank: int, character: ChowClass) -> ChernVector:
-    """Recover a Chern vector from its Chern character: p_m = m! * ch_m."""
+    """Recover a Chern vector from its Chern character."""
+    return _power_sums_from_character(ring, rank, character).to_chern()
+
+
+def _power_sums_from_character(ring: GrassmannRing, rank: int, character: ChowClass) -> PowerSumVector:
+    """Power sums of the Chern roots from the Chern character: p_m = m! * ch_m."""
     dim = ring.dimension
     p = [ring.zero()] * (dim + 1)
     for m in range(1, dim + 1):
         p[m] = factorial(m) * character.graded(m)
-    return PowerSumVector(ring, rank, tuple(p)).to_chern()
+    return PowerSumVector(ring, rank, tuple(p))
+
+
+@lru_cache(maxsize=None)
+def tangent_power_sums(ring: GrassmannRing) -> PowerSumVector:
+    """Power sums of the Chern roots of the tangent bundle of G(k, n), read
+    off ch(T) = ch(S-dual) * ch(Q); its Chern classes and its Todd class
+    both start here."""
+    sub_dual = tautological_subbundle(ring).dual()
+    quotient = tautological_quotient(ring)
+    return _power_sums_from_character(ring, sub_dual.rank * quotient.rank, sub_dual.tensor_ch(quotient))
 
 
 @lru_cache(maxsize=None)
 def tangent_bundle(ring: GrassmannRing) -> ChernVector:
-    """Tangent bundle of G(k, n), recovered from ch(T) = ch(S-dual) * ch(Q)."""
-    sub_dual = tautological_subbundle(ring).dual()
-    quotient = tautological_quotient(ring)
-    return chern_from_character(ring, sub_dual.rank * quotient.rank, sub_dual.tensor_ch(quotient))
+    """Tangent bundle of G(k, n), recovered from its power sums."""
+    return tangent_power_sums(ring).to_chern()
 
 
 def tautological_subbundle(ring: GrassmannRing) -> ChernVector:

@@ -234,13 +234,19 @@ class ChowClass:
         return ChowClass._raw(self.ring, {la: p * x for la, x in self.num.items()}, q * self.den)
 
     def __pow__(self, exponent: int) -> ChowClass:
+        """Square and multiply: about 2 * log2(exponent) products."""
         if exponent < 0:
             raise ValueError("negative powers are not defined")
+        if exponent > self.ring.dimension and () not in self.num:
+            return ChowClass._raw(self.ring, {})  # more than dim factors of positive degree
         acc = self.ring.one()
-        for _ in range(exponent):
-            if not acc:
-                break  # every further power is zero too
-            acc = acc * self
+        base = self
+        while exponent:
+            if exponent & 1:
+                acc = acc * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
         return acc
 
     # -- structure ------------------------------------------------------------

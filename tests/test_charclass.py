@@ -208,6 +208,40 @@ def test_exp_nilpotent_rejects_constant_term(g14):
         exp_nilpotent(g14.one())
 
 
+def _exp_by_powers(x):
+    """exp(x) as sum_j x^j / j!, each power one full product of the whole
+    class: the definition, with none of the graded recurrence."""
+    ring = x.ring
+    acc, power = ring.one(), ring.one()
+    for j in range(1, ring.dimension + 1):
+        power = power * x
+        acc = acc + power / factorial(j)
+    return acc
+
+
+def _random_nilpotent(ring, rng, terms=6):
+    """A class with no degree-zero part, a few Fraction terms spread over
+    the degrees, so it is inhomogeneous."""
+    basis = [la for la in ring.all_partitions() if la]
+    acc = ring.zero()
+    for la in rng.sample(basis, terms):
+        acc = acc + Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4)) * ring.sigma(la)
+    return acc
+
+
+@pytest.mark.parametrize("ring_args", [(1, 4), (2, 5), (3, 7)])
+def test_exp_nilpotent_matches_the_power_series(ring_args):
+    ring = GrassmannRing(*ring_args)
+    rng = random.Random(2291 + ring.dimension)
+    for _ in range(3):
+        x, y = _random_nilpotent(ring, rng), _random_nilpotent(ring, rng)
+        assert len(x.degrees()) > 1
+        exp_x = exp_nilpotent(x)
+        assert exp_x == _exp_by_powers(x)
+        assert exp_x * exp_nilpotent(-x) == ring.one()
+        assert exp_nilpotent(x + y) == exp_x * exp_nilpotent(y)
+
+
 def test_component_validation(g14):
     with pytest.raises(ValueError):
         ChernVector(g14, 2, {1: g14.sigma((2,))})  # wrong degree

@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -83,6 +83,26 @@ def test_powers_stop_at_the_first_zero_power(g14):
     assert time.perf_counter() - start < 1.0
     assert (g14.hyperplane() ** 6).integrate() == 5
     assert g14.zero() ** 0 == g14.one()
+
+
+def test_powers_of_a_class_with_a_constant_term_square_and_multiply(g14, monkeypatch):
+    h = g14.hyperplane()
+    expected = sum((comb(10**4, d) * h**d for d in range(7)), g14.zero())
+    products = []
+    plain_mul = ChowClass.__mul__
+
+    def counted_mul(x, y):
+        if isinstance(y, ChowClass):
+            products.append(1)
+        return plain_mul(x, y)
+
+    monkeypatch.setattr(ChowClass, "__mul__", counted_mul)
+    assert (g14.one() + h) ** 10**4 == expected
+    # 10**4 has 14 binary digits: at most one squaring and one multiply per digit
+    assert len(products) <= 2 * 14
+    assert (g14.one() + h) ** 0 == g14.one()
+    with pytest.raises(ValueError):
+        h ** -1
 
 
 def test_dictionary_consistency(g14):

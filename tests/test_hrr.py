@@ -136,7 +136,8 @@ def test_integer_valued_for_split_and_tautological(g14):
         assert poly(rng.randint(-50, 50)).denominator == 1
 
 
-@pytest.mark.parametrize("ring_args", [(0, 3), (1, 4), (1, 6), (2, 6), (3, 7)])
+# G(3,8) is the largest ring of the big-ring benchmark
+@pytest.mark.parametrize("ring_args", [(0, 3), (1, 4), (1, 6), (2, 6), (3, 7), (3, 8)])
 def test_line_bundle_chi_matches_borel_weil(ring_args):
     k, n = ring_args
     ring = GrassmannRing(k, n)
@@ -251,6 +252,14 @@ def test_quotient_and_tangent_chi_match_bott(ring_args):
         for t in range(-(n + 2), 3):
             expected = bott_chi(k, n, tuple(a + t for a in alpha), beta)
             assert euler_characteristic(bundle.twist(t)) == expected, (bundle, t)
+
+
+@pytest.mark.parametrize("ring_args", [(0, 3), (1, 4), (2, 5), (3, 7)])
+def test_tangent_todd_matches_the_newton_path(ring_args):
+    # the right side derives the tangent's power sums back from its Chern
+    # classes by Newton's identities; the left reads them off ch(T)
+    ring = GrassmannRing(*ring_args)
+    assert tangent_todd(ring) == tangent_bundle(ring).todd()
 
 
 @pytest.mark.parametrize("ring_args", [(1, 4), (1, 5), (2, 5)])
