@@ -350,7 +350,8 @@ class PlaneForm(NamedTuple):
             for c in row:
                 inner = inner * b + c
             acc = acc * a + inner
-        return Fraction(acc, self.den)
+        den = self.den
+        return Fraction(acc, den) if acc % den else Fraction(acc // den)  # an int needs no gcd
 
 
 def rank_two_character(dim: int) -> dict[tuple[int, int], Fraction]:

@@ -8,27 +8,46 @@ of row objects.  The indented JSON of ``filter`` and ``replay`` is streamed
 to stdout with text equal to ``json.dumps(doc, indent=2)``: with an indent,
 ``json`` falls back to its pure-Python encoder, which is slower.  Each
 document is a fixed frame of lists, and one list writer streams them, each
-item turned into its text from one template, in one write: a candidate
-record by ``_record_json_text``, a final-list entry by ``_final_json_text``.
-No dict tree is built and no whole list is held as one string.  Their csv
-and plain tables go through one table printer, which streams csv row by
-row; each row is a sequence of cells in column order, read straight off the
-record.  Exit codes: 0 success, 2 usage error (its message cut to its two
-ends, since argparse quotes a bad argument in full), 3 domain error, 4
-regression mismatch against the frozen tables; a reader closing stdout
-early (``schubert replay | head``) ends it silently with 141, as SIGPIPE
-would, in every format.
+item in one write; no dict tree is built and no whole list is held as one
+string.  A final-list entry is written by ``_final_json_text``.
+
+A candidate record has two general writers: ``_record_json_text``, and
+``_record_row`` through ``csv.writer`` for the csv table of ``filter``.
+Within one render call the record lists are written from one template per
+record shape, cut from those writers.  A shape fixes every byte but e, a, b
+and the witness numbers: status, detail, and per verdict the rule, passed,
+citation and witness keys, with the kind of each witness value (bool, None,
+a number, or a tuple of n numbers).  Its template is the general writer's
+text of a copy of the record with unique markers for e, a, b and the
+numbers, each marker cut into a ``%s`` slot and every other ``%`` doubled.
+A record falls back to its general writer when a witness is of another kind
+(a string, a ``SplittingType``, a nested tuple), when a coordinate is not an
+int, when a marker does not occur exactly once in the marker text, and, in
+csv, when the marker row quotes a cell.  The templates live in a dict local
+to the call; no rendered text outlives it.
+
+The other csv and plain tables go through one table printer, which streams
+csv row by row; each row is a sequence of cells in column order, read
+straight off the record.
+
+Exit codes: 0 success, 2 usage error (its message cut to its two ends,
+since argparse quotes a bad argument in full), 3 domain error, 4 regression
+mismatch against the frozen tables; a reader closing stdout early
+(``schubert replay | head``) ends it silently with 141, as SIGPIPE would, in
+every format.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .charclass import RankTwoData
 from .chow import GrassmannRing
@@ -38,6 +57,7 @@ from .classify import (
     BundleType,
     CandidateRecord,
     ReplayMismatch,
+    Verdict,
     enumerate_candidates,
     fano_splitting_types,
     replay_proof,
@@ -192,6 +212,164 @@ def _record_json_text(rec: CandidateRecord, newline: str) -> str:
     )
 
 
+# -- candidate records, written from one template per shape ---------------------
+
+# The first marker: markers are consecutive ints from here, so all have one
+# width, and two neighbours, a witness number's numerator and denominator, are coprime.
+_MARKER = 10**15
+
+_NUMBER_TYPES = frozenset((int, Fraction))
+
+
+def _record_shape(rec: CandidateRecord):
+    """The shape of ``rec`` and its numbers, or None when it has no template.
+
+    The shape fixes every byte of the record's text but e, a, b and the
+    witness numbers: status, detail, and per verdict its rule, passed,
+    citation and witness keys, each key's value kind after it (bool and None
+    as themselves, "n" for a number, ~n for a tuple of n numbers). The
+    numbers are e, a, b, then the witness numbers in order. A coordinate not
+    an int, or a witness of any other kind (a string, a SplittingType, a
+    nested tuple), has no template."""
+    e, a, b = rec.data
+    if not (type(e) is int and type(a) is int and type(b) is int):
+        return None
+    numbers = [e, a, b]
+    shape = [rec.status, rec.detail]
+    for v in rec.verdicts:
+        witness = v.witness
+        shape.append((v.rule, v.passed, v.citation, *witness))
+        for value in witness.values():
+            kind = type(value)
+            if kind is int or kind is Fraction:  # by type, so a bool is no number
+                numbers.append(value)
+                shape.append("n")
+            elif value is True or value is False or value is None:
+                shape.append(value)
+            elif kind is tuple and _NUMBER_TYPES.issuperset(map(type, value)):
+                numbers += value
+                shape.append(~len(value))
+            else:
+                return None
+    return tuple(shape), numbers
+
+
+def _marked(rec: CandidateRecord) -> tuple[CandidateRecord, list]:
+    """A copy of a record that has a shape, with e, a, b and its witness
+    numbers replaced by markers, and the markers in order: e, a, b get the
+    ints from _MARKER, each number the fraction of the next two."""
+    count = itertools.count(_MARKER)
+    markers = [next(count) for _ in range(3)]
+
+    def mark(value):
+        if type(value) is tuple:
+            return tuple(map(mark, value))
+        if type(value) in _NUMBER_TYPES:
+            markers.append(Fraction(next(count), next(count)))
+            return markers[-1]
+        return value
+
+    data = RankTwoData(*markers)
+    verdicts = tuple(
+        Verdict(v.rule, v.passed, {k: mark(val) for k, val in v.witness.items()}, v.citation)
+        for v in rec.verdicts
+    )
+    return CandidateRecord(data, verdicts, rec.status, rec.detail), markers
+
+
+def _cut(text: str, markers: list[str]) -> str | None:
+    """``text`` with every ``%`` doubled and each marker cut into a ``%s``
+    slot, or None unless each marker occurs in it exactly once, in order."""
+    if any(text.count(m) != 1 for m in markers):
+        return None
+    parts = []
+    for m in markers:
+        head, found, text = text.partition(m)
+        if not found:
+            return None
+        parts.append(head.replace("%", "%%"))
+    parts.append(text.replace("%", "%%"))
+    return "%s".join(parts)
+
+
+def _json_template(rec: CandidateRecord, newline: str) -> str | None:
+    """The text of ``_record_json_text(rec, newline)`` with a slot for each of
+    e, a, b and each witness number's numerator and denominator."""
+    marked, markers = _marked(rec)
+    slots = [str(m) for m in markers[:3]]
+    slots += [str(m) for marker in markers[3:] for m in (marker.numerator, marker.denominator)]
+    return _cut(_record_json_text(marked, newline), slots)
+
+
+def _json_values(numbers: list) -> tuple:
+    """The slot values of a JSON template: e, a, b, then each witness number's
+    numerator and denominator."""
+    values = numbers[:3]
+    for n in numbers[3:]:
+        values += n.as_integer_ratio()
+    return tuple(values)
+
+
+def _templated(general, build, values):
+    """A render of records: a record with a shape is written as its shape's
+    template % ``values(numbers)``, the template built once by ``build(rec)``;
+    a record without a shape, or whose shape ``build`` gives None, is written
+    by ``general(rec)``. The templates live as long as the render."""
+    templates = {}
+
+    def render(rec: CandidateRecord) -> str:
+        shaped = _record_shape(rec)
+        if shaped is not None:
+            shape, numbers = shaped
+            template = templates.get(shape)
+            if template is None:
+                template = templates[shape] = build(rec) or ""
+            if template:
+                return template % values(numbers)
+        return general(rec)
+
+    return render
+
+
+def _write_records_json(records, newline: str) -> None:
+    """Write ``records`` as ``_write_json_list(records, _record_json_text,
+    newline)`` does, each from its shape's template."""
+    inner = newline + "  "
+    render = _templated(
+        lambda rec: _record_json_text(rec, inner), lambda rec: _json_template(rec, inner), _json_values
+    )
+    _write_json_list(records, lambda rec, _: render(rec), newline)
+
+
+def _csv_line_writer():
+    """A csv writer of the tables' dialect whose ``writerow`` returns the line:
+    it returns what its file's write returns, here ``str``'s."""
+    return csv.writer(SimpleNamespace(write=str), lineterminator="\n")
+
+
+def _csv_template(rec: CandidateRecord) -> str | None:
+    """The csv line of ``_record_row(rec)`` with a slot for each of e, a, b
+    and each witness number, or None when a cell of it is quoted, since
+    csv quotes and escapes a cell as a whole."""
+    marked, markers = _marked(rec)
+    text = _csv_line_writer().writerow(_record_row(marked))
+    if '"' in text or "\r" in text or "\n" in text[:-1]:
+        return None
+    return _cut(text, [str(m) for m in markers])
+
+
+def _write_records_csv(records) -> None:
+    """Write the ``filter`` csv table of ``records`` as ``_print_table("csv",
+    FILTER_COLUMNS, map(_record_row, records))`` does, each row from its
+    shape's template."""
+    line = _csv_line_writer().writerow
+    render = _templated(lambda rec: line(_record_row(rec)), _csv_template, tuple)
+    write = sys.stdout.write
+    write(line(FILTER_COLUMNS))
+    for rec in records:
+        write(render(rec))
+
+
 REPLAY_COLUMNS = ["section", "e", "a", "b", "action", "outcome", "witness"]
 
 
@@ -307,8 +485,10 @@ FILTER_COLUMNS = ["e", "a", "b", *FILTER_RULES, "status", "detail", "witness"]
 def cmd_filter(args) -> int:
     records = enumerate_candidates()
     if args.format == "json":
-        _write_json_list(records, _record_json_text, "\n")
+        _write_records_json(records, "\n")
         sys.stdout.write("\n")
+    elif args.format == "csv":
+        _write_records_csv(records)
     else:
         _print_table(args.format, FILTER_COLUMNS, map(_record_row, records))
     try:
@@ -334,13 +514,13 @@ def cmd_replay(args) -> int:
         ("step4", "step4_results", report.step4_results),
     )
     if args.format == "json":
-        lists = [(key, records, _record_json_text) for _, key, records in sections]
-        lists.append(("final_list", report.final_list, _final_json_text))
         sep = "{"
-        for key, items, text in lists:
+        for _, key, records in sections:
             sys.stdout.write(f'{sep}\n  "{key}": ')
-            _write_json_list(items, text, "\n  ")
+            _write_records_json(records, "\n  ")
             sep = ","
+        sys.stdout.write(',\n  "final_list": ')
+        _write_json_list(report.final_list, _final_json_text, "\n  ")
         sys.stdout.write("\n}\n")
     else:
         rows = [(s, *r.data, r.status, r.detail, _witness_string(r))

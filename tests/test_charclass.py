@@ -17,7 +17,7 @@ from schubert import (
     tautological_subbundle,
     todd_log_coefficients,
 )
-from schubert.charclass import RankTwoForm, exp_nilpotent, rank_two_character, rank_two_form
+from schubert.charclass import PlaneForm, RankTwoForm, exp_nilpotent, rank_two_character, rank_two_form
 
 
 def _random_vector(ring, rng, max_rank=3):
@@ -263,6 +263,32 @@ def test_rank_two_form_call_matches_naive_sum():
                 data = RankTwoData(*map(int, data))  # the int path of the scan's twists
             naive = sum(c * data.e**i * data.a**l * data.b**r for (i, l, r), c in terms.items())
             assert form(data) == naive
+
+
+def test_plane_form_call_equals_the_fraction_of_its_value():
+    # a value that den divides takes the path without a gcd; every value must
+    # equal Fraction(value, den) in lowest terms, the sign on the numerator
+    rng = random.Random(5815)
+    seen = set()
+    for _ in range(400):
+        den = rng.choice((1, 2, 6, 720))
+        # coefficients mostly multiples of den, so that den divides many values
+        rows = tuple(
+            tuple(den * rng.randint(-9, 9) + rng.choice((0, 0, rng.randint(-9, 9)))
+                  for _ in range(rng.randint(1, 4)))
+            for _ in range(rng.randint(1, 4))
+        )
+        a, b = rng.randint(-9, 9), rng.randint(-9, 9)
+        value = sum(
+            c * a ** (len(rows) - 1 - i) * b ** (len(row) - 1 - j)
+            for i, row in enumerate(rows)
+            for j, c in enumerate(row)
+        )
+        got, expected = PlaneForm(rows, den)(a, b), Fraction(value, den)
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+        seen.add((value % den == 0, value < 0))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 @pytest.mark.parametrize("ring_args", [(1, 4), (1, 5), (2, 5)])

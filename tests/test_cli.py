@@ -19,14 +19,20 @@ from schubert import classify
 from schubert.charclass import RankTwoData, rank_two_chern
 from schubert.chow import ChowClass
 from schubert.cli import (
+    _MARKER,
     FILTER_COLUMNS,
     MAX_CHI_ARGUMENT,
     MAX_SPLITTING_TYPES_N,
+    _csv_template,
     _final_json_text,
+    _json_template,
     _print_table,
     _record_json_text,
     _record_row,
+    _record_shape,
     _write_json_list,
+    _write_records_csv,
+    _write_records_json,
     main,
 )
 from schubert.hrr import euler_characteristic
@@ -717,6 +723,225 @@ def test_filter_csv_rows_match_an_independent_writer_on_synthetic_records(record
         _print_table("csv", FILTER_COLUMNS, map(_record_row, records))
     expected = csv_lines(FILTER_CSV_HEADER, map(filter_csv_cells, records))
     assert buf.getvalue().splitlines(keepends=True) == expected
+
+
+# -- records written from one template per shape, against the general writers ---------
+
+
+def captured_stdout(write, *args) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        write(*args)
+    return buf.getvalue()
+
+
+def general_csv(records) -> str:
+    return captured_stdout(_print_table, "csv", FILTER_COLUMNS, map(_record_row, records))
+
+
+def assert_templates_write_as_the_general_writers(records: list) -> None:
+    for newline in ("\n", "\n  "):
+        expected = captured_stdout(_write_json_list, records, _record_json_text, newline)
+        assert captured_stdout(_write_records_json, records, newline) == expected, repr(newline)
+    assert captured_stdout(_write_records_csv, records) == general_csv(records)
+
+
+# The scan's records have this many shapes, each with a JSON and a csv template;
+# a new witness kind that falls back to the general writers changes the count.
+SCAN_SHAPES = 7
+
+
+def test_every_scan_shape_and_replayed_record_writes_through_its_template():
+    scan = classify.enumerate_candidates()
+    shapes = {}
+    for rec in scan:
+        shaped = _record_shape(rec)
+        assert shaped is not None, rec
+        shapes.setdefault(shaped[0], rec)
+    assert len(shapes) == SCAN_SHAPES
+    for rec in shapes.values():
+        # a record's own indent in the filter and the replay documents
+        assert _csv_template(rec) and all(_json_template(rec, newline) for newline in ("\n  ", "\n    "))
+    report = classify.replay_proof()
+    steps = [*report.step2_results, *report.step3_table, *report.step4_results]
+    assert_templates_write_as_the_general_writers([*scan, *steps])
+    for rec in [*shapes.values(), *steps]:
+        assert_templates_write_as_the_general_writers([rec])
+
+
+# Text a template holds: '%' and format specifiers, which it must escape, and
+# the witness cell's separators.
+template_text = st.lists(
+    st.characters() | st.sampled_from(["%", "%s", "%%", "%(e)d", ";", "|", "="]), max_size=4
+).map("".join)
+# Text no template can hold: a digit run equal to a marker, or what csv quotes.
+MARKER_RUNS = [str(_MARKER + i) for i in (0, 1, 2, 3, 4, 9)]
+untemplated_text = st.tuples(
+    template_text, st.sampled_from([",", '"', "\r", "\n", *MARKER_RUNS]), template_text
+).map("".join)
+template_numbers = (
+    big_ints
+    | st.fractions()
+    | st.builds(Fraction, big_ints, st.integers(1, 10**30))
+    | st.sampled_from([_MARKER, Fraction(_MARKER + 3, _MARKER + 4)])
+)
+# Witness kinds a template holds, and kinds that fall back to the general writers.
+template_witness_values = (
+    st.none() | st.booleans() | template_numbers | st.lists(template_numbers, max_size=4).map(tuple)
+)
+untemplated_witness_values = st.sampled_from(
+    [classify.SplittingType(-2, 3), (1, (2,)), (Fraction(1, 2), "x"), [1, 2], "1"]
+)
+
+
+def mostly(common, rare):
+    """``common``, and one time in four ``rare``."""
+    return st.integers(0, 3).flatmap(lambda i: rare if i == 0 else common)
+
+
+FIXED_FIELDS = ("rule", "passed", "citation", "witness key", "witness kind", "status", "detail")
+
+
+def renumbered(rec: classify.CandidateRecord, draw) -> classify.CandidateRecord:
+    """``rec`` with other e, a, b and witness numbers: the same shape."""
+
+    def number(value):
+        if type(value) is tuple:
+            return tuple(map(number, value))
+        return draw(template_numbers) if type(value) in (int, Fraction) else value
+
+    verdicts = tuple(
+        classify.Verdict(v.rule, v.passed, {k: number(x) for k, x in v.witness.items()}, v.citation)
+        for v in rec.verdicts
+    )
+    return classify.CandidateRecord(RankTwoData(*(draw(big_ints) for _ in range(3))), verdicts, rec.status,
+                                    rec.detail)
+
+
+def changed(rec: classify.CandidateRecord, field: str, draw) -> classify.CandidateRecord:
+    """``rec`` with one fixed field changed, now and then to one no template holds."""
+    text = mostly(template_text, untemplated_text)
+    if field in ("status", "detail"):
+        new = draw(text)
+        status, detail = (new, rec.detail) if field == "status" else (rec.status, new)
+        return classify.CandidateRecord(rec.data, rec.verdicts, status, detail)
+    if not rec.verdicts:
+        return rec
+    verdicts = list(rec.verdicts)
+    i = draw(st.integers(0, len(verdicts) - 1))
+    v = verdicts[i]
+    rule, passed, witness, citation = v.rule, v.passed, v.witness, v.citation
+    if field == "rule":
+        rule = draw(text)
+    elif field == "passed":
+        passed = not passed
+    elif field == "citation":
+        citation = draw(text)
+    elif witness:
+        j = draw(st.integers(0, len(witness) - 1))
+        if field == "witness key":
+            new_key = draw(text)
+            witness = {new_key if n == j else k: x for n, (k, x) in enumerate(witness.items())}
+        else:
+            new_value = draw(mostly(template_witness_values, untemplated_witness_values))
+            witness = {k: new_value if n == j else x for n, (k, x) in enumerate(witness.items())}
+    verdicts[i] = classify.Verdict(rule, passed, witness, citation)
+    return classify.CandidateRecord(rec.data, tuple(verdicts), rec.status, rec.detail)
+
+
+@st.composite
+def records_of_one_shape(draw, fields=FIXED_FIELDS) -> list:
+    """A record whose verdicts follow FILTER_RULES up to some rule, copies of it
+    with other numbers, and copies with one of ``fields`` changed too, in any order."""
+    reached = draw(st.integers(0, len(classify.FILTER_RULES)))
+    verdicts = tuple(
+        classify.Verdict(
+            rule,
+            draw(st.booleans()),
+            draw(st.dictionaries(template_text, template_witness_values, max_size=4)),
+            draw(template_text),
+        )
+        for rule in classify.FILTER_RULES[:reached]
+    )
+    base = classify.CandidateRecord(RankTwoData(*(draw(big_ints) for _ in range(3))), verdicts,
+                                    draw(template_text), draw(template_text))
+    records = [base]
+    for _ in range(draw(st.integers(1, 4))):
+        rec = renumbered(base, draw)
+        field = draw(st.sampled_from((None, *fields)))
+        records.append(rec if field is None else changed(rec, field, draw))
+    return draw(st.permutations(records))
+
+
+# One record whose witness key holds a comma, one whose detail holds a
+# marker, and one whose detail holds '%': the first two fall back.
+COMMA_KEY = classify.CandidateRecord(
+    RankTwoData(-1, 6, 6),
+    (classify.Verdict("positivity", True, {"a,b": Fraction(7, 2), "c": (1, Fraction(-1, 3))}, "x"),),
+    "surviving",
+    "",
+)
+MARKER_DETAIL = classify.CandidateRecord(
+    RankTwoData(0, 1, 2),
+    (classify.Verdict("positivity", False, {"q": Fraction(1, 2)}, ""),),
+    "eliminated",
+    f"positivity {MARKER_RUNS[0]}",
+)
+PERCENT_DETAIL = classify.CandidateRecord(RankTwoData(0, -3, 4), (), "eliminated", "100%s %(e)d %%")
+
+
+def with_witness(value) -> classify.CandidateRecord:
+    verdict = classify.Verdict("positivity", True, {"q": value, "t": (Fraction(1, 3), 4)}, "c")
+    return classify.CandidateRecord(RankTwoData(-1, 2, 3), (verdict,), "surviving", "")
+
+
+# One record with a witness of each kind: the first six kinds have a template, the last five none.
+WITNESS_KINDS = [
+    with_witness(value)
+    for value in (
+        Fraction(5, 7), True, None, (), (1,), (Fraction(1, 2), 3),
+        classify.SplittingType(-2, 3), (1, (2,)), (Fraction(1, 2), "x"), [1, 2], "1",
+    )
+]
+
+
+def test_templates_fall_back_on_quoted_cells_repeated_markers_and_other_kinds():
+    assert _csv_template(COMMA_KEY) is None and _json_template(COMMA_KEY, "\n")
+    assert _csv_template(MARKER_DETAIL) is None and _json_template(MARKER_DETAIL, "\n") is None
+    assert _csv_template(PERCENT_DETAIL) and _json_template(PERCENT_DETAIL, "\n")
+    records = [COMMA_KEY, MARKER_DETAIL, PERCENT_DETAIL]
+    assert_templates_write_as_the_general_writers(records + records)
+    assert [_record_shape(rec) is None for rec in WITNESS_KINDS] == [False] * 6 + [True] * 5
+    assert_templates_write_as_the_general_writers(WITNESS_KINDS + WITNESS_KINDS[::-1])
+
+
+def test_templates_leave_coordinates_not_int_to_the_general_writers():
+    flag = classify.CandidateRecord(RankTwoData(True, 0, 0), (), "", "")
+    half = classify.CandidateRecord(RankTwoData(0, Fraction(1, 2), 0), (), "", "")
+    assert _record_shape(flag) is None and _record_shape(half) is None
+    assert_templates_write_as_the_general_writers([flag])  # e is 1 in JSON, True in csv
+    with pytest.raises(TypeError):
+        captured_stdout(_write_records_json, [half], "\n")
+    assert captured_stdout(_write_records_csv, [half]) == general_csv([half])
+
+
+@given(records_of_one_shape())
+@example([COMMA_KEY, MARKER_DETAIL, PERCENT_DETAIL])
+@example(WITNESS_KINDS)
+def test_record_templates_match_json_dumps_on_records_of_one_shape(records):
+    forms = [record_json_form(rec) for rec in records]
+    for depth in (0, 1):
+        got = captured_stdout(_write_records_json, records, "\n  " if depth else "\n")
+        assert (got if depth == 0 else '{\n  "k": ' + got + "\n}") == json_dumps_at_depth(forms, depth)
+
+
+# csv writes no rule: the verdicts follow FILTER_RULES, and the oracle reads them by name.
+@given(records_of_one_shape(fields=tuple(f for f in FIXED_FIELDS if f != "rule")))
+@example([COMMA_KEY, MARKER_DETAIL, PERCENT_DETAIL])
+@example(WITNESS_KINDS)
+def test_record_templates_match_an_independent_csv_writer_on_records_of_one_shape(records):
+    expected = csv_lines(FILTER_CSV_HEADER, map(filter_csv_cells, records))
+    assert captured_stdout(_write_records_csv, records).splitlines(keepends=True) == expected
 
 
 # -- one real subprocess pass through the module entry point -------------------------
