@@ -25,11 +25,10 @@ needs no coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .partitions import (
     Box,
@@ -47,18 +46,23 @@ from .partitions import (
 Scalar = int | Fraction
 
 
-@dataclass(frozen=True)
-class GrassmannRing:
-    """The Chow ring of G(k, n), k-dimensional planes in P^n."""
-
+class _RingFields(NamedTuple):
     k: int
     n: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.k < self.n:
-            raise ValueError(f"need 0 <= k < n, got k={self.k}, n={self.n}")
 
-    @cached_property
+class GrassmannRing(_RingFields):
+    """The Chow ring of G(k, n), k-dimensional planes in P^n: the pair
+    (k, n), checked on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, n: int) -> GrassmannRing:
+        if not 0 <= k < n:
+            raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
+        return super().__new__(cls, k, n)
+
+    @property
     def box(self) -> Box:
         return Box(self.k + 1, self.n - self.k)
 

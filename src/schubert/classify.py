@@ -40,14 +40,13 @@ give the same exact rationals as the general path (``rank_two_chern`` ->
 forms against that path, then the folded forms against the forms at the
 twisted data, before the scan runs.  The frozen tables gate every value.
 
-Candidate evaluation is a pure map over an immutable context: verdicts do
-not depend on evaluation order, and the report is assembled in canonical
-candidate order.
+Candidate evaluation is a pure map over the coordinates (e, a, b): verdicts
+do not depend on evaluation order, and the report is assembled in canonical
+candidate order.  The records are NamedTuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
@@ -134,32 +133,22 @@ class SectionConstraints(NamedTuple):
     split_iff_both_zero: bool
 
 
-@dataclass(frozen=True)
-class FilterContext:
-    """Scan context for one normalized first Chern coordinate."""
-
-    e: int
-
-    def __post_init__(self) -> None:
-        if self.e not in (0, -1):
-            raise ValueError("filters run on normalized data only (e in {0, -1})")
-
-    @property
-    def m(self) -> Fraction:
-        """The rational twist making the bundle ample on the nose: (n+1-e)/2."""
-        return Fraction(G14.n + 1 - self.e, 2)
+def ample_twist(e: int) -> Fraction:
+    """The rational twist m = (n+1-e)/2 making normalized data ample on the
+    nose; the filters run on normalized data only."""
+    if e not in (0, -1):
+        raise ValueError("filters run on normalized data only (e in {0, -1})")
+    return Fraction(G14.n + 1 - e, 2)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     rule: str
     passed: bool
     witness: dict
     citation: str
 
 
-@dataclass(frozen=True)
-class CandidateRecord:
+class CandidateRecord(NamedTuple):
     """One (e, a, b) candidate with its full verdict trail."""
 
     data: RankTwoData
@@ -178,8 +167,7 @@ class CandidateRecord:
         return v is not None and v.passed
 
 
-@dataclass(frozen=True)
-class BundleType:
+class BundleType(NamedTuple):
     """An entry of the final classification."""
 
     kind: str  # "split" | "nonsplit"
@@ -188,8 +176,7 @@ class BundleType:
     name: str
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     step1_table: tuple[CandidateRecord, ...]
     step2_results: tuple[CandidateRecord, ...]
     step3_table: tuple[CandidateRecord, ...]
@@ -256,7 +243,7 @@ class ScanForms(NamedTuple):
 @lru_cache(maxsize=None)
 def scan_forms(e: int) -> ScanForms:
     """The scan's forms folded at e and at each twist the filters read."""
-    m = FilterContext(e).m
+    m = ample_twist(e)
     chi = chi_form(G14)
     return ScanForms(
         RankTwoData(e, 0, 0).twisted(m).a,
@@ -265,9 +252,9 @@ def scan_forms(e: int) -> ScanForms:
     )
 
 
-def positivity_filter(ctx: FilterContext, a: int, b: int) -> Verdict:
+def positivity_filter(e: int, a: int, b: int) -> Verdict:
     """Both Chern coordinates of the Q-twist E(m) must be strictly positive."""
-    shift = scan_forms(ctx.e).shift
+    shift = scan_forms(e).shift
     # a + shift and b + shift, as integers over the positive denominator q
     q = shift.denominator
     qa, qb = a * q + shift.numerator, b * q + shift.numerator
@@ -279,7 +266,7 @@ def positivity_filter(ctx: FilterContext, a: int, b: int) -> Verdict:
     )
 
 
-def schur_filter(ctx: FilterContext, a: int, b: int) -> Verdict:
+def schur_filter(e: int, a: int, b: int) -> Verdict:
     """Degree-three Schur polynomial of E(m) against the two families of
     three-dimensional cycles.
 
@@ -292,9 +279,9 @@ def schur_filter(ctx: FilterContext, a: int, b: int) -> Verdict:
     a + b <= 12; both readings leave the same candidates after the
     integrality filter).
     """
-    point, hyper = scan_forms(ctx.e).schur
+    point, hyper = scan_forms(e).schur
     pair_point, pair_hyper = point(a, b), hyper(a, b)
-    bound = 12 if ctx.e == 0 else 13
+    bound = 12 if e == 0 else 13
     passed = a <= 6 and b <= bound - a
     return Verdict(
         "schur",
@@ -308,10 +295,10 @@ def schur_filter(ctx: FilterContext, a: int, b: int) -> Verdict:
     )
 
 
-def schwarzenberger_filter(ctx: FilterContext, a: int, b: int) -> Verdict:
+def schwarzenberger_filter(e: int, a: int, b: int) -> Verdict:
     """Every chi(E(k)) must be an integer.  chi(E(k)) is a polynomial of
     degree at most dim in k, so integrality at k = 0..dim settles every twist."""
-    chis = tuple(chi(a, b) for chi in scan_forms(ctx.e).chi)
+    chis = tuple(chi(a, b) for chi in scan_forms(e).chi)
     return Verdict(
         "schwarzenberger",
         all(chi.denominator == 1 for chi in chis),
@@ -320,12 +307,12 @@ def schwarzenberger_filter(ctx: FilterContext, a: int, b: int) -> Verdict:
     )
 
 
-def griffiths_filter(ctx: FilterContext, a: int, b: int) -> Verdict:
+def griffiths_filter(e: int, a: int, b: int) -> Verdict:
     """For e = -1 the twist E(5) is ample enough for Griffiths vanishing,
     so chi(E(5)) < 0 eliminates the candidate.  Vacuous for e = 0."""
-    if ctx.e != -1:
+    if e == 0:
         return Verdict("griffiths", True, {"applies": False}, CITE_GRIFFITHS)
-    chi5 = scan_forms(ctx.e).chi[5](a, b)
+    chi5 = scan_forms(e).chi[5](a, b)
     return Verdict(
         "griffiths",
         chi5 >= 0,
@@ -338,15 +325,15 @@ _FILTERS = (positivity_filter, schur_filter, schwarzenberger_filter, griffiths_f
 FILTER_RULES = tuple(rule.__name__.removesuffix("_filter") for rule in _FILTERS)
 
 
-def evaluate_candidate(ctx: FilterContext, a: int, b: int) -> CandidateRecord:
+def evaluate_candidate(e: int, a: int, b: int) -> CandidateRecord:
     """Apply the four filters in order, stopping at the first failure."""
     verdicts = []
     for rule in _FILTERS:
-        v = rule(ctx, a, b)
+        v = rule(e, a, b)
         verdicts.append(v)
         if not v.passed:
-            return CandidateRecord(RankTwoData(ctx.e, a, b), tuple(verdicts), "eliminated", v.rule)
-    return CandidateRecord(RankTwoData(ctx.e, a, b), tuple(verdicts), "surviving", "")
+            return CandidateRecord(RankTwoData(e, a, b), tuple(verdicts), "eliminated", v.rule)
+    return CandidateRecord(RankTwoData(e, a, b), tuple(verdicts), "surviving", "")
 
 
 @lru_cache(maxsize=1)
@@ -358,10 +345,9 @@ def enumerate_candidates() -> tuple[CandidateRecord, ...]:
     the integrality filter may touch the scan boundary."""
     records = []
     for e in (0, -1):
-        ctx = FilterContext(e)
         for a in range(SCAN_LO, SCAN_HI + 1):
             for b in range(SCAN_LO, SCAN_HI + 1):
-                records.append(evaluate_candidate(ctx, a, b))
+                records.append(evaluate_candidate(e, a, b))
     for rec in records:
         if rec.passed("schwarzenberger") and (
             rec.data.a in (SCAN_LO, SCAN_HI) or rec.data.b in (SCAN_LO, SCAN_HI)
@@ -507,7 +493,7 @@ def _preflight() -> None:
         if got != expected:
             raise ReplayMismatch("preflight", f"chi form gives {got} on {data}, expected {expected}")
     for e, a, b in ((0, -4, -4), (-1, 6, 7)):
-        data = RankTwoData(e, a, b).twisted(FilterContext(e).m)
+        data = RankTwoData(e, a, b).twisted(ample_twist(e))
         v = rank_two_chern(ring, data)
         c1, c2 = v.c[1], v.c[2]
         schur3 = c1 * c1 * c1 - 2 * (c1 * c2)
@@ -522,7 +508,7 @@ def _preflight() -> None:
     # Both sides are polynomials of degree at most top/2 in (a, b), which
     # the points i + j <= top/2 determine; a scan corner is probed as well.
     for e in (0, -1):
-        m = FilterContext(e).m
+        m = ample_twist(e)
         forms = scan_forms(e)
         folded = [(chi, k, form) for k, form in enumerate(forms.chi)]
         folded += [(schur3_form(ring, *ij), m, form) for ij, form in zip(SCHUR_CYCLES, forms.schur)]

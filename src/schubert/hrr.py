@@ -25,9 +25,9 @@ ring inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .charclass import (
     ChernVector,
@@ -74,8 +74,7 @@ def chi_form(ring: GrassmannRing) -> RankTwoForm:
     return rank_two_form(ring, rank_two_character(ring.dimension), tangent_todd(ring))
 
 
-@dataclass(frozen=True)
-class EulerPolynomial:
+class EulerPolynomial(NamedTuple):
     """chi(E(k)) as a polynomial in the integer twist k, low coefficients first."""
 
     coefficients: tuple[Fraction, ...]

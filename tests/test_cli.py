@@ -947,6 +947,21 @@ def test_record_templates_match_an_independent_csv_writer_on_records_of_one_shap
 # -- one real subprocess pass through the module entry point -------------------------
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # -I -S: no site packages and no PYTHONPATH, so only the interpreter's own
+    # start-up modules are there before the package is imported; -B: -I ignores
+    # PYTHONDONTWRITEBYTECODE, and the run should leave no bytecode in src
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import schubert, schubert.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", code, src], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "[]\n"
+
+
 def test_subprocess_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "schubert", "chi", "--e", "-1", "--a", "6", "--b", "6",

@@ -1,3 +1,6 @@
+import copy
+import hashlib
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -6,17 +9,18 @@ import pytest
 
 from schubert import (
     G14,
-    FilterContext,
     GrassmannRing,
     RankTwoData,
     ReplayMismatch,
     SplittingType,
+    ample_twist,
     classify,
     enumerate_candidates,
     euler_characteristic,
     euler_polynomial,
     fano_splitting_types,
     griffiths_filter,
+    line_bundle,
     positivity_filter,
     rank_two_chern,
     replay_proof,
@@ -79,65 +83,127 @@ def test_split_fano_bundles():
             assert abs(st.p - st.q) < n + 1
 
 
-def test_filter_context():
-    assert FilterContext(0).m == Fraction(5, 2)
-    assert FilterContext(-1).m == 3
-    with pytest.raises(ValueError):
-        FilterContext(1)
+def test_ample_twist():
+    assert ample_twist(0) == Fraction(5, 2)
+    assert ample_twist(-1) == 3
+
+
+@pytest.mark.parametrize("e", [1, 2, -2])
+@pytest.mark.parametrize(
+    "check",
+    [ample_twist, positivity_filter, schur_filter, schwarzenberger_filter, griffiths_filter, evaluate_candidate],
+)
+def test_filters_refuse_data_that_is_not_normalized(check, e):
+    args = (e,) if check is ample_twist else (e, 0, 0)
+    with pytest.raises(ValueError, match="normalized data only"):
+        check(*args)
 
 
 def test_positivity_filter():
-    v = positivity_filter(FilterContext(0), -6, -6)
+    v = positivity_filter(0, -6, -6)
     assert v.passed and v.witness["qa"] == Fraction(1, 4)
-    assert not positivity_filter(FilterContext(0), -7, 0).passed
-    v = positivity_filter(FilterContext(-1), -6, 0)
+    assert not positivity_filter(0, -7, 0).passed
+    v = positivity_filter(-1, -6, 0)
     assert not v.passed and v.witness["qa"] == 0  # strict inequality
 
 
 def test_positivity_matches_stated_bounds():
     for e in (0, -1):
-        ctx = FilterContext(e)
         for a in range(-8, 9):
             for b in range(-8, 9):
                 stated = (a >= -6 and b >= -6) if e == 0 else (a > -6 and b > -6)
-                assert positivity_filter(ctx, a, b).passed == stated
+                assert positivity_filter(e, a, b).passed == stated
 
 
 def test_schur_filter_closed_forms():
-    ctx = FilterContext(0)
     for a in range(-6, 8):
         for b in range(-6, 8):
-            v = schur_filter(ctx, a, b)
+            v = schur_filter(0, a, b)
             assert v.witness["pairing_lines_through_point"] == Fraction(125, 2) - 10 * a
             assert v.witness["pairing_lines_in_hyperplane"] == 125 - 10 * (a + b)
             assert v.passed == (a <= 6 and b <= 12 - a)
 
 
 def test_schur_filter_boundary_cases():
-    assert schur_filter(FilterContext(0), 6, 6).passed
-    assert not schur_filter(FilterContext(0), 7, 0).passed
-    assert not schur_filter(FilterContext(0), 0, 13).passed
-    v = schur_filter(FilterContext(-1), 6, 7)
+    assert schur_filter(0, 6, 6).passed
+    assert not schur_filter(0, 7, 0).passed
+    assert not schur_filter(0, 0, 13).passed
+    v = schur_filter(-1, 6, 7)
     assert v.passed  # the classical bound b <= 13 - a holds with equality
     assert v.witness["pairing_lines_in_hyperplane"] == 0
     assert not v.witness["strict_positive"]
 
 
 def test_schwarzenberger_filter():
-    ctx0, ctx1 = FilterContext(0), FilterContext(-1)
-    assert schwarzenberger_filter(ctx0, -4, -4).passed
-    assert schwarzenberger_filter(ctx0, 0, 0).passed
-    assert schwarzenberger_filter(ctx1, 6, 6).passed
-    chis = schwarzenberger_filter(ctx0, 0, 0).witness["chi"]
+    assert schwarzenberger_filter(0, -4, -4).passed
+    assert schwarzenberger_filter(0, 0, 0).passed
+    assert schwarzenberger_filter(-1, 6, 6).passed
+    chis = schwarzenberger_filter(0, 0, 0).witness["chi"]
     assert chis[0] == 2 and chis[1] == 20
 
 
 def test_griffiths_filter():
-    v = griffiths_filter(FilterContext(-1), 6, 6)
+    v = griffiths_filter(-1, 6, 6)
     assert not v.passed and v.witness["chi_at_5"] == -935
-    assert griffiths_filter(FilterContext(-1), 0, 1).passed
-    v = griffiths_filter(FilterContext(0), 6, 6)
+    assert griffiths_filter(-1, 0, 1).passed
+    v = griffiths_filter(0, 6, 6)
     assert v.passed and v.witness == {"applies": False}
+
+
+# the repr of each kind of value: its text where short, the SHA-256 of its text where long
+VALUE_REPRS = {
+    "ring": "GrassmannRing(k=1, n=4)",
+    "verdict": (
+        "Verdict(rule='positivity', passed=True, witness={'qa': Fraction(1, 4), 'qb': Fraction(1, 4)}, "
+        "citation='ample Q-twists restrict to subvarieties with positive Chern classes "
+        "(Bloch-Gieseker); cited, not verified')"
+    ),
+    "final-list entry": (
+        "BundleType(kind='split', split=SplittingType(p=0, q=0), "
+        "data=RankTwoData(e=0, a=0, b=0), name='O+O')"
+    ),
+    "euler polynomial": "EulerPolynomial(coefficients=(Fraction(3, 1), Fraction(5, 2), Fraction(1, 2)))",
+}
+VALUE_REPR_SHA256 = {
+    "scan record": "28410ce63db1c54f182aa76a9284167a08db515b2d6ef728c1fd6a2dae032293",
+    "report": "8d32daf5bf6c3c7c739c854571e0115b53bf99e659fe889be073c62f3e4ecd9a",
+}
+
+
+def _value(name):
+    if name == "ring":
+        return GrassmannRing(1, 4)
+    if name == "euler polynomial":
+        return euler_polynomial(line_bundle(GrassmannRing(0, 2), 1))
+    report = replay_proof()
+    record = report.step1_table[0]
+    return {
+        "scan record": record,
+        "verdict": record.verdicts[0],
+        "final-list entry": report.final_list[0],
+        "report": report,
+    }[name]
+
+
+@pytest.mark.parametrize("name", [*VALUE_REPRS, *VALUE_REPR_SHA256])
+def test_values_are_immutable_named_tuples(name):
+    value = _value(name)
+    text = repr(value)
+    if name in VALUE_REPRS:
+        assert text == VALUE_REPRS[name]
+    else:
+        assert hashlib.sha256(text.encode()).hexdigest() == VALUE_REPR_SHA256[name]
+    for attr in (value._fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, attr, None)
+    for again in (copy.copy(value), pickle.loads(pickle.dumps(value))):
+        assert type(again) is type(value) and again == value
+    assert value == tuple(value)
+    if name == "ring":
+        assert hash(GrassmannRing(1, 4)) == hash(value)
+        with pytest.raises(ValueError) as info:
+            GrassmannRing(4, 1)
+        assert str(info.value) == "need 0 <= k < n, got k=4, n=1"
 
 
 def test_candidate_scan_table():
@@ -188,10 +254,9 @@ def test_survivors_match_every_rule_up_to_the_stage():
 def test_candidate_evaluation_is_order_independent():
     records = enumerate_candidates()
     by_data = {r.data: r for r in records}
-    ctx = {e: FilterContext(e) for e in (0, -1)}
     sample = [(0, -4, -4), (0, 20, 20), (-1, 6, 6), (-1, -6, 0), (0, 3, 9), (-1, 0, 1)]
     for e, a, b in reversed(sample):
-        again = evaluate_candidate(ctx[e], a, b)
+        again = evaluate_candidate(e, a, b)
         assert again == by_data[RankTwoData(e, a, b)]
 
 
@@ -294,8 +359,6 @@ def test_normalization_at_the_boundary():
     # arbitrary data normalizes into the scan's e range
     for e in range(-4, 5):
         assert RankTwoData(e, 5, -3).normalized().e in (0, -1)
-    with pytest.raises(ValueError):
-        FilterContext(2)
 
 
 def _schur3_pairings(ring, data, cycles):
@@ -311,7 +374,7 @@ def test_scan_witnesses_match_general_path():
         data = rec.data
         schur = rec.verdict("schur")
         if schur is not None:
-            twisted = data.twisted(FilterContext(data.e).m)
+            twisted = data.twisted(ample_twist(data.e))
             assert [
                 schur.witness["pairing_lines_through_point"],
                 schur.witness["pairing_lines_in_hyperplane"],
@@ -374,7 +437,7 @@ def test_positivity_witnesses_and_witness_types():
     for rec in records:
         e, a, b = rec.data
         witness = rec.verdict("positivity").witness
-        assert (witness["qa"], witness["qb"]) == RankTwoData(e, a, b).twisted(FilterContext(e).m)[1:]
+        assert (witness["qa"], witness["qb"]) == RankTwoData(e, a, b).twisted(ample_twist(e))[1:]
         for v in rec.verdicts:
             for value in v.witness.values():
                 for x in value if isinstance(value, tuple) else (value,):
@@ -386,7 +449,7 @@ def test_folded_forms_match_the_unfolded_forms(e):
     # the scan's folds and folds at random rational twists, against the form
     # at the twisted data, on (a, b) far beyond the scan square
     rng = random.Random(5815 + e)
-    m = FilterContext(e).m
+    m = ample_twist(e)
     chi = chi_form(G14)
     forms = scan_forms(e)
     folds = [(chi, k, folded) for k, folded in enumerate(forms.chi)]
