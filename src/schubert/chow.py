@@ -14,13 +14,14 @@ leaves the class (``coefficient``, ``integrate``, ``pair``, ``coeffs`` and
 the repr).  No floating point enters the engine anywhere.
 
 Products read one table per ring: for each basis index la, the rows of
-sigma_la * sigma_mu met so far, by mu.  A pair whose product is zero by
-degree or by containment maps to an empty tuple with no LR work; every
-other pair reads the one LR row of its unordered pair, so no empty row is
-built or cached.  Rings are immutable and shareable; the product table,
-its rows and the dual indices are pure caches (identical inputs always
-produce identical rows, and a stored row never changes), so concurrent use
-needs no coordination.
+sigma_la * sigma_mu met so far, by mu.  A pair with mu not inside the dual
+of la has product zero and maps to an empty tuple with no LR work (so does
+every pair above the top degree: containment implies the degree bound);
+every other pair reads the one LR row of its unordered pair, so no empty
+row is built or cached.  Rings are immutable and shareable; the product
+table, its rows and the dual indices are pure caches (identical inputs
+always produce identical rows, and a stored row never changes), so
+concurrent use needs no coordination.
 """
 
 from __future__ import annotations
@@ -331,10 +332,10 @@ def _table(box: Box) -> dict[Partition, dict[Partition, tuple[tuple[Partition, i
 
 def _table_row(box: Box, la: Partition, mu: Partition) -> tuple[tuple[Partition, int], ...]:
     """The table's row for a pair met for the first time: ``()`` without LR
-    work when the product is zero (the pair lies above the top degree, or mu
-    is not inside la's dual), else the unordered pair's ``_basis_product``."""
-    weights = _weights(box)
-    if weights[la] + weights[mu] > box.rows * box.cols or not contains(_duals(box)[la], mu):
+    work when mu is not inside la's dual (the product is then zero), else
+    the unordered pair's ``_basis_product``.  Containment implies the degree
+    bound |la| + |mu| <= dim, as |la'| = dim - |la|."""
+    if not contains(_duals(box)[la], mu):
         return ()
     return _basis_product(box, la, mu) if la <= mu else _basis_product(box, mu, la)
 
@@ -351,7 +352,7 @@ def _basis_product(box: Box, la: Partition, mu: Partition) -> tuple[tuple[Partit
     """
     duals = _duals(box)
     row = skew_lr_expansion(duals[la], mu)
-    return tuple((duals[ka], c) for ka, c in row.items())
+    return tuple(zip(map(duals.__getitem__, row), row.values()))
 
 
 @lru_cache(maxsize=None)
@@ -362,12 +363,6 @@ def _duals(box: Box) -> dict[Partition, Partition]:
         for d in range(box.rows * box.cols + 1)
         for la in enumerate_partitions(box, d)
     }
-
-
-@lru_cache(maxsize=None)
-def _weights(box: Box) -> dict[Partition, int]:
-    """Every index in the box mapped to its degree (shared; never mutate)."""
-    return {la: weight(la) for la in _duals(box)}
 
 
 def dual_partition(ring: GrassmannRing, la) -> Partition:

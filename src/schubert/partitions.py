@@ -16,6 +16,7 @@ values and safe to call concurrently.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import le
 from typing import Iterable, NamedTuple
 
 Partition = tuple[int, ...]
@@ -51,7 +52,7 @@ def fits(la: Partition, box: Box) -> bool:
 
 def contains(outer: Partition, inner: Partition) -> bool:
     """Diagram containment inner <= outer."""
-    return len(inner) <= len(outer) and all(inner[i] <= outer[i] for i in range(len(inner)))
+    return len(inner) <= len(outer) and all(map(le, inner, outer))
 
 
 def enumerate_partitions(box: Box, degree: int) -> list[Partition]:
@@ -112,38 +113,27 @@ def skew_lr_expansion(outer: Partition, inner: Partition) -> dict[Partition, int
 
     Each column-strict filling of outer/inner whose reverse reading word (rows
     top to bottom, right to left within a row) is a lattice word adds one at
-    its content ka.  The cells, in reading order, form an explicit stack, so
-    the search depth meets no recursion limit.
+    its content ka.  The labels live on a grid of stride w = outer[0] + 1:
+    row r of the shape is grid row r + 1 and grid row 0 is zeros, so the cell
+    above position p is p - w and the bound on its right is p + 1.  The
+    cells, in reading order, form an explicit stack, so the search depth
+    meets no recursion limit.
     """
     if not contains(outer, inner):
         return {}
     rows = len(outer)
-    inner = inner + (0,) * (rows - len(inner))
-    size = sum(outer) - sum(inner)
-    # fill[i] is the label of cell i, 0 while unset; past the cells it holds 0
-    # (no cell above) and then r + 1, the largest label row r may take
-    fill = [0] * (size + 1) + list(range(1, rows + 1))
-    # Neighbour indices from row offsets, with no cell list or lookup: row
-    # r's cells run right to left, from column outer[r] - 1 down to inner[r],
-    # and its first cell has index first.  The cell right of cell i is cell
-    # i - 1, except for a row's first cell.  The cell above column c is in
-    # row r - 1, whose first cell has index prev and column outer[r - 1] - 1,
-    # so it has index prev + outer[r - 1] - 1 - c; for c < inner[r - 1] (an
-    # empty row above included) there is none.
-    above: list[int] = []  # labels strictly exceed fill[above[i]]
-    right: list[int] = []  # and do not exceed fill[right[i]]
-    prev = 0
-    for r in range(rows):
-        first = len(above)
-        cols = range(outer[r] - 1, inner[r] - 1, -1)
-        if cols:
-            right += [size + 1 + r, *range(first, first + len(cols) - 1)]
-        if r:
-            top, lo = prev + outer[r - 1] - 1, inner[r - 1]
-            above += [top - c if c >= lo else size for c in cols]
-        else:
-            above += [size] * len(cols)
-        prev = first
+    w = outer[0] + 1 if outer else 1
+    # Label 0 marks a position with no label: unset, outside the shape, or
+    # grid row 0.  Grid position (r, outer[r - 1]) holds r, the largest label
+    # row r - 1 of the shape may take; no cell reads it as its upper
+    # neighbour, because outer[r] <= outer[r - 1].
+    grid = [0] * (w * (rows + 1))
+    cells: list[int] = []  # grid positions, in reading order
+    for r, (o, n) in enumerate(zip(outer, inner + (0,) * (rows - len(inner))), 1):
+        base = w * r
+        grid[base + o] = r
+        cells += range(base + o - 1, base + n - 1, -1)
+    size = len(cells)
     counts = [size + 1] + [0] * (rows + 1)  # cells per label; counts[0] admits label 1
     out: dict[Partition, int] = {}
     i = 0
@@ -153,19 +143,20 @@ def skew_lr_expansion(outer: Partition, inner: Partition) -> dict[Partition, int
             out[ka] = out.get(ka, 0) + 1
             i -= 1
             continue
-        v = fill[i]
+        p = cells[i]
+        v = grid[p]
         if v:
-            counts[v] -= 1  # move cell i on to its next label
-        a = fill[above[i]]
+            counts[v] -= 1  # move cell p on to its next label
+        a = grid[p - w]
         v = (v if v > a else a) + 1
-        hi = fill[right[i]]
+        hi = grid[p + 1]
         while v <= hi and counts[v] >= counts[v - 1]:  # keep the word a lattice word
             v += 1
         if v > hi:
-            fill[i] = 0
+            grid[p] = 0
             i -= 1
         else:
-            fill[i] = v
+            grid[p] = v
             counts[v] += 1
             i += 1
     return out

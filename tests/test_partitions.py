@@ -1,5 +1,6 @@
 import random
 import time
+from collections import defaultdict
 
 import pytest
 from hypothesis import given
@@ -139,6 +140,8 @@ def test_skew_lr_expansion_examples():
     assert skew_lr_expansion((2,), (1, 1)) == {}
     # one row of 2399 cells, far beyond the recursion limit
     assert skew_lr_expansion((2400,), (1,)) == {(2399,): 1}
+    # one column of 200 cells: a grid 301 rows high and labels up to 200
+    assert skew_lr_expansion((1,) * 300, (1,) * 100) == {(1,) * 200: 1}
 
 
 def _random_skew_shape(rng, kind):
@@ -186,6 +189,33 @@ def test_skew_lr_expansion_matches_the_pieri_oracle(kind):
             assert got == {}
         else:
             assert got  # a skew Schur function of a nested pair is not zero
+
+
+@pytest.mark.parametrize("rows,cols,nested", [(3, 4, 490), (5, 2, 196)])
+def test_skew_lr_expansion_on_every_pair_of_a_box(rows, cols, nested):
+    # Every (outer, inner) pair of the box, against the Jacobi-Trudi/Pieri
+    # oracle: c^outer_{inner,nu} is the coefficient of s_outer in
+    # s_inner * s_nu, and truncating that product to the box drops no outer
+    # of the box.  The pairs take in an inner row as long as its outer row,
+    # an empty inner shape, inner = outer and a row under a longer one.
+    ring = GrassmannRing(rows - 1, rows - 1 + cols)
+    shapes = [p for w in range(rows * cols + 1) for p in brute_force_box_partitions(rows, cols, w)]
+    expected = defaultdict(dict)
+    for inner in shapes:
+        for nu in shapes:
+            if weight(inner) + weight(nu) <= rows * cols:
+                for outer, c in pieri_product(ring, inner, nu).items():
+                    expected[outer, inner][nu] = c
+    seen = 0
+    for outer in shapes:
+        for inner in shapes:
+            got = skew_lr_expansion(outer, inner)
+            if cells(inner) <= cells(outer):
+                seen += 1
+                assert got == expected[outer, inner], (outer, inner)
+            else:
+                assert got == {}, (outer, inner)
+    assert seen == nested
 
 
 @given(small_partitions, small_partitions)
