@@ -32,9 +32,15 @@ Euler characteristics and Schur pairings are polynomials in (e, a, b), built
 once per ring as forms (``hrr.chi_form``, ``schur3_form``).  For each
 normalized e, every form is folded at each twist the scan reads (k = 0..6
 and the ample Q-twist m) into a polynomial in (a, b) alone
-(``RankTwoForm.at_twist``, cached by ``scan_forms``), which the filters
-evaluate in integers at integer (a, b).  Step 2 reads chi(E(-2)), and steps
-3 and 4 the restricted chi on P^3 (``hrr.chi_p3``), from forms as well.  They
+(``RankTwoForm.at_twist``, cached by ``scan_forms``).  Each line of fixed
+(e, a) folds them once more (``scan_line``, cached for the 54 lines of the
+scan square): every form becomes a polynomial in b over its denominator,
+which the filters evaluate by Horner at integer b, and the witnesses that
+are constant along the line are built once as ``Fraction``s there: a + s,
+which is also the second coordinate of every candidate whose b is this a,
+and the pairing with the lines through a point, which does not depend on
+b.  Step 2 reads chi(E(-2)), and steps 3 and 4 the restricted chi on P^3
+(``hrr.chi_p3``), from forms as well.  They
 give the same exact rationals as the general path (``rank_two_chern`` ->
 ``ch`` -> ``pair``), which runs only in the preflight: it checks the G(1,4)
 forms against that path, then the folded forms against the forms at the
@@ -252,16 +258,66 @@ def scan_forms(e: int) -> ScanForms:
     )
 
 
+class LineForm(NamedTuple):
+    """A polynomial in b with integer coefficients, highest power first, over
+    one positive denominator ``den``."""
+
+    coeffs: tuple[int, ...]
+    den: int
+
+    def __call__(self, b: int) -> Fraction:
+        acc = 0
+        for c in self.coeffs:
+            acc = acc * b + c
+        den = self.den
+        return Fraction(acc, den) if acc % den else Fraction(acc // den)  # an int needs no gcd
+
+
+def _restrict(form: PlaneForm, a: int) -> LineForm:
+    """``form`` on the line of fixed a: Horner in a over its rows, each row a
+    polynomial in b whose last coefficient multiplies b^0."""
+    width = max(map(len, form.rows))
+    out = [0] * width
+    for row in form.rows:
+        out = [c * a for c in out]
+        for j, c in enumerate(row, width - len(row)):
+            out[j] += c
+    return LineForm(tuple(out), form.den)
+
+
+class ScanLine(NamedTuple):
+    """What the four filters read along one line of fixed (e, a), as
+    witnesses constant along it or as functions of b."""
+
+    qa: Fraction  # a + shift; also the qb of every candidate whose b is this a
+    pairing_point: Fraction  # s_(3)(E(m)) on the lines through a point, free of b
+    hyper: LineForm  # s_(3)(E(m)) on the lines in a hyperplane
+    chi: tuple[LineForm, ...]  # chi(E(k)) for k = 0..dim
+
+
+# one entry per line of the scan square: 2 values of e times SCAN_HI - SCAN_LO + 1 of a
+@lru_cache(maxsize=2 * (SCAN_HI - SCAN_LO + 1))
+def scan_line(e: int, a: int) -> ScanLine:
+    """The scan's forms at e restricted to the line of fixed a."""
+    forms = scan_forms(e)
+    point, hyper = (_restrict(form, a) for form in forms.schur)
+    if any(point.coeffs[:-1]):
+        raise ArithmeticError(f"the pairing with the lines through a point depends on b at e = {e}")
+    return ScanLine(
+        a + forms.shift,
+        point(0),
+        hyper,
+        tuple(_restrict(form, a) for form in forms.chi),
+    )
+
+
 def positivity_filter(e: int, a: int, b: int) -> Verdict:
     """Both Chern coordinates of the Q-twist E(m) must be strictly positive."""
-    shift = scan_forms(e).shift
-    # a + shift and b + shift, as integers over the positive denominator q
-    q = shift.denominator
-    qa, qb = a * q + shift.numerator, b * q + shift.numerator
+    qa, qb = scan_line(e, a).qa, scan_line(e, b).qa
     return Verdict(
         "positivity",
-        qa > 0 and qb > 0,
-        {"qa": Fraction(qa, q), "qb": Fraction(qb, q)},
+        qa.numerator > 0 and qb.numerator > 0,
+        {"qa": qa, "qb": qb},
         CITE_AMPLE_POSITIVITY,
     )
 
@@ -279,8 +335,8 @@ def schur_filter(e: int, a: int, b: int) -> Verdict:
     a + b <= 12; both readings leave the same candidates after the
     integrality filter).
     """
-    point, hyper = scan_forms(e).schur
-    pair_point, pair_hyper = point(a, b), hyper(a, b)
+    line = scan_line(e, a)
+    pair_point, pair_hyper = line.pairing_point, line.hyper(b)
     bound = 12 if e == 0 else 13
     passed = a <= 6 and b <= bound - a
     return Verdict(
@@ -289,7 +345,7 @@ def schur_filter(e: int, a: int, b: int) -> Verdict:
         {
             "pairing_lines_through_point": pair_point,
             "pairing_lines_in_hyperplane": pair_hyper,
-            "strict_positive": pair_point > 0 and pair_hyper > 0,
+            "strict_positive": pair_point.numerator > 0 and pair_hyper.numerator > 0,
         },
         CITE_SCHUR_POSITIVITY,
     )
@@ -298,7 +354,7 @@ def schur_filter(e: int, a: int, b: int) -> Verdict:
 def schwarzenberger_filter(e: int, a: int, b: int) -> Verdict:
     """Every chi(E(k)) must be an integer.  chi(E(k)) is a polynomial of
     degree at most dim in k, so integrality at k = 0..dim settles every twist."""
-    chis = tuple(chi(a, b) for chi in scan_forms(e).chi)
+    chis = tuple(chi(b) for chi in scan_line(e, a).chi)
     return Verdict(
         "schwarzenberger",
         all(chi.denominator == 1 for chi in chis),
@@ -312,10 +368,10 @@ def griffiths_filter(e: int, a: int, b: int) -> Verdict:
     so chi(E(5)) < 0 eliminates the candidate.  Vacuous for e = 0."""
     if e == 0:
         return Verdict("griffiths", True, {"applies": False}, CITE_GRIFFITHS)
-    chi5 = scan_forms(e).chi[5](a, b)
+    chi5 = scan_line(e, a).chi[5](b)
     return Verdict(
         "griffiths",
-        chi5 >= 0,
+        chi5.numerator >= 0,
         {"applies": True, "chi_at_5": chi5},
         CITE_GRIFFITHS,
     )

@@ -119,9 +119,9 @@ def skew_lr_expansion(outer: Partition, inner: Partition) -> dict[Partition, int
     cells, in reading order, form an explicit stack, so the search depth
     meets no recursion limit.
     """
-    if not contains(outer, inner):
-        return {}
     rows = len(outer)
+    if len(inner) > rows:
+        return {}
     w = outer[0] + 1 if outer else 1
     # Label 0 marks a position with no label: unset, outside the shape, or
     # grid row 0.  Grid position (r, outer[r - 1]) holds r, the largest label
@@ -130,6 +130,8 @@ def skew_lr_expansion(outer: Partition, inner: Partition) -> dict[Partition, int
     grid = [0] * (w * (rows + 1))
     cells: list[int] = []  # grid positions, in reading order
     for r, (o, n) in enumerate(zip(outer, inner + (0,) * (rows - len(inner))), 1):
+        if n > o:
+            return {}
         base = w * r
         grid[base + o] = r
         cells += range(base + o - 1, base + n - 1, -1)

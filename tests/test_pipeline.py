@@ -43,6 +43,7 @@ from schubert.classify import (
     STEP1_SURVIVORS,
     evaluate_candidate,
     scan_forms,
+    scan_line,
     schur3_form,
     step1_survivors,
     survivors,
@@ -478,12 +479,81 @@ def test_scan_folds_each_form_once_per_twist(monkeypatch):
 
     monkeypatch.setattr(RankTwoForm, "at_twist", counting)
     scan_forms.cache_clear()
+    scan_line.cache_clear()
     enumerate_candidates.cache_clear()
     records = enumerate_candidates()
     info = scan_forms.cache_info()
     assert (info.misses, info.currsize) == (2, 2)  # one set of folded forms per e
     assert len(folds) == 2 * (G14.dimension + 1 + len(SCHUR_CYCLES))
     assert set(folds.values()) == {1}
-    # every other filter call is a hit; only Griffiths at e = 0 reads no form
-    lookups = sum(v.witness.get("applies", True) for r in records for v in r.verdicts)
-    assert info.hits + info.misses == lookups
+    # the filters read lines only: each line of the square is restricted once
+    lines = scan_line.cache_info()
+    assert lines.misses == lines.currsize == 2 * (SCAN_HI - SCAN_LO + 1)
+    assert info.hits + info.misses == lines.misses
+    # every later line lookup is a hit: positivity reads the lines of a and
+    # of b, and only Griffiths at e = 0 reads none
+    lookups = sum(
+        2 if v.rule == "positivity" else v.witness.get("applies", True)
+        for r in records
+        for v in r.verdicts
+    )
+    assert lines.hits + lines.misses == lookups
+
+
+def _plane_verdicts(e, a, b):
+    """The passed flag and witness of each filter, evaluated on the scan's
+    plane forms in (a, b) rather than on its lines."""
+    forms = scan_forms(e)
+    qa, qb = a + forms.shift, b + forms.shift
+    point, hyper = (form(a, b) for form in forms.schur)
+    chis = tuple(chi(a, b) for chi in forms.chi)
+    griffiths = (
+        (True, {"applies": False}) if e == 0 else (chis[5] >= 0, {"applies": True, "chi_at_5": chis[5]})
+    )
+    return (
+        (qa > 0 and qb > 0, {"qa": qa, "qb": qb}),
+        (
+            a <= 6 and b <= (12 if e == 0 else 13) - a,
+            {
+                "pairing_lines_through_point": point,
+                "pairing_lines_in_hyperplane": hyper,
+                "strict_positive": point > 0 and hyper > 0,
+            },
+        ),
+        (all(chi.denominator == 1 for chi in chis), {"chi": chis}),
+        griffiths,
+    )
+
+
+def _witness_types(witness):
+    return [type(x) for value in witness.values() for x in (value if isinstance(value, tuple) else (value,))]
+
+
+@pytest.mark.parametrize("e", [0, -1])
+def test_scan_lines_match_the_plane_forms(e):
+    # lines of negative a far beyond the scan square, at random b
+    rng = random.Random(1109 + e)
+    forms = scan_forms(e)
+    for a in rng.sample(range(-10**4, 0), 40):
+        line = scan_line(e, a)
+        assert type(line.qa) is Fraction and line.qa == a + forms.shift
+        point, hyper = forms.schur
+        for _ in range(10):
+            b = rng.randint(-10**4, 10**4)
+            pairs = [(line.pairing_point, point(a, b)), (line.hyper(b), hyper(a, b))]
+            pairs += [(restricted(b), form(a, b)) for restricted, form in zip(line.chi, forms.chi)]
+            assert len(pairs) == len(SCHUR_CYCLES) + G14.dimension + 1
+            for got, expected in pairs:
+                assert type(got) is Fraction and got == expected, (e, a, b)
+
+
+def test_filters_off_the_square_keep_the_line_cache_bounded():
+    rng = random.Random(5815)
+    outside = [*range(-10**4, SCAN_LO), *range(SCAN_HI + 1, 10**4)]
+    for i, a in enumerate(rng.sample(outside, 1000)):
+        e, b = -(i % 2), rng.randint(-60, 60)
+        got = [rule(e, a, b) for rule in (positivity_filter, schur_filter, schwarzenberger_filter, griffiths_filter)]
+        assert [(v.passed, v.witness) for v in got] == list(_plane_verdicts(e, a, b)), (e, a, b)
+        for v in got:
+            assert all(t is bool or t is Fraction for t in _witness_types(v.witness)), (e, a, b, v.rule)
+        assert scan_line.cache_info().currsize <= 2 * (SCAN_HI - SCAN_LO + 1)
