@@ -11,20 +11,17 @@ document is a fixed frame of lists, and one list writer streams them, each
 item in one write; no dict tree is built and no whole list is held as one
 string.  A final-list entry is written by ``_final_json_text``.
 
-A candidate record has two general writers: ``_record_json_text``, and
-``_record_row`` through ``csv.writer`` for the csv table of ``filter``.
-Within one render call the record lists are written from one template per
-record shape, cut from those writers.  A shape fixes every byte but e, a, b
-and the witness numbers: status, detail, and per verdict the rule, passed,
-citation and witness keys, with the kind of each witness value (bool, None,
-a number, or a tuple of n numbers).  Its template is the general writer's
-text of a copy of the record with unique markers for e, a, b and the
-numbers, each marker cut into a ``%s`` slot and every other ``%`` doubled.
-A record falls back to its general writer when a witness is of another kind
-(a string, a ``SplittingType``, a nested tuple), when a coordinate is not an
-int, when a marker does not occur exactly once in the marker text, and, in
-csv, when the marker row quotes a cell.  The templates live in a dict local
-to the call; no rendered text outlives it.
+A candidate record has one writer per format, ``_record_json_format`` and
+``_record_csv_format`` (the csv line of ``_record_row``), and each writes a
+``%``-format: the record's text with a ``%s`` slot for each of e, a, b and
+each witness number, every other ``%`` doubled.  Within one render call a
+record list is written from one format per record shape, each record as
+``formats[shape] % values``.  A shape, ``_record_shape``, fixes every byte
+but the slots: status, detail, and per verdict the rule, passed, citation
+and witness keys, with each witness value keyed by its kind (bool, None, a
+number, a tuple or list of keyed items, or any other value by its str).
+Every record has a shape.  The formats live in a dict local to the call;
+no rendered text outlives it.
 
 The other csv and plain tables go through one table printer, which streams
 csv row by row; each row is a sequence of cells in column order, read
@@ -41,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import os
 import sys
@@ -57,7 +53,6 @@ from .classify import (
     BundleType,
     CandidateRecord,
     ReplayMismatch,
-    Verdict,
     enumerate_candidates,
     fano_splitting_types,
     replay_proof,
@@ -98,14 +93,20 @@ def _frac_json(value: int | Fraction) -> dict:
     return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
-def _witness_text(value) -> str:
+def _witness_text(value, slots: bool = False) -> str:
+    """The text of a witness value in a csv or plain cell: bool and None in
+    lower case, a tuple or list (a SplittingType too) its items joined by
+    '|', anything else its str.  With ``slots``, as in a record's csv format:
+    each number is a ``%s`` slot and every other ``%`` is doubled."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
         return "none"
     if isinstance(value, (tuple, list)):
-        return "|".join(_witness_text(v) for v in value)
-    return str(value)
+        return "|".join([_witness_text(v, slots) for v in value])
+    if not slots:
+        return str(value)
+    return "%s" if isinstance(value, (int, Fraction)) else str(value).replace("%", "%%")
 
 
 def _write_json_list(items, text, newline: str) -> None:
@@ -161,10 +162,64 @@ def _record_row(rec: CandidateRecord) -> tuple:
             _witness_string(rec))
 
 
-def _witness_json_text(value, newline: str) -> str:
-    """A witness value as JSON text at the indent of ``newline``: bool and
-    None as themselves, int and Fraction as ``{"num", "den"}`` strings, any
-    tuple or list (a SplittingType too) as a list, anything else as its str."""
+# -- candidate records, written from one format per shape ------------------------
+
+_NUMBER_TYPES = frozenset((int, Fraction))
+
+
+def _witness_key(value, numbers: list):
+    """The key of a witness value in a record's shape, each number in it
+    appended to ``numbers``: bool and None as themselves, a number (an int
+    or a Fraction, a bool none) as the class Fraction, a tuple or list (a
+    SplittingType too) as the tuple of its items' keys, and any other value
+    as its str, which is all of it that the record's text holds."""
+    if value is True or value is False or value is None:
+        return value
+    if isinstance(value, (int, Fraction)):
+        numbers.append(value)
+        return Fraction
+    if isinstance(value, (tuple, list)):
+        if _NUMBER_TYPES.issuperset(map(type, value)):  # the items' keys in one step
+            numbers += value
+            return (Fraction,) * len(value)
+        return tuple([_witness_key(v, numbers) for v in value])
+    return str(value)
+
+
+def _record_shape(rec: CandidateRecord):
+    """The shape of ``rec`` and its numbers.
+
+    The shape fixes every byte of the record's text but e, a, b and the
+    witness numbers: status, detail, and per verdict its rule, passed,
+    citation and witness keys, each key's ``_witness_key`` after them.  The
+    numbers are e, a, b, then the witness numbers in order."""
+    numbers = list(rec.data)
+    shape = [rec.status, rec.detail]
+    for v in rec.verdicts:
+        witness = v.witness
+        shape.append((v.rule, v.passed, v.citation, *witness))
+        for value in witness.values():  # the common kinds inline, each other one keyed in full
+            kind = type(value)
+            if kind is int or kind is Fraction:
+                numbers.append(value)
+                shape.append(Fraction)
+            elif value is True or value is False or value is None:
+                shape.append(value)
+            else:
+                shape.append(_witness_key(value, numbers))
+    return tuple(shape), numbers
+
+
+def _json_string(text: str) -> str:
+    """``text`` as a JSON string in a format: ASCII-escaped, ``%`` doubled."""
+    return encode_basestring_ascii(text).replace("%", "%%")
+
+
+def _witness_json_format(value, newline: str) -> str:
+    """A witness value as JSON text at the indent of ``newline``, in a
+    format: bool and None as themselves, a number as ``{"num", "den"}`` with
+    a ``%s`` slot for each, any tuple or list (a SplittingType too) as a
+    list, anything else as its str."""
     if value is True:
         return "true"
     if value is False:
@@ -173,19 +228,21 @@ def _witness_json_text(value, newline: str) -> str:
         return "null"
     inner = newline + "  "
     if isinstance(value, (int, Fraction)):
-        return f'{{{inner}"num": "{value.numerator}",{inner}"den": "{value.denominator}"{newline}}}'
+        return f'{{{inner}"num": "%s",{inner}"den": "%s"{newline}}}'
     if isinstance(value, (tuple, list)):
         if not value:
             return "[]"
-        items = ("," + inner).join([_witness_json_text(v, inner) for v in value])
+        items = ("," + inner).join([_witness_json_format(v, inner) for v in value])
         return f"[{inner}{items}{newline}]"
-    return encode_basestring_ascii(str(value))
+    return _json_string(str(value))
 
 
-def _record_json_text(rec: CandidateRecord, newline: str) -> str:
-    """The JSON object of ``rec`` at the indent of ``newline``, as
-    ``json.dumps(indent=2)`` writes it: e, a, b, status, detail, then the
-    verdicts, each an object of rule, passed, witness and citation."""
+def _record_json_format(rec: CandidateRecord, newline: str) -> str:
+    """The format of ``rec``'s JSON object at the indent of ``newline``, laid
+    out as ``json.dumps(indent=2)`` writes it: e, a, b, status, detail, then
+    the verdicts, each an object of rule, passed, witness and citation.  It
+    has a ``%s`` slot for each of e, a, b and for each witness number's
+    numerator and denominator; every other ``%`` is doubled."""
     key = newline + "  "  # the record's keys
     item = key + "  "  # the verdict objects
     field = item + "  "  # their keys
@@ -193,151 +250,57 @@ def _record_json_text(rec: CandidateRecord, newline: str) -> str:
     verdicts = []
     for v in rec.verdicts:
         witness = ",".join([
-            f"{entry}{encode_basestring_ascii(k)}: {_witness_json_text(val, entry)}"
+            f"{entry}{_json_string(k)}: {_witness_json_format(val, entry)}"
             for k, val in v.witness.items()
         ])
         verdicts.append(
-            f'{{{field}"rule": {encode_basestring_ascii(v.rule)},'
+            f'{{{field}"rule": {_json_string(v.rule)},'
             f'{field}"passed": {"true" if v.passed else "false"},'
             f'{field}"witness": {"{" + witness + field + "}" if witness else "{}"},'
-            f'{field}"citation": {encode_basestring_ascii(v.citation)}{item}}}'
+            f'{field}"citation": {_json_string(v.citation)}{item}}}'
         )
     verdict_list = "[" + item + ("," + item).join(verdicts) + key + "]" if verdicts else "[]"
-    e, a, b = map(int.__repr__, rec.data)  # a Fraction raises TypeError
     return (
-        f'{{{key}"e": {e},{key}"a": {a},{key}"b": {b},'
-        f'{key}"status": {encode_basestring_ascii(rec.status)},'
-        f'{key}"detail": {encode_basestring_ascii(rec.detail)},'
+        f'{{{key}"e": %s,{key}"a": %s,{key}"b": %s,'
+        f'{key}"status": {_json_string(rec.status)},'
+        f'{key}"detail": {_json_string(rec.detail)},'
         f'{key}"verdicts": {verdict_list}{newline}}}'
     )
 
 
-# -- candidate records, written from one template per shape ---------------------
-
-# The first marker: markers are consecutive ints from here, so all have one
-# width, and two neighbours, a witness number's numerator and denominator, are coprime.
-_MARKER = 10**15
-
-_NUMBER_TYPES = frozenset((int, Fraction))
-
-
-def _record_shape(rec: CandidateRecord):
-    """The shape of ``rec`` and its numbers, or None when it has no template.
-
-    The shape fixes every byte of the record's text but e, a, b and the
-    witness numbers: status, detail, and per verdict its rule, passed,
-    citation and witness keys, each key's value kind after it (bool and None
-    as themselves, "n" for a number, ~n for a tuple of n numbers). The
-    numbers are e, a, b, then the witness numbers in order. A coordinate not
-    an int, or a witness of any other kind (a string, a SplittingType, a
-    nested tuple), has no template."""
-    e, a, b = rec.data
-    if not (type(e) is int and type(a) is int and type(b) is int):
-        return None
-    numbers = [e, a, b]
-    shape = [rec.status, rec.detail]
-    for v in rec.verdicts:
-        witness = v.witness
-        shape.append((v.rule, v.passed, v.citation, *witness))
-        for value in witness.values():
-            kind = type(value)
-            if kind is int or kind is Fraction:  # by type, so a bool is no number
-                numbers.append(value)
-                shape.append("n")
-            elif value is True or value is False or value is None:
-                shape.append(value)
-            elif kind is tuple and _NUMBER_TYPES.issuperset(map(type, value)):
-                numbers += value
-                shape.append(~len(value))
-            else:
-                return None
-    return tuple(shape), numbers
-
-
-def _marked(rec: CandidateRecord) -> tuple[CandidateRecord, list]:
-    """A copy of a record that has a shape, with e, a, b and its witness
-    numbers replaced by markers, and the markers in order: e, a, b get the
-    ints from _MARKER, each number the fraction of the next two."""
-    count = itertools.count(_MARKER)
-    markers = [next(count) for _ in range(3)]
-
-    def mark(value):
-        if type(value) is tuple:
-            return tuple(map(mark, value))
-        if type(value) in _NUMBER_TYPES:
-            markers.append(Fraction(next(count), next(count)))
-            return markers[-1]
-        return value
-
-    data = RankTwoData(*markers)
-    verdicts = tuple(
-        Verdict(v.rule, v.passed, {k: mark(val) for k, val in v.witness.items()}, v.citation)
-        for v in rec.verdicts
-    )
-    return CandidateRecord(data, verdicts, rec.status, rec.detail), markers
-
-
-def _cut(text: str, markers: list[str]) -> str | None:
-    """``text`` with every ``%`` doubled and each marker cut into a ``%s``
-    slot, or None unless each marker occurs in it exactly once, in order."""
-    if any(text.count(m) != 1 for m in markers):
-        return None
-    parts = []
-    for m in markers:
-        head, found, text = text.partition(m)
-        if not found:
-            return None
-        parts.append(head.replace("%", "%%"))
-    parts.append(text.replace("%", "%%"))
-    return "%s".join(parts)
-
-
-def _json_template(rec: CandidateRecord, newline: str) -> str | None:
-    """The text of ``_record_json_text(rec, newline)`` with a slot for each of
-    e, a, b and each witness number's numerator and denominator."""
-    marked, markers = _marked(rec)
-    slots = [str(m) for m in markers[:3]]
-    slots += [str(m) for marker in markers[3:] for m in (marker.numerator, marker.denominator)]
-    return _cut(_record_json_text(marked, newline), slots)
-
-
 def _json_values(numbers: list) -> tuple:
-    """The slot values of a JSON template: e, a, b, then each witness number's
-    numerator and denominator."""
+    """The slot values of a record's JSON format: e, a, b through
+    ``int.__repr__`` (a Fraction or a float raises TypeError, a bool is 1 or
+    0), then each witness number's numerator and denominator."""
     values = numbers[:3]
+    if not (type(values[0]) is int and type(values[1]) is int and type(values[2]) is int):
+        values = [*map(int.__repr__, values)]
     for n in numbers[3:]:
         values += n.as_integer_ratio()
     return tuple(values)
 
 
-def _templated(general, build, values):
-    """A render of records: a record with a shape is written as its shape's
-    template % ``values(numbers)``, the template built once by ``build(rec)``;
-    a record without a shape, or whose shape ``build`` gives None, is written
-    by ``general(rec)``. The templates live as long as the render."""
-    templates = {}
+def _templated(build, values):
+    """A render of records: each is written as its shape's format %
+    ``values(numbers)``, the format built by ``build(rec)`` for the shape's
+    first record.  The formats live as long as the render."""
+    formats = {}
 
     def render(rec: CandidateRecord) -> str:
-        shaped = _record_shape(rec)
-        if shaped is not None:
-            shape, numbers = shaped
-            template = templates.get(shape)
-            if template is None:
-                template = templates[shape] = build(rec) or ""
-            if template:
-                return template % values(numbers)
-        return general(rec)
+        shape, numbers = _record_shape(rec)
+        fmt = formats.get(shape)
+        if fmt is None:
+            fmt = formats[shape] = build(rec)
+        return fmt % values(numbers)
 
     return render
 
 
 def _write_records_json(records, newline: str) -> None:
-    """Write ``records`` as ``_write_json_list(records, _record_json_text,
-    newline)`` does, each from its shape's template."""
+    """Write ``records`` as ``json.dumps(indent=2)`` lays out their list at
+    the indent of ``newline``, each from its shape's format."""
     inner = newline + "  "
-    render = _templated(
-        lambda rec: _record_json_text(rec, inner), lambda rec: _json_template(rec, inner), _json_values
-    )
+    render = _templated(lambda rec: _record_json_format(rec, inner), _json_values)
     _write_json_list(records, lambda rec, _: render(rec), newline)
 
 
@@ -347,25 +310,27 @@ def _csv_line_writer():
     return csv.writer(SimpleNamespace(write=str), lineterminator="\n")
 
 
-def _csv_template(rec: CandidateRecord) -> str | None:
-    """The csv line of ``_record_row(rec)`` with a slot for each of e, a, b
-    and each witness number, or None when a cell of it is quoted, since
-    csv quotes and escapes a cell as a whole."""
-    marked, markers = _marked(rec)
-    text = _csv_line_writer().writerow(_record_row(marked))
-    if '"' in text or "\r" in text or "\n" in text[:-1]:
-        return None
-    return _cut(text, [str(m) for m in markers])
+def _record_csv_format(rec: CandidateRecord) -> str:
+    """The format of the csv line of ``_record_row(rec)``: a ``%s`` slot for
+    each of e, a, b and each witness number, every other ``%`` doubled.
+    csv quotes and escapes a cell by its literal text alone, as neither
+    ``%s`` nor a number's text holds a character it quotes."""
+    _, _, _, *marks, status, detail, _ = _record_row(rec)
+    witness = ";".join(
+        f"{k.replace('%', '%%')}={_witness_text(val, slots=True)}"
+        for v in rec.verdicts for k, val in v.witness.items()
+    )
+    cells = ("%s", "%s", "%s", *marks, status.replace("%", "%%"), detail.replace("%", "%%"), witness)
+    return _csv_line_writer().writerow(cells)
 
 
 def _write_records_csv(records) -> None:
     """Write the ``filter`` csv table of ``records`` as ``_print_table("csv",
     FILTER_COLUMNS, map(_record_row, records))`` does, each row from its
-    shape's template."""
-    line = _csv_line_writer().writerow
-    render = _templated(lambda rec: line(_record_row(rec)), _csv_template, tuple)
+    shape's format."""
+    render = _templated(_record_csv_format, tuple)
     write = sys.stdout.write
-    write(line(FILTER_COLUMNS))
+    write(_csv_line_writer().writerow(FILTER_COLUMNS))
     for rec in records:
         write(render(rec))
 

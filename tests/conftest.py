@@ -4,6 +4,8 @@ from hypothesis import settings
 from schubert import GrassmannRing
 
 settings.register_profile("suite", max_examples=60, deadline=None, derandomize=True)
+# A deeper run of the same derandomized examples: pytest --hypothesis-profile=deep
+settings.register_profile("deep", max_examples=500, deadline=None, derandomize=True)
 settings.load_profile("suite")
 
 

@@ -15,19 +15,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from schubert import classify
+from schubert import classify, cli
 from schubert.charclass import RankTwoData, rank_two_chern
 from schubert.chow import ChowClass
 from schubert.cli import (
-    _MARKER,
     FILTER_COLUMNS,
     MAX_CHI_ARGUMENT,
     MAX_SPLITTING_TYPES_N,
-    _csv_template,
     _final_json_text,
-    _json_template,
     _print_table,
-    _record_json_text,
     _record_row,
     _record_shape,
     _write_json_list,
@@ -404,20 +400,20 @@ def test_indented_json_round_trips_through_the_stdlib(capsys, command):
     assert json.dumps(json.loads(out), indent=2) + "\n" == out
 
 
-# -- the list writer and its templates against json.dumps(indent=2) ----------------------
+# -- the list writer and the record and entry writers against json.dumps(indent=2) -------
 
 # Quotes, backslashes, control characters, a lone surrogate and non-ASCII
 # text, each drawn often enough to appear in most values.
 json_text = st.text(st.characters() | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028\ud800é€😀'))
 
 
-def captured_json(items, text, depth: int) -> str:
-    """``items`` as the list writer writes them with the template ``text``: at
-    depth 0, as the document of ``filter``, or at depth 1, as ``replay`` writes
-    its lists, framed here as the value of the key "k" to make one document."""
+def captured_json(depth: int, write, *args) -> str:
+    """What ``write(*args, newline)`` writes of a list: at depth 0, as the
+    document of ``filter``, or at depth 1, as ``replay`` writes its lists,
+    framed here as the value of the key "k" to make one document."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        _write_json_list(items, text, "\n  " if depth else "\n")
+        write(*args, "\n  " if depth else "\n")
     return '{\n  "k": ' + buf.getvalue() + "\n}" if depth else buf.getvalue()
 
 
@@ -427,10 +423,11 @@ def json_dumps_at_depth(forms: list, depth: int) -> str:
 
 def test_list_writer_writes_an_empty_list_as_json_dumps():
     for depth in (0, 1):
-        assert captured_json([], _record_json_text, depth) == json_dumps_at_depth([], depth)
+        assert captured_json(depth, _write_json_list, [], _final_json_text) == json_dumps_at_depth([], depth)
+        assert captured_json(depth, _write_records_json, []) == json_dumps_at_depth([], depth)
 
 
-# -- candidate records, written from one template ---------------------------------------
+# -- candidate records, written from one format per shape -------------------------------
 
 
 def record_json_form(rec: classify.CandidateRecord) -> dict:
@@ -466,7 +463,7 @@ def record_json_form(rec: classify.CandidateRecord) -> dict:
 def assert_records_written_as_json_dumps(records: list) -> None:
     forms = [record_json_form(rec) for rec in records]
     for depth in (0, 1):
-        got = captured_json(records, _record_json_text, depth)
+        got = captured_json(depth, _write_records_json, records)
         assert got == json_dumps_at_depth(forms, depth), (records[0].data, depth)
 
 
@@ -555,7 +552,8 @@ def final_json_form(entry: classify.BundleType) -> dict:
 def assert_entries_written_as_json_dumps(entries) -> None:
     forms = [final_json_form(entry) for entry in entries]
     for depth in (0, 1):
-        assert captured_json(entries, _final_json_text, depth) == json_dumps_at_depth(forms, depth), depth
+        got = captured_json(depth, _write_json_list, entries, _final_json_text)
+        assert got == json_dumps_at_depth(forms, depth), depth
 
 
 def test_final_template_matches_json_dumps_on_the_final_list():
@@ -589,9 +587,15 @@ def test_final_template_matches_json_dumps_on_synthetic_entries(entry):
 
 @pytest.mark.parametrize("value", [0.0, 1.5, Fraction(1, 2)])
 def test_templates_write_integer_coordinates_only(value):
+    # JSON writes an int coordinate only; csv writes any coordinate as its str
     data = RankTwoData(0, value, 0)
-    with pytest.raises(TypeError):
-        _record_json_text(classify.CandidateRecord(data, (), "", ""), "\n")
+    rec = classify.CandidateRecord(data, (), "", "")
+    for records in ([rec], [classify.CandidateRecord(RankTwoData(0, 0, 0), (), "", ""), rec]):
+        with pytest.raises(TypeError):
+            captured_stdout(_write_records_json, records, "\n")
+    lines = captured_stdout(_write_records_csv, [rec, rec]).splitlines(keepends=True)
+    assert lines == csv_lines(FILTER_CSV_HEADER, map(filter_csv_cells, [rec, rec]))
+    assert lines[1] == f"0,{value},0,,,,,,,\n"  # 1/2 for the Fraction
     with pytest.raises(TypeError):
         _final_json_text(classify.BundleType("split", None, data, ""), "\n")
     split = classify.SplittingType(value, 0)
@@ -718,14 +722,15 @@ def filter_records(draw) -> classify.CandidateRecord:
     'schur, "quoted"\r\n',
 )])
 def test_filter_csv_rows_match_an_independent_writer_on_synthetic_records(records):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        _print_table("csv", FILTER_COLUMNS, map(_record_row, records))
+    # the plain table's rows through csv.writer, and the filter csv records, each from its format
     expected = csv_lines(FILTER_CSV_HEADER, map(filter_csv_cells, records))
-    assert buf.getvalue().splitlines(keepends=True) == expected
+    assert general_csv(records).splitlines(keepends=True) == expected
+    assert captured_stdout(_write_records_csv, records + records).splitlines(keepends=True) == (
+        expected + expected[1:]
+    )
 
 
-# -- records written from one template per shape, against the general writers ---------
+# -- records written from one format per shape, against the oracles -------------------
 
 
 def captured_stdout(write, *args) -> str:
@@ -736,18 +741,24 @@ def captured_stdout(write, *args) -> str:
 
 
 def general_csv(records) -> str:
+    """The csv of ``_record_row``, the cells the plain table prints, through csv.writer."""
     return captured_stdout(_print_table, "csv", FILTER_COLUMNS, map(_record_row, records))
 
 
-def assert_templates_write_as_the_general_writers(records: list) -> None:
-    for newline in ("\n", "\n  "):
-        expected = captured_stdout(_write_json_list, records, _record_json_text, newline)
-        assert captured_stdout(_write_records_json, records, newline) == expected, repr(newline)
-    assert captured_stdout(_write_records_csv, records) == general_csv(records)
+def assert_records_written_as_the_oracles(records: list) -> None:
+    """The JSON of ``records`` against json.dumps(indent=2) at both depths, and
+    their csv against the independent writer, whose marks read FILTER_RULES by
+    name, or, for the replay's step rules, against ``general_csv``."""
+    assert_records_written_as_json_dumps(records)
+    got = captured_stdout(_write_records_csv, records)
+    if all(v.rule in classify.FILTER_RULES for rec in records for v in rec.verdicts):
+        assert got.splitlines(keepends=True) == csv_lines(FILTER_CSV_HEADER, map(filter_csv_cells, records))
+    else:
+        assert got == general_csv(records)
 
 
-# The scan's records have this many shapes, each with a JSON and a csv template;
-# a new witness kind that falls back to the general writers changes the count.
+# The scan's records have this many shapes, each with one JSON and one csv
+# format per render call; every witness kind has a shape, and none falls back.
 SCAN_SHAPES = 7
 
 
@@ -755,42 +766,87 @@ def test_every_scan_shape_and_replayed_record_writes_through_its_template():
     scan = classify.enumerate_candidates()
     shapes = {}
     for rec in scan:
-        shaped = _record_shape(rec)
-        assert shaped is not None, rec
-        shapes.setdefault(shaped[0], rec)
+        shapes.setdefault(_record_shape(rec)[0], rec)
     assert len(shapes) == SCAN_SHAPES
-    for rec in shapes.values():
-        # a record's own indent in the filter and the replay documents
-        assert _csv_template(rec) and all(_json_template(rec, newline) for newline in ("\n  ", "\n    "))
     report = classify.replay_proof()
     steps = [*report.step2_results, *report.step3_table, *report.step4_results]
-    assert_templates_write_as_the_general_writers([*scan, *steps])
+    assert_records_written_as_the_oracles(scan)
+    assert_records_written_as_the_oracles([*scan, *steps])
     for rec in [*shapes.values(), *steps]:
-        assert_templates_write_as_the_general_writers([rec])
+        assert_records_written_as_the_oracles([rec])
 
 
-# Text a template holds: '%' and format specifiers, which it must escape, and
-# the witness cell's separators.
-template_text = st.lists(
+def test_each_render_call_builds_one_format_per_shape(capsys, monkeypatch):
+    built = []  # the record each format was built from, in order
+
+    def counted(build):
+        def counting(rec, *args):
+            built.append(rec)
+            return build(rec, *args)
+
+        return counting
+
+    monkeypatch.setattr(cli, "_record_json_format", counted(cli._record_json_format))
+    monkeypatch.setattr(cli, "_record_csv_format", counted(cli._record_csv_format))
+    for fmt in ("json", "csv"):
+        built.clear()
+        code, _, _ = run(capsys, "filter", "--format", fmt)
+        assert code == 0
+        assert len(built) == len({_record_shape(rec)[0] for rec in built}) == SCAN_SHAPES, fmt
+
+    # replay --format json: one format per distinct shape of each of its record lists
+    calls = []
+    write_records_json = cli._write_records_json
+
+    def one_call(records, newline):
+        start = len(built)
+        write_records_json(records, newline)
+        calls.append((records, built[start:]))
+
+    monkeypatch.setattr(cli, "_write_records_json", one_call)
+    code, _, _ = run(capsys, "replay", "--format", "json")
+    assert code == 0
+    assert [len(records) for records, _ in calls] == [1458, 1, 5, 3]
+    for records, formats in calls:
+        shapes = [_record_shape(rec)[0] for rec in formats]
+        assert len(shapes) == len(set(shapes)) == len({_record_shape(rec)[0] for rec in records})
+    # step 4: the two records whose split_detect is a SplittingType are written from formats too
+    step4, step4_formats = calls[3]
+    split = [rec for rec in step4 if type(rec.verdicts[-1].witness["split_detect"]) is classify.SplittingType]
+    assert len(split) == 2 and len(step4_formats) == 3
+    assert {_record_shape(rec)[0] for rec in split} <= {_record_shape(rec)[0] for rec in step4_formats}
+
+    # a second render call builds its formats again: no text outlives a call
+    scan = classify.enumerate_candidates()
+    for write, args in ((write_records_json, (scan, "\n")), (cli._write_records_csv, (scan,))):
+        built.clear()
+        first = captured_stdout(write, *args)
+        assert captured_stdout(write, *args) == first
+        assert len(built) == 2 * SCAN_SHAPES
+
+
+# Text with '%' and format specifiers, which a format must escape, and the
+# witness cell's separators.
+format_text = st.lists(
     st.characters() | st.sampled_from(["%", "%s", "%%", "%(e)d", ";", "|", "="]), max_size=4
 ).map("".join)
-# Text no template can hold: a digit run equal to a marker, or what csv quotes.
-MARKER_RUNS = [str(_MARKER + i) for i in (0, 1, 2, 3, 4, 9)]
-untemplated_text = st.tuples(
-    template_text, st.sampled_from([",", '"', "\r", "\n", *MARKER_RUNS]), template_text
+# Long digit runs, like the numbers written into the slots, and what csv quotes.
+LONG_DIGIT_RUNS = [str(10**15 + i) for i in (0, 1, 2, 3, 4, 9)]
+rare_text = st.tuples(
+    format_text, st.sampled_from([",", '"', "\r", "\n", *LONG_DIGIT_RUNS]), format_text
 ).map("".join)
-template_numbers = (
+slot_numbers = (
     big_ints
     | st.fractions()
     | st.builds(Fraction, big_ints, st.integers(1, 10**30))
-    | st.sampled_from([_MARKER, Fraction(_MARKER + 3, _MARKER + 4)])
+    | st.sampled_from([10**15, Fraction(10**15 + 3, 10**15 + 4)])
 )
-# Witness kinds a template holds, and kinds that fall back to the general writers.
-template_witness_values = (
-    st.none() | st.booleans() | template_numbers | st.lists(template_numbers, max_size=4).map(tuple)
+# Witness kinds as the scan's records hold them, and every other kind the step records may hold.
+common_witness_values = (
+    st.none() | st.booleans() | slot_numbers | st.lists(slot_numbers, max_size=4).map(tuple)
 )
-untemplated_witness_values = st.sampled_from(
-    [classify.SplittingType(-2, 3), (1, (2,)), (Fraction(1, 2), "x"), [1, 2], "1"]
+rare_witness_values = st.sampled_from(
+    [classify.SplittingType(-2, 3), (1, (2,)), (Fraction(1, 2), "x"), [1, 2], "1", "%s", "100%"]
 )
 
 
@@ -808,7 +864,7 @@ def renumbered(rec: classify.CandidateRecord, draw) -> classify.CandidateRecord:
     def number(value):
         if type(value) is tuple:
             return tuple(map(number, value))
-        return draw(template_numbers) if type(value) in (int, Fraction) else value
+        return draw(slot_numbers) if type(value) in (int, Fraction) else value
 
     verdicts = tuple(
         classify.Verdict(v.rule, v.passed, {k: number(x) for k, x in v.witness.items()}, v.citation)
@@ -819,8 +875,8 @@ def renumbered(rec: classify.CandidateRecord, draw) -> classify.CandidateRecord:
 
 
 def changed(rec: classify.CandidateRecord, field: str, draw) -> classify.CandidateRecord:
-    """``rec`` with one fixed field changed, now and then to one no template holds."""
-    text = mostly(template_text, untemplated_text)
+    """``rec`` with one fixed field changed, now and then to rare text or a rare witness kind."""
+    text = mostly(format_text, rare_text)
     if field in ("status", "detail"):
         new = draw(text)
         status, detail = (new, rec.detail) if field == "status" else (rec.status, new)
@@ -843,7 +899,7 @@ def changed(rec: classify.CandidateRecord, field: str, draw) -> classify.Candida
             new_key = draw(text)
             witness = {new_key if n == j else k: x for n, (k, x) in enumerate(witness.items())}
         else:
-            new_value = draw(mostly(template_witness_values, untemplated_witness_values))
+            new_value = draw(mostly(common_witness_values, rare_witness_values))
             witness = {k: new_value if n == j else x for n, (k, x) in enumerate(witness.items())}
     verdicts[i] = classify.Verdict(rule, passed, witness, citation)
     return classify.CandidateRecord(rec.data, tuple(verdicts), rec.status, rec.detail)
@@ -858,13 +914,13 @@ def records_of_one_shape(draw, fields=FIXED_FIELDS) -> list:
         classify.Verdict(
             rule,
             draw(st.booleans()),
-            draw(st.dictionaries(template_text, template_witness_values, max_size=4)),
-            draw(template_text),
+            draw(st.dictionaries(format_text, common_witness_values, max_size=4)),
+            draw(format_text),
         )
         for rule in classify.FILTER_RULES[:reached]
     )
     base = classify.CandidateRecord(RankTwoData(*(draw(big_ints) for _ in range(3))), verdicts,
-                                    draw(template_text), draw(template_text))
+                                    draw(format_text), draw(format_text))
     records = [base]
     for _ in range(draw(st.integers(1, 4))):
         rec = renumbered(base, draw)
@@ -873,19 +929,19 @@ def records_of_one_shape(draw, fields=FIXED_FIELDS) -> list:
     return draw(st.permutations(records))
 
 
-# One record whose witness key holds a comma, one whose detail holds a
-# marker, and one whose detail holds '%': the first two fall back.
+# One record whose witness key holds a comma, so csv quotes its witness cell,
+# one whose detail holds a long digit run, and one whose detail holds '%'.
 COMMA_KEY = classify.CandidateRecord(
     RankTwoData(-1, 6, 6),
     (classify.Verdict("positivity", True, {"a,b": Fraction(7, 2), "c": (1, Fraction(-1, 3))}, "x"),),
     "surviving",
     "",
 )
-MARKER_DETAIL = classify.CandidateRecord(
+DIGIT_RUN_DETAIL = classify.CandidateRecord(
     RankTwoData(0, 1, 2),
     (classify.Verdict("positivity", False, {"q": Fraction(1, 2)}, ""),),
     "eliminated",
-    f"positivity {MARKER_RUNS[0]}",
+    f"positivity {LONG_DIGIT_RUNS[0]}",
 )
 PERCENT_DETAIL = classify.CandidateRecord(RankTwoData(0, -3, 4), (), "eliminated", "100%s %(e)d %%")
 
@@ -895,7 +951,8 @@ def with_witness(value) -> classify.CandidateRecord:
     return classify.CandidateRecord(RankTwoData(-1, 2, 3), (verdict,), "surviving", "")
 
 
-# One record with a witness of each kind: the first six kinds have a template, the last five none.
+# One record with a witness of each kind: the first six as the scan's records
+# hold them, then a SplittingType, a nested tuple, a tuple with a string, a list and a string.
 WITNESS_KINDS = [
     with_witness(value)
     for value in (
@@ -905,39 +962,46 @@ WITNESS_KINDS = [
 ]
 
 
-def test_templates_fall_back_on_quoted_cells_repeated_markers_and_other_kinds():
-    assert _csv_template(COMMA_KEY) is None and _json_template(COMMA_KEY, "\n")
-    assert _csv_template(MARKER_DETAIL) is None and _json_template(MARKER_DETAIL, "\n") is None
-    assert _csv_template(PERCENT_DETAIL) and _json_template(PERCENT_DETAIL, "\n")
-    records = [COMMA_KEY, MARKER_DETAIL, PERCENT_DETAIL]
-    assert_templates_write_as_the_general_writers(records + records)
-    assert [_record_shape(rec) is None for rec in WITNESS_KINDS] == [False] * 6 + [True] * 5
-    assert_templates_write_as_the_general_writers(WITNESS_KINDS + WITNESS_KINDS[::-1])
+# Records whose witness differs from one of WITNESS_KINDS in its text alone, or
+# is False beside None: each needs a format of its own.
+WITNESS_TEXTS = [
+    with_witness(value) for value in ("2", "%s", (Fraction(1, 2), "y"), False, (None, "x"), (False, "x"))
+]
 
 
-def test_templates_leave_coordinates_not_int_to_the_general_writers():
+def test_formats_write_quoted_cells_digit_runs_percent_and_every_witness_kind():
+    records = [COMMA_KEY, DIGIT_RUN_DETAIL, PERCENT_DETAIL, *WITNESS_KINDS, *WITNESS_TEXTS]
+    # a SplittingType and the list [1, 2] have the shape of the pair (Fraction(1, 2), 3)
+    assert len({_record_shape(rec)[0] for rec in WITNESS_KINDS}) == len(WITNESS_KINDS) - 2
+    assert '"a,b=7/2;c=1|-1/3"' in captured_stdout(_write_records_csv, [COMMA_KEY])
+    assert_records_written_as_the_oracles(records + records)
+    assert_records_written_as_the_oracles(records + records[::-1])
+
+
+def test_formats_write_coordinates_not_int_as_the_oracles_do():
     flag = classify.CandidateRecord(RankTwoData(True, 0, 0), (), "", "")
     half = classify.CandidateRecord(RankTwoData(0, Fraction(1, 2), 0), (), "", "")
-    assert _record_shape(flag) is None and _record_shape(half) is None
-    assert_templates_write_as_the_general_writers([flag])  # e is 1 in JSON, True in csv
+    # a bool coordinate is 1 in JSON, as int.__repr__ writes it, and True in csv
+    for depth in (0, 1):
+        got = captured_json(depth, _write_records_json, [flag, flag])
+        assert got == json_dumps_at_depth([dict(record_json_form(flag), e=1)] * 2, depth)
+    lines = captured_stdout(_write_records_csv, [flag, half, flag, half]).splitlines(keepends=True)
+    assert lines == csv_lines(FILTER_CSV_HEADER, map(filter_csv_cells, [flag, half, flag, half]))
+    assert lines[1:3] == ["True,0,0,,,,,,,\n", "0,1/2,0,,,,,,,\n"]
     with pytest.raises(TypeError):
-        captured_stdout(_write_records_json, [half], "\n")
-    assert captured_stdout(_write_records_csv, [half]) == general_csv([half])
+        captured_stdout(_write_records_json, [flag, half], "\n")
 
 
 @given(records_of_one_shape())
-@example([COMMA_KEY, MARKER_DETAIL, PERCENT_DETAIL])
+@example([COMMA_KEY, DIGIT_RUN_DETAIL, PERCENT_DETAIL])
 @example(WITNESS_KINDS)
 def test_record_templates_match_json_dumps_on_records_of_one_shape(records):
-    forms = [record_json_form(rec) for rec in records]
-    for depth in (0, 1):
-        got = captured_stdout(_write_records_json, records, "\n  " if depth else "\n")
-        assert (got if depth == 0 else '{\n  "k": ' + got + "\n}") == json_dumps_at_depth(forms, depth)
+    assert_records_written_as_json_dumps(records)
 
 
 # csv writes no rule: the verdicts follow FILTER_RULES, and the oracle reads them by name.
 @given(records_of_one_shape(fields=tuple(f for f in FIXED_FIELDS if f != "rule")))
-@example([COMMA_KEY, MARKER_DETAIL, PERCENT_DETAIL])
+@example([COMMA_KEY, DIGIT_RUN_DETAIL, PERCENT_DETAIL])
 @example(WITNESS_KINDS)
 def test_record_templates_match_an_independent_csv_writer_on_records_of_one_shape(records):
     expected = csv_lines(FILTER_CSV_HEADER, map(filter_csv_cells, records))
