@@ -18,7 +18,8 @@ Rank-two data (e, a, b) on a ring of lines is twisted in its coordinates by
 twists a bundle of any rank through its power sums.  Rational twists are
 supported, and their "Chern classes" need not be integral.  A
 ``RankTwoForm`` in (e, a, b) folds at a fixed e and twist into a
-``PlaneForm`` in (a, b) alone, which evaluates in integers at integer (a, b).
+``PlaneForm`` in (a, b) alone, which restricts at a fixed a to a
+``LineForm`` in b, which evaluates in integers at integer b.
 """
 
 from __future__ import annotations
@@ -334,6 +335,21 @@ class RankTwoForm(NamedTuple):
         return PlaneForm(tuple(tuple(reversed(row)) for row in reversed(out)), self.den * q**self.top)
 
 
+class LineForm(NamedTuple):
+    """A polynomial in b with integer coefficients, highest power first, over
+    one positive denominator ``den``."""
+
+    coeffs: tuple[int, ...]
+    den: int
+
+    def __call__(self, b: int) -> Fraction:
+        acc = 0
+        for c in self.coeffs:
+            acc = acc * b + c
+        den = self.den
+        return Fraction(acc, den) if acc % den else Fraction(acc // den)  # an int needs no gcd
+
+
 class PlaneForm(NamedTuple):
     """A polynomial in (a, b) with integer coefficients over one positive
     denominator ``den``: ``rows`` runs from the polynomial in b multiplying
@@ -343,15 +359,16 @@ class PlaneForm(NamedTuple):
     rows: tuple[tuple[int, ...], ...]
     den: int
 
-    def __call__(self, a: int, b: int) -> Fraction:
-        acc = 0
+    def line(self, a: int) -> LineForm:
+        """The form on the line of fixed a: Horner in a over the rows, each
+        row aligned at b^0, its last coefficient."""
+        width = max(map(len, self.rows))
+        out = [0] * width
         for row in self.rows:
-            inner = 0
-            for c in row:
-                inner = inner * b + c
-            acc = acc * a + inner
-        den = self.den
-        return Fraction(acc, den) if acc % den else Fraction(acc // den)  # an int needs no gcd
+            out = [c * a for c in out]
+            for j, c in enumerate(row, width - len(row)):
+                out[j] += c
+        return LineForm(tuple(out), self.den)
 
 
 def rank_two_character(dim: int) -> dict[tuple[int, int], Fraction]:

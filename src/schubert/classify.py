@@ -31,20 +31,20 @@ The scan does no ring arithmetic and no rational twist per candidate.  Its
 Euler characteristics and Schur pairings are polynomials in (e, a, b), built
 once per ring as forms (``hrr.chi_form``, ``schur3_form``).  For each
 normalized e, every form is folded at each twist the scan reads (k = 0..6
-and the ample Q-twist m) into a polynomial in (a, b) alone
-(``RankTwoForm.at_twist``, cached by ``scan_forms``).  Each line of fixed
-(e, a) folds them once more (``scan_line``, cached for the 54 lines of the
-scan square): every form becomes a polynomial in b over its denominator,
-which the filters evaluate by Horner at integer b, and the witnesses that
-are constant along the line are built once as ``Fraction``s there: a + s,
-which is also the second coordinate of every candidate whose b is this a,
-and the pairing with the lines through a point, which does not depend on
-b.  Step 2 reads chi(E(-2)), and steps 3 and 4 the restricted chi on P^3
-(``hrr.chi_p3``), from forms as well.  They
-give the same exact rationals as the general path (``rank_two_chern`` ->
-``ch`` -> ``pair``), which runs only in the preflight: it checks the G(1,4)
-forms against that path, then the folded forms against the forms at the
-twisted data, before the scan runs.  The frozen tables gate every value.
+and the ample Q-twist m) into a polynomial in (a, b)
+(``RankTwoForm.at_twist``, cached by ``scan_forms``), and each line of fixed
+(e, a) restricts it to a polynomial in b (``PlaneForm.line``, cached by
+``scan_line`` for the 54 lines of the scan square), which the filters
+evaluate by Horner at integer b.  The witnesses constant along a line are
+built there once: a + s, which is also the second coordinate of every
+candidate whose b is this a, and the pairing with the lines through a
+point, which does not depend on b.  Step 2 reads chi(E(-2)), and steps 3
+and 4 the restricted chi on P^3 (``hrr.chi_p3``), from forms as well.  The
+general path (``rank_two_chern`` -> ``ch`` -> ``pair``) runs only in the
+preflight: it checks the G(1,4) forms against that path, then the cached
+lines against the forms at the twisted data on a grid that determines
+every line.  The scan is exhaustive by a certificate: its square holds
+every (a, b) that passes positivity and the Schur bounds.
 
 Candidate evaluation is a pure map over the coordinates (e, a, b): verdicts
 do not depend on evaluation order, and the report is assembled in canonical
@@ -59,6 +59,7 @@ from math import comb, isqrt
 from typing import NamedTuple
 
 from .charclass import (
+    LineForm,
     PlaneForm,
     RankTwoData,
     RankTwoForm,
@@ -225,6 +226,10 @@ def bundle_name(st: SplittingType) -> str:
 # -- the four scan filters ----------------------------------------------------
 
 
+# the classical Schur bounds the verdict applies: a <= SCHUR_A_MAX and
+# a + b <= SCHUR_SUM_MAX[e]
+SCHUR_A_MAX = 6
+SCHUR_SUM_MAX = {0: 12, -1: 13}
 # s_(3) = c1^3 - 2*c1*c2, as the coefficients of c1^i * c2^j
 SCHUR3_WEIGHTS = {(3, 0): 1, (1, 1): -2}
 # the incidence cycles omega(i, j) of lines through a point and of lines in a hyperplane
@@ -258,33 +263,6 @@ def scan_forms(e: int) -> ScanForms:
     )
 
 
-class LineForm(NamedTuple):
-    """A polynomial in b with integer coefficients, highest power first, over
-    one positive denominator ``den``."""
-
-    coeffs: tuple[int, ...]
-    den: int
-
-    def __call__(self, b: int) -> Fraction:
-        acc = 0
-        for c in self.coeffs:
-            acc = acc * b + c
-        den = self.den
-        return Fraction(acc, den) if acc % den else Fraction(acc // den)  # an int needs no gcd
-
-
-def _restrict(form: PlaneForm, a: int) -> LineForm:
-    """``form`` on the line of fixed a: Horner in a over its rows, each row a
-    polynomial in b whose last coefficient multiplies b^0."""
-    width = max(map(len, form.rows))
-    out = [0] * width
-    for row in form.rows:
-        out = [c * a for c in out]
-        for j, c in enumerate(row, width - len(row)):
-            out[j] += c
-    return LineForm(tuple(out), form.den)
-
-
 class ScanLine(NamedTuple):
     """What the four filters read along one line of fixed (e, a), as
     witnesses constant along it or as functions of b."""
@@ -300,14 +278,14 @@ class ScanLine(NamedTuple):
 def scan_line(e: int, a: int) -> ScanLine:
     """The scan's forms at e restricted to the line of fixed a."""
     forms = scan_forms(e)
-    point, hyper = (_restrict(form, a) for form in forms.schur)
+    point, hyper = (form.line(a) for form in forms.schur)
     if any(point.coeffs[:-1]):
-        raise ArithmeticError(f"the pairing with the lines through a point depends on b at e = {e}")
+        raise ReplayMismatch("scan", f"the pairing with the lines through a point depends on b at e = {e}")
     return ScanLine(
         a + forms.shift,
         point(0),
         hyper,
-        tuple(_restrict(form, a) for form in forms.chi),
+        tuple(form.line(a) for form in forms.chi),
     )
 
 
@@ -326,8 +304,8 @@ def schur_filter(e: int, a: int, b: int) -> Verdict:
     """Degree-three Schur polynomial of E(m) against the two families of
     three-dimensional cycles.
 
-    The classical bounds are a <= 6 and b <= 12 - a when e = 0, and a <= 6
-    and b <= 13 - a when e = -1.  The verdict applies those bounds; the two
+    The classical bounds are a <= 6 and a + b <= 12 when e = 0, and a <= 6
+    and a + b <= 13 when e = -1.  The verdict applies those bounds; the two
     exact ring pairings of s_(3) = c1^3 - 2*c1*c2 against the cycles of
     lines through a point and of lines in a hyperplane are recorded as
     witnesses, together with the strictly-positive alternative reading they
@@ -337,8 +315,7 @@ def schur_filter(e: int, a: int, b: int) -> Verdict:
     """
     line = scan_line(e, a)
     pair_point, pair_hyper = line.pairing_point, line.hyper(b)
-    bound = 12 if e == 0 else 13
-    passed = a <= 6 and b <= bound - a
+    passed = a <= SCHUR_A_MAX and a + b <= SCHUR_SUM_MAX[e]
     return Verdict(
         "schur",
         passed,
@@ -394,23 +371,24 @@ def evaluate_candidate(e: int, a: int, b: int) -> CandidateRecord:
 
 @lru_cache(maxsize=1)
 def enumerate_candidates() -> tuple[CandidateRecord, ...]:
-    """Scan e in {0, -1} and (a, b) over the square [-6, 20]^2.
-
-    The square contains the region the positivity and Schur bounds carve
-    out; to guarantee the finite scan clips nothing, no candidate passing
-    the integrality filter may touch the scan boundary."""
+    """Scan e in {0, -1} and (a, b) over the square [SCAN_LO, SCAN_HI]^2,
+    once a certificate shows that it clips nothing: positivity needs
+    a, b >= lo = floor(-shift) + 1, and Schur needs a <= SCHUR_A_MAX and
+    a + b <= SCHUR_SUM_MAX[e], so a, b <= SCHUR_SUM_MAX[e] - lo = hi."""
+    for e in (0, -1):
+        lo = (-scan_forms(e).shift) // 1 + 1
+        hi = SCHUR_SUM_MAX[e] - lo
+        if lo < SCAN_LO or hi > SCAN_HI:
+            raise ReplayMismatch(
+                "scan",
+                f"positivity and Schur leave a, b in [{lo}, {hi}] at e = {e}, "
+                f"outside the scan square [{SCAN_LO}, {SCAN_HI}]^2; widen the scan",
+            )
     records = []
     for e in (0, -1):
         for a in range(SCAN_LO, SCAN_HI + 1):
             for b in range(SCAN_LO, SCAN_HI + 1):
                 records.append(evaluate_candidate(e, a, b))
-    for rec in records:
-        if rec.passed("schwarzenberger") and (
-            rec.data.a in (SCAN_LO, SCAN_HI) or rec.data.b in (SCAN_LO, SCAN_HI)
-        ):
-            raise ReplayMismatch(
-                "scan", f"survivor {rec.data} touches the scan boundary; widen the scan"
-            )
     return tuple(records)
 
 
@@ -505,14 +483,14 @@ def restriction_to_p3(e: int, a: int) -> tuple[int, int]:
     h = ring.hyperplane()
     s2, s11 = ring.sigma((2,)), ring.sigma((1, 1))
     if (s11 * p3) != ring.zero():
-        raise ArithmeticError("expected s(1,1) * s(3) = 0 in the ring of lines in P^4")
+        raise ReplayMismatch("step3", "expected s(1,1) * s(3) = 0 in the ring of lines in P^4")
     if (s2 * h * p3).integrate() != 1 or (h * h * h * p3).integrate() != 1:
-        raise ArithmeticError("restriction pairings are mis-normalized")
+        raise ReplayMismatch("step3", "restriction pairings are mis-normalized")
     probe_b = Fraction(7)  # arbitrary nonzero (1,1) part; must not reach the pairing
     c1_pair = (Fraction(e) * h * h * h * p3).integrate()
     c2_pair = ((Fraction(a) * s2 + probe_b * s11) * h * p3).integrate()
     if c1_pair != e or c2_pair != a:
-        raise ArithmeticError(f"restriction of ({e}, {a}) recomputed as ({c1_pair}, {c2_pair})")
+        raise ReplayMismatch("step3", f"restriction of ({e}, {a}) recomputed as ({c1_pair}, {c2_pair})")
     return (e, a)
 
 
@@ -559,25 +537,25 @@ def _preflight() -> None:
                 raise ReplayMismatch(
                     "preflight", f"s(3) form on omega({i},{j}) gives {got} on {data}, expected {expected}"
                 )
-    # the folded forms against the forms at the twisted data, checked only
-    # now so that a wrong form is refused before it is folded and cached.
-    # Both sides are polynomials of degree at most top/2 in (a, b), which
-    # the points i + j <= top/2 determine; a scan corner is probed as well.
+    # the cached lines the scan reads against the forms at the twisted data,
+    # checked only now so that a wrong form is refused before it is folded.
+    # However the fold and the restriction place the coefficients, a line's
+    # value is of degree at most d = top/2 in a and in b, like the form's, so
+    # the grid a, b in 0..d proves every line; a scan corner is probed too.
+    point, hyper = (schur3_form(ring, i, j) for i, j in SCHUR_CYCLES)
     for e in (0, -1):
         m = ample_twist(e)
-        forms = scan_forms(e)
-        folded = [(chi, k, form) for k, form in enumerate(forms.chi)]
-        folded += [(schur3_form(ring, *ij), m, form) for ij, form in zip(SCHUR_CYCLES, forms.schur)]
-        for unfolded, t, form in folded:
-            degree = unfolded.top // 2
-            probes = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
-            for a, b in (*probes, (SCAN_LO, SCAN_HI)):
-                got, expected = form(a, b), unfolded(RankTwoData(e, a, b).twisted(t))
+        reads = [(chi, k, lambda line, b, k=k: line.chi[k](b)) for k in range(ring.dimension + 1)]
+        reads += [(point, m, lambda line, b: line.pairing_point), (hyper, m, lambda line, b: line.hyper(b))]
+        for unfolded, t, read in reads:
+            d = unfolded.top // 2
+            grid = [(a, b) for a in range(d + 1) for b in range(d + 1)]
+            for a, b in (*grid, (SCAN_LO, SCAN_HI)):
+                got, expected = read(scan_line(e, a), b), unfolded(RankTwoData(e, a, b).twisted(t))
                 if got != expected:
                     raise ReplayMismatch(
                         "preflight",
-                        f"folded form gives {got} at (e, a, b, twist) = ({e}, {a}, {b}, {t}), "
-                        f"expected {expected}",
+                        f"scan line ({e}, {a}) gives {got} at b = {b}, twist {t}; expected {expected}",
                     )
     # tautological sequence and Whitney data of split bundles
     if tautological_subbundle(ring).total() * tautological_quotient(ring).total() != ring.one():

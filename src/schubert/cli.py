@@ -448,7 +448,11 @@ FILTER_COLUMNS = ["e", "a", "b", *FILTER_RULES, "status", "detail", "witness"]
 
 
 def cmd_filter(args) -> int:
-    records = enumerate_candidates()
+    try:
+        records = enumerate_candidates()
+    except ReplayMismatch as exc:
+        print(f"regression at {exc.step}: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     if args.format == "json":
         _write_records_json(records, "\n")
         sys.stdout.write("\n")

@@ -191,3 +191,18 @@ def bott_chi(k: int, n: int, alpha, beta) -> int:
     den = prod(j - i for i, j in pairs)
     assert num % den == 0
     return (-1) ** inversions * (num // den)
+
+
+def lower_set(top: int) -> list[tuple[int, int, int]]:
+    """The exponents (i, l, r) of the monomials e^i * a^l * b^r with
+    i + 2(l + r) <= top, which span the polynomials in (e, a, b) of weighted
+    degree at most top.  The set is a lower set, so, read as points
+    (e, a, b), it is unisolvent for that span (Dyn and Floater,
+    "Multivariate polynomial interpolation on lower sets", J. Approx. Theory
+    2014): two such polynomials equal on it are equal everywhere."""
+    return [
+        (i, l, r)
+        for l in range(top // 2 + 1)
+        for r in range(top // 2 + 1 - l)
+        for i in range(top - 2 * (l + r) + 1)
+    ]

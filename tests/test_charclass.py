@@ -17,7 +17,7 @@ from schubert import (
     tautological_subbundle,
     todd_log_coefficients,
 )
-from schubert.charclass import PlaneForm, RankTwoForm, exp_nilpotent, rank_two_character, rank_two_form
+from schubert.charclass import LineForm, PlaneForm, RankTwoForm, exp_nilpotent, rank_two_character, rank_two_form
 
 
 def _random_vector(ring, rng, max_rank=3):
@@ -265,9 +265,11 @@ def test_rank_two_form_call_matches_naive_sum():
             assert form(data) == naive
 
 
-def test_plane_form_call_equals_the_fraction_of_its_value():
+def test_line_form_call_equals_the_fraction_of_its_value():
     # a value that den divides takes the path without a gcd; every value must
-    # equal Fraction(value, den) in lowest terms, the sign on the numerator
+    # equal Fraction(value, den) in lowest terms, the sign on the numerator.
+    # The lines are those of plane forms with rows of every length, so the
+    # restriction's alignment of each row at b^0 is checked as well.
     rng = random.Random(5815)
     seen = set()
     for _ in range(400):
@@ -284,7 +286,9 @@ def test_plane_form_call_equals_the_fraction_of_its_value():
             for i, row in enumerate(rows)
             for j, c in enumerate(row)
         )
-        got, expected = PlaneForm(rows, den)(a, b), Fraction(value, den)
+        line = PlaneForm(rows, den).line(a)
+        assert type(line) is LineForm and line.den == den
+        got, expected = line(b), Fraction(value, den)
         assert type(got) is Fraction
         assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
         seen.add((value % den == 0, value < 0))

@@ -355,6 +355,20 @@ def test_replay_regression_exit_code(capsys, monkeypatch):
     assert "step2" in err
 
 
+@pytest.mark.parametrize("argv", [("filter", "--format", "csv"), ("replay", "--format", "json")])
+def test_a_scan_square_that_clips_the_region_exits_4(capsys, monkeypatch, argv):
+    # positivity and Schur leave a, b in [-6, 18] at e = 0: the scan refuses a
+    # square that ends at 17 before any record is written
+    monkeypatch.setattr(classify, "SCAN_HI", 17)
+    classify.enumerate_candidates.cache_clear()
+    try:
+        code, out, err = run(capsys, *argv)
+    finally:
+        classify.enumerate_candidates.cache_clear()
+    assert (code, out) == (4, "")
+    assert err.startswith("regression at scan: ") and err.count("\n") == 1, err
+
+
 def test_replay_byte_identical_across_runs(capsys):
     out1 = run(capsys, "replay", "--format", "json")[1]
     out2 = run(capsys, "replay", "--format", "json")[1]

@@ -19,7 +19,7 @@ from schubert import (
 )
 from schubert.hrr import chi_form, tangent_todd
 
-from oracles import bott_chi, line_bundle_chi
+from oracles import bott_chi, line_bundle_chi, lower_set
 
 
 def test_chi_of_line_bundles(g14):
@@ -160,6 +160,21 @@ def test_chi_form_matches_general_path(ring_args):
             got = form(twisted)
             assert isinstance(got, Fraction)
             assert got == euler_characteristic(rank_two_chern(ring, twisted)), twisted
+
+
+@pytest.mark.parametrize("ring_args, count", [((1, 4), 30), ((1, 5), 55), ((0, 3), 6)], ids=["G(1,4)", "G(1,5)", "P3"])
+def test_chi_form_equals_the_general_path_on_a_unisolvent_node_set(ring_args, count):
+    # both sides are polynomials in (e, a, b) of weighted degree at most the
+    # ring's dimension, so agreement on the lower set proves the identity,
+    # rational twisted data included; P^3 has no s(1,1), and the form that
+    # chi_p3 reads is checked at b = 0, on the nodes with no power of b
+    ring = GrassmannRing(*ring_args)
+    form = chi_form(ring)
+    nodes = [(i, l, r) for i, l, r in lower_set(ring.dimension) if ring.k > 0 or r == 0]
+    assert len(nodes) == count
+    for node in nodes:
+        data = RankTwoData(*node)
+        assert form(data) == euler_characteristic(rank_two_chern(ring, data)), (ring_args, data)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -49,6 +49,8 @@ from schubert.classify import (
     survivors,
 )
 
+from oracles import lower_set
+
 
 def brute_force_splitting_types(e, n, span=12):
     out = []
@@ -262,17 +264,59 @@ def test_candidate_evaluation_is_order_independent():
 
 
 def test_classical_bound_and_strict_bound_agree_after_integrality():
-    # for e = -1 the classical Schur bound admits the line a + b = 13 that
-    # the strict pairing excludes; integrality must kill all of it
-    records = enumerate_candidates()
-    for rec in records:
-        if rec.data.e != -1 or rec.status == "eliminated" and rec.detail in ("positivity", "schur"):
-            continue
-        schur = rec.verdict("schur")
-        if schur is None or not schur.passed:
-            continue
-        if not schur.witness["strict_positive"]:
-            assert not rec.passed("schwarzenberger"), rec.data
+    # the verdict applies the classical bounds, and its witnesses are the
+    # exact pairings: at e = 0 the two readings agree on the whole square; for
+    # e = -1 the classical bound admits the line a + b = 13 that the strict
+    # pairing excludes, and the scan must kill all of it before step 1: its
+    # one point of positive qb and zero qa, (-6, 19), fails positivity, and
+    # integrality kills the other twelve
+    square = [(a, b) for a in range(SCAN_LO, SCAN_HI + 1) for b in range(SCAN_LO, SCAN_HI + 1)]
+    assert len(square) == 729
+    differ = {}
+    for e in (0, -1):
+        differ[e] = []
+        for a, b in square:
+            v = schur_filter(e, a, b)
+            if v.passed != v.witness["strict_positive"]:
+                differ[e].append((a, b))
+    assert differ[0] == []
+    assert len(differ[-1]) == 13 and all(a + b == 13 for a, b in differ[-1])
+    records = {rec.data: rec for rec in enumerate_candidates()}
+    for a, b in differ[-1]:
+        assert schur_filter(-1, a, b).passed
+        expected = "positivity" if (a, b) == (-6, 19) else "schwarzenberger"
+        assert (records[-1, a, b].status, records[-1, a, b].detail) == ("eliminated", expected), (a, b)
+
+
+def test_the_scan_square_holds_every_point_positivity_and_schur_pass():
+    # the certificate of enumerate_candidates, checked on the filters
+    # themselves: off the square, nothing near it passes both
+    for e in (0, -1):
+        for a in range(-40, 41):
+            for b in range(-40, 41):
+                if SCAN_LO <= a <= SCAN_HI and SCAN_LO <= b <= SCAN_HI:
+                    continue
+                assert not (schur_filter(e, a, b).passed and positivity_filter(e, a, b).passed), (e, a, b)
+
+
+def test_the_scan_refuses_a_square_that_clips_the_region(monkeypatch):
+    # positivity and Schur leave a, b in [-6, 18] at e = 0 and [-5, 18] at e = -1
+    enumerate_candidates.cache_clear()
+    try:
+        for lo, hi in ((-6, 17), (-5, 20)):
+            monkeypatch.setattr(classify, "SCAN_LO", lo)
+            monkeypatch.setattr(classify, "SCAN_HI", hi)
+            with pytest.raises(ReplayMismatch) as info:
+                enumerate_candidates()
+            assert info.value.step == "scan" and "e = 0" in str(info.value)
+        # the smallest square the certificate accepts scans the same survivors
+        monkeypatch.setattr(classify, "SCAN_LO", -6)
+        monkeypatch.setattr(classify, "SCAN_HI", 18)
+        records = enumerate_candidates()
+        assert len(records) == 2 * 25**2
+        assert len(step1_survivors(records)) == 10
+    finally:
+        enumerate_candidates.cache_clear()
 
 
 def test_section_constraints():
@@ -390,6 +434,17 @@ def test_scan_witnesses_match_general_path():
             assert griffiths.witness["chi_at_5"] == expected
 
 
+@pytest.mark.parametrize("cycle", SCHUR_CYCLES)
+def test_schur_forms_equal_ring_products_on_a_unisolvent_node_set(cycle):
+    # s(3) is of weighted degree 3 in (e, a, b), so agreement on the lower
+    # set proves the identity
+    nodes = lower_set(3)
+    assert len(nodes) == 8
+    for node in nodes:
+        data = RankTwoData(*node)
+        assert [schur3_form(G14, *cycle)(data)] == _schur3_pairings(G14, data, [cycle]), (cycle, data)
+
+
 @pytest.mark.parametrize("ring_args", [(1, 4), (1, 5)])
 def test_schur_forms_match_ring_products(ring_args):
     ring = GrassmannRing(*ring_args)
@@ -463,7 +518,7 @@ def test_folded_forms_match_the_unfolded_forms(e):
     for form, t, folded in folds:
         for _ in range(20):
             a, b = rng.randint(-10**4, 10**4), rng.randint(-10**4, 10**4)
-            got, expected = folded(a, b), form(RankTwoData(e, a, b).twisted(t))
+            got, expected = folded.line(a)(b), form(RankTwoData(e, a, b).twisted(t))
             assert type(got) is Fraction and type(expected) is Fraction
             assert got == expected, (e, t, a, b)
     assert forms.shift == RankTwoData(e, 0, 0).twisted(m).a
@@ -489,7 +544,8 @@ def test_scan_folds_each_form_once_per_twist(monkeypatch):
     # the filters read lines only: each line of the square is restricted once
     lines = scan_line.cache_info()
     assert lines.misses == lines.currsize == 2 * (SCAN_HI - SCAN_LO + 1)
-    assert info.hits + info.misses == lines.misses
+    # one lookup per line, plus one per e for the certificate's shift
+    assert info.hits + info.misses == lines.misses + 2
     # every later line lookup is a hit: positivity reads the lines of a and
     # of b, and only Griffiths at e = 0 reads none
     lookups = sum(
@@ -500,13 +556,13 @@ def test_scan_folds_each_form_once_per_twist(monkeypatch):
     assert lines.hits + lines.misses == lookups
 
 
-def _plane_verdicts(e, a, b):
-    """The passed flag and witness of each filter, evaluated on the scan's
-    plane forms in (a, b) rather than on its lines."""
-    forms = scan_forms(e)
-    qa, qb = a + forms.shift, b + forms.shift
-    point, hyper = (form(a, b) for form in forms.schur)
-    chis = tuple(chi(a, b) for chi in forms.chi)
+def _unfolded_verdicts(e, a, b):
+    """The passed flag and witness of each filter, evaluated on the unfolded
+    forms at the twisted data rather than on the scan's lines."""
+    at_m = RankTwoData(e, a, b).twisted(ample_twist(e))
+    _, qa, qb = at_m
+    point, hyper = (schur3_form(G14, i, j)(at_m) for i, j in SCHUR_CYCLES)
+    chis = tuple(chi_form(G14)(RankTwoData(e, a, b).twisted(k)) for k in range(G14.dimension + 1))
     griffiths = (
         (True, {"applies": False}) if e == 0 else (chis[5] >= 0, {"applies": True, "chi_at_5": chis[5]})
     )
@@ -530,18 +586,21 @@ def _witness_types(witness):
 
 
 @pytest.mark.parametrize("e", [0, -1])
-def test_scan_lines_match_the_plane_forms(e):
-    # lines of negative a far beyond the scan square, at random b
+def test_scan_lines_match_the_unfolded_forms(e):
+    # lines of negative a far beyond the scan square, at random b, against
+    # the forms at the twisted data
     rng = random.Random(1109 + e)
-    forms = scan_forms(e)
+    m = ample_twist(e)
+    point, hyper = (schur3_form(G14, i, j) for i, j in SCHUR_CYCLES)
+    chi = chi_form(G14)
     for a in rng.sample(range(-10**4, 0), 40):
         line = scan_line(e, a)
-        assert type(line.qa) is Fraction and line.qa == a + forms.shift
-        point, hyper = forms.schur
+        assert type(line.qa) is Fraction and line.qa == RankTwoData(e, a, 0).twisted(m).a
         for _ in range(10):
             b = rng.randint(-10**4, 10**4)
-            pairs = [(line.pairing_point, point(a, b)), (line.hyper(b), hyper(a, b))]
-            pairs += [(restricted(b), form(a, b)) for restricted, form in zip(line.chi, forms.chi)]
+            at_m = RankTwoData(e, a, b).twisted(m)
+            pairs = [(line.pairing_point, point(at_m)), (line.hyper(b), hyper(at_m))]
+            pairs += [(chi_k(b), chi(RankTwoData(e, a, b).twisted(k))) for k, chi_k in enumerate(line.chi)]
             assert len(pairs) == len(SCHUR_CYCLES) + G14.dimension + 1
             for got, expected in pairs:
                 assert type(got) is Fraction and got == expected, (e, a, b)
@@ -553,7 +612,7 @@ def test_filters_off_the_square_keep_the_line_cache_bounded():
     for i, a in enumerate(rng.sample(outside, 1000)):
         e, b = -(i % 2), rng.randint(-60, 60)
         got = [rule(e, a, b) for rule in (positivity_filter, schur_filter, schwarzenberger_filter, griffiths_filter)]
-        assert [(v.passed, v.witness) for v in got] == list(_plane_verdicts(e, a, b)), (e, a, b)
+        assert [(v.passed, v.witness) for v in got] == list(_unfolded_verdicts(e, a, b)), (e, a, b)
         for v in got:
             assert all(t is bool or t is Fraction for t in _witness_types(v.witness)), (e, a, b, v.rule)
         assert scan_line.cache_info().currsize <= 2 * (SCAN_HI - SCAN_LO + 1)
