@@ -197,7 +197,6 @@ class PowerSumVector:
         return PowerSumVector(ring, self.rank, tuple(out))
 
 
-@lru_cache(maxsize=None)
 def _hyperplane_powers(ring: GrassmannRing) -> tuple[ChowClass, ...]:
     powers = [ring.one()]
     for _ in range(ring.dimension):
@@ -205,7 +204,6 @@ def _hyperplane_powers(ring: GrassmannRing) -> tuple[ChowClass, ...]:
     return tuple(powers)
 
 
-@lru_cache(maxsize=None)
 def todd_log_coefficients(n: int) -> tuple[Fraction, ...]:
     """Coefficients a_1..a_n of log(x / (1 - exp(-x))), computed by exact
     truncated series arithmetic: the log of q(x) = (1 - exp(-x))/x is built

@@ -29,9 +29,9 @@ straight off the record.
 
 Exit codes: 0 success, 2 usage error (its message cut to its two ends,
 since argparse quotes a bad argument in full), 3 domain error, 4 regression
-mismatch against the frozen tables; a reader closing stdout early
-(``schubert replay | head``) ends it silently with 141, as SIGPIPE would, in
-every format.
+mismatch against the frozen tables (one line, printed by ``main`` for every
+command); a reader closing stdout early (``schubert replay | head``) ends it
+silently with 141, as SIGPIPE would, in every format.
 """
 
 from __future__ import annotations
@@ -448,11 +448,7 @@ FILTER_COLUMNS = ["e", "a", "b", *FILTER_RULES, "status", "detail", "witness"]
 
 
 def cmd_filter(args) -> int:
-    try:
-        records = enumerate_candidates()
-    except ReplayMismatch as exc:
-        print(f"regression at {exc.step}: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+    records = enumerate_candidates()
     if args.format == "json":
         _write_records_json(records, "\n")
         sys.stdout.write("\n")
@@ -460,22 +456,14 @@ def cmd_filter(args) -> int:
         _write_records_csv(records)
     else:
         _print_table(args.format, FILTER_COLUMNS, map(_record_row, records))
-    try:
-        pre = step1_survivors(records)
-    except ReplayMismatch as exc:
-        print(f"regression at {exc.step}: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+    pre = step1_survivors(records)
     post = sum(r.status == "surviving" for r in records)
     print(f"{len(pre)} candidates pass the integrality filter; {post} survive", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_replay(args) -> int:
-    try:
-        report = replay_proof()
-    except ReplayMismatch as exc:
-        print(f"regression at {exc.step}: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+    report = replay_proof()
     sections = (
         ("step1", "step1_table", report.step1_table),
         ("step2", "step2_results", report.step2_results),
@@ -593,7 +581,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReplayMismatch as exc:  # its text starts with the step it names
+        print(f"regression at {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 def entry() -> None:

@@ -48,7 +48,6 @@ def tangent_todd(ring: GrassmannRing) -> ChowClass:
     return tangent_power_sums(ring).todd()
 
 
-@lru_cache(maxsize=None)
 def _twist_kernels(ring: GrassmannRing) -> tuple[ChowClass, ...]:
     # h^j * td(T) / j! for j = 0..dim: twisting by O(k) multiplies the Chern
     # character by exp(k*h) = sum_j k^j * h^j / j!, so the coefficient of k^j

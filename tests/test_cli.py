@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import hashlib
+import inspect
 import io
 import itertools
 import json
@@ -366,7 +367,20 @@ def test_a_scan_square_that_clips_the_region_exits_4(capsys, monkeypatch, argv):
     finally:
         classify.enumerate_candidates.cache_clear()
     assert (code, out) == (4, "")
-    assert err.startswith("regression at scan: ") and err.count("\n") == 1, err
+    assert err.startswith("regression at scan: positivity") and err.count("\n") == 1, err
+
+
+def test_a_restriction_that_keeps_b_exits_4_from_the_preflight(capsys, monkeypatch):
+    # one line of the map mutated, b weighting s(2) in place of s(1,1): the
+    # certificate on the basis refuses it before any step reads it
+    source = inspect.getsource(classify.restriction_to_p3)
+    assert source.count("b * ring.sigma((1, 1))") == 1
+    namespace = dict(vars(classify))
+    exec(source.replace("b * ring.sigma((1, 1))", "b * ring.sigma((2,))"), namespace)
+    monkeypatch.setattr(classify, "restriction_to_p3", namespace["restriction_to_p3"])
+    code, out, err = run(capsys, "replay", "--format", "json")
+    assert (code, out) == (4, "")
+    assert err == "regression at preflight: restriction to P^3 of (0, 0, 1) is (0, 1), expected (0, 0)\n"
 
 
 def test_replay_byte_identical_across_runs(capsys):
@@ -1121,3 +1135,88 @@ def test_intersect_work_is_bounded_by_the_dimension(capsys, monkeypatch):
     classes = ";".join(["1"] * 9999 + ["4"])
     code, out, err = run(capsys, "intersect", "--k", "1", "--n", "4", classes)
     assert (code, out) == (3, "") and err.count("\n") == 1
+
+
+# -- a grammar fuzz of the command line ---------------------------------------------
+
+HUGE = str(10**4289)  # 4290 digits, under the interpreter's int-string limit
+# well-formed integers: small, huge, with an underscore, in another script's digits
+fuzz_integers = st.one_of(st.integers(-1, 9).map(str), st.sampled_from([HUGE, "-" + HUGE, "1_000", "٣"]))
+MALFORMED_INTEGERS = ("0x10", "", "nan", "1.0")
+# --k and --n of intersect: mostly a ring, 0 <= k < n <= 8
+fuzz_ring = st.one_of(
+    st.tuples(st.integers(0, 3), st.integers(1, 5)).map(lambda kd: (str(kd[0]), str(sum(kd)))),
+    st.tuples(fuzz_integers, fuzz_integers),
+)
+fuzz_factors = st.lists(st.integers(0, 4), min_size=1, max_size=4).map(
+    lambda parts: ",".join(map(str, sorted(parts, reverse=True)))
+)
+# empty factors; increasing, negative, huge, malformed or non-ASCII parts; 10 000 parts
+UNUSUAL_CLASSES = (
+    "", "2;;1", "1,2", "2,-1", "1,x", HUGE, "٣,١",
+    ",".join(["1", "2"] * 5000), ",".join(["1"] * 10000), ",".join(["-1"] * 10000),
+)
+FUZZ_OPTIONS = {
+    "intersect": ("--k", "--n"),
+    "chi": ("--e", "--a", "--b", "--twist"),
+    "chi-p3": ("--e", "--a", "--twist"),
+    "splitting-types": ("--e", "--n"),
+}
+# filter and replay run the whole scan: the fuzz gives them bad arguments only
+BAD_SCAN_ARGUMENTS = (["--format", "xml"], ["--format"], ["extra"], ["--e", "0"])
+
+
+@st.composite
+def fuzz_argv(draw) -> list[str]:
+    """A command line of the grammar with at most one fault: a malformed
+    value, a missing option, an unusual class list or an unknown format."""
+    command = draw(st.sampled_from([*FUZZ_OPTIONS, "filter", "replay"]))
+    if command not in FUZZ_OPTIONS:
+        return [command, *draw(st.sampled_from(BAD_SCAN_ARGUMENTS))]
+    options = FUZZ_OPTIONS[command]
+    fault = draw(st.sampled_from(["none", "value", "missing", "classes", "format"]))
+    faulty = draw(st.sampled_from(options))
+    values = draw(fuzz_ring if command == "intersect" else st.tuples(*[fuzz_integers] * len(options)))
+    argv = [command]
+    for option, value in zip(options, values):
+        if option != faulty or fault not in ("value", "missing"):
+            argv += [option, value]
+        elif fault == "value":
+            argv += [option, draw(st.sampled_from(MALFORMED_INTEGERS))]
+    if command == "intersect":
+        classes = st.lists(fuzz_factors, min_size=1, max_size=4).map(";".join)
+        argv.append(draw(st.sampled_from(UNUSUAL_CLASSES) if fault == "classes" else classes))
+    argv += draw(st.sampled_from([[], ["--format", "plain"], ["--format", "csv"], ["--format", "json"]]))
+    return argv + (["--format", "xml"] if fault == "format" else [])
+
+
+NINES = "9" * 4290
+
+
+# one example per mended class of command-line fault
+@given(fuzz_argv())
+@example(["splitting-types", "--e", HUGE, "--n", "10000"])  # unbounded --e printed 43 MB
+@example(["chi", "--e", NINES, "--a", NINES, "--b", NINES, "--twist", NINES])  # answer past the int-string limit
+@example(["intersect", "--k", str(10**4000), "--n", str(2 * 10**4000), "1"])  # dimension past that limit
+@example(["intersect", "--k", str(2 * 10**4000), "--n", "1", "1"])  # k >= n echoed both numbers
+@example(["intersect", "--k", "1", "--n", "4", "1" + ",0" * 60_000])  # quadratic trailing-zero strip
+@example(["intersect", "--k", "x" * 100_000, "--n", "4", "1"])  # argparse echoed the bad int in full
+def test_the_command_grammar_ends_in_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code in (0, 2, 3, 4)
+    err = err.getvalue().encode()
+    if code == 3:
+        assert err.count(b"\n") == 1 and len(err) < 200, err[:300]
+    if code == 2:
+        assert len(err) < 1024, err[:300]
+    if code != 0:
+        return
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "plain"
+    if fmt == "json":
+        json.loads(out.getvalue())
+    if fmt == "csv":
+        assert len({len(row) for row in csv.reader(io.StringIO(out.getvalue()))}) == 1

@@ -336,9 +336,33 @@ def test_split_detect():
 
 
 def test_restriction_to_p3():
-    assert restriction_to_p3(0, -4) == (0, -4)
-    assert restriction_to_p3(-1, -2) == (-1, -2)
-    assert restriction_to_p3(0, 0) == (0, 0)
+    # the steps' own data: b never reaches the restriction
+    assert restriction_to_p3(0, -4, 12) == (0, -4)
+    assert restriction_to_p3(-1, -2, 7) == (-1, -2)
+    assert restriction_to_p3(0, 0, 0) == (0, 0)
+
+
+def test_restriction_to_p3_forgets_b_on_a_grid():
+    square = range(SCAN_LO, SCAN_HI + 1)
+    got = {(e, a, b): restriction_to_p3(e, a, b) for e in (0, -1, 3) for a in square for b in square}
+    assert [data for data, pair in got.items() if pair != data[:2]] == []
+    assert {type(x) for pair in got.values() for x in pair} == {int}
+
+
+def test_steps_3_and_4_restrict_each_candidate_once(monkeypatch):
+    calls = []
+    right = classify.restriction_to_p3
+
+    def counting(*data):
+        calls.append(data)
+        return right(*data)
+
+    monkeypatch.setattr(classify, "restriction_to_p3", counting)
+    classify._step3()
+    assert calls == [data for data, _ in classify.STEP3_TABLE]
+    calls.clear()
+    classify._step4()
+    assert calls == [data for data, _ in classify.STEP4_TABLE]
 
 
 def test_replay_report():
