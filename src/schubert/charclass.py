@@ -8,10 +8,14 @@ rational coefficients, which avoids transcribing degree-six universal Todd
 polynomials by hand.  The Todd series coefficients are derived at first use
 by exact truncated power-series arithmetic, never hard-coded, and the
 exponential of a class is built degree by degree by the graded recurrence of
-``exp_nilpotent``, one product of two homogeneous pieces per term.  The
-tangent bundle's power sums are read once off its Chern character
-(``tangent_power_sums``); its Chern classes and its Todd class both start
-from them.
+``exp_nilpotent``.  Each graded piece of a recurrence (Newton's identities
+and their inverse, ``exp`` and twists) is one call of the ring's
+multiply-accumulate kernel ``chow.sum_of_products`` with int weights over
+one int divisor, and each weighted sum (``ch``, the Todd weights, the total
+Chern class) one call of ``chow.linear_combination``, so no term builds its
+own product, scaled copy or partial sum.  The tangent bundle's power sums
+are read once off its Chern character (``tangent_power_sums``); its Chern
+classes and its Todd class both start from them.
 
 Rank-two data (e, a, b) on a ring of lines is twisted in its coordinates by
 ``RankTwoData.twisted``, which every pipeline path uses; ``ChernVector.twist``
@@ -29,7 +33,7 @@ from functools import lru_cache
 from math import comb, factorial, lcm
 from typing import NamedTuple
 
-from .chow import ChowClass, GrassmannRing, Scalar
+from .chow import ChowClass, GrassmannRing, Scalar, linear_combination, sum_of_products
 from .partitions import fits
 
 
@@ -89,24 +93,18 @@ class ChernVector:
 
     def total(self) -> ChowClass:
         """The total Chern class 1 + c1 + c2 + ..."""
-        acc = self.ring.zero()
-        for cls in self.c:
-            acc = acc + cls
-        return acc
+        return linear_combination(self.ring, [(1, cls) for cls in self.c])
 
     def power_sums(self) -> PowerSumVector:
         """Power sums of the Chern roots via Newton's identities:
         p_m = c1*p_{m-1} - c2*p_{m-2} + ... + (-1)^{m-1} m*c_m."""
-        dim = self.ring.dimension
-        c = self.c
-        p = [self.ring.zero()] * (dim + 1)
-        for m in range(1, dim + 1):
-            acc = ((-1) ** (m - 1) * m) * c[m]
-            for i in range(1, m):
-                if c[i]:  # a zero Chern class contributes no term
-                    acc = acc + ((-1) ** (i - 1)) * (c[i] * p[m - i])
-            p[m] = acc
-        return PowerSumVector(self.ring, self.rank, tuple(p))
+        ring, c = self.ring, self.c
+        one = ring.one()
+        p = [ring.zero()]
+        for m in range(1, ring.dimension + 1):
+            terms = [((-1) ** (i - 1), c[i], p[m - i]) for i in range(1, m)]
+            p.append(sum_of_products(ring, [*terms, ((-1) ** (m - 1) * m, c[m], one)]))
+        return PowerSumVector(ring, self.rank, tuple(p))
 
     def ch(self) -> ChowClass:
         """Chern character: rank + sum of p_m / m!."""
@@ -152,48 +150,43 @@ class PowerSumVector:
 
     def to_chern(self) -> ChernVector:
         """Invert Newton's identities: m*c_m = sum (-1)^{i-1} p_i c_{m-i}."""
-        dim = self.ring.dimension
-        c = [self.ring.zero()] * (dim + 1)
-        c[0] = self.ring.one()
-        for m in range(1, dim + 1):
-            acc = self.ring.zero()
-            for i in range(1, m + 1):
-                if c[m - i]:  # a zero Chern class contributes no term
-                    acc = acc + ((-1) ** (i - 1)) * (self.p[i] * c[m - i])
-            c[m] = acc / m
-        return ChernVector(self.ring, self.rank, {d: c[d] for d in range(1, dim + 1)})
+        ring, p = self.ring, self.p
+        c = [ring.one()]
+        for m in range(1, ring.dimension + 1):
+            c.append(sum_of_products(ring, [((-1) ** (i - 1), p[i], c[m - i]) for i in range(1, m + 1)], m))
+        return ChernVector(ring, self.rank, dict(enumerate(c[1:], 1)))
 
     def ch(self) -> ChowClass:
-        acc = self.rank * self.ring.one()
-        for m in range(1, self.ring.dimension + 1):
-            acc = acc + self.p[m] / factorial(m)
-        return acc
+        """rank + sum of p_m / m!, over the one divisor dim!."""
+        ring = self.ring
+        dim = ring.dimension
+        d = factorial(dim)
+        terms = [(d // factorial(m), self.p[m]) for m in range(1, dim + 1)]
+        return linear_combination(ring, [(self.rank * d, ring.one()), *terms], d)
 
     def todd(self) -> ChowClass:
         """Todd class: exp of the power sums weighted by the series
         log(x / (1 - exp(-x)))."""
         coeffs = todd_log_coefficients(self.ring.dimension)
-        acc = self.ring.zero()
-        for m in range(1, self.ring.dimension + 1):
-            if coeffs[m - 1]:
-                acc = acc + coeffs[m - 1] * self.p[m]
-        return exp_nilpotent(acc)
+        d = lcm(*(a.denominator for a in coeffs))
+        terms = [(a.numerator * (d // a.denominator), pm) for a, pm in zip(coeffs, self.p[1:])]
+        return exp_nilpotent(linear_combination(self.ring, terms, d))
 
     def twisted(self, t: Scalar) -> PowerSumVector:
         """Shift every Chern root by t*h: p_m becomes
-        sum_j C(m, j) t^j h^j p_{m-j} with p_0 the rank."""
+        sum_j C(m, j) t^j h^j p_{m-j} with p_0 the rank.  With t = s/q in
+        lowest terms the weights C(m, j) s^j q^(m-j) are ints over q^m."""
         t = Fraction(t)
-        ring = self.ring
-        dim = ring.dimension
+        if not t:
+            return self
+        s, q = t.numerator, t.denominator
+        ring, p = self.ring, self.p
+        one = ring.one()
         h = _hyperplane_powers(ring)
-        out = [ring.zero()] * (dim + 1)
-        for m in range(1, dim + 1):
-            acc = (Fraction(self.rank) * t**m) * h[m]
-            for j in range(m):
-                if t == 0 and j > 0:
-                    break
-                acc = acc + (comb(m, j) * t**j) * (h[j] * self.p[m - j])
-            out[m] = acc
+        out = [ring.zero()]
+        for m in range(1, ring.dimension + 1):
+            terms = [(comb(m, j) * s**j * q ** (m - j), h[j], p[m - j]) for j in range(m)]
+            out.append(sum_of_products(ring, [*terms, (self.rank * s**m, h[m], one)], q**m))
         return PowerSumVector(ring, self.rank, tuple(out))
 
 
@@ -222,25 +215,18 @@ def exp_nilpotent(x: ChowClass) -> ChowClass:
     """exp of a class with no degree-zero part (a finite sum in a truncated ring).
 
     Built degree by degree: y = exp(x) solves dy = y * dx, so its graded
-    pieces obey m * y_m = sum_{j=1..m} j * x_j * y_{m-j} from y_0 = 1.  Each
-    term is one product of two homogeneous classes, skipped when either is
-    zero, so no power of the whole class is ever formed."""
+    pieces obey m * y_m = sum_{j=1..m} j * x_j * y_{m-j} from y_0 = 1, one
+    ``sum_of_products`` per degree, so no power of the whole class is ever
+    formed."""
     if x.coefficient(()):
         raise ValueError("exp needs a class with vanishing degree-zero part")
     ring = x.ring
     dim = ring.dimension
-    scaled = [j * x.graded(j) for j in range(dim + 1)]  # j * x_j
+    xs = [x.graded(j) for j in range(dim + 1)]
     y = [ring.one()]
-    acc = ring.one()
     for m in range(1, dim + 1):
-        ym = ring.zero()
-        for j in range(1, m + 1):
-            if scaled[j] and y[m - j]:
-                ym = ym + scaled[j] * y[m - j]
-        ym = ym / m
-        y.append(ym)
-        acc = acc + ym
-    return acc
+        y.append(sum_of_products(ring, [(j, xs[j], y[m - j]) for j in range(1, m + 1)], m))
+    return linear_combination(ring, [(1, ym) for ym in y])
 
 
 def line_bundle(ring: GrassmannRing, t: Scalar) -> ChernVector:

@@ -22,6 +22,14 @@ row is built or cached.  Rings are immutable and shareable; the product
 table, its rows and the dual indices are pure caches (identical inputs
 always produce identical rows, and a stored row never changes), so
 concurrent use needs no coordination.
+
+The table is read by one multiply-accumulate kernel, ``sum_of_products``:
+(1/d) * sum of w * x * y over (int weight, class, class) terms, collected
+as integer numerators in one dict over the lcm of the terms' denominators
+and cancelled once.  ``ChowClass.__mul__`` is its one-term case, and the
+graded recurrences of the characteristic-class layer make one call per
+degree; ``linear_combination`` is its linear counterpart, (1/d) * sum of
+w * x.
 """
 
 from __future__ import annotations
@@ -203,24 +211,7 @@ class ChowClass:
 
     def __mul__(self, other):
         if isinstance(other, ChowClass):
-            self._require_same_ring(other)
-            box = self.ring.box
-            table = _table(box)
-            acc: dict[Partition, int] = {}
-            get = acc.get
-            for la, x in self.num.items():
-                rows = table[la]
-                row_of = rows.get
-                for mu, y in other.num.items():
-                    row = row_of(mu)
-                    if row is None:  # first met: fill the pair in both orders
-                        row = rows[mu] = table[mu][la] = _table_row(box, la, mu)
-                    if row:
-                        xy = x * y
-                        for nu, c in row:
-                            acc[nu] = get(nu, 0) + xy * c
-            num = {nu: s for nu, s in acc.items() if s}
-            return ChowClass._raw(self.ring, num, self.den * other.den)
+            return sum_of_products(self.ring, ((1, self, other),))
         return self._scaled(*_ratio(other))
 
     def __rmul__(self, scalar: Scalar) -> ChowClass:
@@ -314,6 +305,59 @@ class ChowClass:
         return " + ".join(terms)
 
 
+def sum_of_products(ring: GrassmannRing, terms, divisor: int = 1) -> ChowClass:
+    """(1/divisor) * sum of w * x * y over the (w, x, y) in ``terms``, a
+    sequence of int weights and classes of ``ring``; ``divisor`` is a
+    positive int.
+
+    The engine's one product loop (``ChowClass.__mul__`` is its one-term
+    case): every term pair reads its row of the ring's table, filling it
+    at first meeting, and is accumulated into one dict of integer
+    numerators over the lcm of the terms' denominators, which is cancelled
+    once at the end, so no intermediate product, scaled copy or partial
+    sum is built."""
+    den = lcm(*(x.den * y.den for _, x, y in terms))
+    box = ring.box
+    table = _table(box)
+    acc: dict[Partition, int] = {}
+    get = acc.get
+    for w, x, y in terms:
+        if x.ring != ring or y.ring != ring:
+            other = y.ring if x.ring == ring else x.ring
+            raise ValueError(f"classes live in different rings: {ring} vs {other}")
+        w *= den // (x.den * y.den)
+        ys = y.num.items()
+        for la, a in x.num.items():
+            rows = table[la]
+            row_of = rows.get
+            wa = w * a
+            for mu, b in ys:
+                row = row_of(mu)
+                if row is None:  # first met: fill the pair in both orders
+                    row = rows[mu] = table[mu][la] = _table_row(box, la, mu)
+                if row:
+                    wab = wa * b
+                    for nu, c in row:
+                        acc[nu] = get(nu, 0) + wab * c
+    return ChowClass._raw(ring, {nu: s for nu, s in acc.items() if s}, den * divisor)
+
+
+def linear_combination(ring: GrassmannRing, terms, divisor: int = 1) -> ChowClass:
+    """(1/divisor) * sum of w * x over the (w, x) in ``terms``, a sequence of
+    int weights and classes of ``ring``, summed and cancelled once like
+    ``sum_of_products``; ``divisor`` is a positive int."""
+    den = lcm(*(x.den for _, x in terms))
+    acc: dict[Partition, int] = {}
+    get = acc.get
+    for w, x in terms:
+        if x.ring != ring:
+            raise ValueError(f"classes live in different rings: {ring} vs {x.ring}")
+        w *= den // x.den
+        for la, a in x.num.items():
+            acc[la] = get(la, 0) + w * a
+    return ChowClass._raw(ring, {la: s for la, s in acc.items() if s}, den * divisor)
+
+
 def _ratio(scalar: Scalar) -> tuple[int, int]:
     """Numerator and positive denominator of an exact scalar; ints and
     Fractions are read as they are, anything else goes through Fraction."""
@@ -325,7 +369,7 @@ def _ratio(scalar: Scalar) -> tuple[int, int]:
 @lru_cache(maxsize=None)
 def _table(box: Box) -> dict[Partition, dict[Partition, tuple[tuple[Partition, int], ...]]]:
     """The ring's product table: for each basis index la, the rows of
-    sigma_la * sigma_mu met so far, by mu (shared; only ``ChowClass.__mul__``
+    sigma_la * sigma_mu met so far, by mu (shared; only ``sum_of_products``
     adds to it, from ``_table_row``).  A pair whose product is zero maps to ``()``."""
     return {la: {} for la in _duals(box)}
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -187,6 +187,21 @@ def test_tangent_bundle(g14, p3):
     assert t.rank == 6
     assert t.c[1] == 5 * g14.hyperplane()
     assert t.c[6].integrate() == 10
+
+
+@pytest.mark.parametrize(
+    "ring_args, euler_number", [((3, 7), 70), ((2, 8), 84), ((3, 8), 126)]
+)
+def test_tangent_bundle_gauss_bonnet_on_the_benchmark_rings(ring_args, euler_number):
+    # the inverse Newton recurrence on the rings of the big-ring benchmark:
+    # the top Chern class integrates to the Euler number C(n+1, k+1), the
+    # number of torus-fixed points
+    k, n = ring_args
+    ring = GrassmannRing(k, n)
+    t = tangent_bundle(ring)
+    assert t.rank == ring.dimension
+    assert t.c[1] == (n + 1) * ring.hyperplane()
+    assert t.c[ring.dimension].integrate() == comb(n + 1, k + 1) == euler_number
 
 
 @pytest.mark.parametrize("ring_args", [(0, 3), (1, 3), (1, 4)])

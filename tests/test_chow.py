@@ -4,9 +4,11 @@ from fractions import Fraction
 from math import comb, gcd
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from schubert import GrassmannRing, chow, dual_partition
-from schubert.chow import ChowClass
+from schubert.chow import ChowClass, linear_combination, sum_of_products
 from schubert.partitions import conjugate, contains, weight
 
 from oracles import catalan, pieri_product
@@ -318,3 +320,79 @@ def test_products_look_up_each_unordered_pair_in_one_order(monkeypatch, ring_arg
     # and every unordered pair with a nonzero product has its row
     nonzero = {(la, mu) for la in basis for mu in basis if la <= mu and contains(dual_partition(ring, la), mu)}
     assert set(pairs) == nonzero
+
+
+KERNEL_RINGS = (GrassmannRing(1, 4), GrassmannRing(2, 5), GrassmannRing(3, 7))
+
+
+def _kernel_terms(ring):
+    """(weight, x, y) terms of sparse inhomogeneous classes of ``ring`` with
+    Fraction coefficients, the zero class among them."""
+    coefficients = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+    classes = st.dictionaries(st.sampled_from(ring.all_partitions()), coefficients, max_size=4).map(
+        lambda coeffs: ChowClass(ring, coeffs)
+    )
+    return st.lists(st.tuples(st.integers(-5, 5), classes, classes), max_size=4)
+
+
+_KERNEL_TERMS = {ring: _kernel_terms(ring) for ring in KERNEL_RINGS}
+
+
+@st.composite
+def kernel_cases(draw):
+    """A ring, its terms and a divisor; a term may be followed by its
+    negation, so that the two cancel."""
+    ring = draw(st.sampled_from(KERNEL_RINGS))
+    terms = draw(_KERNEL_TERMS[ring])
+    if terms and draw(st.booleans()):
+        w, x, y = draw(st.sampled_from(terms))
+        terms.append((-w, x, y))
+    return ring, terms, draw(st.integers(1, 30))
+
+
+def _product_by_basis(x, y):
+    """x * y expanded bilinearly over products of basis classes, which the
+    Pieri oracle checks, with the coefficients multiplied as Fractions."""
+    ring = x.ring
+    acc = ring.zero()
+    for la, a in x.coeffs.items():
+        for mu, b in y.coeffs.items():
+            acc = acc + (a * b) * (ring.sigma(la) * ring.sigma(mu))
+    return acc
+
+
+def _assert_canonical(z):
+    assert z.den > 0
+    assert gcd(z.den, *z.num.values()) == 1
+    assert all(z.num.values())
+
+
+_G37 = KERNEL_RINGS[2]
+_X = ChowClass(_G37, {(1,): Fraction(1, 6), (2, 1): Fraction(-3, 4), (4, 4, 4, 4): 2})
+_Y = ChowClass(_G37, {(): Fraction(5, 9), (3, 1): Fraction(7, 10)})
+
+
+@given(kernel_cases())
+@example((_G37, [(3, _X, _Y), (-2, _G37.zero(), _Y), (-3, _X, _Y), (4, _Y, _X)], 12))
+@example((_G37, [(1, _X, _Y), (1, -_X, _Y)], 7))  # cancels to zero
+def test_kernel_matches_products_sums_and_quotients(case):
+    ring, terms, divisor = case
+    expected = sum((w * _product_by_basis(x, y) for w, x, y in terms), ring.zero()) / divisor
+    got = sum_of_products(ring, terms, divisor)
+    assert (got.num, got.den) == (expected.num, expected.den)
+    _assert_canonical(got)
+    linear = [(w, x) for w, x, _ in terms] + [(w, y) for w, _, y in terms]
+    expected = sum((w * x for w, x in linear), ring.zero()) / divisor
+    got = linear_combination(ring, linear, divisor)
+    assert (got.num, got.den) == (expected.num, expected.den)
+    _assert_canonical(got)
+
+
+def test_kernel_refuses_mixed_rings(g14, g13):
+    x, y = g14.hyperplane(), g13.hyperplane()
+    for terms in ([(1, x, y)], [(1, y, x)], [(1, x, x), (2, y, y)]):
+        with pytest.raises(ValueError):
+            sum_of_products(g14, terms)
+    with pytest.raises(ValueError):
+        linear_combination(g14, [(1, x), (1, y)])
+    assert sum_of_products(g14, []) == linear_combination(g14, []) == g14.zero()

@@ -269,7 +269,7 @@ def test_quotient_and_tangent_chi_match_bott(ring_args):
             assert euler_characteristic(bundle.twist(t)) == expected, (bundle, t)
 
 
-@pytest.mark.parametrize("ring_args", [(0, 3), (1, 4), (2, 5), (3, 7)])
+@pytest.mark.parametrize("ring_args", [(0, 3), (1, 4), (2, 5), (3, 7), (3, 8)])
 def test_tangent_todd_matches_the_newton_path(ring_args):
     # the right side derives the tangent's power sums back from its Chern
     # classes by Newton's identities; the left reads them off ch(T)
