@@ -5,15 +5,18 @@ pieces of the total Chern class).  Internally, Chern character and Todd
 class computations run through power sums of the Chern roots
 (:class:`PowerSumVector`): both are polynomial in power sums with universal
 rational coefficients, which avoids transcribing degree-six universal Todd
-polynomials by hand.  The Todd series coefficients are derived at first use
-by exact truncated power-series arithmetic, never hard-coded, and the
-exponential of a class is built degree by degree by the graded recurrence of
-``exp_nilpotent``.  Each graded piece of a recurrence (Newton's identities
-and their inverse, ``exp`` and twists) is one call of the ring's
-multiply-accumulate kernel ``chow.sum_of_products`` with int weights over
-one int divisor, and each weighted sum (``ch``, the Todd weights, the total
-Chern class) one call of ``chow.linear_combination``, so no term builds its
-own product, scaled copy or partial sum.  The tangent bundle's power sums
+polynomials by hand.  The Todd series coefficients are computed, never
+hard-coded, in closed form from the integer tangent numbers
+(``todd_log_coefficients``), and the exponential of a class is built degree
+by degree by the graded recurrence of ``exp_nilpotent``.  Each graded piece
+of a recurrence (Newton's identities and their inverse, ``exp`` and twists)
+is one call of the ring's multiply-accumulate kernel
+``chow.sum_of_products`` with int weights over one int divisor, over its
+terms whose classes are both nonzero, and each weighted sum (``ch``, the
+Todd weights, the total Chern class) one call of
+``chow.linear_combination``, so no term builds its own product, scaled copy
+or partial sum.  A class is split by degree in one pass
+(``ChowClass.graded_pieces``).  The tangent bundle's power sums
 are read once off its Chern character (``tangent_power_sums``); its Chern
 classes and its Todd class both start from them.
 
@@ -102,8 +105,10 @@ class ChernVector:
         one = ring.one()
         p = [ring.zero()]
         for m in range(1, ring.dimension + 1):
-            terms = [((-1) ** (i - 1), c[i], p[m - i]) for i in range(1, m)]
-            p.append(sum_of_products(ring, [*terms, ((-1) ** (m - 1) * m, c[m], one)]))
+            terms = [((-1) ** (i - 1), c[i], p[m - i]) for i in range(1, m) if c[i] and p[m - i]]
+            if c[m]:
+                terms.append(((-1) ** (m - 1) * m, c[m], one))
+            p.append(sum_of_products(ring, terms))
         return PowerSumVector(ring, self.rank, tuple(p))
 
     def ch(self) -> ChowClass:
@@ -127,9 +132,8 @@ class ChernVector:
         """Whitney sum: total Chern classes multiply, ranks add."""
         if self.ring != other.ring:
             raise ValueError("direct sum needs bundles over the same ring")
-        total = self.total() * other.total()
-        comps = {d: total.graded(d) for d in range(1, self.ring.dimension + 1)}
-        return ChernVector(self.ring, self.rank + other.rank, comps)
+        total = (self.total() * other.total()).graded_pieces()
+        return ChernVector(self.ring, self.rank + other.rank, dict(enumerate(total[1:], 1)))
 
     def tensor_ch(self, other: ChernVector) -> ChowClass:
         """Chern character of the tensor product."""
@@ -153,7 +157,8 @@ class PowerSumVector:
         ring, p = self.ring, self.p
         c = [ring.one()]
         for m in range(1, ring.dimension + 1):
-            c.append(sum_of_products(ring, [((-1) ** (i - 1), p[i], c[m - i]) for i in range(1, m + 1)], m))
+            terms = [((-1) ** (i - 1), p[i], c[m - i]) for i in range(1, m + 1) if p[i] and c[m - i]]
+            c.append(sum_of_products(ring, terms, m))
         return ChernVector(ring, self.rank, dict(enumerate(c[1:], 1)))
 
     def ch(self) -> ChowClass:
@@ -169,7 +174,7 @@ class PowerSumVector:
         log(x / (1 - exp(-x)))."""
         coeffs = todd_log_coefficients(self.ring.dimension)
         d = lcm(*(a.denominator for a in coeffs))
-        terms = [(a.numerator * (d // a.denominator), pm) for a, pm in zip(coeffs, self.p[1:])]
+        terms = [(a.numerator * (d // a.denominator), pm) for a, pm in zip(coeffs, self.p[1:]) if a and pm]
         return exp_nilpotent(linear_combination(self.ring, terms, d))
 
     def twisted(self, t: Scalar) -> PowerSumVector:
@@ -185,8 +190,10 @@ class PowerSumVector:
         h = _hyperplane_powers(ring)
         out = [ring.zero()]
         for m in range(1, ring.dimension + 1):
-            terms = [(comb(m, j) * s**j * q ** (m - j), h[j], p[m - j]) for j in range(m)]
-            out.append(sum_of_products(ring, [*terms, (self.rank * s**m, h[m], one)], q**m))
+            terms = [(comb(m, j) * s**j * q ** (m - j), h[j], p[m - j]) for j in range(m) if p[m - j]]
+            if self.rank:
+                terms.append((self.rank * s**m, h[m], one))
+            out.append(sum_of_products(ring, terms, q**m))
         return PowerSumVector(ring, self.rank, tuple(out))
 
 
@@ -198,17 +205,26 @@ def _hyperplane_powers(ring: GrassmannRing) -> tuple[ChowClass, ...]:
 
 
 def todd_log_coefficients(n: int) -> tuple[Fraction, ...]:
-    """Coefficients a_1..a_n of log(x / (1 - exp(-x))), computed by exact
-    truncated series arithmetic: the log of q(x) = (1 - exp(-x))/x is built
-    from the recurrence m*l_m = m*q_m - sum_{j<m} j*l_j*q_{m-j}, then negated."""
-    q = [Fraction((-1) ** i, factorial(i + 1)) for i in range(n + 1)]
-    log_q = [Fraction(0)] * (n + 1)
-    for m in range(1, n + 1):
-        acc = m * q[m]
-        for j in range(1, m):
-            acc -= j * log_q[j] * q[m - j]
-        log_q[m] = acc / m
-    return tuple(-c for c in log_q[1:])
+    """Coefficients a_1..a_n of log(x / (1 - exp(-x))) in closed form.
+
+    The series is x/2 + log((x/2) / sinh(x/2)), so a_1 = 1/2, every odd
+    a_j with j > 1 is 0, and a_2k = -B_2k / (2k (2k)!).  With the Bernoulli
+    numbers written through the integer tangent numbers T_k (1, 2, 16, 272,
+    ...), B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), this is
+    a_2k = (-1)^k T_k / (4^k (4^k - 1) (2k)!).  The T_k come from the
+    integer recurrence of Brent and Harvey ("Fast computation of Bernoulli,
+    tangent and secant numbers", arXiv:1108.0286, algorithm TangentNumbers)."""
+    half = n // 2
+    tangent = [0, 1] + [0] * (half - 1)  # tangent[k] = T_k, from k = 1
+    for k in range(2, half + 1):
+        tangent[k] = (k - 1) * tangent[k - 1]
+    for k in range(2, half + 1):
+        for j in range(k, half + 1):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    out = [Fraction(1, 2)] + [Fraction(0)] * (n - 1)
+    for k in range(1, half + 1):
+        out[2 * k - 1] = Fraction((-1) ** k * tangent[k], 4**k * (4**k - 1) * factorial(2 * k))
+    return tuple(out[:n])
 
 
 def exp_nilpotent(x: ChowClass) -> ChowClass:
@@ -222,10 +238,11 @@ def exp_nilpotent(x: ChowClass) -> ChowClass:
         raise ValueError("exp needs a class with vanishing degree-zero part")
     ring = x.ring
     dim = ring.dimension
-    xs = [x.graded(j) for j in range(dim + 1)]
+    xs = x.graded_pieces()
     y = [ring.one()]
     for m in range(1, dim + 1):
-        y.append(sum_of_products(ring, [(j, xs[j], y[m - j]) for j in range(1, m + 1)], m))
+        terms = [(j, xs[j], y[m - j]) for j in range(1, m + 1) if xs[j] and y[m - j]]
+        y.append(sum_of_products(ring, terms, m))
     return linear_combination(ring, [(1, ym) for ym in y])
 
 
@@ -417,10 +434,8 @@ def chern_from_character(ring: GrassmannRing, rank: int, character: ChowClass) -
 
 def _power_sums_from_character(ring: GrassmannRing, rank: int, character: ChowClass) -> PowerSumVector:
     """Power sums of the Chern roots from the Chern character: p_m = m! * ch_m."""
-    dim = ring.dimension
-    p = [ring.zero()] * (dim + 1)
-    for m in range(1, dim + 1):
-        p[m] = factorial(m) * character.graded(m)
+    pieces = character.graded_pieces()
+    p = [ring.zero()] + [factorial(m) * pieces[m] for m in range(1, ring.dimension + 1)]
     return PowerSumVector(ring, rank, tuple(p))
 
 

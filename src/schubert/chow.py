@@ -14,14 +14,15 @@ leaves the class (``coefficient``, ``integrate``, ``pair``, ``coeffs`` and
 the repr).  No floating point enters the engine anywhere.
 
 Products read one table per ring: for each basis index la, the rows of
-sigma_la * sigma_mu met so far, by mu.  A pair with mu not inside the dual
-of la has product zero and maps to an empty tuple with no LR work (so does
-every pair above the top degree: containment implies the degree bound);
-every other pair reads the one LR row of its unordered pair, so no empty
-row is built or cached.  Rings are immutable and shareable; the product
-table, its rows and the dual indices are pure caches (identical inputs
-always produce identical rows, and a stored row never changes), so
-concurrent use needs no coordination.
+sigma_la * sigma_mu met so far, by mu.  The kernel fills a missed pair
+inline: a pair with mu not inside the dual of la has product zero and maps
+to an empty tuple with no LR work (so does every pair above the top degree:
+containment implies the degree bound); every other pair reads the one LR
+row of its unordered pair, ``_basis_product``, so no empty row is built or
+cached.  Rings are immutable and shareable; the product table, its rows and
+the dual indices are pure caches (identical inputs always produce identical
+rows, and a stored row never changes), so concurrent use needs no
+coordination.
 
 The table is read by one multiply-accumulate kernel, ``sum_of_products``:
 (1/d) * sum of w * x * y over (int weight, class, class) terms, collected
@@ -37,13 +38,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import le
 from typing import Iterable, NamedTuple
 
 from .partitions import (
     Box,
     Partition,
     complement,
-    contains,
     enumerate_partitions,
     fits,
     lr_coefficient,  # unused here; the benchmark's tracer rebinds it by name in this module
@@ -256,6 +257,14 @@ class ChowClass:
             self.ring, {la: x for la, x in self.num.items() if weight(la) == degree}, self.den
         )
 
+    def graded_pieces(self) -> list[ChowClass]:
+        """``[self.graded(d) for d in range(dim + 1)]``, split in one pass
+        over the terms."""
+        parts: list[dict[Partition, int]] = [{} for _ in range(self.ring.dimension + 1)]
+        for la, x in self.num.items():
+            parts[sum(la)][la] = x
+        return [ChowClass._raw(self.ring, part, self.den) for part in parts]
+
     def degrees(self) -> list[int]:
         return sorted({weight(la) for la in self.num})
 
@@ -319,6 +328,7 @@ def sum_of_products(ring: GrassmannRing, terms, divisor: int = 1) -> ChowClass:
     den = lcm(*(x.den * y.den for _, x, y in terms))
     box = ring.box
     table = _table(box)
+    duals = _duals(box)
     acc: dict[Partition, int] = {}
     get = acc.get
     for w, x, y in terms:
@@ -333,8 +343,17 @@ def sum_of_products(ring: GrassmannRing, terms, divisor: int = 1) -> ChowClass:
             wa = w * a
             for mu, b in ys:
                 row = row_of(mu)
-                if row is None:  # first met: fill the pair in both orders
-                    row = rows[mu] = table[mu][la] = _table_row(box, la, mu)
+                if row is None:
+                    # First met: fill the pair in both orders.  The product
+                    # is zero unless mu lies inside la's dual, which implies
+                    # the degree bound |la| + |mu| <= dim, as |la'| = dim - |la|;
+                    # else the row is the unordered pair's _basis_product.
+                    dual = duals[la]
+                    if len(mu) <= len(dual) and all(map(le, mu, dual)):
+                        row = _basis_product(box, la, mu) if la <= mu else _basis_product(box, mu, la)
+                    else:
+                        row = ()
+                    rows[mu] = table[mu][la] = row
                 if row:
                     wab = wa * b
                     for nu, c in row:
@@ -370,18 +389,8 @@ def _ratio(scalar: Scalar) -> tuple[int, int]:
 def _table(box: Box) -> dict[Partition, dict[Partition, tuple[tuple[Partition, int], ...]]]:
     """The ring's product table: for each basis index la, the rows of
     sigma_la * sigma_mu met so far, by mu (shared; only ``sum_of_products``
-    adds to it, from ``_table_row``).  A pair whose product is zero maps to ``()``."""
+    adds to it).  A pair whose product is zero maps to ``()``."""
     return {la: {} for la in _duals(box)}
-
-
-def _table_row(box: Box, la: Partition, mu: Partition) -> tuple[tuple[Partition, int], ...]:
-    """The table's row for a pair met for the first time: ``()`` without LR
-    work when mu is not inside la's dual (the product is then zero), else
-    the unordered pair's ``_basis_product``.  Containment implies the degree
-    bound |la| + |mu| <= dim, as |la'| = dim - |la|."""
-    if not contains(_duals(box)[la], mu):
-        return ()
-    return _basis_product(box, la, mu) if la <= mu else _basis_product(box, mu, la)
 
 
 @lru_cache(maxsize=None)
@@ -391,8 +400,8 @@ def _basis_product(box: Box, la: Partition, mu: Partition) -> tuple[tuple[Partit
     With ' the box complement, the coefficient of sigma_nu is the integral of
     sigma_la * sigma_mu * sigma_nu', which is c^{la'}_{mu,nu'}: the whole row
     is the skew expansion of la'/mu, content ka landing on sigma_ka'.
-    ``_table_row`` asks for each unordered pair once, as la <= mu, and only
-    when mu lies inside la', so no row here is empty.
+    ``sum_of_products`` asks for each unordered pair once, as la <= mu, and
+    only when mu lies inside la', so no row here is empty.
     """
     duals = _duals(box)
     row = skew_lr_expansion(duals[la], mu)

@@ -8,7 +8,12 @@ partitions compare and hash structurally.
 Littlewood-Richardson coefficients come from one iterative enumerator of
 lattice-word skew tableaux, ``skew_lr_expansion``, which collects every
 content of a skew shape at once.  Direct enumeration is easy to audit and,
-at the box sizes this library targets, beats asymptotic cleverness.
+at the box sizes this library targets, beats asymptotic cleverness.  One
+family of shapes needs no tableaux: when every nonempty row starts at one
+column or every one ends at one column, the shape is a translated or a
+rotated partition and its skew Schur function is the single Schur function
+of its row lengths (van Willigenburg, "Equality of Schur and skew Schur
+functions", Ann. Comb. 2005), so it is answered before any set-up.
 Everything in this module is a pure function on immutable
 values and safe to call concurrently.
 """
@@ -117,21 +122,47 @@ def skew_lr_expansion(outer: Partition, inner: Partition) -> dict[Partition, int
     row r of the shape is grid row r + 1 and grid row 0 is zeros, so the cell
     above position p is p - w and the bound on its right is p + 1.  The
     cells, in reading order, form an explicit stack, so the search depth
-    meets no recursion limit.
+    meets no recursion limit.  A translated or rotated partition returns
+    its row lengths (reversed for a rotated one) with coefficient 1 before
+    the grid is built.
     """
     rows = len(outer)
     if len(inner) > rows:
         return {}
     w = outer[0] + 1 if outer else 1
+    inner = inner + (0,) * (rows - len(inner))
+    top = bottom = 0  # the first and the last nonempty row, counted from 1
+    for r, (o, n) in enumerate(zip(outer, inner), 1):
+        if n > o:
+            return {}
+        if n < o:
+            bottom = r
+            if not top:
+                top = r
+    if not top:
+        return {(): 1}
+    top -= 1  # the nonempty rows lie in [top:bottom]
+    # A single Schur function: the nonempty rows all start at one column (a
+    # translated partition) or all end at one column (a rotated one).  Both
+    # ends are weakly decreasing down the rows, so comparing the first
+    # nonempty row with the last settles it.  No row between them is then
+    # empty: between two rows starting at column c an empty row would have
+    # both parts c, under an outer part below it that exceeds c (and
+    # likewise for rows ending at one column).
+    if inner[top] == inner[bottom - 1]:
+        return {tuple(o - inner[top] for o in outer[top:bottom]): 1}
+    if outer[top] == outer[bottom - 1]:
+        return {tuple(outer[top] - n for n in reversed(inner[top:bottom])): 1}
     # Label 0 marks a position with no label: unset, outside the shape, or
     # grid row 0.  Grid position (r, outer[r - 1]) holds r, the largest label
     # row r - 1 of the shape may take; no cell reads it as its upper
-    # neighbour, because outer[r] <= outer[r - 1].
+    # neighbour, because outer[r] <= outer[r - 1].  Only the last cell of a
+    # row reads the row's mark, so only the rows from the first nonempty one
+    # to the last get one.
     grid = [0] * (w * (rows + 1))
     cells: list[int] = []  # grid positions, in reading order
-    for r, (o, n) in enumerate(zip(outer, inner + (0,) * (rows - len(inner))), 1):
-        if n > o:
-            return {}
+    for r in range(top + 1, bottom + 1):
+        o, n = outer[r - 1], inner[r - 1]
         base = w * r
         grid[base + o] = r
         cells += range(base + o - 1, base + n - 1, -1)

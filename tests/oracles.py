@@ -7,12 +7,14 @@ force over raw sequences, and strips are checked on explicit cell sets.
 Euler characteristics of line bundles come from Borel-Weil and the
 hook-content formula, and those of homogeneous bundles from Borel-Weil-Bott
 and the Weyl dimension formula, with no Chern classes, Todd class or ring
-products.
+products.  The Todd log series comes from truncated power-series
+arithmetic, with no Bernoulli or tangent numbers.
 """
 
 from collections import defaultdict
+from fractions import Fraction
 from itertools import permutations, product
-from math import comb, prod
+from math import comb, factorial, prod
 
 
 def brute_force_box_partitions(rows: int, cols: int, degree: int) -> list[tuple[int, ...]]:
@@ -191,6 +193,20 @@ def bott_chi(k: int, n: int, alpha, beta) -> int:
     den = prod(j - i for i, j in pairs)
     assert num % den == 0
     return (-1) ** inversions * (num // den)
+
+
+def todd_log_series(n: int) -> tuple[Fraction, ...]:
+    """Coefficients a_1..a_n of log(x / (1 - exp(-x))) by exact truncated
+    series arithmetic: the log of q(x) = (1 - exp(-x))/x is built from the
+    recurrence m*l_m = m*q_m - sum_{j<m} j*l_j*q_{m-j}, then negated."""
+    q = [Fraction((-1) ** i, factorial(i + 1)) for i in range(n + 1)]
+    log_q = [Fraction(0)] * (n + 1)
+    for m in range(1, n + 1):
+        acc = m * q[m]
+        for j in range(1, m):
+            acc -= j * log_q[j] * q[m - j]
+        log_q[m] = acc / m
+    return tuple(-c for c in log_q[1:])
 
 
 def lower_set(top: int) -> list[tuple[int, int, int]]:

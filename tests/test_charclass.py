@@ -8,6 +8,7 @@ from schubert import (
     ChernVector,
     GrassmannRing,
     RankTwoData,
+    charclass,
     chern_from_character,
     dual_partition,
     line_bundle,
@@ -18,6 +19,8 @@ from schubert import (
     todd_log_coefficients,
 )
 from schubert.charclass import LineForm, PlaneForm, RankTwoForm, exp_nilpotent, rank_two_character, rank_two_form
+
+from oracles import todd_log_series
 
 
 def _random_vector(ring, rng, max_rank=3):
@@ -120,6 +123,34 @@ def test_todd_log_coefficients_invert_the_series():
     for m in range(1, n + 1):
         inverse_q[m] = -sum(q[j] * inverse_q[m - j] for j in range(1, m + 1))
     assert exp_series == inverse_q
+
+
+def test_todd_log_coefficients_closed_form_matches_the_series():
+    # the closed form from the tangent numbers against the truncated-series
+    # recurrence, far past the dimension of any ring the engine builds
+    for n in range(41):
+        assert todd_log_coefficients(n) == todd_log_series(n), n
+
+
+@pytest.mark.parametrize("t", [-7, 2, Fraction(5, 3)])
+def test_line_bundle_power_sums_are_powers_of_the_twist(monkeypatch, t):
+    # p_m(O(t)) = t^m h^m on G(3,8), each degree one kernel call of one term:
+    # the Newton recurrence skips the terms of the zero classes c_2, c_3, ...
+    ring = GrassmannRing(3, 8)
+    h = ring.hyperplane()
+    sizes = []
+    plain = charclass.sum_of_products
+
+    def recording(ring, terms, divisor=1):
+        sizes.append(len(terms))
+        return plain(ring, terms, divisor)
+
+    monkeypatch.setattr(charclass, "sum_of_products", recording)
+    p = line_bundle(ring, t).power_sums().p
+    monkeypatch.undo()
+    assert sizes == [1] * ring.dimension
+    for m in range(1, ring.dimension + 1):
+        assert p[m] == t**m * h**m
 
 
 def test_twist_identity_and_composition(g14):

@@ -325,13 +325,18 @@ def test_products_look_up_each_unordered_pair_in_one_order(monkeypatch, ring_arg
 KERNEL_RINGS = (GrassmannRing(1, 4), GrassmannRing(2, 5), GrassmannRing(3, 7))
 
 
-def _kernel_terms(ring):
-    """(weight, x, y) terms of sparse inhomogeneous classes of ``ring`` with
-    Fraction coefficients, the zero class among them."""
+def _classes(ring, max_size):
+    """Sparse inhomogeneous classes of ``ring`` with Fraction coefficients,
+    the zero class among them."""
     coefficients = st.fractions(min_value=-6, max_value=6, max_denominator=12)
-    classes = st.dictionaries(st.sampled_from(ring.all_partitions()), coefficients, max_size=4).map(
+    return st.dictionaries(st.sampled_from(ring.all_partitions()), coefficients, max_size=max_size).map(
         lambda coeffs: ChowClass(ring, coeffs)
     )
+
+
+def _kernel_terms(ring):
+    """(weight, x, y) terms of classes of ``ring``."""
+    classes = _classes(ring, 4)
     return st.lists(st.tuples(st.integers(-5, 5), classes, classes), max_size=4)
 
 
@@ -386,6 +391,17 @@ def test_kernel_matches_products_sums_and_quotients(case):
     got = linear_combination(ring, linear, divisor)
     assert (got.num, got.den) == (expected.num, expected.den)
     _assert_canonical(got)
+
+
+@given(st.one_of(*(_classes(ring, 8) for ring in KERNEL_RINGS)))
+@example(_G37.zero())
+@example(ChowClass(_G37, {(1,): Fraction(1, 6), (2,): Fraction(1, 2), (1, 1): Fraction(3, 2), (3,): 4}))
+def test_graded_pieces_split_equals_graded(x):
+    pieces = x.graded_pieces()
+    expected = [x.graded(d) for d in range(x.ring.dimension + 1)]
+    assert [(p.num, p.den) for p in pieces] == [(e.num, e.den) for e in expected]
+    for piece in pieces:
+        _assert_canonical(piece)  # each piece in lowest terms, not over x.den
 
 
 def test_kernel_refuses_mixed_rings(g14, g13):

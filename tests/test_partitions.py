@@ -142,6 +142,12 @@ def test_skew_lr_expansion_examples():
     assert skew_lr_expansion((2400,), (1,)) == {(2399,): 1}
     # one column of 200 cells: a grid 301 rows high and labels up to 200
     assert skew_lr_expansion((1,) * 300, (1,) * 100) == {(1,) * 200: 1}
+    # single-term shapes: rows ending at one column read bottom up, rows
+    # starting at one column top down, a single row under a longer one
+    assert skew_lr_expansion((4, 4, 4), (2, 2)) == {(4, 2, 2): 1}
+    assert skew_lr_expansion((5, 3, 1), (2, 2, 1)) == {(3, 1): 1}
+    assert skew_lr_expansion((4, 3, 1), (4, 1, 1)) == {(2,): 1}
+    assert skew_lr_expansion((3, 2), (3, 2)) == {(): 1}
 
 
 def _random_skew_shape(rng, kind):
@@ -216,6 +222,36 @@ def test_skew_lr_expansion_on_every_pair_of_a_box(rows, cols, nested):
             else:
                 assert got == {}, (outer, inner)
     assert seen == nested
+
+
+@pytest.mark.parametrize("rows,cols", [(4, 4), (4, 5)])
+def test_single_term_skew_shapes_are_the_translated_and_rotated_partitions(rows, cols):
+    # On every nested pair of the box: s_{outer/inner} is one Schur function
+    # with coefficient 1 exactly when the nonempty rows all start at one
+    # column or all end at one column (van Willigenburg 2005), and that
+    # function is s of the row lengths, read top down or bottom up.  LR
+    # symmetry, c^outer_{inner,ka} = c^outer_{ka,inner}, checks each single
+    # term through the skew shape outer/ka.
+    shapes = [p for w in range(rows * cols + 1) for p in brute_force_box_partitions(rows, cols, w)]
+    singles = 0
+    for outer in shapes:
+        for inner in shapes:
+            if not cells(inner) <= cells(outer):
+                continue
+            padded = inner + (0,) * (len(outer) - len(inner))
+            spans = [(n, o) for n, o in zip(padded, outer) if n < o]
+            lengths = [o - n for n, o in spans]
+            left = len({n for n, _ in spans}) <= 1
+            right = len({o for _, o in spans}) <= 1
+            got = skew_lr_expansion(outer, inner)
+            single = len(got) == 1 and list(got.values()) == [1]
+            assert single == (left or right), (outer, inner, got)
+            if single:
+                singles += 1
+                ka = tuple(lengths if left else reversed(lengths))
+                assert got == {ka: 1}, (outer, inner)
+                assert skew_lr_expansion(outer, ka).get(inner) == 1, (outer, inner)
+    assert singles
 
 
 @given(small_partitions, small_partitions)
