@@ -187,7 +187,7 @@ class PowerSumVector:
         s, q = t.numerator, t.denominator
         ring, p = self.ring, self.p
         one = ring.one()
-        h = _hyperplane_powers(ring)
+        h = ring.hyperplane_powers()
         out = [ring.zero()]
         for m in range(1, ring.dimension + 1):
             terms = [(comb(m, j) * s**j * q ** (m - j), h[j], p[m - j]) for j in range(m) if p[m - j]]
@@ -195,13 +195,6 @@ class PowerSumVector:
                 terms.append((self.rank * s**m, h[m], one))
             out.append(sum_of_products(ring, terms, q**m))
         return PowerSumVector(ring, self.rank, tuple(out))
-
-
-def _hyperplane_powers(ring: GrassmannRing) -> tuple[ChowClass, ...]:
-    powers = [ring.one()]
-    for _ in range(ring.dimension):
-        powers.append(powers[-1] * ring.hyperplane())
-    return tuple(powers)
 
 
 def todd_log_coefficients(n: int) -> tuple[Fraction, ...]:
@@ -394,7 +387,7 @@ def _rank_two_monomials(ring: GrassmannRing) -> dict[tuple[int, int, int], ChowC
     """h^i * s(2)^l * s(1,1)^r for every (i, l, r) with i + 2(l + r) <= dim;
     s(2) or s(1,1) is 0 where its index does not fit the ring's box."""
     dim = ring.dimension
-    h = _hyperplane_powers(ring)
+    h = ring.hyperplane_powers()
     s2, s11 = (ring.sigma(la) if fits(la, ring.box) else ring.zero() for la in ((2,), (1, 1)))
     out = {}
     s2_power = ring.one()

@@ -27,10 +27,13 @@ coordination.
 The table is read by one multiply-accumulate kernel, ``sum_of_products``:
 (1/d) * sum of w * x * y over (int weight, class, class) terms, collected
 as integer numerators in one dict over the lcm of the terms' denominators
-and cancelled once.  ``ChowClass.__mul__`` is its one-term case, and the
-graded recurrences of the characteristic-class layer make one call per
-degree; ``linear_combination`` is its linear counterpart, (1/d) * sum of
-w * x.
+and cancelled once; ``linear_combination`` is its linear counterpart,
+(1/d) * sum of w * x.  Every class operation is a case of one of the two:
+the product of two classes is the one-term case of ``sum_of_products``,
+and ``+``, binary and unary ``-``, and ``*`` or ``/`` by a scalar p/q are
+one- or two-term cases of ``linear_combination`` (a scalar is the weight p
+over the divisor q).  The graded recurrences of the characteristic-class
+layer make one kernel call per degree.
 """
 
 from __future__ import annotations
@@ -124,13 +127,17 @@ class GrassmannRing(_RingFields):
             raise ValueError(f"need 0 <= i < j <= {self.n}, got ({i}, {j})")
         return self.sigma((self.n - 1 - i, self.n - j))
 
+    def hyperplane_powers(self) -> tuple[ChowClass, ...]:
+        """h^0, h^1, ..., h^dim for the ample generator h, each a full product."""
+        h = self.hyperplane()
+        powers = [self.one()]
+        for _ in range(self.dimension):
+            powers.append(powers[-1] * h)
+        return tuple(powers)
+
     def plucker_degree(self) -> int:
         """Degree of the ring's variety in its Plucker embedding."""
-        h = self.hyperplane()
-        acc = self.one()
-        for _ in range(self.dimension):
-            acc = acc * h
-        deg = acc.integrate()
+        deg = self.hyperplane_powers()[-1].integrate()
         if deg.denominator != 1:
             raise ArithmeticError(f"the Plucker degree of {self} came out as {deg}, not an integer")
         return deg.numerator
@@ -177,58 +184,36 @@ class ChowClass:
         self.den = den
         return self
 
-    def _require_same_ring(self, other: ChowClass) -> None:
-        if self.ring != other.ring:
-            raise ValueError(f"classes live in different rings: {self.ring} vs {other.ring}")
-
     @property
     def coeffs(self) -> dict[Partition, Fraction]:
         """The nonzero coefficients, by Schubert index (a fresh dict)."""
         den = self.den
         return {la: Fraction(x, den) for la, x in self.num.items()}
 
-    # -- additive structure ------------------------------------------------
+    # -- arithmetic: every operation but ** is one kernel call -------------
 
     def __add__(self, other: ChowClass) -> ChowClass:
-        self._require_same_ring(other)
-        den = lcm(self.den, other.den)
-        sx, sy = den // self.den, den // other.den
-        acc = dict(self.num) if sx == 1 else {la: x * sx for la, x in self.num.items()}
-        for la, y in other.num.items():
-            s = acc.get(la, 0) + y * sy
-            if s:
-                acc[la] = s
-            else:
-                acc.pop(la, None)
-        return ChowClass._raw(self.ring, acc, den)
-
-    def __neg__(self) -> ChowClass:
-        return ChowClass._raw(self.ring, {la: -x for la, x in self.num.items()}, self.den)
+        return linear_combination(self.ring, ((1, self), (1, other)))
 
     def __sub__(self, other: ChowClass) -> ChowClass:
-        return self + (-other)
+        return linear_combination(self.ring, ((1, self), (-1, other)))
 
-    # -- multiplicative structure -------------------------------------------
+    def __neg__(self) -> ChowClass:
+        return linear_combination(self.ring, ((-1, self),))
 
     def __mul__(self, other):
         if isinstance(other, ChowClass):
             return sum_of_products(self.ring, ((1, self, other),))
-        return self._scaled(*_ratio(other))
+        p, q = _ratio(other)
+        return linear_combination(self.ring, ((p, self),), q)
 
-    def __rmul__(self, scalar: Scalar) -> ChowClass:
-        return self._scaled(*_ratio(scalar))
+    __rmul__ = __mul__
 
     def __truediv__(self, scalar: Scalar) -> ChowClass:
         p, q = _ratio(scalar)
         if not p:
             raise ZeroDivisionError("division of a class by zero")
-        return self._scaled(q, p) if p > 0 else self._scaled(-q, -p)
-
-    def _scaled(self, p: int, q: int) -> ChowClass:
-        """Multiply by p/q, given q > 0."""
-        if not p:
-            return ChowClass._raw(self.ring, {})
-        return ChowClass._raw(self.ring, {la: p * x for la, x in self.num.items()}, q * self.den)
+        return linear_combination(self.ring, ((q if p > 0 else -q, self),), abs(p))
 
     def __pow__(self, exponent: int) -> ChowClass:
         """Square and multiply: about 2 * log2(exponent) products."""
@@ -279,7 +264,8 @@ class ChowClass:
         """The integral of ``self * other`` without forming the product: by
         Poincare duality sigma_la pairs to 1 with sigma_complement(la) and to
         0 with every other basis class."""
-        self._require_same_ring(other)
+        if self.ring != other.ring:
+            raise ValueError(f"classes live in different rings: {self.ring} vs {other.ring}")
         duals = _duals(self.ring.box)
         ys = other.num
         acc = 0

@@ -209,15 +209,7 @@ def fano_splitting_types(e: int, n: int) -> list[SplittingType]:
 
 def split_fano_bundles(n: int) -> list[SplittingType]:
     """Normalized pairs (p, q) for which O(p) + O(q) is Fano: |p - q| < n + 1."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    out = []
-    for e in (0, -1):
-        p = e // 2
-        while (e - p) - p < n + 1:
-            out.append(SplittingType(p, e - p))
-            p -= 1
-    return out
+    return [st for e in (0, -1) for st in reversed(fano_splitting_types(e, n))]
 
 
 def bundle_name(st: SplittingType) -> str:

@@ -457,7 +457,7 @@ def cmd_filter(args) -> int:
     else:
         _print_table(args.format, FILTER_COLUMNS, map(_record_row, records))
     pre = step1_survivors(records)
-    post = sum(r.status == "surviving" for r in records)
+    post = sum(r.status == "surviving" for r in pre)
     print(f"{len(pre)} candidates pass the integrality filter; {post} survive", file=sys.stderr)
     return EXIT_OK
 

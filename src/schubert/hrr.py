@@ -38,7 +38,7 @@ from .charclass import (
     tangent_bundle,  # unused here; the benchmark's tracer rebinds it by name in this module
     tangent_power_sums,
 )
-from .chow import ChowClass, GrassmannRing, Scalar
+from .chow import ChowClass, GrassmannRing, Scalar, sum_of_products
 
 
 @lru_cache(maxsize=None)
@@ -56,7 +56,7 @@ def _twist_kernels(ring: GrassmannRing) -> tuple[ChowClass, ...]:
     h = ring.hyperplane()
     kernels = [kernel]
     for j in range(1, ring.dimension + 1):
-        kernel = kernel * h / j
+        kernel = sum_of_products(ring, ((1, kernel, h),), j)
         kernels.append(kernel)
     return tuple(kernels)
 

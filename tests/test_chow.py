@@ -1,3 +1,4 @@
+import operator
 import random
 import time
 from fractions import Fraction
@@ -343,27 +344,43 @@ def _kernel_terms(ring):
 _KERNEL_TERMS = {ring: _kernel_terms(ring) for ring in KERNEL_RINGS}
 
 
+_SCALARS = st.fractions(min_value=-6, max_value=6, max_denominator=12).filter(bool)
+
+
 @st.composite
 def kernel_cases(draw):
-    """A ring, its terms and a divisor; a term may be followed by its
-    negation, so that the two cancel."""
+    """A ring, its terms, a divisor and a nonzero scalar; a term may be
+    followed by its negation, so that the two cancel."""
     ring = draw(st.sampled_from(KERNEL_RINGS))
     terms = draw(_KERNEL_TERMS[ring])
     if terms and draw(st.booleans()):
         w, x, y = draw(st.sampled_from(terms))
         terms.append((-w, x, y))
-    return ring, terms, draw(st.integers(1, 30))
+    return ring, terms, draw(st.integers(1, 30)), draw(_SCALARS)
 
 
 def _product_by_basis(x, y):
-    """x * y expanded bilinearly over products of basis classes, which the
-    Pieri oracle checks, with the coefficients multiplied as Fractions."""
+    """x * y as an {index: Fraction} dict, expanded bilinearly over products
+    of basis classes, which the Pieri oracle checks; every other sum and
+    product is taken on Fractions, outside the class layer."""
     ring = x.ring
-    acc = ring.zero()
+    acc = {}
     for la, a in x.coeffs.items():
         for mu, b in y.coeffs.items():
-            acc = acc + (a * b) * (ring.sigma(la) * ring.sigma(mu))
+            for nu, c in (ring.sigma(la) * ring.sigma(mu)).coeffs.items():
+                acc[nu] = acc.get(nu, 0) + a * b * c
     return acc
+
+
+def _weighted_sum(ring, weighted, divisor):
+    """(1/divisor) * sum of w * v over the (w, v) in ``weighted``, Fraction
+    weights and {index: Fraction} dicts, summed as Fractions and built into
+    a class once, by the constructor."""
+    acc = {}
+    for w, v in weighted:
+        for la, c in v.items():
+            acc[la] = acc.get(la, 0) + w * c
+    return ChowClass(ring, {la: c / divisor for la, c in acc.items()})
 
 
 def _assert_canonical(z):
@@ -375,22 +392,35 @@ def _assert_canonical(z):
 _G37 = KERNEL_RINGS[2]
 _X = ChowClass(_G37, {(1,): Fraction(1, 6), (2, 1): Fraction(-3, 4), (4, 4, 4, 4): 2})
 _Y = ChowClass(_G37, {(): Fraction(5, 9), (3, 1): Fraction(7, 10)})
+_MINUS_X = ChowClass(_G37, {la: -c for la, c in _X.coeffs.items()})
 
 
 @given(kernel_cases())
-@example((_G37, [(3, _X, _Y), (-2, _G37.zero(), _Y), (-3, _X, _Y), (4, _Y, _X)], 12))
-@example((_G37, [(1, _X, _Y), (1, -_X, _Y)], 7))  # cancels to zero
+@example((_G37, [(3, _X, _Y), (-2, _G37.zero(), _Y), (-3, _X, _Y), (4, _Y, _X)], 12, Fraction(-3, 4)))
+@example((_G37, [(1, _X, _Y), (1, _MINUS_X, _Y)], 7, Fraction(5)))  # cancels to zero
 def test_kernel_matches_products_sums_and_quotients(case):
-    ring, terms, divisor = case
-    expected = sum((w * _product_by_basis(x, y) for w, x, y in terms), ring.zero()) / divisor
-    got = sum_of_products(ring, terms, divisor)
-    assert (got.num, got.den) == (expected.num, expected.den)
-    _assert_canonical(got)
+    # the expected values use no class arithmetic beyond one-term basis products
+    ring, terms, divisor, r = case
     linear = [(w, x) for w, x, _ in terms] + [(w, y) for w, _, y in terms]
-    expected = sum((w * x for w, x in linear), ring.zero()) / divisor
-    got = linear_combination(ring, linear, divisor)
-    assert (got.num, got.den) == (expected.num, expected.den)
-    _assert_canonical(got)
+    checks = [
+        (sum_of_products(ring, terms, divisor), [(w, _product_by_basis(x, y)) for w, x, y in terms], divisor),
+        (linear_combination(ring, linear, divisor), [(w, x.coeffs) for w, x in linear], divisor),
+    ]
+    # every class operation is a case of the linear kernel
+    for w, x, y in terms:
+        checks += [
+            (x + y, [(1, x.coeffs), (1, y.coeffs)], 1),
+            (x - y, [(1, x.coeffs), (-1, y.coeffs)], 1),
+            (-x, [(-1, x.coeffs)], 1),
+            (w * x, [(w, x.coeffs)], 1),
+            (x * r, [(r, x.coeffs)], 1),
+            (x / -abs(r), [(-1 / abs(r), x.coeffs)], 1),
+            (0 * x, [], 1),
+        ]
+    for got, weighted, d in checks:
+        expected = _weighted_sum(ring, weighted, d)
+        assert (got.num, got.den) == (expected.num, expected.den)
+        _assert_canonical(got)
 
 
 @given(st.one_of(*(_classes(ring, 8) for ring in KERNEL_RINGS)))
@@ -411,4 +441,7 @@ def test_kernel_refuses_mixed_rings(g14, g13):
             sum_of_products(g14, terms)
     with pytest.raises(ValueError):
         linear_combination(g14, [(1, x), (1, y)])
+    for op in (operator.add, operator.sub):
+        with pytest.raises(ValueError, match="different rings"):
+            op(x, y)
     assert sum_of_products(g14, []) == linear_combination(g14, []) == g14.zero()
