@@ -14,14 +14,23 @@ leaves the class (``coefficient``, ``integrate``, ``pair``, ``coeffs`` and
 the repr).  No floating point enters the engine anywhere.
 
 Products read one table per ring: for each basis index la, the rows of
-sigma_la * sigma_mu met so far, by mu.  The kernel fills a missed pair
-inline: a pair with mu not inside the dual of la has product zero and maps
-to an empty tuple with no LR work (so does every pair above the top degree:
-containment implies the degree bound); every other pair reads the one LR
-row of its unordered pair, ``_basis_product``, so no empty row is built or
-cached.  Rings are immutable and shareable; the product table, its rows and
-the dual indices are pure caches (identical inputs always produce identical
-rows, and a stored row never changes), so concurrent use needs no
+sigma_la * sigma_mu met so far, by mu.  A missed pair with mu not inside
+the dual of la has product zero and maps to an empty tuple with no LR work
+(so does every pair above the top degree: containment implies the degree
+bound).  Any other missed pair is filled by ``_fill_pair``.  The triple
+intersection number T(la, mu, ka), the integral of
+sigma_la * sigma_mu * sigma_ka, is symmetric in its three indices (the
+duality theorem, Fulton, Young Tableaux, 1997, 9.4), so the three degree
+blocks of a degree triple (a block is the rows with |la| and |mu| fixed)
+hold the same numbers, and only the block whose skew shapes have the
+fewest cells is ever enumerated, one ``_basis_product`` row per nonzero
+pair.  A missed pair of that block is enumerated alone; a pair of either
+other block has the whole enumerated block filled, and each coefficient
+found is written into the other two blocks as well.  So each LR triple is
+enumerated once, and no empty row is built or cached.  Rings are immutable
+and shareable; the product table, its rows and the dual indices are pure
+caches (identical inputs always produce identical rows, only complete rows
+are stored, and a stored row never changes), so concurrent use needs no
 coordination.
 
 The table is read by one multiply-accumulate kernel, ``sum_of_products``:
@@ -38,6 +47,7 @@ layer make one kernel call per degree.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -330,16 +340,15 @@ def sum_of_products(ring: GrassmannRing, terms, divisor: int = 1) -> ChowClass:
             for mu, b in ys:
                 row = row_of(mu)
                 if row is None:
-                    # First met: fill the pair in both orders.  The product
-                    # is zero unless mu lies inside la's dual, which implies
-                    # the degree bound |la| + |mu| <= dim, as |la'| = dim - |la|;
-                    # else the row is the unordered pair's _basis_product.
+                    # First met.  The product is zero unless mu lies inside
+                    # la's dual, which implies the degree bound
+                    # |la| + |mu| <= dim, as |la'| = dim - |la|: then the
+                    # pair is stored in both orders with no LR work.
                     dual = duals[la]
                     if len(mu) <= len(dual) and all(map(le, mu, dual)):
-                        row = _basis_product(box, la, mu) if la <= mu else _basis_product(box, mu, la)
+                        row = _fill_pair(box, la, mu)
                     else:
-                        row = ()
-                    rows[mu] = table[mu][la] = row
+                        row = rows[mu] = table[mu][la] = ()
                 if row:
                     wab = wa * b
                     for nu, c in row:
@@ -375,8 +384,84 @@ def _ratio(scalar: Scalar) -> tuple[int, int]:
 def _table(box: Box) -> dict[Partition, dict[Partition, tuple[tuple[Partition, int], ...]]]:
     """The ring's product table: for each basis index la, the rows of
     sigma_la * sigma_mu met so far, by mu (shared; only ``sum_of_products``
-    adds to it).  A pair whose product is zero maps to ``()``."""
+    and ``_fill_pair`` add to it).  A pair whose product is zero maps to
+    ``()``."""
     return {la: {} for la in _duals(box)}
+
+
+def _fill_pair(box: Box, la: Partition, mu: Partition) -> tuple[tuple[Partition, int], ...]:
+    """The row of a missed pair (la, mu) with mu inside la', stored in both
+    orders.
+
+    Degree block (i, j) is the rows sigma_la * sigma_mu with |la| = i and
+    |mu| = j; the entry at ka' of such a row is T(la, mu, ka), the integral
+    of sigma_la * sigma_mu * sigma_ka, with |ka| = d = dim - i - j.  T is
+    symmetric in its three indices (the duality theorem, Fulton, Young
+    Tableaux, 1997, 9.4), so with p <= q <= r the degrees i, j, d sorted,
+    blocks (q, r), (p, r) and (p, q) hold the same numbers; the skew shapes
+    of block (q, r) have p cells, the fewest of the three.
+
+    A pair of block (q, r) itself (d == p) is enumerated alone, as one
+    ``_basis_product`` row: a sparse product, and every product into the
+    top degree, needs no more.  For any other pair every row of block
+    (q, r) with mu inside la' is enumerated (a row already stored is read,
+    not rebuilt), and each coefficient found is also written into one row
+    of each other block.  Those rows are collected in ``found`` first, so
+    the table only ever receives complete rows; then every pair of the
+    blocks is stored in both orders, ``()`` for the zero pairs.
+
+    A tie of degrees merges blocks, and each entry is still written once:
+    with q == r only the unordered pairs of block (q, q) are enumerated,
+    and block (p, r) is block (p, q); with p == q the enumerated rows are
+    already block (p, r), and block (p, p) takes each unordered pair once;
+    with p == q == r every pair is enumerated alone.
+    """
+    table, duals, grades = _table(box), _duals(box), _grades(box)
+    i, j = sum(la), sum(mu)
+    d = len(grades) - 1 - i - j
+    if d <= i and d <= j:
+        # ordered as block (q, r) is enumerated: |la| <= |mu|, la <= mu within a degree
+        row = _basis_product(box, la, mu) if (i, la) <= (j, mu) else _basis_product(box, mu, la)
+        table[la][mu] = table[mu][la] = row
+        return row
+    p, q, r = sorted((i, j, d))
+    found: defaultdict[tuple[Partition, Partition], list] = defaultdict(list)
+    for x, y in _block_pairs(grades, q, r):
+        x_rows, x_dual = table[x], duals[x]
+        row = x_rows.get(y)
+        if row is None:
+            row = _basis_product(box, x, y) if len(y) <= len(x_dual) and all(map(le, y, x_dual)) else ()
+            x_rows[y] = table[y][x] = row
+        if not row:
+            continue
+        y_dual = duals[y]
+        if p < q:
+            # T(x, y, ka) is entry x' of row (ka, y) and y' of row (ka, x)
+            for nu, c in row:
+                ka = duals[nu]
+                found[ka, y].append((x_dual, c))
+                if x != y:
+                    found[ka, x].append((y_dual, c))
+        else:
+            # block (p, r) is this one (q < r, as d > p); block (p, p) keeps row (ka, x) for ka <= x
+            for nu, c in row:
+                ka = duals[nu]
+                if ka <= x:
+                    found[ka, x].append((y_dual, c))
+    for block in {(p, r), (p, q)} - {(q, r)}:
+        for x, y in _block_pairs(grades, *block):
+            table[x][y] = table[y][x] = tuple(found.get((x, y), ()))
+    return table[la][mu]
+
+
+def _block_pairs(grades: tuple[list[Partition], ...], i: int, j: int):
+    """The pairs (la, mu) of degree block (i, j), each unordered pair once:
+    la <= mu when i == j."""
+    mus = grades[j]
+    for a, la in enumerate(grades[i]):
+        # a grade is lexicographically descending: mus[: a + 1] are the mu >= la
+        for mu in mus[: a + 1] if i == j else mus:
+            yield la, mu
 
 
 @lru_cache(maxsize=None)
@@ -386,7 +471,8 @@ def _basis_product(box: Box, la: Partition, mu: Partition) -> tuple[tuple[Partit
     With ' the box complement, the coefficient of sigma_nu is the integral of
     sigma_la * sigma_mu * sigma_nu', which is c^{la'}_{mu,nu'}: the whole row
     is the skew expansion of la'/mu, content ka landing on sigma_ka'.
-    ``sum_of_products`` asks for each unordered pair once, as la <= mu, and
+    ``_fill_pair`` asks for each row once, only for rows of the degree
+    block it enumerates, with |la| <= |mu| (la <= mu within one degree), and
     only when mu lies inside la', so no row here is empty.
     """
     duals = _duals(box)
@@ -395,13 +481,16 @@ def _basis_product(box: Box, la: Partition, mu: Partition) -> tuple[tuple[Partit
 
 
 @lru_cache(maxsize=None)
+def _grades(box: Box) -> tuple[list[Partition], ...]:
+    """The box's indices by degree, each grade lexicographically descending
+    (shared; never mutate)."""
+    return tuple(enumerate_partitions(box, d) for d in range(box.rows * box.cols + 1))
+
+
+@lru_cache(maxsize=None)
 def _duals(box: Box) -> dict[Partition, Partition]:
     """Every index in the box mapped to its Poincare-dual index (shared; never mutate)."""
-    return {
-        la: complement(la, box)
-        for d in range(box.rows * box.cols + 1)
-        for la in enumerate_partitions(box, d)
-    }
+    return {la: complement(la, box) for grade in _grades(box) for la in grade}
 
 
 def dual_partition(ring: GrassmannRing, la) -> Partition:

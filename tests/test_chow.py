@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from schubert import GrassmannRing, chow, dual_partition
 from schubert.chow import ChowClass, linear_combination, sum_of_products
-from schubert.partitions import conjugate, contains, weight
+from schubert.partitions import conjugate, contains, skew_lr_expansion, weight
 
 from oracles import catalan, pieri_product
 
@@ -180,7 +180,8 @@ def test_grassmann_duality_transposes_products(ring_args):
 
 
 def test_products_in_a_long_box_do_not_recurse():
-    # P^2400: sigma_(1) * sigma_(1) fills a one-row skew shape of 2398 cells
+    # P^2400: sigma_(1) * sigma_(1) is read off the degree block (1, 2398),
+    # whose rows are one-cell shapes; sigma_(1200)^2 off block (1200, 1200)
     ring = GrassmannRing(0, 2400)
     assert ring.sigma((1,)) * ring.sigma((1,)) == ring.sigma((2,))
     assert ring.sigma((1200,)) * ring.sigma((1200,)) == ring.point()
@@ -270,15 +271,9 @@ def test_zero_coefficients_pruned(g14):
     assert cls.coefficient((1,)) == 0
 
 
-def _full_square_after_a_cold_clear(monkeypatch, ring):
-    """``full * full`` with every basis coefficient 1, from empty product
-    caches, and every ``_basis_product`` row it built, with the row."""
-    basis = ring.all_partitions()
-    full = ChowClass(ring, {la: 1 for la in basis})
-    expected = ChowClass(ring, {})
-    for la in basis:
-        for mu in basis:
-            expected = expected + ring.sigma(la) * ring.sigma(mu)
+def _record_rows_from_a_cold_clear(monkeypatch):
+    """Empty the product caches and record every ``_basis_product`` row
+    built from then on, as (la, mu, row), until ``monkeypatch.undo()``."""
     chow._table.cache_clear()
     chow._basis_product.cache_clear()
     built = []
@@ -290,10 +285,44 @@ def _full_square_after_a_cold_clear(monkeypatch, ring):
         return row
 
     monkeypatch.setattr(chow, "_basis_product", recording)
+    return built
+
+
+def _full_square_after_a_cold_clear(monkeypatch, ring):
+    """``full * full`` with every basis coefficient 1, from empty product
+    caches, and every ``_basis_product`` row it built, with the row."""
+    basis = ring.all_partitions()
+    full = ChowClass(ring, {la: 1 for la in basis})
+    expected = ChowClass(ring, {})
+    for la in basis:
+        for mu in basis:
+            expected = expected + ring.sigma(la) * ring.sigma(mu)
+    built = _record_rows_from_a_cold_clear(monkeypatch)
     assert full * full == expected
     assert full * full == expected  # a second product reads the table and builds nothing
     monkeypatch.undo()
     return built
+
+
+def _enumerated_rows(ring, triples):
+    """The rows the block fill enumerates for the given degree triples
+    p <= q <= r: the pairs (la, mu) of block (q, r), |la| = q and |mu| = r,
+    each unordered pair once (la <= mu when q == r), with mu inside la's
+    dual."""
+    basis = ring.all_partitions()
+    return {
+        (la, mu)
+        for la in basis
+        for mu in basis
+        if (ring.dimension - weight(la) - weight(mu), weight(la), weight(mu)) in triples
+        and (weight(la) < weight(mu) or la <= mu)
+        and contains(dual_partition(ring, la), mu)
+    }
+
+
+def _degree_triples(ring):
+    dim = ring.dimension
+    return {(p, q, dim - p - q) for p in range(dim + 1) for q in range(p, dim + 1) if q <= dim - p - q}
 
 
 @pytest.mark.parametrize("ring_args", [(1, 4), (2, 5)])
@@ -308,19 +337,121 @@ def test_products_skip_pairs_above_the_top_degree(monkeypatch, ring_args):
         assert contains(dual_partition(ring, la), mu)
         assert row  # no empty row is built, so none is cached
     assert chow._basis_product.cache_info().currsize == len(built)
+    # products of zero pairs alone, from cold caches, do no LR work at all
+    basis = ring.all_partitions()
+    built = _record_rows_from_a_cold_clear(monkeypatch)
+    for la in basis:
+        for mu in basis:
+            if not contains(dual_partition(ring, la), mu):
+                assert ring.sigma(la) * ring.sigma(mu) == ring.zero()
+    monkeypatch.undo()
+    assert built == []
 
 
 @pytest.mark.parametrize("ring_args", [(1, 4), (2, 5)])
 def test_products_look_up_each_unordered_pair_in_one_order(monkeypatch, ring_args):
     ring = GrassmannRing(*ring_args)
-    basis = ring.all_partitions()
     built = _full_square_after_a_cold_clear(monkeypatch, ring)
     pairs = [(la, mu) for la, mu, _ in built]
-    assert all(la <= mu for la, mu in pairs)
     assert len(pairs) == len(set(pairs))  # each row is built once
-    # and every unordered pair with a nonzero product has its row
-    nonzero = {(la, mu) for la in basis for mu in basis if la <= mu and contains(dual_partition(ring, la), mu)}
-    assert set(pairs) == nonzero
+    # the dense square touches every block: the rows built are exactly the
+    # enumerated rows of every degree triple
+    assert set(pairs) == _enumerated_rows(ring, _degree_triples(ring))
+    # one nonzero pair from cold caches: a pair of its triple's enumerated
+    # block is built and stored alone; any other pair builds the rows of
+    # that block and stores every pair of the triple's three blocks, in
+    # both orders
+    basis = ring.all_partitions()
+    for la in basis:
+        for mu in basis:
+            if not contains(dual_partition(ring, la), mu):
+                continue
+            triple = tuple(sorted((weight(la), weight(mu), ring.dimension - weight(la) - weight(mu))))
+            p, q, r = triple
+            built = _record_rows_from_a_cold_clear(monkeypatch)
+            ring.sigma(la) * ring.sigma(mu)
+            monkeypatch.undo()
+            built = [(x, y) for x, y, _ in built]
+            stored = {(x, y) for x, row in chow._table(ring.box).items() for y in row}
+            if ring.dimension - weight(la) - weight(mu) == p:
+                assert built == [min((la, mu), (mu, la), key=lambda pair: (weight(pair[0]), pair))]
+                assert stored == {(la, mu), (mu, la)}
+                continue
+            assert len(built) == len(set(built))
+            assert set(built) == _enumerated_rows(ring, {triple})
+            blocks = {(p, q), (p, r), (q, r)}
+            assert stored == {
+                (x, y) for x in basis for y in basis if tuple(sorted((weight(x), weight(y)))) in blocks
+            }
+
+
+def _assert_rows_are_the_skew_expansion(ring):
+    """Every row stored in ``ring``'s product table is the skew expansion
+    of la'/mu mapped through the duals, each index once; the pair is stored
+    in both orders, as the empty row exactly when mu is not inside la';
+    and a nonzero row outside its triple's enumerated block (the one whose
+    content degree is the smallest of the three) comes with every pair of
+    the three blocks of its degree triple."""
+    table = chow._table(ring.box)
+    dim = ring.dimension
+    triples = set()
+    for la, rows in table.items():
+        dual = dual_partition(ring, la)
+        for mu, row in rows.items():
+            expected = {dual_partition(ring, ka): c for ka, c in skew_lr_expansion(dual, mu).items()}
+            assert dict(row) == expected
+            assert len(row) == len(expected)  # no index twice
+            assert (row == ()) == (not contains(dual, mu))
+            assert la in table[mu]
+            triple = sorted((weight(la), weight(mu), dim - weight(la) - weight(mu)))
+            if row and dim - weight(la) - weight(mu) > triple[0]:
+                triples.add(tuple(triple))
+    grades = {d: ring.basis(d) for d in range(dim + 1)}
+    for p, q, r in triples:
+        for i, j in ((p, q), (p, r), (q, r)):
+            for x in grades[i]:
+                assert all(y in table[x] for y in grades[j])
+
+
+@pytest.mark.parametrize("ring_args", [(2, 6), (3, 8), (1, 4), (2, 5)])
+def test_dense_product_stores_every_row_of_the_skew_expansion(ring_args):
+    # G(2,5) has the tie p = q = r = 3; the others every other tie
+    ring = GrassmannRing(*ring_args)
+    basis = ring.all_partitions()
+    full = ChowClass(ring, {la: 1 for la in basis})
+    chow._table.cache_clear()
+    chow._basis_product.cache_clear()
+    full * full
+    table = chow._table(ring.box)
+    assert all(len(table[la]) == len(basis) for la in basis)  # one product fills the table
+    _assert_rows_are_the_skew_expansion(ring)
+
+
+@st.composite
+def sparse_products(draw):
+    """A ring whose box has at most 20 cells, and the indices of two
+    classes of it, each a sum of up to eight basis classes."""
+    rows, cols = draw(st.sampled_from(_SMALL_BOXES))
+    ring = GrassmannRing(rows - 1, rows - 1 + cols)
+    indices = st.lists(st.sampled_from(ring.all_partitions()), min_size=1, max_size=8, unique=True)
+    return ring, draw(indices), draw(indices)
+
+
+_SMALL_BOXES = [(rows, cols) for rows in range(1, 21) for cols in range(1, 20 // rows + 1)]
+
+
+@given(sparse_products())
+# degrees 1 <= 4 = 4 on G(2,5): the unordered pairs of block (4, 4) are
+# enumerated once, and (2, 2) is not (3, 1)
+@example((GrassmannRing(2, 5), [(3, 1)], [(2, 2)]))
+def test_block_fill_on_random_boxes_matches_the_skew_expansion(case):
+    ring, xs, ys = case
+    chow._table.cache_clear()
+    chow._basis_product.cache_clear()
+    ChowClass(ring, {la: 1 for la in xs}) * ChowClass(ring, {mu: 1 for mu in ys})
+    table = chow._table(ring.box)
+    assert all(mu in table[la] and la in table[mu] for la in xs for mu in ys)
+    _assert_rows_are_the_skew_expansion(ring)
 
 
 KERNEL_RINGS = (GrassmannRing(1, 4), GrassmannRing(2, 5), GrassmannRing(3, 7))
