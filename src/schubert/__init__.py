@@ -10,10 +10,7 @@ from .partitions import (
     Box,
     Partition,
     complement,
-    conjugate,
     enumerate_partitions,
-    is_horizontal_strip,
-    is_vertical_strip,
     lr_coefficient,
     partition,
 )
@@ -22,7 +19,6 @@ from .charclass import (
     ChernVector,
     PowerSumVector,
     RankTwoData,
-    chern_from_character,
     line_bundle,
     rank_two_chern,
     tangent_bundle,
@@ -74,10 +70,8 @@ __all__ = [
     "SplittingType",
     "Verdict",
     "ample_twist",
-    "chern_from_character",
     "chi_p3",
     "complement",
-    "conjugate",
     "dual_partition",
     "enumerate_candidates",
     "enumerate_partitions",
@@ -85,8 +79,6 @@ __all__ = [
     "euler_polynomial",
     "fano_splitting_types",
     "griffiths_filter",
-    "is_horizontal_strip",
-    "is_vertical_strip",
     "line_bundle",
     "lr_coefficient",
     "partition",

@@ -21,11 +21,11 @@ are read once off its Chern character (``tangent_power_sums``); its Chern
 classes and its Todd class both start from them.
 
 Rank-two data (e, a, b) on a ring of lines is twisted in its coordinates by
-``RankTwoData.twisted``, which every pipeline path uses; ``ChernVector.twist``
-twists a bundle of any rank through its power sums.  Rational twists are
-supported, and their "Chern classes" need not be integral.  A
-``RankTwoForm`` in (e, a, b) folds at a fixed e and twist into a
-``PlaneForm`` in (a, b) alone, which restricts at a fixed a to a
+``RankTwoData.twisted``, which every pipeline path uses; a bundle v of any
+rank twists through its power sums, ``v.power_sums().twisted(t).to_chern()``.
+Rational twists are supported, and their "Chern classes" need not be
+integral.  A ``RankTwoForm`` in (e, a, b) folds at a fixed e and twist into
+a ``PlaneForm`` in (a, b) alone, which restricts at a fixed a to a
 ``LineForm`` in b, which evaluates in integers at integer b.
 """
 
@@ -68,7 +68,7 @@ class ChernVector:
         c = [ring.zero()] * (dim + 1)
         c[0] = ring.one()
         for d, cls in (components or {}).items():
-            if d < 1 or not isinstance(d, int):
+            if type(d) is not int or d < 1:
                 raise ValueError(f"component degrees must be positive integers, got {d}")
             if d > dim:
                 continue  # classes above the ring dimension vanish
@@ -119,10 +119,6 @@ class ChernVector:
         """Todd class, from the power sums (``PowerSumVector.todd``)."""
         return self.power_sums().todd()
 
-    def twist(self, t: Scalar) -> ChernVector:
-        """Chern data of the tensor with t times the hyperplane bundle."""
-        return self.power_sums().twisted(t).to_chern()
-
     def dual(self) -> ChernVector:
         """Negate the Chern roots: c_d picks up the sign (-1)^d."""
         comps = {d: ((-1) ** d) * self.c[d] for d in range(1, self.ring.dimension + 1)}
@@ -134,12 +130,6 @@ class ChernVector:
             raise ValueError("direct sum needs bundles over the same ring")
         total = (self.total() * other.total()).graded_pieces()
         return ChernVector(self.ring, self.rank + other.rank, dict(enumerate(total[1:], 1)))
-
-    def tensor_ch(self, other: ChernVector) -> ChowClass:
-        """Chern character of the tensor product."""
-        if self.ring != other.ring:
-            raise ValueError("tensor needs bundles over the same ring")
-        return self.ch() * other.ch()
 
 
 class PowerSumVector:
@@ -181,7 +171,8 @@ class PowerSumVector:
         """Shift every Chern root by t*h: p_m becomes
         sum_j C(m, j) t^j h^j p_{m-j} with p_0 the rank.  With t = s/q in
         lowest terms the weights C(m, j) s^j q^(m-j) are ints over q^m."""
-        t = Fraction(t)
+        if not isinstance(t, Scalar):
+            raise TypeError(f"a twist must be an int or a Fraction, got {t!r}")
         if not t:
             return self
         s, q = t.numerator, t.denominator
@@ -420,11 +411,6 @@ def rank_two_form(
     return RankTwoForm.from_terms(terms)
 
 
-def chern_from_character(ring: GrassmannRing, rank: int, character: ChowClass) -> ChernVector:
-    """Recover a Chern vector from its Chern character."""
-    return _power_sums_from_character(ring, rank, character).to_chern()
-
-
 def _power_sums_from_character(ring: GrassmannRing, rank: int, character: ChowClass) -> PowerSumVector:
     """Power sums of the Chern roots from the Chern character: p_m = m! * ch_m."""
     pieces = character.graded_pieces()
@@ -439,7 +425,7 @@ def tangent_power_sums(ring: GrassmannRing) -> PowerSumVector:
     both start here."""
     sub_dual = tautological_subbundle(ring).dual()
     quotient = tautological_quotient(ring)
-    return _power_sums_from_character(ring, sub_dual.rank * quotient.rank, sub_dual.tensor_ch(quotient))
+    return _power_sums_from_character(ring, sub_dual.rank * quotient.rank, sub_dual.ch() * quotient.ch())
 
 
 @lru_cache(maxsize=None)

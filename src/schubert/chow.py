@@ -164,9 +164,10 @@ class ChowClass:
     __slots__ = ("ring", "num", "den")
 
     def __init__(self, ring: GrassmannRing, coeffs: dict):
-        clean: dict[Partition, Fraction] = {}
+        clean: dict[Partition, Scalar] = {}
         for la, c in coeffs.items():
-            c = Fraction(c)
+            if not isinstance(c, Scalar):
+                raise TypeError(f"a coefficient must be an int or a Fraction, got {c!r}")
             if not c:
                 continue
             la = partition(la)
@@ -211,16 +212,20 @@ class ChowClass:
     def __neg__(self) -> ChowClass:
         return linear_combination(self.ring, ((-1, self),))
 
+    # a scalar is an int or a Fraction: any other operand is NotImplemented (a TypeError)
     def __mul__(self, other):
         if isinstance(other, ChowClass):
             return sum_of_products(self.ring, ((1, self, other),))
-        p, q = _ratio(other)
-        return linear_combination(self.ring, ((p, self),), q)
+        if not isinstance(other, Scalar):
+            return NotImplemented
+        return linear_combination(self.ring, ((other.numerator, self),), other.denominator)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: Scalar) -> ChowClass:
-        p, q = _ratio(scalar)
+        if not isinstance(scalar, Scalar):
+            return NotImplemented
+        p, q = scalar.numerator, scalar.denominator
         if not p:
             raise ZeroDivisionError("division of a class by zero")
         return linear_combination(self.ring, ((q if p > 0 else -q, self),), abs(p))
@@ -246,22 +251,13 @@ class ChowClass:
     def coefficient(self, la) -> Fraction:
         return Fraction(self.num.get(partition(la), 0), self.den)
 
-    def graded(self, degree: int) -> ChowClass:
-        """The homogeneous component of the given degree."""
-        return ChowClass._raw(
-            self.ring, {la: x for la, x in self.num.items() if weight(la) == degree}, self.den
-        )
-
     def graded_pieces(self) -> list[ChowClass]:
-        """``[self.graded(d) for d in range(dim + 1)]``, split in one pass
-        over the terms."""
+        """The homogeneous components of degrees 0..dim, split in one pass
+        over the terms, each in lowest terms."""
         parts: list[dict[Partition, int]] = [{} for _ in range(self.ring.dimension + 1)]
         for la, x in self.num.items():
             parts[sum(la)][la] = x
         return [ChowClass._raw(self.ring, part, self.den) for part in parts]
-
-    def degrees(self) -> list[int]:
-        return sorted({weight(la) for la in self.num})
 
     def is_homogeneous(self, degree: int) -> bool:
         return all(weight(la) == degree for la in self.num)
@@ -370,14 +366,6 @@ def linear_combination(ring: GrassmannRing, terms, divisor: int = 1) -> ChowClas
         for la, a in x.num.items():
             acc[la] = get(la, 0) + w * a
     return ChowClass._raw(ring, {la: s for la, s in acc.items() if s}, den * divisor)
-
-
-def _ratio(scalar: Scalar) -> tuple[int, int]:
-    """Numerator and positive denominator of an exact scalar; ints and
-    Fractions are read as they are, anything else goes through Fraction."""
-    if not isinstance(scalar, (int, Fraction)):
-        scalar = Fraction(scalar)
-    return scalar.numerator, scalar.denominator
 
 
 @lru_cache(maxsize=None)

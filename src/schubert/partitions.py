@@ -81,35 +81,12 @@ def enumerate_partitions(box: Box, degree: int) -> list[Partition]:
     return out
 
 
-def conjugate(la: Partition) -> Partition:
-    """Transpose of the Young diagram."""
-    if not la:
-        return ()
-    return tuple(sum(1 for part in la if part > i) for i in range(la[0]))
-
-
 def complement(la: Partition, box: Box) -> Partition:
     """Rotated box complement: the Poincare-dual index inside ``box``."""
     if not fits(la, box):
         raise ValueError(f"{la} does not fit in {box}")
     padded = la + (0,) * (box.rows - len(la))
     return partition(box.cols - padded[i] for i in reversed(range(box.rows)))
-
-
-def is_horizontal_strip(mu: Partition, la: Partition) -> bool:
-    """True iff la <= mu and mu/la has at most one box in every column."""
-    if not contains(mu, la):
-        return False
-    padded = la + (0,) * (len(mu) - len(la))
-    return all(mu[i + 1] <= padded[i] for i in range(len(mu) - 1))
-
-
-def is_vertical_strip(mu: Partition, la: Partition) -> bool:
-    """True iff la <= mu and mu/la has at most one box in every row."""
-    if not contains(mu, la):
-        return False
-    padded = la + (0,) * (len(mu) - len(la))
-    return all(mu[i] - padded[i] <= 1 for i in range(len(mu)))
 
 
 def skew_lr_expansion(outer: Partition, inner: Partition) -> dict[Partition, int]:

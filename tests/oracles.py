@@ -9,6 +9,9 @@ hook-content formula, and those of homogeneous bundles from Borel-Weil-Bott
 and the Weyl dimension formula, with no Chern classes, Todd class or ring
 products.  The Todd log series comes from truncated power-series
 arithmetic, with no Bernoulli or tangent numbers.
+
+One helper is not an oracle: ``twist`` runs the engine's own power-sum
+twist, so that the tests twist bundles of any rank along one path.
 """
 
 from collections import defaultdict
@@ -55,6 +58,13 @@ def partitions_of(n: int, max_rows: int, max_cols: int) -> list[tuple[int, ...]]
 
 def cells(la) -> set[tuple[int, int]]:
     return {(r, c) for r in range(len(la)) for c in range(la[r])}
+
+
+def conjugate(la) -> tuple[int, ...]:
+    """Transpose of the Young diagram."""
+    if not la:
+        return ()
+    return tuple(sum(1 for part in la if part > i) for i in range(la[0]))
 
 
 def is_horizontal_strip_cells(mu, la) -> bool:
@@ -222,3 +232,10 @@ def lower_set(top: int) -> list[tuple[int, int, int]]:
         for r in range(top // 2 + 1 - l)
         for i in range(top - 2 * (l + r) + 1)
     ]
+
+
+def twist(v, t):
+    """The Chern vector of v tensored with O(t), for a bundle of any rank:
+    its power sums twisted by t (``PowerSumVector.twisted``) and turned back
+    into Chern classes."""
+    return v.power_sums().twisted(t).to_chern()

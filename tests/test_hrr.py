@@ -19,7 +19,7 @@ from schubert import (
 )
 from schubert.hrr import chi_form, tangent_todd
 
-from oracles import bott_chi, line_bundle_chi, lower_set
+from oracles import bott_chi, line_bundle_chi, lower_set, twist
 
 
 def test_chi_of_line_bundles(g14):
@@ -67,7 +67,7 @@ def test_euler_polynomial_agrees_with_direct_twists(g14):
         poly = euler_polynomial(v)
         for _ in range(10):
             k = rng.randint(-12, 12)
-            assert poly(k) == euler_characteristic(v.twist(k))
+            assert poly(k) == euler_characteristic(twist(v, k))
 
 
 def test_euler_polynomial_degree_and_leading_coefficient(g14, p3):
@@ -225,7 +225,7 @@ def test_chi_p3_matches_closed_form_and_chern_vector_twist(p3):
                 closed = 2 + Fraction(11 * x, 6) + x * x - 2 * y + Fraction(x**3 - 3 * x * y, 6)
                 got = chi_p3(c1, c2, t)
                 assert got == closed, (c1, c2, t)
-                assert got == euler_characteristic(v.twist(t)), (c1, c2, t)
+                assert got == euler_characteristic(twist(v, t)), (c1, c2, t)
 
 
 def test_bott_oracle_agrees_with_borel_weil():
@@ -248,7 +248,7 @@ def test_tautological_subbundle_chi_matches_bott(n):
             expected = bott_chi(1, n, (alpha[0] + t, alpha[1] + t), (0,) * (n - 1))
             assert form(data.twisted(t)) == expected, (data, t)
             assert euler_characteristic(rank_two_chern(ring, data.twisted(t))) == expected
-            assert euler_characteristic(bundle.twist(t)) == expected
+            assert euler_characteristic(twist(bundle, t)) == expected
 
 
 @pytest.mark.parametrize("ring_args", [(1, 4), (2, 5), (3, 7)])
@@ -266,7 +266,7 @@ def test_quotient_and_tangent_chi_match_bott(ring_args):
     for bundle, alpha, beta in cases:
         for t in range(-(n + 2), 3):
             expected = bott_chi(k, n, tuple(a + t for a in alpha), beta)
-            assert euler_characteristic(bundle.twist(t)) == expected, (bundle, t)
+            assert euler_characteristic(twist(bundle, t)) == expected, (bundle, t)
 
 
 @pytest.mark.parametrize("ring_args", [(0, 3), (1, 4), (2, 5), (3, 7), (3, 8)])
@@ -291,9 +291,10 @@ def test_sym2_and_wedge2_chi_match_bott_through_adams_operations(ring_args):
     )
     for bundle, sign, alpha, beta in cases:
         ch = bundle.ch()
+        pieces = ch.graded_pieces()
         psi2 = ring.zero()
         for m in range(ring.dimension + 1):
-            psi2 = psi2 + 2**m * ch.graded(m)
+            psi2 = psi2 + 2**m * pieces[m]
         ch_square = (ch * ch + sign * psi2) / 2
         for t in range(-(n + 3), 4):
             expected = bott_chi(k, n, tuple(a + t for a in alpha), beta)
