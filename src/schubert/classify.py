@@ -24,9 +24,12 @@ four steps:
 Every rule that leans on a cohomological theorem carries a citation string
 and the marker "cited, not verified": its numeric hypotheses are computed
 exactly here, the geometry behind it is not re-proved.  All computed
-witnesses are checked against frozen expected tables; any mismatch raises
-:class:`ReplayMismatch` naming the step, so the replay doubles as a
-regression gate for the whole engine.
+witnesses are checked against frozen expected tables through one check,
+``_expect(step, what, got, expected)``: any mismatch raises
+:class:`ReplayMismatch`, which keeps the step, what was compared, the
+computed value and the frozen one, so the replay doubles as a regression
+gate for the whole engine.  The steps together must settle each step-1
+survivor exactly once.
 
 The scan does no ring arithmetic and no rational twist per candidate.  Its
 Euler characteristics and Schur pairings are polynomials in (e, a, b), built
@@ -122,11 +125,18 @@ CITE_UNIFORM = (
 
 
 class ReplayMismatch(Exception):
-    """A computed witness disagrees with the frozen expected tables."""
+    """A computed witness disagrees with the frozen expected tables: at
+    ``step``, ``what`` is ``got`` where ``expected`` was expected."""
 
-    def __init__(self, step: str, message: str):
-        self.step = step
-        super().__init__(f"{step}: {message}")
+    def __init__(self, step: str, what: str, got, expected):
+        self.step, self.what, self.got, self.expected = step, what, got, expected
+        super().__init__(f"{step}: {what} is {got}, expected {expected}")
+
+
+def _expect(step: str, what: str, got, expected) -> None:
+    """The replay's one check: raise :class:`ReplayMismatch` unless ``got == expected``."""
+    if got != expected:
+        raise ReplayMismatch(step, what, got, expected)
 
 
 class SplittingType(NamedTuple):
@@ -275,8 +285,8 @@ def scan_line(e: int, a: int) -> ScanLine:
     """The scan's forms at e restricted to the line of fixed a."""
     forms = scan_forms(e)
     point, hyper = (form.line(a) for form in forms.schur)
-    if any(point.coeffs[:-1]):
-        raise ReplayMismatch("scan", f"the pairing with the lines through a point depends on b at e = {e}")
+    if any(point.coeffs[:-1]):  # the message is built only on failure
+        _expect("scan", f"the pairing with the lines through a point at (e, a) = ({e}, {a})", point, point(0))
     return ScanLine(
         a + forms.shift,
         point(0),
@@ -374,12 +384,13 @@ def enumerate_candidates() -> tuple[CandidateRecord, ...]:
     for e in (0, -1):
         lo = (-scan_forms(e).shift) // 1 + 1
         hi = SCHUR_SUM_MAX[e] - lo
-        if lo < SCAN_LO or hi > SCAN_HI:
-            raise ReplayMismatch(
-                "scan",
-                f"positivity and Schur leave a, b in [{lo}, {hi}] at e = {e}, "
-                f"outside the scan square [{SCAN_LO}, {SCAN_HI}]^2; widen the scan",
-            )
+        _expect(
+            "scan",
+            f"the range of a, b that positivity and Schur leave at e = {e}, "
+            f"clipped to the scan square [{SCAN_LO}, {SCAN_HI}]^2,",
+            (max(lo, SCAN_LO), min(hi, SCAN_HI)),
+            (lo, hi),
+        )
     records = []
     for e in (0, -1):
         for a in range(SCAN_LO, SCAN_HI + 1):
@@ -427,19 +438,21 @@ def survivors(records, stage: str) -> list[CandidateRecord]:
 
 def step1_survivors(records) -> list[CandidateRecord]:
     """The records that pass the integrality filter, once the scan is checked
-    against the frozen candidate table, its one Griffiths elimination and its
-    witness; raises :class:`ReplayMismatch` at step1 on any difference."""
+    against the frozen candidate table, then its one Griffiths elimination
+    and witness; raises :class:`ReplayMismatch` at step1 on any difference."""
     pre = survivors(records, "schwarzenberger")
-    got = {e: sorted((r.data.a, r.data.b) for r in pre if r.data.e == e) for e in (0, -1)}
-    killed = [r for r in pre if not r.passed("griffiths")]
-    if (
-        got != {e: sorted(v) for e, v in STEP1_SURVIVORS.items()}
-        or [r.data for r in killed] != [GRIFFITHS_ELIMINATED]
-        or killed[0].verdict("griffiths").witness["chi_at_5"] != GRIFFITHS_WITNESS
-    ):
-        raise ReplayMismatch(
-            "step1", "candidate table mismatch: got " + ", ".join(str(tuple(r.data)) for r in pre)
-        )
+    _expect(
+        "step1",
+        "the (a, b) by e that pass the integrality filter",
+        {e: sorted((r.data.a, r.data.b) for r in pre if r.data.e == e) for e in (0, -1)},
+        {e: sorted(v) for e, v in STEP1_SURVIVORS.items()},
+    )
+    _expect(
+        "step1",
+        "chi(E(5)) of the candidates the Griffiths test removes",
+        {r.data: r.verdict("griffiths").witness["chi_at_5"] for r in pre if not r.passed("griffiths")},
+        {GRIFFITHS_ELIMINATED: GRIFFITHS_WITNESS},
+    )
     return pre
 
 
@@ -490,30 +503,25 @@ def _preflight() -> None:
     ring = G14
     # Plucker degrees of rings of lines follow the Catalan numbers
     for n in range(2, 7):
-        m = n - 1
-        catalan = comb(2 * m, m) // (m + 1)
-        got = GrassmannRing(1, n).plucker_degree()
-        if got != catalan:
-            raise ReplayMismatch("preflight", f"degree of G(1,{n}) = {got}, expected {catalan}")
+        catalan = comb(2 * n - 2, n - 1) // n
+        _expect("preflight", f"the degree of G(1,{n})", GrassmannRing(1, n).plucker_degree(), catalan)
     # Poincare duality on the full basis, through full products: ChowClass.pair
     # is read off this duality, so it cannot be the thing that checks it
     for la in ring.all_partitions():
         for mu in ring.all_partitions():
-            expected = int(mu == dual_partition(ring, la))
-            if (ring.sigma(la) * ring.sigma(mu)).integrate() != expected:
-                raise ReplayMismatch("preflight", f"duality fails on ({la}, {mu})")
+            got, expected = (ring.sigma(la) * ring.sigma(mu)).integrate(), int(mu == dual_partition(ring, la))
+            if got != expected:  # the message is built only on failure
+                _expect("preflight", f"the integral of s{la} * s{mu}", got, expected)
     # Newton round trips
     rank_two = [RankTwoData(-1, 0, 1), RankTwoData(0, -1, -1), RankTwoData(-1, 6, 6)]
     probes = [rank_two_chern(ring, data) for data in rank_two] + [tangent_bundle(ring)]
     for v in probes:
-        if v.power_sums().to_chern() != v:
-            raise ReplayMismatch("preflight", f"Newton round trip fails on {v!r}")
+        _expect("preflight", "the Newton round trip", v.power_sums().to_chern(), v)
     # the scan's forms against the general path (rank_two_chern -> ch -> pair)
     chi = chi_form(ring)
     for data in (*rank_two, RankTwoData(-1, 6, 6).twisted(5)):
-        got, expected = chi(data), euler_characteristic(rank_two_chern(ring, data))
-        if got != expected:
-            raise ReplayMismatch("preflight", f"chi form gives {got} on {data}, expected {expected}")
+        expected = euler_characteristic(rank_two_chern(ring, data))
+        _expect("preflight", f"the chi form at {data}", chi(data), expected)
     for e, a, b in ((0, -4, -4), (-1, 6, 7)):
         data = RankTwoData(e, a, b).twisted(ample_twist(e))
         v = rank_two_chern(ring, data)
@@ -521,10 +529,7 @@ def _preflight() -> None:
         schur3 = c1 * c1 * c1 - 2 * (c1 * c2)
         for i, j in SCHUR_CYCLES:
             got, expected = schur3_form(ring, i, j)(data), schur3.pair(ring.omega(i, j))
-            if got != expected:
-                raise ReplayMismatch(
-                    "preflight", f"s(3) form on omega({i},{j}) gives {got} on {data}, expected {expected}"
-                )
+            _expect("preflight", f"the s(3) form on omega({i},{j}) at {data}", got, expected)
     # the cached lines the scan reads against the forms at the twisted data,
     # checked only now so that a wrong form is refused before it is folded.
     # However the fold and the restriction place the coefficients, a line's
@@ -540,54 +545,39 @@ def _preflight() -> None:
             grid = [(a, b) for a in range(d + 1) for b in range(d + 1)]
             for a, b in (*grid, (SCAN_LO, SCAN_HI)):
                 got, expected = read(scan_line(e, a), b), unfolded(RankTwoData(e, a, b).twisted(t))
-                if got != expected:
-                    raise ReplayMismatch(
-                        "preflight",
-                        f"scan line ({e}, {a}) gives {got} at b = {b}, twist {t}; expected {expected}",
-                    )
+                if got != expected:  # the message is built only on failure
+                    _expect("preflight", f"the scan line ({e}, {a}) at b = {b}, twist {t},", got, expected)
     # the restriction to P^3 is linear in (e, a, b), so its values on the
     # basis prove it equal to (e, a) everywhere
     for data, expected in (((1, 0, 0), (1, 0)), ((0, 1, 0), (0, 1)), ((0, 0, 1), (0, 0))):
-        got = restriction_to_p3(*data)
-        if got != expected:
-            raise ReplayMismatch("preflight", f"restriction to P^3 of {data} is {got}, expected {expected}")
+        _expect("preflight", f"restriction to P^3 of {data}", restriction_to_p3(*data), expected)
     # tautological sequence and Whitney data of split bundles
-    if tautological_subbundle(ring).total() * tautological_quotient(ring).total() != ring.one():
-        raise ReplayMismatch("preflight", "c(S) * c(Q) != 1")
+    total = tautological_subbundle(ring).total() * tautological_quotient(ring).total()
+    _expect("preflight", "c(S) * c(Q)", total, ring.one())
     # anticanonical index: the 5 in the splitting-type inequality at e = 0
-    if tangent_bundle(ring).c[1] != 5 * ring.hyperplane():
-        raise ReplayMismatch("preflight", "c1 of the tangent bundle is not 5*s(1)")
+    _expect("preflight", "c1 of the tangent bundle", tangent_bundle(ring).c[1], 5 * ring.hyperplane())
     for p, q in ((-2, 2), (1, 3), (0, -1)):
         split = line_bundle(ring, p).direct_sum(line_bundle(ring, q))
-        if split != rank_two_chern(ring, RankTwoData(p + q, p * q, p * q)):
-            raise ReplayMismatch("preflight", f"Whitney data of O({p})+O({q}) is off")
-        lhs = euler_characteristic(split)
-        rhs = euler_characteristic(line_bundle(ring, p)) + euler_characteristic(line_bundle(ring, q))
-        if lhs != rhs:
-            raise ReplayMismatch("preflight", f"chi additivity fails on O({p})+O({q})")
+        expected = rank_two_chern(ring, RankTwoData(p + q, p * q, p * q))
+        _expect("preflight", f"the Chern data of O({p})+O({q})", split, expected)
+        expected = euler_characteristic(line_bundle(ring, p)) + euler_characteristic(line_bundle(ring, q))
+        _expect("preflight", f"chi(O({p})+O({q}))", euler_characteristic(split), expected)
 
 
 def _step2() -> CandidateRecord:
     data = STEP2_DATA
     chi_m2 = chi_form(G14)(data.twisted(-2))
-    if chi_m2 != STEP2_CHI_TWIST_MINUS_2:
-        raise ReplayMismatch("step2", f"chi(E(-2)) = {chi_m2}, expected {STEP2_CHI_TWIST_MINUS_2}")
-    sections = Verdict(
-        "minimal-sections", True, {"chi_at_twist_-2": chi_m2}, CITE_LE_POTIER
-    )
+    _expect("step2", f"chi(E(-2)) of {data}", chi_m2, STEP2_CHI_TWIST_MINUS_2)
     sc = section_constraints(data.e, data.a, data.b, 2)
-    if sc != SectionConstraints(0, 0, True):
-        raise ReplayMismatch("step2", f"section constraints at j=2 are {sc}")
-    zero_locus = Verdict(
-        "empty-zero-locus",
-        True,
-        {"va": sc.va, "vb": sc.vb, "split": sc.split_iff_both_zero},
-        CITE_SECTION_SPLIT,
-    )
+    _expect("step2", f"the section constraints of {data} at j = 2", sc, SectionConstraints(0, 0, True))
     st = split_detect(data.e, data.a, data.b)
-    if st != SplittingType(-2, 2):
-        raise ReplayMismatch("step2", f"split detection gives {st}, expected (-2, 2)")
-    return CandidateRecord(data, (sections, zero_locus), "classified", bundle_name(st))
+    _expect("step2", f"the splitting type of {data}", st, SplittingType(-2, 2))
+    zero_locus = {"va": sc.va, "vb": sc.vb, "split": sc.split_iff_both_zero}
+    verdicts = (
+        Verdict("minimal-sections", True, {"chi_at_twist_-2": chi_m2}, CITE_LE_POTIER),
+        Verdict("empty-zero-locus", True, zero_locus, CITE_SECTION_SPLIT),
+    )
+    return CandidateRecord(data, verdicts, "classified", bundle_name(st))
 
 
 def _step3() -> tuple[CandidateRecord, ...]:
@@ -595,43 +585,24 @@ def _step3() -> tuple[CandidateRecord, ...]:
     for data, expected_chi in STEP3_TABLE:
         restricted = restriction_to_p3(*data)
         chi = chi_p3(*restricted, -1)
-        if chi != expected_chi:
-            raise ReplayMismatch(
-                "step3", f"chi of the restriction of {data} at twist -1 is {chi}, expected {expected_chi}"
-            )
-        sections = Verdict(
-            "restricted-sections",
-            True,
-            {"chi_p3_twist_-1": chi, "restricted_data": restricted},
-            CITE_LE_POTIER,
-        )
+        _expect("step3", f"chi of the restriction of {data} at twist -1", chi, expected_chi)
+        sections = {"chi_p3_twist_-1": chi, "restricted_data": restricted}
         margin = data.a - (data.e - 1)
-        if margin < 0:
-            bound = Verdict("section-bound", False, {"a_minus_lower_bound": margin}, CITE_SECTION_BOUND)
-            out.append(CandidateRecord(data, (sections, bound), "eliminated", "section-bound"))
-            continue
-        if margin != 0:
-            raise ReplayMismatch("step3", f"unexpected strict margin for {data}")
-        bound = Verdict("section-bound", True, {"a_minus_lower_bound": margin}, CITE_SECTION_BOUND)
-        # equality forces the split O(1) + O(e-1), whose data has b = a
-        if data.b != data.a:
-            consistency = Verdict(
-                "forced-split-consistency",
-                False,
-                {"expected_b": data.a, "b": data.b},
-                CITE_SECTION_BOUND,
-            )
-            out.append(
-                CandidateRecord(data, (sections, bound, consistency), "eliminated", "forced-split-consistency")
-            )
+        verdicts = [
+            Verdict("restricted-sections", True, sections, CITE_LE_POTIER),
+            Verdict("section-bound", margin >= 0, {"a_minus_lower_bound": margin}, CITE_SECTION_BOUND),
+        ]
+        if margin >= 0:
+            _expect("step3", f"the section-bound margin of {data}", margin, 0)
+            # equality forces the split O(1) + O(e-1), whose data has b = a
+            forced = {"expected_b": data.a, "b": data.b}
+            verdicts.append(Verdict("forced-split-consistency", data.b == data.a, forced, CITE_SECTION_BOUND))
+        if not verdicts[-1].passed:
+            out.append(CandidateRecord(data, tuple(verdicts), "eliminated", verdicts[-1].rule))
             continue
         st = split_detect(*data)
-        if st != SplittingType(data.e - 1, 1):
-            raise ReplayMismatch("step3", f"split detection disagrees on {data}: {st}")
-        consistency = Verdict(
-            "forced-split-consistency", True, {"expected_b": data.a, "b": data.b}, CITE_SECTION_BOUND
-        )
-        out.append(CandidateRecord(data, (sections, bound, consistency), "classified", bundle_name(st)))
+        _expect("step3", f"the splitting type of {data}", st, SplittingType(data.e - 1, 1))
+        out.append(CandidateRecord(data, tuple(verdicts), "classified", bundle_name(st)))
     return tuple(out)
 
 
@@ -639,20 +610,10 @@ def _step4() -> tuple[CandidateRecord, ...]:
     out = []
     for data, expected_chi in STEP4_TABLE:
         chi = chi_p3(*restriction_to_p3(*data), 0)
-        if chi != expected_chi:
-            raise ReplayMismatch(
-                "step4", f"chi of the restriction of {data} is {chi}, expected {expected_chi}"
-            )
-        sections = Verdict(
-            "restricted-sections", True, {"chi_p3_twist_0": chi}, CITE_LE_POTIER
-        )
+        _expect("step4", f"chi of the restriction of {data}", chi, expected_chi)
+        sections = Verdict("restricted-sections", True, {"chi_p3_twist_0": chi}, CITE_LE_POTIER)
         st = split_detect(*data)
-        uniform = Verdict(
-            "uniform-classification",
-            True,
-            {"split_detect": st},
-            CITE_UNIFORM,
-        )
+        uniform = Verdict("uniform-classification", True, {"split_detect": st}, CITE_UNIFORM)
         name = bundle_name(st) if st is not None else NONSPLIT_NAME
         out.append(CandidateRecord(data, (sections, uniform), "classified", name))
     return tuple(out)
@@ -667,30 +628,25 @@ def replay_proof() -> ClassificationReport:
     _preflight()
 
     records = enumerate_candidates()
-    step1_survivors(records)
+    pre = step1_survivors(records)
 
     step2 = (_step2(),)
     step3 = _step3()
     step4 = _step4()
+    settled = step2 + step3 + step4
 
-    classified: dict[SplittingType, RankTwoData] = {}
-    nonsplit: list[RankTwoData] = []
-    for rec in step2 + step3 + step4:
-        if rec.status != "classified":
-            continue
-        st = split_detect(*rec.data)
-        if st is None:
-            nonsplit.append(rec.data)
-        else:
-            classified[st] = rec.data
-
+    # every survivor is settled once: by the Griffiths test or by one step
+    _expect(
+        "final",
+        "the candidates the Griffiths test and steps 2-4 settle",
+        sorted([GRIFFITHS_ELIMINATED, *(rec.data for rec in settled)]),
+        sorted(r.data for r in pre),
+    )
+    types = [(rec.data, split_detect(*rec.data)) for rec in settled if rec.status == "classified"]
     expected_splits = split_fano_bundles(G14.n)
-    if sorted(classified) != sorted(expected_splits):
-        raise ReplayMismatch(
-            "final", f"split types {sorted(classified)} != expected {sorted(expected_splits)}"
-        )
-    if nonsplit != [NONSPLIT_DATA]:
-        raise ReplayMismatch("final", f"non-split data {nonsplit}, expected {NONSPLIT_DATA}")
+    splits = sorted(st for _, st in types if st is not None)
+    _expect("final", "the split types", splits, sorted(expected_splits))
+    _expect("final", "the non-split data", [data for data, st in types if st is None], [NONSPLIT_DATA])
 
     final = tuple(
         BundleType("split", st, RankTwoData(st.p + st.q, st.p * st.q, st.p * st.q), bundle_name(st))

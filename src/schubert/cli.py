@@ -449,6 +449,7 @@ FILTER_COLUMNS = ["e", "a", "b", *FILTER_RULES, "status", "detail", "witness"]
 
 def cmd_filter(args) -> int:
     records = enumerate_candidates()
+    pre = step1_survivors(records)  # checked before the table is written, as in replay
     if args.format == "json":
         _write_records_json(records, "\n")
         sys.stdout.write("\n")
@@ -456,7 +457,6 @@ def cmd_filter(args) -> int:
         _write_records_csv(records)
     else:
         _print_table(args.format, FILTER_COLUMNS, map(_record_row, records))
-    pre = step1_survivors(records)
     post = sum(r.status == "surviving" for r in pre)
     print(f"{len(pre)} candidates pass the integrality filter; {post} survive", file=sys.stderr)
     return EXIT_OK

@@ -289,21 +289,27 @@ def test_filter_plain_matches_csv(capsys):
     assert header == csv_rows[0]
 
 
-# One wrong frozen value per part of the step-1 check: the candidate table,
-# the record the Griffiths test removes, and its witness chi(E(5)).
+# One wrong frozen value per part of the step-1 check, with the check that
+# names it: the candidate table, the record the Griffiths test removes, and
+# its witness chi(E(5)).
+GRIFFITHS_CHECK = "chi(E(5)) of the candidates the Griffiths test removes"
 WRONG_STEP1_VALUES = {
-    "STEP1_SURVIVORS": {0: ((0, 0),), -1: ()},
-    "GRIFFITHS_ELIMINATED": RankTwoData(-1, 0, 1),
-    "GRIFFITHS_WITNESS": Fraction(935),
+    "STEP1_SURVIVORS": ({0: ((0, 0),), -1: ()}, "the (a, b) by e that pass the integrality filter"),
+    "GRIFFITHS_ELIMINATED": (RankTwoData(-1, 0, 1), GRIFFITHS_CHECK),
+    "GRIFFITHS_WITNESS": (Fraction(935), GRIFFITHS_CHECK),
 }
 
 
 @pytest.mark.parametrize("name", sorted(WRONG_STEP1_VALUES))
 def test_filter_regression_exit_code(capsys, monkeypatch, name):
-    monkeypatch.setattr(classify, name, WRONG_STEP1_VALUES[name])
-    code, _, err = run(capsys, "filter", "--format", "csv")
-    assert code == 4
-    assert "regression at step1" in err
+    # the table is checked before it is written: no format prints a byte of
+    # it, and the one stderr line names the check that differs
+    wrong, check = WRONG_STEP1_VALUES[name]
+    monkeypatch.setattr(classify, name, wrong)
+    for fmt in ("plain", "csv", "json"):
+        code, out, err = run(capsys, "filter", "--format", fmt)
+        assert (code, out) == (4, ""), fmt
+        assert err.startswith(f"regression at step1: {check} is ") and err.count("\n") == 1, err
 
 
 def test_filter_byte_identical_across_runs(capsys):
@@ -367,7 +373,10 @@ def test_a_scan_square_that_clips_the_region_exits_4(capsys, monkeypatch, argv):
     finally:
         classify.enumerate_candidates.cache_clear()
     assert (code, out) == (4, "")
-    assert err.startswith("regression at scan: positivity") and err.count("\n") == 1, err
+    assert err == (
+        "regression at scan: the range of a, b that positivity and Schur leave at e = 0, "
+        "clipped to the scan square [-6, 17]^2, is (-6, 17), expected (-6, 18)\n"
+    )
 
 
 def test_a_restriction_that_keeps_b_exits_4_from_the_preflight(capsys, monkeypatch):
@@ -381,6 +390,86 @@ def test_a_restriction_that_keeps_b_exits_4_from_the_preflight(capsys, monkeypat
     code, out, err = run(capsys, "replay", "--format", "json")
     assert (code, out) == (4, "")
     assert err == "regression at preflight: restriction to P^3 of (0, 0, 1) is (0, 1), expected (0, 0)\n"
+
+
+# One wrong frozen value per table of the replay: (the wrong value, the step
+# that checks it, the value the engine computes, the frozen value as compared)
+WRONG_FROZEN_VALUES = {
+    "STEP1_SURVIVORS": (
+        WRONG_STEP1_VALUES["STEP1_SURVIVORS"][0],
+        "step1",
+        {0: [(-4, -4), (-4, 12), (-1, -1), (-1, 3), (0, 0)], -1: [(-2, -2), (-2, 7), (0, 0), (0, 1), (6, 6)]},
+        {0: [(0, 0)], -1: []},
+    ),
+    "GRIFFITHS_WITNESS": (
+        WRONG_STEP1_VALUES["GRIFFITHS_WITNESS"][0],
+        "step1",
+        {RankTwoData(-1, 6, 6): Fraction(-935)},
+        {RankTwoData(-1, 6, 6): Fraction(935)},
+    ),
+    "STEP2_CHI_TWIST_MINUS_2": (Fraction(99), "step2", Fraction(1), Fraction(99)),
+    "STEP3_TABLE": (
+        ((RankTwoData(0, -4, 12), Fraction(5)), *classify.STEP3_TABLE[1:]),
+        "step3",
+        Fraction(4),
+        Fraction(5),
+    ),
+    "STEP4_TABLE": (
+        ((RankTwoData(0, 0, 0), Fraction(3)), *classify.STEP4_TABLE[1:]),
+        "step4",
+        Fraction(2),
+        Fraction(3),
+    ),
+    "NONSPLIT_DATA": (
+        RankTwoData(-1, 2, 2),
+        "final",
+        [RankTwoData(-1, 0, 1)],
+        [RankTwoData(-1, 2, 2)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_FROZEN_VALUES))
+def test_a_wrong_frozen_value_reports_what_was_computed_and_what_was_frozen(capsys, monkeypatch, name):
+    wrong, step, got, expected = WRONG_FROZEN_VALUES[name]
+    monkeypatch.setattr(classify, name, wrong)
+    with pytest.raises(classify.ReplayMismatch) as info:
+        classify.replay_proof()
+    exc = info.value
+    assert (exc.step, exc.got, exc.expected) == (step, got, expected)
+    assert str(exc) == f"{step}: {exc.what} is {got}, expected {expected}"
+    for command in ("replay", "filter") if step == "step1" else ("replay",):
+        code, out, err = run(capsys, command, "--format", "json")
+        assert (code, out) == (4, "")
+        assert err == f"regression at {exc}\n" and err.startswith(f"regression at {step}: ")
+
+
+# Step tables that drop or repeat a candidate: every row still checks, but
+# the steps no longer settle each step-1 survivor exactly once.
+STEP1_DATA = sorted(RankTwoData(e, a, b) for e, pairs in classify.STEP1_SURVIVORS.items() for a, b in pairs)
+UNSETTLED_TABLES = {
+    "STEP3_TABLE": (
+        tuple(row for row in classify.STEP3_TABLE if row[0] != (0, -4, 12)),
+        [data for data in STEP1_DATA if data != (0, -4, 12)],
+    ),
+    "STEP4_TABLE": (
+        classify.STEP4_TABLE + classify.STEP4_TABLE[:1],
+        sorted([*STEP1_DATA, RankTwoData(0, 0, 0)]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNSETTLED_TABLES))
+def test_a_step_table_that_drops_or_repeats_a_candidate_exits_4(capsys, monkeypatch, name):
+    table, settled = UNSETTLED_TABLES[name]
+    monkeypatch.setattr(classify, name, table)
+    with pytest.raises(classify.ReplayMismatch) as info:
+        classify.replay_proof()
+    assert (info.value.step, info.value.got, info.value.expected) == ("final", settled, STEP1_DATA)
+    code, out, err = run(capsys, "replay")
+    assert (code, out) == (4, "")
+    assert err.startswith("regression at final: the candidates the Griffiths test and steps 2-4 settle is [")
+    assert err.count("\n") == 1
 
 
 def test_replay_byte_identical_across_runs(capsys):
