@@ -129,8 +129,11 @@ class ReplayMismatch(Exception):
     ``step``, ``what`` is ``got`` where ``expected`` was expected."""
 
     def __init__(self, step: str, what: str, got, expected):
+        super().__init__(step, what, got, expected)  # the args copy and pickle rebuild it from
         self.step, self.what, self.got, self.expected = step, what, got, expected
-        super().__init__(f"{step}: {what} is {got}, expected {expected}")
+
+    def __str__(self) -> str:
+        return f"{self.step}: {self.what} is {self.got}, expected {self.expected}"
 
 
 def _expect(step: str, what: str, got, expected) -> None:
@@ -163,6 +166,11 @@ def ample_twist(e: int) -> Fraction:
 
 
 class Verdict(NamedTuple):
+    """One rule's verdict on a candidate and the witnesses it rests on.  A
+    witness value is True, False or None, an int or a Fraction, or a tuple of
+    ints and Fractions (a SplittingType too): the cli's writers raise
+    TypeError on any other kind."""
+
     rule: str
     passed: bool
     witness: dict

@@ -11,17 +11,16 @@ document is a fixed frame of lists, and one list writer streams them, each
 item in one write; no dict tree is built and no whole list is held as one
 string.  A final-list entry is written by ``_final_json_text``.
 
-A candidate record has one writer per format, ``_record_json_format`` and
-``_record_csv_format`` (the csv line of ``_record_row``), and each writes a
-``%``-format: the record's text with a ``%s`` slot for each of e, a, b and
-each witness number, every other ``%`` doubled.  Within one render call a
-record list is written from one format per record shape, each record as
-``formats[shape] % values``.  A shape, ``_record_shape``, fixes every byte
-but the slots: status, detail, and per verdict the rule, passed, citation
-and witness keys, with each witness value keyed by its kind (bool, None, a
-number, a tuple or list of keyed items, or any other value by its str).
-Every record has a shape.  The formats live in a dict local to the call;
-no rendered text outlives it.
+A candidate record is written from ``%``-formats built from its shape, each
+with a ``%s`` slot per number and every other ``%`` doubled:
+``_record_json_format``, ``_record_csv_format`` (a ``filter`` csv line) and
+``_witness_format`` (the witness cell of the plain tables and the ``replay``
+csv).  ``_record_shape`` alone classifies a witness value, from a closed set
+of kinds: True, False, None, an int or a Fraction, and a tuple of ints and
+Fractions (a SplittingType too); any other raises TypeError.  Within one
+render call each shape's format is built once, in a dict local to the call,
+and each record is written as ``formats[shape] % values``; no rendered
+text outlives the call.
 
 The other csv and plain tables go through one table printer, which streams
 csv row by row; each row is a sequence of cells in column order, read
@@ -93,22 +92,6 @@ def _frac_json(value: int | Fraction) -> dict:
     return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
-def _witness_text(value, slots: bool = False) -> str:
-    """The text of a witness value in a csv or plain cell: bool and None in
-    lower case, a tuple or list (a SplittingType too) its items joined by
-    '|', anything else its str.  With ``slots``, as in a record's csv format:
-    each number is a ``%s`` slot and every other ``%`` is doubled."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "none"
-    if isinstance(value, (tuple, list)):
-        return "|".join([_witness_text(v, slots) for v in value])
-    if not slots:
-        return str(value)
-    return "%s" if isinstance(value, (int, Fraction)) else str(value).replace("%", "%%")
-
-
 def _write_json_list(items, text, newline: str) -> None:
     """Write ``items`` to stdout as ``json.dumps(indent=2)`` lays out a list at
     the indent of ``newline``: each item is ``text(item, inner)``, written with
@@ -146,68 +129,53 @@ def _emit_scalar(value: Fraction, fmt: str) -> None:
         print(value)
 
 
-# -- candidate record serialization ---------------------------------------------
-
-
-def _witness_string(rec: CandidateRecord) -> str:
-    return ";".join(
-        f"{k}={_witness_text(val)}" for v in rec.verdicts for k, val in v.witness.items()
-    )
-
-
-def _record_row(rec: CandidateRecord) -> tuple:
-    # the verdicts follow FILTER_RULES up to the first failure; later rules stay blank
-    marks = ["pass" if v.passed else "fail" for v in rec.verdicts]
-    return (*rec.data, *marks, *[""] * (len(FILTER_RULES) - len(marks)), rec.status, rec.detail,
-            _witness_string(rec))
-
-
 # -- candidate records, written from one format per shape ------------------------
 
 _NUMBER_TYPES = frozenset((int, Fraction))
 
 
-def _witness_key(value, numbers: list):
-    """The key of a witness value in a record's shape, each number in it
-    appended to ``numbers``: bool and None as themselves, a number (an int
-    or a Fraction, a bool none) as the class Fraction, a tuple or list (a
-    SplittingType too) as the tuple of its items' keys, and any other value
-    as its str, which is all of it that the record's text holds."""
-    if value is True or value is False or value is None:
-        return value
-    if isinstance(value, (int, Fraction)):
-        numbers.append(value)
-        return Fraction
-    if isinstance(value, (tuple, list)):
-        if _NUMBER_TYPES.issuperset(map(type, value)):  # the items' keys in one step
-            numbers += value
-            return (Fraction,) * len(value)
-        return tuple([_witness_key(v, numbers) for v in value])
-    return str(value)
-
-
 def _record_shape(rec: CandidateRecord):
-    """The shape of ``rec`` and its numbers.
+    """The shape of ``rec`` and its numbers; the one classifier of witness values.
 
     The shape fixes every byte of the record's text but e, a, b and the
-    witness numbers: status, detail, and per verdict its rule, passed,
-    citation and witness keys, each key's ``_witness_key`` after them.  The
-    numbers are e, a, b, then the witness numbers in order."""
+    witness numbers: status, detail, and per verdict the tuple of its rule,
+    passed, citation and witness keys, then each witness value's kind: True,
+    False and None as themselves, an int or a Fraction as the class Fraction,
+    a tuple of them as a tuple of the class Fraction (never its length, or a
+    1-tuple would share a shape with True).  Any other value raises
+    TypeError.  The numbers are e, a, b, then the witness numbers in order."""
     numbers = list(rec.data)
     shape = [rec.status, rec.detail]
     for v in rec.verdicts:
         witness = v.witness
         shape.append((v.rule, v.passed, v.citation, *witness))
-        for value in witness.values():  # the common kinds inline, each other one keyed in full
+        for value in witness.values():
             kind = type(value)
             if kind is int or kind is Fraction:
                 numbers.append(value)
                 shape.append(Fraction)
             elif value is True or value is False or value is None:
                 shape.append(value)
+            elif isinstance(value, tuple) and _NUMBER_TYPES.issuperset(map(type, value)):
+                numbers += value
+                shape.append((Fraction,) * len(value))
             else:
-                shape.append(_witness_key(value, numbers))
+                key = next(k for k, x in witness.items() if x is value)
+                raise TypeError(
+                    f"witness {key!r} of rule {v.rule!r} is a {kind.__name__}: a witness is True, "
+                    "False, None, an int, a Fraction or a tuple of ints and Fractions"
+                )
     return tuple(shape), numbers
+
+
+def _shape_verdicts(shape):
+    """The verdicts of a record shape, each as its rule, passed, citation and
+    the (key, kind) pairs of its witness."""
+    i = 2
+    while i < len(shape):
+        rule, passed, citation, *keys = shape[i]
+        i += 1 + len(keys)
+        yield rule, passed, citation, zip(keys, shape[i - len(keys):i])
 
 
 def _json_string(text: str) -> str:
@@ -215,55 +183,44 @@ def _json_string(text: str) -> str:
     return encode_basestring_ascii(text).replace("%", "%%")
 
 
-def _witness_json_format(value, newline: str) -> str:
-    """A witness value as JSON text at the indent of ``newline``, in a
-    format: bool and None as themselves, a number as ``{"num", "den"}`` with
-    a ``%s`` slot for each, any tuple or list (a SplittingType too) as a
-    list, anything else as its str."""
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value is None:
-        return "null"
+def _witness_json_format(kind, newline: str) -> str:
+    """The JSON text of a witness of ``kind`` at the indent of ``newline``, in
+    a format: True, False and None as themselves, a number as ``{"num",
+    "den"}`` with a ``%s`` slot for each, a tuple as the list of its numbers."""
     inner = newline + "  "
-    if isinstance(value, (int, Fraction)):
+    if kind is Fraction:
         return f'{{{inner}"num": "%s",{inner}"den": "%s"{newline}}}'
-    if isinstance(value, (tuple, list)):
-        if not value:
-            return "[]"
-        items = ("," + inner).join([_witness_json_format(v, inner) for v in value])
-        return f"[{inner}{items}{newline}]"
-    return _json_string(str(value))
+    if type(kind) is not tuple:
+        return json.dumps(kind)
+    number = f'{{{inner}  "num": "%s",{inner}  "den": "%s"{inner}}}'
+    return f"[{inner}{(',' + inner).join([number] * len(kind))}{newline}]" if kind else "[]"
 
 
-def _record_json_format(rec: CandidateRecord, newline: str) -> str:
-    """The format of ``rec``'s JSON object at the indent of ``newline``, laid
-    out as ``json.dumps(indent=2)`` writes it: e, a, b, status, detail, then
-    the verdicts, each an object of rule, passed, witness and citation.  It
-    has a ``%s`` slot for each of e, a, b and for each witness number's
-    numerator and denominator; every other ``%`` is doubled."""
+def _record_json_format(shape, newline: str) -> str:
+    """The format of the JSON object of a record of ``shape`` at the indent
+    of ``newline``, as ``json.dumps(indent=2)`` lays it out: e, a, b, status,
+    detail, then the verdicts, each an object of rule, passed, witness and
+    citation; a witness number's numerator and denominator get a slot each."""
     key = newline + "  "  # the record's keys
     item = key + "  "  # the verdict objects
     field = item + "  "  # their keys
     entry = field + "  "  # the witness keys
     verdicts = []
-    for v in rec.verdicts:
+    for rule, passed, citation, witness in _shape_verdicts(shape):
         witness = ",".join([
-            f"{entry}{_json_string(k)}: {_witness_json_format(val, entry)}"
-            for k, val in v.witness.items()
+            f"{entry}{_json_string(k)}: {_witness_json_format(kind, entry)}" for k, kind in witness
         ])
         verdicts.append(
-            f'{{{field}"rule": {_json_string(v.rule)},'
-            f'{field}"passed": {"true" if v.passed else "false"},'
+            f'{{{field}"rule": {_json_string(rule)},'
+            f'{field}"passed": {"true" if passed else "false"},'
             f'{field}"witness": {"{" + witness + field + "}" if witness else "{}"},'
-            f'{field}"citation": {_json_string(v.citation)}{item}}}'
+            f'{field}"citation": {_json_string(citation)}{item}}}'
         )
     verdict_list = "[" + item + ("," + item).join(verdicts) + key + "]" if verdicts else "[]"
     return (
         f'{{{key}"e": %s,{key}"a": %s,{key}"b": %s,'
-        f'{key}"status": {_json_string(rec.status)},'
-        f'{key}"detail": {_json_string(rec.detail)},'
+        f'{key}"status": {_json_string(shape[0])},'
+        f'{key}"detail": {_json_string(shape[1])},'
         f'{key}"verdicts": {verdict_list}{newline}}}'
     )
 
@@ -282,15 +239,15 @@ def _json_values(numbers: list) -> tuple:
 
 def _templated(build, values):
     """A render of records: each is written as its shape's format %
-    ``values(numbers)``, the format built by ``build(rec)`` for the shape's
-    first record.  The formats live as long as the render."""
+    ``values(numbers)``, the format built once by ``build(shape)``.  The
+    formats live as long as the render."""
     formats = {}
 
     def render(rec: CandidateRecord) -> str:
         shape, numbers = _record_shape(rec)
         fmt = formats.get(shape)
         if fmt is None:
-            fmt = formats[shape] = build(rec)
+            fmt = formats[shape] = build(shape)
         return fmt % values(numbers)
 
     return render
@@ -300,8 +257,43 @@ def _write_records_json(records, newline: str) -> None:
     """Write ``records`` as ``json.dumps(indent=2)`` lays out their list at
     the indent of ``newline``, each from its shape's format."""
     inner = newline + "  "
-    render = _templated(lambda rec: _record_json_format(rec, inner), _json_values)
+    render = _templated(lambda shape: _record_json_format(shape, inner), _json_values)
     _write_json_list(records, lambda rec, _: render(rec), newline)
+
+
+# The witness cell text of each kind but a tuple, in a format.
+_WITNESS_CELL_TEXT = {True: "true", False: "false", None: "none", Fraction: "%s"}
+
+
+def _witness_format(shape) -> str:
+    """The format of the witness cell of a record of ``shape``: each witness
+    as key=value, joined by ';', with every ``%`` of a key doubled; True,
+    False and None in lower case, a number a ``%s`` slot, a tuple its items'
+    slots joined by '|'."""
+    return ";".join([
+        f"{k.replace('%', '%%')}="
+        + ("|".join(["%s"] * len(kind)) if type(kind) is tuple else _WITNESS_CELL_TEXT[kind])
+        for *_, witness in _shape_verdicts(shape) for k, kind in witness
+    ])
+
+
+def _witness_cells():
+    """A render of witness cells, each from its record shape's format."""
+    return _templated(_witness_format, lambda numbers: tuple(numbers[3:]))
+
+
+def _marks(passes: list) -> list:
+    """The rule cells of a ``filter`` row: the verdicts follow FILTER_RULES up
+    to the first failure, each marked pass or fail; later rules stay blank."""
+    return ["pass" if p else "fail" for p in passes] + [""] * (len(FILTER_RULES) - len(passes))
+
+
+def _filter_rows(records):
+    """The ``filter`` table's rows of ``records``: e, a, b, the marks,
+    status, detail and the witness cell."""
+    witness = _witness_cells()
+    for rec in records:
+        yield (*rec.data, *_marks([v.passed for v in rec.verdicts]), rec.status, rec.detail, witness(rec))
 
 
 def _csv_line_writer():
@@ -310,24 +302,19 @@ def _csv_line_writer():
     return csv.writer(SimpleNamespace(write=str), lineterminator="\n")
 
 
-def _record_csv_format(rec: CandidateRecord) -> str:
-    """The format of the csv line of ``_record_row(rec)``: a ``%s`` slot for
-    each of e, a, b and each witness number, every other ``%`` doubled.
-    csv quotes and escapes a cell by its literal text alone, as neither
-    ``%s`` nor a number's text holds a character it quotes."""
-    _, _, _, *marks, status, detail, _ = _record_row(rec)
-    witness = ";".join(
-        f"{k.replace('%', '%%')}={_witness_text(val, slots=True)}"
-        for v in rec.verdicts for k, val in v.witness.items()
-    )
-    cells = ("%s", "%s", "%s", *marks, status.replace("%", "%%"), detail.replace("%", "%%"), witness)
-    return _csv_line_writer().writerow(cells)
+def _record_csv_format(shape) -> str:
+    """The format of the csv line of a ``filter`` row of a record of
+    ``shape``.  csv quotes and escapes a cell by its literal text alone, as
+    neither ``%s`` nor a number's text holds a character it quotes."""
+    marks = _marks([passed for _, passed, _, _ in _shape_verdicts(shape)])
+    status, detail = shape[0].replace("%", "%%"), shape[1].replace("%", "%%")
+    return _csv_line_writer().writerow(("%s", "%s", "%s", *marks, status, detail, _witness_format(shape)))
 
 
 def _write_records_csv(records) -> None:
     """Write the ``filter`` csv table of ``records`` as ``_print_table("csv",
-    FILTER_COLUMNS, map(_record_row, records))`` does, each row from its
-    shape's format."""
+    FILTER_COLUMNS, _filter_rows(records))`` does, each row from its shape's
+    format."""
     render = _templated(_record_csv_format, tuple)
     write = sys.stdout.write
     write(_csv_line_writer().writerow(FILTER_COLUMNS))
@@ -456,7 +443,7 @@ def cmd_filter(args) -> int:
     elif args.format == "csv":
         _write_records_csv(records)
     else:
-        _print_table(args.format, FILTER_COLUMNS, map(_record_row, records))
+        _print_table(args.format, FILTER_COLUMNS, _filter_rows(records))
     post = sum(r.status == "surviving" for r in pre)
     print(f"{len(pre)} candidates pass the integrality filter; {post} survive", file=sys.stderr)
     return EXIT_OK
@@ -480,8 +467,8 @@ def cmd_replay(args) -> int:
         _write_json_list(report.final_list, _final_json_text, "\n  ")
         sys.stdout.write("\n}\n")
     else:
-        rows = [(s, *r.data, r.status, r.detail, _witness_string(r))
-                for s, _, records in sections for r in records]
+        witness = _witness_cells()
+        rows = [(s, *r.data, r.status, r.detail, witness(r)) for s, _, records in sections for r in records]
         rows += [("final", *b.data, b.kind, b.name, "") for b in report.final_list]
         _print_table(args.format, REPLAY_COLUMNS, rows)
     print("replay complete: all witnesses match; final list has "

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import csv
 import hashlib
 import inspect
@@ -6,6 +7,7 @@ import io
 import itertools
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -24,8 +26,8 @@ from schubert.cli import (
     MAX_CHI_ARGUMENT,
     MAX_SPLITTING_TYPES_N,
     _final_json_text,
+    _filter_rows,
     _print_table,
-    _record_row,
     _record_shape,
     _write_json_list,
     _write_records_csv,
@@ -444,6 +446,17 @@ def test_a_wrong_frozen_value_reports_what_was_computed_and_what_was_frozen(caps
         assert err == f"regression at {exc}\n" and err.startswith(f"regression at {step}: ")
 
 
+def test_a_regression_keeps_its_fields_through_copy_and_pickle(monkeypatch):
+    monkeypatch.setattr(classify, "GRIFFITHS_WITNESS", Fraction(935))
+    with pytest.raises(classify.ReplayMismatch) as info:
+        classify.replay_proof()
+    for exc in (classify.ReplayMismatch("step1", "x", 1, 2), info.value):
+        fields = (exc.step, exc.what, exc.got, exc.expected, str(exc))
+        for clone in (copy.copy(exc), pickle.loads(pickle.dumps(exc))):
+            assert type(clone) is classify.ReplayMismatch
+            assert (clone.step, clone.what, clone.got, clone.expected, str(clone)) == fields
+
+
 # Step tables that drop or repeat a candidate: every row still checks, but
 # the steps no longer settle each step-1 survivor exactly once.
 STEP1_DATA = sorted(RankTwoData(e, a, b) for e, pairs in classify.STEP1_SURVIVORS.items() for a, b in pairs)
@@ -598,18 +611,15 @@ def test_record_template_matches_json_dumps_on_every_replayed_record():
         assert_records_written_as_json_dumps([rec])
 
 
-witness_leaves = (
+# Witness values of every kind the writers accept: True, False, None, an int
+# or a Fraction, and a tuple of them, a SplittingType too.
+witness_numbers = st.integers() | st.fractions()
+witness_values = (
     st.none()
     | st.booleans()
-    | st.integers()
-    | st.fractions()
+    | witness_numbers
+    | st.lists(witness_numbers, max_size=3).map(tuple)
     | st.builds(classify.SplittingType, st.integers(), st.integers())
-    | json_text
-)
-witness_values = st.recursive(
-    witness_leaves,
-    lambda children: st.lists(children, max_size=3) | st.lists(children, max_size=3).map(tuple),
-    max_leaves=8,
 )
 verdicts = st.builds(
     classify.Verdict,
@@ -631,7 +641,7 @@ candidate_records = st.builds(
 @example(classify.CandidateRecord(RankTwoData(0, 0, 0), (), "", ""))
 @example(classify.CandidateRecord(
     RankTwoData(-1, 6, 6),
-    (classify.Verdict("r", False, {}, ""), classify.Verdict("s", True, {"t": (), "u": []}, "")),
+    (classify.Verdict("r", False, {}, ""), classify.Verdict("s", True, {"t": (), "u": (5,)}, "")),
     "\ud800\"\n",
     "\x00é",
 ))
@@ -639,7 +649,7 @@ candidate_records = st.builds(
     RankTwoData(-(10**30), 10**30, 0),
     (classify.Verdict("r", True, {
         "split": classify.SplittingType(-2, 3),
-        "chi": (Fraction(-7, 2), 0, (True, None, "x")),
+        "chi": (Fraction(-7, 2), 0, 10**40),
         "q": Fraction(10**40, 3),
     }, "c"),),
     "surviving",
@@ -795,16 +805,6 @@ def test_replay_csv_matches_an_independent_writer(capsys):
 
 # Text with the characters csv quotes or the witness cell uses as separators.
 csv_cell_text = st.text(st.characters() | st.sampled_from(',"\n\r;|= '))
-csv_witness_values = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.fractions()
-    | st.builds(classify.SplittingType, st.integers(), st.integers())
-    | csv_cell_text,
-    lambda children: st.lists(children, max_size=3) | st.lists(children, max_size=3).map(tuple),
-    max_leaves=8,
-)
 
 
 @st.composite
@@ -815,7 +815,7 @@ def filter_records(draw) -> classify.CandidateRecord:
         classify.Verdict(
             rule,
             draw(st.booleans()),
-            draw(st.dictionaries(csv_cell_text, csv_witness_values, max_size=3)),
+            draw(st.dictionaries(csv_cell_text, witness_values, max_size=3)),
             draw(csv_cell_text),
         )
         for rule in classify.FILTER_RULES[:reached]
@@ -829,10 +829,11 @@ def filter_records(draw) -> classify.CandidateRecord:
 @example([classify.CandidateRecord(
     RankTwoData(-1, 6, 6),
     (
-        classify.Verdict("positivity", True, {'say "a,b"': "x\ny", "none": None}, ""),
+        classify.Verdict("positivity", True, {'say "a,b"': (1, Fraction(-1, 3)), "none": None}, ""),
         classify.Verdict("schur", False, {
             "split": classify.SplittingType(-2, 3),
-            "chi": (Fraction(-7, 2), 0, (True, False, "q,\"")),
+            "chi": (Fraction(-7, 2), 0),
+            "x\ny;|=": False,
         }, ""),
     ),
     "eliminated",
@@ -858,8 +859,8 @@ def captured_stdout(write, *args) -> str:
 
 
 def general_csv(records) -> str:
-    """The csv of ``_record_row``, the cells the plain table prints, through csv.writer."""
-    return captured_stdout(_print_table, "csv", FILTER_COLUMNS, map(_record_row, records))
+    """The csv of ``_filter_rows``, the cells the plain table prints, through csv.writer."""
+    return captured_stdout(_print_table, "csv", FILTER_COLUMNS, _filter_rows(records))
 
 
 def assert_records_written_as_the_oracles(records: list) -> None:
@@ -874,8 +875,8 @@ def assert_records_written_as_the_oracles(records: list) -> None:
         assert got == general_csv(records)
 
 
-# The scan's records have this many shapes, each with one JSON and one csv
-# format per render call; every witness kind has a shape, and none falls back.
+# The scan's records have this many shapes, each with one JSON, one csv and
+# one witness-cell format per render call.
 SCAN_SHAPES = 7
 
 
@@ -894,22 +895,29 @@ def test_every_scan_shape_and_replayed_record_writes_through_its_template():
 
 
 def test_each_render_call_builds_one_format_per_shape(capsys, monkeypatch):
-    built = []  # the record each format was built from, in order
+    built = []  # the shape each record format was built from, in order
+    cells = []  # the shape each witness-cell format was built from, in order
 
-    def counted(build):
-        def counting(rec, *args):
-            built.append(rec)
-            return build(rec, *args)
+    def counted(build, shapes):
+        def counting(shape, *args):
+            shapes.append(shape)
+            return build(shape, *args)
 
         return counting
 
-    monkeypatch.setattr(cli, "_record_json_format", counted(cli._record_json_format))
-    monkeypatch.setattr(cli, "_record_csv_format", counted(cli._record_csv_format))
+    monkeypatch.setattr(cli, "_record_json_format", counted(cli._record_json_format, built))
+    monkeypatch.setattr(cli, "_record_csv_format", counted(cli._record_csv_format, built))
+    monkeypatch.setattr(cli, "_witness_format", counted(cli._witness_format, cells))
     for fmt in ("json", "csv"):
         built.clear()
         code, _, _ = run(capsys, "filter", "--format", fmt)
         assert code == 0
-        assert len(built) == len({_record_shape(rec)[0] for rec in built}) == SCAN_SHAPES, fmt
+        assert len(built) == len(set(built)) == SCAN_SHAPES, fmt
+    # the plain table's witness cells, one format per shape
+    cells.clear()
+    code, _, _ = run(capsys, "filter", "--format", "plain")
+    assert code == 0
+    assert len(cells) == len(set(cells)) == SCAN_SHAPES
 
     # replay --format json: one format per distinct shape of each of its record lists
     calls = []
@@ -924,14 +932,21 @@ def test_each_render_call_builds_one_format_per_shape(capsys, monkeypatch):
     code, _, _ = run(capsys, "replay", "--format", "json")
     assert code == 0
     assert [len(records) for records, _ in calls] == [1458, 1, 5, 3]
-    for records, formats in calls:
-        shapes = [_record_shape(rec)[0] for rec in formats]
-        assert len(shapes) == len(set(shapes)) == len({_record_shape(rec)[0] for rec in records})
+    for records, shapes in calls:
+        assert len(shapes) == len(set(shapes)) and set(shapes) == {_record_shape(rec)[0] for rec in records}
     # step 4: the two records whose split_detect is a SplittingType are written from formats too
-    step4, step4_formats = calls[3]
+    step4, step4_shapes = calls[3]
     split = [rec for rec in step4 if type(rec.verdicts[-1].witness["split_detect"]) is classify.SplittingType]
-    assert len(split) == 2 and len(step4_formats) == 3
-    assert {_record_shape(rec)[0] for rec in split} <= {_record_shape(rec)[0] for rec in step4_formats}
+    assert len(split) == 2 and len(step4_shapes) == 3
+    assert {_record_shape(rec)[0] for rec in split} <= set(step4_shapes)
+
+    # replay --format csv and plain: one witness-cell format per distinct shape of all its records
+    replay_shapes = {_record_shape(rec)[0] for records, _ in calls for rec in records}
+    for fmt in ("csv", "plain"):
+        cells.clear()
+        code, _, _ = run(capsys, "replay", "--format", fmt)
+        assert code == 0
+        assert len(cells) == len(set(cells)) == len(replay_shapes)
 
     # a second render call builds its formats again: no text outlives a call
     scan = classify.enumerate_candidates()
@@ -958,13 +973,11 @@ slot_numbers = (
     | st.builds(Fraction, big_ints, st.integers(1, 10**30))
     | st.sampled_from([10**15, Fraction(10**15 + 3, 10**15 + 4)])
 )
-# Witness kinds as the scan's records hold them, and every other kind the step records may hold.
+# Witness kinds as the scan's records hold them, and the one other kind the step records hold.
 common_witness_values = (
     st.none() | st.booleans() | slot_numbers | st.lists(slot_numbers, max_size=4).map(tuple)
 )
-rare_witness_values = st.sampled_from(
-    [classify.SplittingType(-2, 3), (1, (2,)), (Fraction(1, 2), "x"), [1, 2], "1", "%s", "100%"]
-)
+rare_witness_values = st.builds(classify.SplittingType, big_ints, big_ints)
 
 
 def mostly(common, rare):
@@ -1068,28 +1081,21 @@ def with_witness(value) -> classify.CandidateRecord:
     return classify.CandidateRecord(RankTwoData(-1, 2, 3), (verdict,), "surviving", "")
 
 
-# One record with a witness of each kind: the first six as the scan's records
-# hold them, then a SplittingType, a nested tuple, a tuple with a string, a list and a string.
+# One record with a witness of each kind the writers accept: the first seven as
+# the scan's records hold them, then a SplittingType, as the step records do.
+# False beside None and True beside the 1-tuple each need a format of their own.
 WITNESS_KINDS = [
     with_witness(value)
     for value in (
-        Fraction(5, 7), True, None, (), (1,), (Fraction(1, 2), 3),
-        classify.SplittingType(-2, 3), (1, (2,)), (Fraction(1, 2), "x"), [1, 2], "1",
+        Fraction(5, 7), True, False, None, (), (1,), (Fraction(1, 2), 3), classify.SplittingType(-2, 3),
     )
 ]
 
 
-# Records whose witness differs from one of WITNESS_KINDS in its text alone, or
-# is False beside None: each needs a format of its own.
-WITNESS_TEXTS = [
-    with_witness(value) for value in ("2", "%s", (Fraction(1, 2), "y"), False, (None, "x"), (False, "x"))
-]
-
-
 def test_formats_write_quoted_cells_digit_runs_percent_and_every_witness_kind():
-    records = [COMMA_KEY, DIGIT_RUN_DETAIL, PERCENT_DETAIL, *WITNESS_KINDS, *WITNESS_TEXTS]
-    # a SplittingType and the list [1, 2] have the shape of the pair (Fraction(1, 2), 3)
-    assert len({_record_shape(rec)[0] for rec in WITNESS_KINDS}) == len(WITNESS_KINDS) - 2
+    records = [COMMA_KEY, DIGIT_RUN_DETAIL, PERCENT_DETAIL, *WITNESS_KINDS]
+    # a SplittingType has the shape of the pair (Fraction(1, 2), 3)
+    assert len({_record_shape(rec)[0] for rec in WITNESS_KINDS}) == len(WITNESS_KINDS) - 1
     assert '"a,b=7/2;c=1|-1/3"' in captured_stdout(_write_records_csv, [COMMA_KEY])
     assert_records_written_as_the_oracles(records + records)
     assert_records_written_as_the_oracles(records + records[::-1])
@@ -1107,6 +1113,29 @@ def test_formats_write_coordinates_not_int_as_the_oracles_do():
     assert lines[1:3] == ["True,0,0,,,,,,,\n", "0,1/2,0,,,,,,,\n"]
     with pytest.raises(TypeError):
         captured_stdout(_write_records_json, [flag, half], "\n")
+
+
+# Witness values outside the closed set of kinds the writers accept.
+UNWRITABLE_WITNESSES = {"float": 0.1, "str": "x", "list": [1, 2], "nested": (1, (2,)), "bool-tuple": (True,)}
+WITNESS_KINDS_RULE = "a witness is True, False, None, an int, a Fraction or a tuple of ints and Fractions"
+
+
+@pytest.mark.parametrize("kind", sorted(UNWRITABLE_WITNESSES))
+def test_every_writer_refuses_a_witness_outside_the_closed_kinds(kind):
+    value = UNWRITABLE_WITNESSES[kind]
+    verdict = classify.Verdict("positivity", True, {"qa": Fraction(1, 2), "odd key": value}, "c")
+    rec = classify.CandidateRecord(RankTwoData(-1, 2, 3), (verdict,), "surviving", "")
+    writers = {
+        "json": lambda: _write_records_json([rec], "\n"),
+        "csv": lambda: _write_records_csv([rec]),
+        "plain": lambda: _print_table("plain", FILTER_COLUMNS, _filter_rows([rec])),
+        "replay witness cell": lambda: cli._witness_cells()(rec),
+    }
+    for name, write in writers.items():
+        with pytest.raises(TypeError) as info:
+            captured_stdout(write)
+        assert str(info.value).startswith("witness 'odd key' of rule 'positivity' is a "), name
+        assert str(info.value).endswith(WITNESS_KINDS_RULE), name
 
 
 @given(records_of_one_shape())
