@@ -335,6 +335,25 @@ class LineForm(NamedTuple):
         return Fraction(acc, den) if acc % den else Fraction(acc // den)  # an int needs no gcd
 
 
+def line_values(forms: tuple[LineForm, ...], b: int) -> tuple[tuple[Fraction, ...], bool]:
+    """The value of each of ``forms`` at integer b, equal to its ``__call__``,
+    and whether every value is an integer.  Each value is one Horner loop in
+    integers; its integrality is read off the numerator before the one
+    Fraction of the value is built."""
+    values = []
+    integral = True
+    for coeffs, den in forms:
+        acc = 0
+        for c in coeffs:
+            acc = acc * b + c
+        if acc % den:
+            integral = False
+            values.append(Fraction(acc, den))
+        else:
+            values.append(Fraction(acc // den))  # an int needs no gcd
+    return tuple(values), integral
+
+
 class PlaneForm(NamedTuple):
     """A polynomial in (a, b) with integer coefficients over one positive
     denominator ``den``: ``rows`` runs from the polynomial in b multiplying
@@ -345,14 +364,16 @@ class PlaneForm(NamedTuple):
     den: int
 
     def line(self, a: int) -> LineForm:
-        """The form on the line of fixed a: Horner in a over the rows, each
-        row aligned at b^0, its last coefficient."""
-        width = max(map(len, self.rows))
-        out = [0] * width
-        for row in self.rows:
-            out = [c * a for c in out]
-            for j, c in enumerate(row, width - len(row)):
-                out[j] += c
+        """The form on the line of fixed a: each row aligned at b^0, its last
+        coefficient, and each column of a power of b one Horner loop in a
+        over the rows, a row too short for the column adding nothing."""
+        rows = self.rows
+        out = []
+        for p in range(max(map(len, rows)), 0, -1):  # the column of b^(p - 1)
+            acc = 0
+            for row in rows:
+                acc = acc * a + row[-p] if len(row) >= p else acc * a
+            out.append(acc)
         return LineForm(tuple(out), self.den)
 
 

@@ -37,15 +37,18 @@ once per ring as forms (``hrr.chi_form``, ``schur3_form``).  For each
 normalized e, every form is folded at each twist the scan reads (k = 0..6
 and the ample Q-twist m) into a polynomial in (a, b)
 (``RankTwoForm.at_twist``, cached by ``scan_forms``), and each line of fixed
-(e, a) restricts it to a polynomial in b (``PlaneForm.line``, cached by
-``scan_line`` for the 54 lines of the scan square), which the filters
-evaluate by Horner at integer b.  The witnesses constant along a line are
-built there once: a + s, which is also the second coordinate of every
-candidate whose b is this a, and the pairing with the lines through a
-point, which does not depend on b.  Step 2 reads chi(E(-2)) from a form
-as well.  Steps 3 and 4 restrict each candidate through one computed map,
-``restriction_to_p3``, and read the restricted chi (``hrr.chi_p3``) at its
-value.  The general path (``rank_two_chern`` -> ``ch`` -> ``pair``) runs
+(e, a) restricts it to a polynomial in b (``PlaneForm.line``, one Horner
+loop in a per column of the form, cached by ``scan_line`` for the 54 lines
+of the scan square), which the filters evaluate by Horner at integer b.
+The integrality filter reads a line's seven chi values in one call
+(``charclass.line_values``), which decides integrality on the integer
+numerators and builds one Fraction per value.  The witnesses constant
+along a line are built there once: a + s, which is also the second
+coordinate of every candidate whose b is this a, and the pairing with the
+lines through a point, which does not depend on b.  Step 2 reads
+chi(E(-2)) from a form as well.  Steps 3 and 4 restrict each candidate
+through one computed map, ``restriction_to_p3``, and read the restricted
+chi (``hrr.chi_p3``) at its value.  The general path (``rank_two_chern`` -> ``ch`` -> ``pair``) runs
 only in the preflight: it checks the G(1,4) forms against that path, then
 the cached lines against the forms at the twisted data on a grid that
 determines every line.  The preflight also proves the restriction map: it
@@ -55,7 +58,9 @@ square holds every (a, b) that passes positivity and the Schur bounds.
 
 Candidate evaluation is a pure map over the coordinates (e, a, b): verdicts
 do not depend on evaluation order, and the report is assembled in canonical
-candidate order.  The records are NamedTuples.
+candidate order.  A record's verdicts follow ``FILTER_RULES`` up to its
+first failure, so ``survivors`` reads a stage's verdict at the stage's
+position.  The records are NamedTuples.
 """
 
 from __future__ import annotations
@@ -71,6 +76,7 @@ from .charclass import (
     RankTwoData,
     RankTwoForm,
     line_bundle,
+    line_values,
     rank_two_chern,
     rank_two_form,
     tangent_bundle,
@@ -345,10 +351,10 @@ def schur_filter(e: int, a: int, b: int) -> Verdict:
 def schwarzenberger_filter(e: int, a: int, b: int) -> Verdict:
     """Every chi(E(k)) must be an integer.  chi(E(k)) is a polynomial of
     degree at most dim in k, so integrality at k = 0..dim settles every twist."""
-    chis = tuple(chi(b) for chi in scan_line(e, a).chi)
+    chis, integral = line_values(scan_line(e, a).chi, b)
     return Verdict(
         "schwarzenberger",
-        all(chi.denominator == 1 for chi in chis),
+        integral,
         {"chi": chis},
         CITE_INTEGRALITY,
     )
@@ -438,10 +444,16 @@ NONSPLIT_NAME = (
 
 def survivors(records, stage: str) -> list[CandidateRecord]:
     """Records that pass every filter up to and including ``stage``: verdicts
-    follow ``FILTER_RULES`` up to the first failure, so passing ``stage`` is enough."""
+    follow ``FILTER_RULES`` up to the first failure, so passing ``stage`` is
+    enough, and its verdict is read at the stage's position in that order (a
+    record whose verdict there has another rule does not pass)."""
     if stage not in FILTER_RULES:
         raise ValueError(f"unknown filter stage {stage!r}")
-    return [r for r in records if r.passed(stage)]
+    i = FILTER_RULES.index(stage)
+    return [
+        r for r in records
+        if len(r.verdicts) > i and r.verdicts[i].passed and r.verdicts[i].rule == stage
+    ]
 
 
 def step1_survivors(records) -> list[CandidateRecord]:
@@ -514,10 +526,12 @@ def _preflight() -> None:
         catalan = comb(2 * n - 2, n - 1) // n
         _expect("preflight", f"the degree of G(1,{n})", GrassmannRing(1, n).plucker_degree(), catalan)
     # Poincare duality on the full basis, through full products: ChowClass.pair
-    # is read off this duality, so it cannot be the thing that checks it
-    for la in ring.all_partitions():
-        for mu in ring.all_partitions():
-            got, expected = (ring.sigma(la) * ring.sigma(mu)).integrate(), int(mu == dual_partition(ring, la))
+    # is read off this duality, so it cannot be the thing that checks it.
+    # Each basis class and the index of its dual are built once
+    classes = [(la, ring.sigma(la), dual_partition(ring, la)) for la in ring.all_partitions()]
+    for la, x, dual in classes:
+        for mu, y, _ in classes:
+            got, expected = (x * y).integrate(), int(mu == dual)
             if got != expected:  # the message is built only on failure
                 _expect("preflight", f"the integral of s{la} * s{mu}", got, expected)
     # Newton round trips

@@ -17,14 +17,15 @@ with a ``%s`` slot per number and every other ``%`` doubled:
 ``_witness_format`` (the witness cell of the plain tables and the ``replay``
 csv).  ``_record_shape`` alone classifies a witness value, from a closed set
 of kinds: True, False, None, an int or a Fraction, and a tuple of ints and
-Fractions (a SplittingType too); any other raises TypeError.  Within one
-render call each shape's format is built once, in a dict local to the call,
-and each record is written as ``formats[shape] % values``; no rendered
-text outlives the call.
+Fractions (a SplittingType too); any other raises TypeError.  Every writer
+prints a coordinate e, a, b as ``int.__repr__`` does: a Fraction or a float
+raises TypeError, a bool is 1 or 0.  Within one render call each shape's
+format is built once, in a dict local to the call, and each record is
+written as ``formats[shape] % values``; no rendered text outlives the call.
 
 The other csv and plain tables go through one table printer, which streams
 csv row by row; each row is a sequence of cells in column order, read
-straight off the record.
+straight off the record, the coordinates through ``int.__repr__``.
 
 Exit codes: 0 success, 2 usage error (its message cut to its two ends,
 since argparse quotes a bad argument in full), 3 domain error, 4 regression
@@ -143,8 +144,13 @@ def _record_shape(rec: CandidateRecord):
     False and None as themselves, an int or a Fraction as the class Fraction,
     a tuple of them as a tuple of the class Fraction (never its length, or a
     1-tuple would share a shape with True).  Any other value raises
-    TypeError.  The numbers are e, a, b, then the witness numbers in order."""
+    TypeError.  The numbers are e, a, b, then the witness numbers in order;
+    e, a, b are ints, or else their ``int.__repr__`` text (a Fraction or a
+    float raises TypeError, a bool is 1 or 0), so every writer prints them
+    alike."""
     numbers = list(rec.data)
+    if not (type(numbers[0]) is int and type(numbers[1]) is int and type(numbers[2]) is int):
+        numbers = [*map(int.__repr__, numbers)]
     shape = [rec.status, rec.detail]
     for v in rec.verdicts:
         witness = v.witness
@@ -226,12 +232,10 @@ def _record_json_format(shape, newline: str) -> str:
 
 
 def _json_values(numbers: list) -> tuple:
-    """The slot values of a record's JSON format: e, a, b through
-    ``int.__repr__`` (a Fraction or a float raises TypeError, a bool is 1 or
-    0), then each witness number's numerator and denominator."""
+    """The slot values of a record's JSON format: e, a, b as
+    ``_record_shape`` gives them, then each witness number's numerator and
+    denominator."""
     values = numbers[:3]
-    if not (type(values[0]) is int and type(values[1]) is int and type(values[2]) is int):
-        values = [*map(int.__repr__, values)]
     for n in numbers[3:]:
         values += n.as_integer_ratio()
     return tuple(values)
@@ -289,11 +293,12 @@ def _marks(passes: list) -> list:
 
 
 def _filter_rows(records):
-    """The ``filter`` table's rows of ``records``: e, a, b, the marks,
-    status, detail and the witness cell."""
+    """The ``filter`` table's rows of ``records``: e, a, b through
+    ``int.__repr__``, the marks, status, detail and the witness cell."""
     witness = _witness_cells()
     for rec in records:
-        yield (*rec.data, *_marks([v.passed for v in rec.verdicts]), rec.status, rec.detail, witness(rec))
+        marks = _marks([v.passed for v in rec.verdicts])
+        yield (*map(int.__repr__, rec.data), *marks, rec.status, rec.detail, witness(rec))
 
 
 def _csv_line_writer():
@@ -323,6 +328,17 @@ def _write_records_csv(records) -> None:
 
 
 REPLAY_COLUMNS = ["section", "e", "a", "b", "action", "outcome", "witness"]
+
+
+def _replay_rows(sections, final_list):
+    """The ``replay`` table's rows: each section's records, then the final
+    list, each with e, a, b through ``int.__repr__``."""
+    witness = _witness_cells()
+    for section, _, records in sections:
+        for rec in records:
+            yield (section, *map(int.__repr__, rec.data), rec.status, rec.detail, witness(rec))
+    for entry in final_list:
+        yield ("final", *map(int.__repr__, entry.data), entry.kind, entry.name, "")
 
 
 def _final_json_text(entry: BundleType, newline: str) -> str:
@@ -467,10 +483,7 @@ def cmd_replay(args) -> int:
         _write_json_list(report.final_list, _final_json_text, "\n  ")
         sys.stdout.write("\n}\n")
     else:
-        witness = _witness_cells()
-        rows = [(s, *r.data, r.status, r.detail, witness(r)) for s, _, records in sections for r in records]
-        rows += [("final", *b.data, b.kind, b.name, "") for b in report.final_list]
-        _print_table(args.format, REPLAY_COLUMNS, rows)
+        _print_table(args.format, REPLAY_COLUMNS, _replay_rows(sections, report.final_list))
     print("replay complete: all witnesses match; final list has "
           f"{len(report.final_list)} entries", file=sys.stderr)
     return EXIT_OK

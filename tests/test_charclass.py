@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from schubert import (
     ChernVector,
@@ -18,7 +20,15 @@ from schubert import (
     tautological_subbundle,
     todd_log_coefficients,
 )
-from schubert.charclass import LineForm, PlaneForm, RankTwoForm, exp_nilpotent, rank_two_character, rank_two_form
+from schubert.charclass import (
+    LineForm,
+    PlaneForm,
+    RankTwoForm,
+    exp_nilpotent,
+    line_values,
+    rank_two_character,
+    rank_two_form,
+)
 
 from oracles import todd_log_series, twist
 
@@ -353,6 +363,54 @@ def test_line_form_call_equals_the_fraction_of_its_value():
         assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
         seen.add((value % den == 0, value < 0))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@st.composite
+def line_forms(draw) -> LineForm:
+    """A line form whose coefficients are mostly multiples of its
+    denominator, so that many values are integers."""
+    den = draw(st.sampled_from((1, 2, 6, 720)) | st.integers(1, 10**6))
+    offsets = st.just(0) | st.integers(-(10**6), 10**6)
+    coeffs = draw(st.lists(st.builds(lambda q, r: den * q + r, st.integers(-(10**9), 10**9), offsets),
+                           min_size=1, max_size=8))
+    return LineForm(tuple(coeffs), den)
+
+
+@given(st.lists(line_forms(), max_size=8).map(tuple), st.integers(-40, 40) | st.integers())
+def test_horner_line_values_equal_each_line_form_call(forms, b):
+    # the scan's one loop over a line's chi forms against each form's own call
+    values, integral = line_values(forms, b)
+    expected = tuple(form(b) for form in forms)
+    assert values == expected
+    assert all(type(v) is Fraction for v in values)
+    assert integral is all(v.denominator == 1 for v in values)
+
+
+@st.composite
+def at_twist_planes(draw) -> tuple[PlaneForm, int, int]:
+    """A plane form with the rows ``RankTwoForm.at_twist`` builds, the row of
+    a^(half - k) of length k + 1, and a point (a, b)."""
+    half = draw(st.integers(0, 5))
+    coeff = st.integers(-(10**6), 10**6)
+    rows = tuple(tuple(draw(st.lists(coeff, min_size=k + 1, max_size=k + 1))) for k in range(half + 1))
+    point = st.integers(-30, 30) | st.integers(-(10**12), 10**12)
+    return PlaneForm(rows, draw(st.integers(1, 10**4))), draw(point), draw(point)
+
+
+@given(at_twist_planes())
+def test_horner_plane_restriction_equals_the_plane_polynomial(case):
+    # the column-wise restriction to a line against the polynomial in (a, b)
+    plane, a, b = case
+    rows = plane.rows
+    value = sum(
+        c * a ** (len(rows) - 1 - i) * b ** (len(row) - 1 - j)
+        for i, row in enumerate(rows)
+        for j, c in enumerate(row)
+    )
+    line = plane.line(a)
+    assert type(line) is LineForm and line.den == plane.den
+    assert len(line.coeffs) == len(rows[-1])
+    assert line(b) == Fraction(value, plane.den)
 
 
 @pytest.mark.parametrize("ring_args", [(1, 4), (1, 5), (2, 5)])

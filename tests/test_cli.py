@@ -25,10 +25,12 @@ from schubert.cli import (
     FILTER_COLUMNS,
     MAX_CHI_ARGUMENT,
     MAX_SPLITTING_TYPES_N,
+    REPLAY_COLUMNS,
     _final_json_text,
     _filter_rows,
     _print_table,
     _record_shape,
+    _replay_rows,
     _write_json_list,
     _write_records_csv,
     _write_records_json,
@@ -712,17 +714,34 @@ def test_final_template_matches_json_dumps_on_synthetic_entries(entry):
     assert_entries_written_as_json_dumps([entry, entry])
 
 
+def coordinate_writers(rec: classify.CandidateRecord) -> dict:
+    """Every writer of a candidate record's coordinates, each writing ``rec``
+    after a record of int coordinates."""
+    records = [classify.CandidateRecord(RankTwoData(0, 0, 0), (), "", ""), rec]
+    sections = [("step1", "step1_table", records)]
+    writers = {
+        "json": lambda: _write_records_json(records, "\n"),
+        "filter csv": lambda: _write_records_csv(records),
+    }
+    for fmt in ("csv", "plain"):
+        writers[f"filter rows {fmt}"] = lambda fmt=fmt: _print_table(fmt, FILTER_COLUMNS, _filter_rows(records))
+        writers[f"replay {fmt}"] = lambda fmt=fmt: _print_table(fmt, REPLAY_COLUMNS, _replay_rows(sections, []))
+    return writers
+
+
 @pytest.mark.parametrize("value", [0.0, 1.5, Fraction(1, 2)])
 def test_templates_write_integer_coordinates_only(value):
-    # JSON writes an int coordinate only; csv writes any coordinate as its str
+    # every writer, JSON, csv and plain, refuses a coordinate that is not an int
     data = RankTwoData(0, value, 0)
-    rec = classify.CandidateRecord(data, (), "", "")
-    for records in ([rec], [classify.CandidateRecord(RankTwoData(0, 0, 0), (), "", ""), rec]):
-        with pytest.raises(TypeError):
-            captured_stdout(_write_records_json, records, "\n")
-    lines = captured_stdout(_write_records_csv, [rec, rec]).splitlines(keepends=True)
-    assert lines == csv_lines(FILTER_CSV_HEADER, map(filter_csv_cells, [rec, rec]))
-    assert lines[1] == f"0,{value},0,,,,,,,\n"  # 1/2 for the Fraction
+    for name, write in coordinate_writers(classify.CandidateRecord(data, (), "", "")).items():
+        try:
+            captured_stdout(write)
+        except TypeError:
+            continue
+        pytest.fail(f"the {name} writer wrote the coordinate {value!r}")
+    final_rows = _replay_rows([], [classify.BundleType("split", None, data, "")])
+    with pytest.raises(TypeError):
+        captured_stdout(_print_table, "csv", REPLAY_COLUMNS, final_rows)
     with pytest.raises(TypeError):
         _final_json_text(classify.BundleType("split", None, data, ""), "\n")
     split = classify.SplittingType(value, 0)
@@ -755,8 +774,8 @@ def filter_csv_cells(rec: classify.CandidateRecord) -> list:
     # a rule the record did not reach has no verdict and a blank cell
     marks = {v.rule: "pass" if v.passed else "fail" for v in rec.verdicts}
     cells = {rule: marks.get(rule, "") for rule in FILTER_CSV_HEADER[3:7]}
-    cells.update(e=rec.data.e, a=rec.data.a, b=rec.data.b, status=rec.status, detail=rec.detail,
-                 witness=witness_cell(rec))
+    e, a, b = (int.__repr__(x) for x in rec.data)  # a bool is 1 or 0
+    cells.update(e=e, a=a, b=b, status=rec.status, detail=rec.detail, witness=witness_cell(rec))
     return [cells[column] for column in FILTER_CSV_HEADER]
 
 
@@ -1104,15 +1123,22 @@ def test_formats_write_quoted_cells_digit_runs_percent_and_every_witness_kind():
 def test_formats_write_coordinates_not_int_as_the_oracles_do():
     flag = classify.CandidateRecord(RankTwoData(True, 0, 0), (), "", "")
     half = classify.CandidateRecord(RankTwoData(0, Fraction(1, 2), 0), (), "", "")
-    # a bool coordinate is 1 in JSON, as int.__repr__ writes it, and True in csv
+    # a bool coordinate is 1, as int.__repr__ writes it, in every writer
     for depth in (0, 1):
         got = captured_json(depth, _write_records_json, [flag, flag])
         assert got == json_dumps_at_depth([dict(record_json_form(flag), e=1)] * 2, depth)
-    lines = captured_stdout(_write_records_csv, [flag, half, flag, half]).splitlines(keepends=True)
-    assert lines == csv_lines(FILTER_CSV_HEADER, map(filter_csv_cells, [flag, half, flag, half]))
-    assert lines[1:3] == ["True,0,0,,,,,,,\n", "0,1/2,0,,,,,,,\n"]
-    with pytest.raises(TypeError):
-        captured_stdout(_write_records_json, [flag, half], "\n")
+    lines = captured_stdout(_write_records_csv, [flag, flag]).splitlines(keepends=True)
+    assert lines == csv_lines(FILTER_CSV_HEADER, map(filter_csv_cells, [flag, flag]))
+    assert lines[1:] == ["1,0,0,,,,,,,\n"] * 2
+    one = coordinate_writers(flag._replace(data=RankTwoData(1, 0, 0)))
+    for name, write in coordinate_writers(flag).items():
+        assert captured_stdout(write) == captured_stdout(one[name]), name
+    # and a Fraction stops every writer, whatever came before it
+    for records in ([flag, half], [half, flag]):
+        with pytest.raises(TypeError):
+            captured_stdout(_write_records_json, records, "\n")
+        with pytest.raises(TypeError):
+            captured_stdout(_write_records_csv, records)
 
 
 # Witness values outside the closed set of kinds the writers accept.

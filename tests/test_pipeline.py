@@ -41,6 +41,8 @@ from schubert.classify import (
     SCAN_LO,
     SCHUR_CYCLES,
     STEP1_SURVIVORS,
+    CandidateRecord,
+    Verdict,
     evaluate_candidate,
     scan_forms,
     scan_line,
@@ -252,6 +254,31 @@ def test_survivors_match_every_rule_up_to_the_stage():
         assert survivors(records, stage) == [r for r in records if all(r.passed(s) for s in wanted)]
     with pytest.raises(ValueError):
         survivors(records, "section-bound")
+
+
+def test_survivors_read_each_stage_at_its_position():
+    # the step records' verdicts have other rules at the filters' positions;
+    # the synthetic ones have FILTER_RULES out of order, one passing verdict at
+    # another rule's position among them
+    report = replay_proof()
+    steps = [*report.step2_results, *report.step3_table, *report.step4_results]
+
+    def record(*verdicts):
+        rules = tuple(Verdict(rule, passed, {}, "") for rule, passed in verdicts)
+        return CandidateRecord(RankTwoData(0, 0, 0), rules, "surviving", "")
+
+    synthetic = [
+        record(("schur", True), ("schur", True), ("positivity", False)),
+        record(("positivity", True), ("griffiths", False), ("schur", False)),
+        record(*((rule, False) for rule in reversed(FILTER_RULES))),
+    ]
+    scan = [r for r in report.step1_table if r.status == "surviving"] + list(report.step1_table[:40])
+    for records in (steps, synthetic, [*scan, *steps, *synthetic]):
+        for stage in FILTER_RULES:
+            assert survivors(records, stage) == [r for r in records if r.passed(stage)], stage
+    assert [r.data for r in survivors(synthetic, "schur")] == [RankTwoData(0, 0, 0)]
+    with pytest.raises(ValueError):
+        survivors(steps, "minimal-sections")
 
 
 def test_candidate_evaluation_is_order_independent():
