@@ -60,7 +60,8 @@ Candidate evaluation is a pure map over the coordinates (e, a, b): verdicts
 do not depend on evaluation order, and the report is assembled in canonical
 candidate order.  A record's verdicts follow ``FILTER_RULES`` up to its
 first failure, so ``survivors`` reads a stage's verdict at the stage's
-position.  The records are NamedTuples.
+position.  The records are NamedTuples; the scan returns its records as a
+``ScanRecords`` tuple.
 """
 
 from __future__ import annotations
@@ -374,6 +375,8 @@ def griffiths_filter(e: int, a: int, b: int) -> Verdict:
     )
 
 
+# The cli reads a scan record's witnesses by their position in each filter's
+# witness dict (``cli._scan_rows``), so the keys' order is part of a filter's output.
 _FILTERS = (positivity_filter, schur_filter, schwarzenberger_filter, griffiths_filter)
 FILTER_RULES = tuple(rule.__name__.removesuffix("_filter") for rule in _FILTERS)
 
@@ -389,8 +392,18 @@ def evaluate_candidate(e: int, a: int, b: int) -> CandidateRecord:
     return CandidateRecord(RankTwoData(e, a, b), tuple(verdicts), "surviving", "")
 
 
+class ScanRecords(tuple):
+    """The scan's records, in canonical order, as ``enumerate_candidates``
+    returns them.  Each is built by ``evaluate_candidate`` through
+    ``_FILTERS``: its verdicts follow ``FILTER_RULES`` up to the first
+    failure, each with the witnesses of its filter in the filter's order, so
+    a reader may take a witness by its position (the cli's scan rows)."""
+
+    __slots__ = ()
+
+
 @lru_cache(maxsize=1)
-def enumerate_candidates() -> tuple[CandidateRecord, ...]:
+def enumerate_candidates() -> ScanRecords:
     """Scan e in {0, -1} and (a, b) over the square [SCAN_LO, SCAN_HI]^2,
     once a certificate shows that it clips nothing: positivity needs
     a, b >= lo = floor(-shift) + 1, and Schur needs a <= SCHUR_A_MAX and
@@ -410,7 +423,7 @@ def enumerate_candidates() -> tuple[CandidateRecord, ...]:
         for a in range(SCAN_LO, SCAN_HI + 1):
             for b in range(SCAN_LO, SCAN_HI + 1):
                 records.append(evaluate_candidate(e, a, b))
-    return tuple(records)
+    return ScanRecords(records)
 
 
 # -- frozen expected tables (regression gates for the replay) ------------------

@@ -15,13 +15,23 @@ A candidate record is written from ``%``-formats built from its shape, each
 with a ``%s`` slot per number and every other ``%`` doubled:
 ``_record_json_format``, ``_record_csv_format`` (a ``filter`` csv line) and
 ``_witness_format`` (the witness cell of the plain tables and the ``replay``
-csv).  ``_record_shape`` alone classifies a witness value, from a closed set
-of kinds: True, False, None, an int or a Fraction, and a tuple of ints and
-Fractions (a SplittingType too); any other raises TypeError.  Every writer
-prints a coordinate e, a, b as ``int.__repr__`` does: a Fraction or a float
-raises TypeError, a bool is 1 or 0.  Within one render call each shape's
-format is built once, in a dict local to the call, and each record is
-written as ``formats[shape] % values``; no rendered text outlives the call.
+csv).  Every writer reads a record as its row, the (shape, numbers) pair
+of ``_record_shape``, through one loop, ``_rendered``; only the source of
+the rows differs (``_record_rows``).  The scan's records, the
+``ScanRecords`` that ``enumerate_candidates`` returns, have one list of
+rows per scan (``_scan_rows``): built once, on the first render, and tied
+to the identity of the records it was built from, so a new scan gets new
+rows.  A scan row is found from a key of the record's status, detail and
+flags, its numbers read by position; any other record goes through
+``_record_shape``.  ``_record_shape`` alone classifies a witness value, from
+a closed set of kinds: True, False, None, an int or a Fraction, and a tuple
+of ints and Fractions (a SplittingType too); any other raises TypeError,
+and a scan row whose numbers are not all ints and Fractions is taken from
+it too.  Every writer prints a coordinate e, a, b as ``int.__repr__`` does:
+a Fraction or a float raises TypeError, a bool is 1 or 0.  Within one render
+call each shape's format is built once, in a dict local to the call, and
+each record is written as ``formats[shape] % values``; no rendered text
+outlives the call.
 
 The other csv and plain tables go through one table printer, which streams
 csv row by row; each row is a sequence of cells in column order, read
@@ -42,6 +52,8 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
@@ -53,6 +65,7 @@ from .classify import (
     BundleType,
     CandidateRecord,
     ReplayMismatch,
+    ScanRecords,
     enumerate_candidates,
     fano_splitting_types,
     replay_proof,
@@ -94,19 +107,17 @@ def _frac_json(value: int | Fraction) -> dict:
 
 
 def _write_json_list(items, text, newline: str) -> None:
-    """Write ``items`` to stdout as ``json.dumps(indent=2)`` lays out a list at
-    the indent of ``newline``: each item is ``text(item, inner)``, written with
-    the separator before it in one write, so the list is never held whole."""
-    if not items:
-        sys.stdout.write("[]")
-        return
+    """Write ``items``, any iterable, to stdout as ``json.dumps(indent=2)``
+    lays out a list at the indent of ``newline``: each item is ``text(item,
+    inner)``, written with the separator before it in one write, so the list
+    is never held whole."""
     write = sys.stdout.write
     inner = newline + "  "
-    sep = "[" + inner
+    first = sep = "[" + inner
     for item in items:
         write(sep + text(item, inner))
         sep = "," + inner
-    write(newline + "]")
+    write("[]" if sep is first else newline + "]")
 
 
 def _print_table(fmt: str, columns: list[str], rows) -> None:
@@ -241,28 +252,96 @@ def _json_values(numbers: list) -> tuple:
     return tuple(values)
 
 
-def _templated(build, values):
-    """A render of records: each is written as its shape's format %
-    ``values(numbers)``, the format built once by ``build(shape)``.  The
-    formats live as long as the render."""
-    formats = {}
+class _Same:
+    """A cache key equal only to a key of the same object, whatever the
+    object's value.  A cache keyed by it holds the object, so the object's id
+    is not reused by another while the entry lives."""
 
-    def render(rec: CandidateRecord) -> str:
-        shape, numbers = _record_shape(rec)
+    __slots__ = ("obj",)
+
+    def __init__(self, obj) -> None:
+        self.obj = obj
+
+    def __hash__(self) -> int:
+        return id(self.obj)
+
+    def __eq__(self, other) -> bool:
+        return self.obj is other.obj
+
+
+@lru_cache(maxsize=1)
+def _scan_rows(scan: _Same) -> list:
+    """The (shape, numbers) row of each record of the scan ``scan.obj``,
+    equal to what ``_record_shape`` returns for it; built once per scan.
+
+    A scan record's numbers are read by position in the filters' witnesses:
+    e, a, b; qa, qb; the two pairings; the seven chi; chi(E(5)) where
+    Griffiths applies.  Its verdicts follow the filters up to its first
+    failure, each with its filter's rule, citation and witness keys, so a
+    key of its status, detail, Schur's strict_positive, Griffiths' applies,
+    the type of its chi and its count of numbers fixes its shape, which is
+    taken once per key from ``_record_shape``.  A record whose witnesses do
+    not fit these positions, or whose numbers are not all ints and
+    Fractions, goes through ``_record_shape``, which raises TypeError on a
+    kind outside the closed set."""
+    shapes = {}
+    rows = []
+    for rec in scan.obj:
+        verdicts = rec.verdicts
+        n = len(verdicts)
+        try:
+            qa, qb = verdicts[0].witness.values()
+            numbers = [*rec.data, qa, qb]
+            strict = applies = chi = None
+            if n > 1:
+                point, hyper, strict = verdicts[1].witness.values()
+                numbers += point, hyper
+                if n > 2:
+                    (chi,) = verdicts[2].witness.values()
+                    numbers += chi
+                    if n > 3:
+                        applies, *chi5 = verdicts[3].witness.values()
+                        numbers += chi5
+            key = (rec.status, rec.detail, strict, applies, type(chi), len(numbers))
+            shape = shapes.get(key)  # TypeError if a flag is unhashable
+            fits = _NUMBER_TYPES.issuperset(map(type, numbers))
+        except (IndexError, TypeError, ValueError):  # not the filters' layout
+            fits = False
+        if not fits or shape is None:
+            shape, numbers = _record_shape(rec)
+            if fits:
+                shapes[key] = shape
+        rows.append((shape, numbers))
+    return rows
+
+
+def _record_rows(records):
+    """The (shape, numbers) row of each record, as ``_record_shape`` gives it:
+    a scan's records from its rows, built once per scan, any other record
+    through ``_record_shape``."""
+    if type(records) is ScanRecords:
+        return _scan_rows(_Same(records))
+    return map(_record_shape, records)
+
+
+def _rendered(rows, build, values):
+    """The text of each record's row: its shape's format % ``values(numbers)``,
+    the format built once per shape by ``build(shape)``, in a dict that lives
+    as long as the render."""
+    formats = {}
+    for shape, numbers in rows:
         fmt = formats.get(shape)
         if fmt is None:
             fmt = formats[shape] = build(shape)
-        return fmt % values(numbers)
-
-    return render
+        yield fmt % values(numbers)
 
 
 def _write_records_json(records, newline: str) -> None:
     """Write ``records`` as ``json.dumps(indent=2)`` lays out their list at
     the indent of ``newline``, each from its shape's format."""
     inner = newline + "  "
-    render = _templated(lambda shape: _record_json_format(shape, inner), _json_values)
-    _write_json_list(records, lambda rec, _: render(rec), newline)
+    texts = _rendered(_record_rows(records), lambda shape: _record_json_format(shape, inner), _json_values)
+    _write_json_list(texts, lambda text, _: text, newline)
 
 
 # The witness cell text of each kind but a tuple, in a format.
@@ -281,9 +360,9 @@ def _witness_format(shape) -> str:
     ])
 
 
-def _witness_cells():
-    """A render of witness cells, each from its record shape's format."""
-    return _templated(_witness_format, lambda numbers: tuple(numbers[3:]))
+def _witness_cells(rows):
+    """The witness cell of each record's row, from its shape's format."""
+    return _rendered(rows, _witness_format, lambda numbers: tuple(numbers[3:]))
 
 
 def _marks(passes: list) -> list:
@@ -295,10 +374,9 @@ def _marks(passes: list) -> list:
 def _filter_rows(records):
     """The ``filter`` table's rows of ``records``: e, a, b through
     ``int.__repr__``, the marks, status, detail and the witness cell."""
-    witness = _witness_cells()
-    for rec in records:
+    for rec, witness in zip(records, _witness_cells(_record_rows(records))):
         marks = _marks([v.passed for v in rec.verdicts])
-        yield (*map(int.__repr__, rec.data), *marks, rec.status, rec.detail, witness(rec))
+        yield (*map(int.__repr__, rec.data), *marks, rec.status, rec.detail, witness)
 
 
 def _csv_line_writer():
@@ -320,11 +398,8 @@ def _write_records_csv(records) -> None:
     """Write the ``filter`` csv table of ``records`` as ``_print_table("csv",
     FILTER_COLUMNS, _filter_rows(records))`` does, each row from its shape's
     format."""
-    render = _templated(_record_csv_format, tuple)
-    write = sys.stdout.write
-    write(_csv_line_writer().writerow(FILTER_COLUMNS))
-    for rec in records:
-        write(render(rec))
+    sys.stdout.write(_csv_line_writer().writerow(FILTER_COLUMNS))
+    sys.stdout.writelines(_rendered(_record_rows(records), _record_csv_format, tuple))
 
 
 REPLAY_COLUMNS = ["section", "e", "a", "b", "action", "outcome", "witness"]
@@ -333,10 +408,10 @@ REPLAY_COLUMNS = ["section", "e", "a", "b", "action", "outcome", "witness"]
 def _replay_rows(sections, final_list):
     """The ``replay`` table's rows: each section's records, then the final
     list, each with e, a, b through ``int.__repr__``."""
-    witness = _witness_cells()
+    cells = _witness_cells(chain.from_iterable(_record_rows(records) for _, _, records in sections))
     for section, _, records in sections:
-        for rec in records:
-            yield (section, *map(int.__repr__, rec.data), rec.status, rec.detail, witness(rec))
+        for rec, witness in zip(records, cells):  # zip takes no cell past a section's last record
+            yield (section, *map(int.__repr__, rec.data), rec.status, rec.detail, witness)
     for entry in final_list:
         yield ("final", *map(int.__repr__, entry.data), entry.kind, entry.name, "")
 

@@ -1,5 +1,16 @@
+import contextlib
+import warnings
+
 import pytest
 from hypothesis import Phase, settings
+
+# A failing example makes hypothesis import its patch writer, which imports
+# libcst, whose import raises a DeprecationWarning: under -W error pytest
+# then prints an INTERNALERROR in place of the failing example.  Import it
+# once here with that warning ignored; without libcst there is nothing to do.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 from schubert import GrassmannRing
 

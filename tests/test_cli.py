@@ -976,6 +976,93 @@ def test_each_render_call_builds_one_format_per_shape(capsys, monkeypatch):
         assert len(built) == 2 * SCAN_SHAPES
 
 
+@pytest.fixture
+def fresh_scan():
+    """The scan's cache cleared before and after a test that scans with
+    patched filters or another square."""
+    classify.enumerate_candidates.cache_clear()
+    yield
+    classify.enumerate_candidates.cache_clear()
+
+
+def assert_rows_are_the_record_shapes(records) -> None:
+    """Each record's row equals its ``_record_shape``, shape and numbers, and
+    each number has the type ``_record_shape`` gives it."""
+    rows = list(cli._record_rows(records))
+    assert len(rows) == len(records)
+    for rec, (shape, numbers) in zip(records, rows):
+        expected_shape, expected_numbers = _record_shape(rec)
+        assert (shape, numbers) == (expected_shape, expected_numbers), rec.data
+        assert list(map(type, numbers)) == list(map(type, expected_numbers)), rec.data
+
+
+def scan_with_witness(monkeypatch, rule: str, key: str, value, where):
+    """The scan once more, its ``rule`` filter giving ``value(old)`` as the
+    ``key`` witness at the candidates where ``where(data)`` holds."""
+    i = classify.FILTER_RULES.index(rule)
+    plain = classify._FILTERS[i]
+
+    def replaced(e, a, b):
+        v = plain(e, a, b)
+        if key in v.witness and where(RankTwoData(e, a, b)):
+            v = v._replace(witness={**v.witness, key: value(v.witness[key])})
+        return v
+
+    monkeypatch.setattr(classify, "_FILTERS", (*classify._FILTERS[:i], replaced, *classify._FILTERS[i + 1:]))
+    classify.enumerate_candidates.cache_clear()
+    return classify.enumerate_candidates()
+
+
+def test_scan_rows_are_the_record_shapes_and_follow_a_new_scan(monkeypatch, fresh_scan):
+    scan = classify.enumerate_candidates()
+    assert type(scan) is classify.ScanRecords
+    assert_rows_are_the_record_shapes(scan)
+    assert cli._record_rows(scan) is cli._record_rows(scan)  # built once per scan
+    # a square of the same size one step lower, with only the scan's cache
+    # cleared: the rows follow the new records
+    monkeypatch.setattr(classify, "SCAN_LO", classify.SCAN_LO - 1)
+    monkeypatch.setattr(classify, "SCAN_HI", classify.SCAN_HI - 1)
+    classify.enumerate_candidates.cache_clear()
+    moved = classify.enumerate_candidates()
+    assert len(moved) == len(scan) and moved[0].data != scan[0].data
+    assert_rows_are_the_record_shapes(moved)
+    # qb True, a shape of its own, wherever a + b is a multiple of 5: each such row
+    # comes from _record_shape, and no key keeps its shape for the others
+    flagged = scan_with_witness(monkeypatch, "positivity", "qb", lambda _: True, lambda d: (d.a + d.b) % 5 == 0)
+    assert sum(rec.verdicts[0].witness["qb"] is True for rec in flagged) > 100
+    assert_rows_are_the_record_shapes(flagged)
+
+
+# Each number witness of the scan as a float, or as a tuple that holds one.
+FLOAT_WITNESSES = {
+    ("positivity", "qb"): float,
+    ("schur", "pairing_lines_in_hyperplane"): float,
+    ("schwarzenberger", "chi"): lambda chi: (*chi[:-1], float(chi[-1])),
+    ("griffiths", "chi_at_5"): float,
+}
+
+
+@pytest.mark.parametrize("rule, key", sorted(FLOAT_WITNESSES))
+def test_every_scan_writer_refuses_a_float_witness(capsys, monkeypatch, fresh_scan, rule, key):
+    # at one candidate: the last that carries the witness and whose shape an
+    # earlier record has, so that its row would come from the scan's table
+    seen, target = set(), None
+    for rec in classify.enumerate_candidates():
+        shape = _record_shape(rec)[0]
+        v = rec.verdict(rule)
+        if shape in seen and v is not None and key in v.witness:
+            target = rec.data
+        seen.add(shape)
+    assert target is not None
+    scan_with_witness(monkeypatch, rule, key, FLOAT_WITNESSES[rule, key], lambda d: d == target)
+    for argv in (("filter", "csv"), ("filter", "json"), ("filter", "plain"), ("replay", "json"), ("replay", "csv")):
+        with pytest.raises(TypeError) as info:
+            main([argv[0], "--format", argv[1]])
+        capsys.readouterr()
+        assert str(info.value).startswith(f"witness {key!r} of rule {rule!r} is a "), argv
+        assert str(info.value).endswith(WITNESS_KINDS_RULE), argv
+
+
 # Text with '%' and format specifiers, which a format must escape, and the
 # witness cell's separators.
 format_text = st.lists(
@@ -1155,7 +1242,7 @@ def test_every_writer_refuses_a_witness_outside_the_closed_kinds(kind):
         "json": lambda: _write_records_json([rec], "\n"),
         "csv": lambda: _write_records_csv([rec]),
         "plain": lambda: _print_table("plain", FILTER_COLUMNS, _filter_rows([rec])),
-        "replay witness cell": lambda: cli._witness_cells()(rec),
+        "replay csv": lambda: _print_table("csv", REPLAY_COLUMNS, _replay_rows([("step1", "", [rec])], [])),
     }
     for name, write in writers.items():
         with pytest.raises(TypeError) as info:
