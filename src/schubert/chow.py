@@ -26,12 +26,15 @@ hold the same numbers, and only the block whose skew shapes have the
 fewest cells is ever enumerated, one ``_basis_product`` row per nonzero
 pair.  A missed pair of that block is enumerated alone; a pair of either
 other block has the whole enumerated block filled, and each coefficient
-found is written into the other two blocks as well.  So each LR triple is
-enumerated once, and no empty row is built or cached.  Rings are immutable
-and shareable; the product table, its rows and the dual indices are pure
-caches (identical inputs always produce identical rows, only complete rows
-are stored, and a stored row never changes), so concurrent use needs no
-coordination.
+found is written into the other two blocks as well, gathered in one dict
+per index of the larger degree, so no pair of indices is built or hashed
+per coefficient.  So each LR triple is enumerated once, and no empty row is
+built or cached.  A row whose skew shape falls apart into pieces is the
+product of the pieces' expansions, which ``partitions`` enumerates once per
+set of pieces.  Rings are immutable and shareable; the product table, its
+rows and the dual indices are pure caches (identical inputs always produce
+identical rows, only complete rows are stored, and a stored row never
+changes), so concurrent use needs no coordination.
 
 The table is read by one multiply-accumulate kernel, ``sum_of_products``:
 (1/d) * sum of w * x * y over (int weight, class, class) terms, collected
@@ -394,9 +397,10 @@ def _fill_pair(box: Box, la: Partition, mu: Partition) -> tuple[tuple[Partition,
     top degree, needs no more.  For any other pair every row of block
     (q, r) with mu inside la' is enumerated (a row already stored is read,
     not rebuilt), and each coefficient found is also written into one row
-    of each other block.  Those rows are collected in ``found`` first, so
-    the table only ever receives complete rows; then every pair of the
-    blocks is stored in both orders, ``()`` for the zero pairs.
+    of each other block.  Those rows are collected in ``found`` first, row
+    (ka, z) with |ka| = p as ``found[z][ka]``, so the table only ever
+    receives complete rows; then every pair of the blocks is stored in both
+    orders, ``()`` for the zero pairs.
 
     A tie of degrees merges blocks, and each entry is still written once:
     with q == r only the unordered pairs of block (q, q) are enumerated,
@@ -413,43 +417,47 @@ def _fill_pair(box: Box, la: Partition, mu: Partition) -> tuple[tuple[Partition,
         table[la][mu] = table[mu][la] = row
         return row
     p, q, r = sorted((i, j, d))
-    found: defaultdict[tuple[Partition, Partition], list] = defaultdict(list)
-    for x, y in _block_pairs(grades, q, r):
-        x_rows, x_dual = table[x], duals[x]
-        row = x_rows.get(y)
-        if row is None:
-            row = _basis_product(box, x, y) if len(y) <= len(x_dual) and all(map(le, y, x_dual)) else ()
-            x_rows[y] = table[y][x] = row
-        if not row:
-            continue
-        y_dual = duals[y]
-        if p < q:
-            # T(x, y, ka) is entry x' of row (ka, y) and y' of row (ka, x)
-            for nu, c in row:
-                ka = duals[nu]
-                found[ka, y].append((x_dual, c))
-                if x != y:
-                    found[ka, x].append((y_dual, c))
-        else:
-            # block (p, r) is this one (q < r, as d > p); block (p, p) keeps row (ka, x) for ka <= x
-            for nu, c in row:
-                ka = duals[nu]
-                if ka <= x:
-                    found[ka, x].append((y_dual, c))
+    found = {z: defaultdict(list) for z in grades[q] + grades[r]}
+    for x, ys in _block_pairs(grades, q, r):
+        x_rows, x_dual, found_x = table[x], duals[x], found[x]
+        for y in ys:
+            row = x_rows.get(y)
+            if row is None:
+                row = _basis_product(box, x, y) if len(y) <= len(x_dual) and all(map(le, y, x_dual)) else ()
+                x_rows[y] = table[y][x] = row
+            if not row:
+                continue
+            y_dual = duals[y]
+            if p < q:
+                # T(x, y, ka) is entry x' of row (ka, y) and y' of row (ka, x)
+                found_y = found[y]
+                for nu, c in row:
+                    ka = duals[nu]
+                    found_y[ka].append((x_dual, c))
+                    if x != y:
+                        found_x[ka].append((y_dual, c))
+            else:
+                # block (p, r) is this one (q < r, as d > p); block (p, p) keeps row (ka, x) for ka <= x
+                for nu, c in row:
+                    ka = duals[nu]
+                    if ka <= x:
+                        found_x[ka].append((y_dual, c))
     for block in {(p, r), (p, q)} - {(q, r)}:
-        for x, y in _block_pairs(grades, *block):
-            table[x][y] = table[y][x] = tuple(found.get((x, y), ()))
+        for x, ys in _block_pairs(grades, *block):
+            x_rows = table[x]
+            for y in ys:
+                x_rows[y] = table[y][x] = tuple(found[y].get(x, ()))
     return table[la][mu]
 
 
-def _block_pairs(grades: tuple[list[Partition], ...], i: int, j: int):
-    """The pairs (la, mu) of degree block (i, j), each unordered pair once:
-    la <= mu when i == j."""
+def _block_pairs(
+    grades: tuple[list[Partition], ...], i: int, j: int
+) -> list[tuple[Partition, list[Partition]]]:
+    """The pairs (la, mu) of degree block (i, j), each unordered pair once
+    (la <= mu when i == j), grouped by la: a list of (la, its mu)."""
     mus = grades[j]
-    for a, la in enumerate(grades[i]):
-        # a grade is lexicographically descending: mus[: a + 1] are the mu >= la
-        for mu in mus[: a + 1] if i == j else mus:
-            yield la, mu
+    # a grade is lexicographically descending: mus[: a + 1] are the mu >= la
+    return [(la, mus[: a + 1] if i == j else mus) for a, la in enumerate(grades[i])]
 
 
 @lru_cache(maxsize=None)

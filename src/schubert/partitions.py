@@ -13,9 +13,14 @@ family of shapes needs no tableaux: when every nonempty row starts at one
 column or every one ends at one column, the shape is a translated or a
 rotated partition and its skew Schur function is the single Schur function
 of its row lengths (van Willigenburg, "Equality of Schur and skew Schur
-functions", Ann. Comb. 2005), so it is answered before any set-up.
-Everything in this module is a pure function on immutable
-values and safe to call concurrently.
+functions", Ann. Comb. 2005), so it is answered before any set-up.  The
+skew Schur function of a disconnected shape is the product of those of its
+edge-connected components, wherever they sit (Macdonald, Symmetric
+Functions and Hall Polynomials, I.5), so such a shape is enumerated once
+per unordered set of components, placed corner to corner, and read from a
+cache after that.  Everything in this module is a pure function on
+immutable values (the cache only remembers such results) and safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -93,32 +98,27 @@ def skew_lr_expansion(outer: Partition, inner: Partition) -> dict[Partition, int
     """s_{outer/inner} in the Schur basis: ``{ka: c^outer_{inner,ka}}`` over
     the nonzero coefficients; empty unless inner <= outer.
 
-    Each column-strict filling of outer/inner whose reverse reading word (rows
-    top to bottom, right to left within a row) is a lattice word adds one at
-    its content ka.  The labels live on a grid of stride w = outer[0] + 1:
-    row r of the shape is grid row r + 1 and grid row 0 is zeros, so the cell
-    above position p is p - w and the bound on its right is p + 1.  The
-    cells, in reading order, form an explicit stack, so the search depth
-    meets no recursion limit.  A translated or rotated partition returns
-    its row lengths (reversed for a rotated one) with coefficient 1 before
-    the grid is built.
+    A translated or rotated partition returns its row lengths (reversed for
+    a rotated one) with coefficient 1.  Any other shape is split into its
+    edge-connected components: rows r - 1 and r share an edge iff
+    outer[r] > inner[r - 1], so an empty row shares none and is dropped.  A
+    connected shape is enumerated by ``_lattice_words``.  A disconnected
+    one is read from ``_component_product``, keyed by its components, each
+    moved to its own leftmost column, sorted.
     """
     rows = len(outer)
     if len(inner) > rows:
         return {}
-    w = outer[0] + 1 if outer else 1
     inner = inner + (0,) * (rows - len(inner))
-    top = bottom = 0  # the first and the last nonempty row, counted from 1
-    for r, (o, n) in enumerate(zip(outer, inner), 1):
-        if n > o:
-            return {}
-        if n < o:
-            bottom = r
-            if not top:
-                top = r
-    if not top:
+    if inner == outer:
         return {(): 1}
-    top -= 1  # the nonempty rows lie in [top:bottom]
+    if not all(map(le, inner, outer)):
+        return {}
+    top, bottom = 0, rows  # the nonempty rows lie in [top:bottom]
+    while inner[top] == outer[top]:
+        top += 1
+    while inner[bottom - 1] == outer[bottom - 1]:
+        bottom -= 1
     # A single Schur function: the nonempty rows all start at one column (a
     # translated partition) or all end at one column (a rotated one).  Both
     # ends are weakly decreasing down the rows, so comparing the first
@@ -130,6 +130,62 @@ def skew_lr_expansion(outer: Partition, inner: Partition) -> dict[Partition, int
         return {tuple(o - inner[top] for o in outer[top:bottom]): 1}
     if outer[top] == outer[bottom - 1]:
         return {tuple(outer[top] - n for n in reversed(inner[top:bottom])): 1}
+    # Each component [start:r] is its outer rows and then its inner rows,
+    # all less its leftmost column inner[r - 1].
+    components = []
+    start = top
+    for r in range(top + 1, bottom + 1):
+        if r < bottom and outer[r] > inner[r - 1]:
+            continue
+        if r == bottom and start == top:
+            return _lattice_words(outer, inner, top, bottom)  # connected
+        if r - start > 1:
+            left = inner[r - 1]
+            components.append(tuple(x - left for x in outer[start:r] + inner[start:r]))
+        elif outer[start] > inner[start]:  # one row, not empty
+            components.append((outer[start] - inner[start], 0))
+        start = r
+    components.sort()
+    return dict(_component_product(tuple(components)))
+
+
+@lru_cache(maxsize=None)
+def _component_product(components: tuple[tuple[int, ...], ...]) -> dict[Partition, int]:
+    """The product of the skew Schur functions of ``components``: connected
+    skew shapes, each its outer rows and then its inner rows, starting at
+    column 0 (shared; never mutate).
+
+    The components are placed corner to corner, the first at the top and
+    each next one below the one before and left of it by its own width, and
+    that disconnected shape is enumerated once.
+    """
+    outer: list[int] = []
+    inner: list[int] = []
+    shift = 0
+    for rows in reversed(components):  # bottom up, from column 0
+        k = len(rows) // 2
+        outer[:0] = [o + shift for o in rows[:k]]
+        inner[:0] = [n + shift for n in rows[k:]]
+        shift += rows[0]
+    return _lattice_words(tuple(outer), tuple(inner), 0, len(outer))
+
+
+def _lattice_words(
+    outer: Partition, inner: tuple[int, ...], top: int, bottom: int
+) -> dict[Partition, int]:
+    """The lattice-word search behind ``skew_lr_expansion``: ``inner``
+    padded to the length of ``outer``, the nonempty rows in [top:bottom].
+
+    Each column-strict filling of outer/inner whose reverse reading word (rows
+    top to bottom, right to left within a row) is a lattice word adds one at
+    its content ka.  The labels live on a grid of stride w = outer[0] + 1:
+    row r of the shape is grid row r + 1 and grid row 0 is zeros, so the cell
+    above position p is p - w and the bound on its right is p + 1.  The
+    cells, in reading order, form an explicit stack, so the search depth
+    meets no recursion limit.
+    """
+    rows = len(outer)
+    w = outer[0] + 1
     # Label 0 marks a position with no label: unset, outside the shape, or
     # grid row 0.  Grid position (r, outer[r - 1]) holds r, the largest label
     # row r - 1 of the shape may take; no cell reads it as its upper

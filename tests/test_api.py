@@ -78,6 +78,14 @@ def test_tracer_install_and_uninstall_leave_the_package_as_it_was(bench):
 
 def test_bench_cache_walker_finds_the_traced_caches(bench):
     _, workloads = bench
-    caches = workloads.Caches(schubert).caches
+    walker = workloads.Caches(schubert)
+    caches = walker.caches
     assert caches["schubert.partitions.lr_coefficient"] is schubert.partitions.lr_coefficient
     assert caches["schubert.chow._basis_product"] is schubert.chow._basis_product
+    # the products of skew components, which a cold pass must not find warm
+    component_product = schubert.partitions._component_product
+    assert caches["schubert.partitions._component_product"] is component_product
+    assert schubert.partitions.skew_lr_expansion((3, 1), (1,)) == {(2, 1): 1, (3,): 1}
+    assert component_product.cache_info().currsize
+    walker.clear()
+    assert component_product.cache_info().currsize == 0

@@ -3,7 +3,7 @@ import time
 from collections import defaultdict
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from schubert import GrassmannRing
@@ -242,6 +242,109 @@ def test_single_term_skew_shapes_are_the_translated_and_rotated_partitions(rows,
                 assert got == {ka: 1}, (outer, inner)
                 assert skew_lr_expansion(outer, ka).get(inner) == 1, (outer, inner)
     assert singles
+
+
+@st.composite
+def _component(draw, budget):
+    """A connected skew shape of at most ``budget`` cells and at most four
+    rows, leftmost column 0: (outer rows, inner rows), both as long.
+    Straight or skew, built bottom up: each row above shares an edge with
+    the one below it."""
+    straight = draw(st.booleans())
+    o = draw(st.integers(1, min(budget, 4)))
+    outer, inner, budget = [o], [0], budget - o
+    while len(outer) < 4 and budget and draw(st.booleans()):
+        below_o, below_n = outer[0], inner[0]
+        lo = 0 if straight else max(below_n, below_o - budget)
+        hi = 0 if straight else below_o - 1
+        if lo > hi or below_o - lo > budget:
+            break
+        n = draw(st.integers(lo, hi))
+        o = draw(st.integers(max(below_o, n + 1), n + budget))
+        outer.insert(0, o)
+        inner.insert(0, n)
+        budget -= o - n
+    return tuple(outer), tuple(inner)
+
+
+@st.composite
+def _components_and_gaps(draw):
+    """Two to four components of at most 10 cells in all, and for each of
+    two placements the (empty rows, empty columns) between neighbours."""
+    count = draw(st.integers(2, 4))
+    components, budget = [], 10
+    for i in range(count):
+        component = draw(_component(budget - (count - 1 - i)))
+        components.append(component)
+        budget -= weight(component[0]) - weight(component[1])
+    gap = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    gaps = st.lists(gap, min_size=count - 1, max_size=count - 1)
+    return components, draw(gaps), draw(gaps)
+
+
+def _place(components, gaps):
+    """outer/inner of ``components`` placed top to bottom, each next one
+    below the one before and left of it, ``gaps[i]`` = (empty rows, empty
+    columns) between components i and i + 1; (0, 0) touches at a corner."""
+    outer, inner, shift = [], [], 0
+    for i in reversed(range(len(components))):
+        o, n = components[i]
+        if i < len(components) - 1:
+            rows, columns = gaps[i]
+            shift += columns
+            outer[:0] = inner[:0] = [shift] * rows
+        outer[:0] = [x + shift for x in o]
+        inner[:0] = [x + shift for x in n]
+        shift += o[0]
+    return partition(outer), partition(inner)
+
+
+def _oracle_skew_expansion(outer, inner):
+    """s_{outer/inner} from the Jacobi-Trudi/Pieri oracle: c^outer_{inner,nu}
+    is the coefficient of s_outer in s_inner * s_nu, with the determinant
+    taken of the shorter factor."""
+    ring = GrassmannRing(len(outer) - 1, len(outer) - 1 + outer[0])
+    out = {}
+    for nu in partitions_of(weight(outer) - weight(inner), len(outer), outer[0]):
+        la, mu = (inner, nu) if len(inner) >= len(nu) else (nu, inner)
+        c = pieri_product(ring, la, mu).get(outer, 0)
+        if c:
+            out[nu] = c
+    return out
+
+
+def _oracle_product(f, g):
+    """The product of two Schur expansions of at most 10 cells in all, from
+    the Jacobi-Trudi/Pieri oracle in a 10 x 10 box, which truncates none."""
+    ring = GrassmannRing(9, 19)
+    out = defaultdict(int)
+    for a, x in f.items():
+        for b, y in g.items():
+            la, mu = (a, b) if len(a) >= len(b) else (b, a)
+            for nu, c in pieri_product(ring, la, mu).items():
+                out[nu] += x * y * c
+    return {nu: c for nu, c in out.items() if c}
+
+
+@given(_components_and_gaps())
+# touching at a corner, then apart by an empty row and by an empty column
+@example(([((2, 2), (1, 0)), ((1,), (0,)), ((2,), (0,))], [(0, 0), (0, 0)], [(1, 0), (0, 1)]))
+# two skew components, one a rotated partition, apart by rows and columns
+@example(([((3, 2), (1, 0)), ((2, 2), (1, 0))], [(0, 0)], [(2, 2)]))
+def test_disconnected_skew_shape_is_the_product_of_its_components(case):
+    # The skew Schur function of a disconnected shape is the product of its
+    # components' (Macdonald I.5), wherever they sit.  The components are
+    # placed twice, in the drawn order and in the reverse order with other
+    # gaps, and the engine's expansion of each placement is checked against
+    # the oracle's product of the components' expansions.
+    components, gaps, other_gaps = case
+    expected = {(): 1}
+    for o, n in components:
+        expected = _oracle_product(expected, _oracle_skew_expansion(partition(o), partition(n)))
+    first = skew_lr_expansion(*_place(components, gaps))
+    second = skew_lr_expansion(*_place(components[::-1], other_gaps))
+    assert first == expected
+    assert second == first
 
 
 @given(small_partitions, small_partitions)
