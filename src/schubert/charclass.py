@@ -12,13 +12,16 @@ by degree by the graded recurrence of ``exp_nilpotent``.  Each graded piece
 of a recurrence (Newton's identities and their inverse, ``exp`` and twists)
 is one call of the ring's multiply-accumulate kernel
 ``chow.sum_of_products`` with int weights over one int divisor, over its
-terms whose classes are both nonzero, and each weighted sum (``ch``, the
-Todd weights, the total Chern class) one call of
-``chow.linear_combination``, so no term builds its own product, scaled copy
-or partial sum.  A class is split by degree in one pass
-(``ChowClass.graded_pieces``).  The tangent bundle's power sums
-are read once off its Chern character (``tangent_power_sums``); its Chern
-classes and its Todd class both start from them.
+terms whose classes are both nonzero; Newton's identities, their inverse
+and ``exp`` list the nonzero pieces of their input once per call, with
+their signs, and keep the nonzero pieces they find by degree, so no pair of
+degrees is tested for zero classes.  Each weighted sum (``ch``, the Todd
+weights, the total Chern class) is one call of ``chow.linear_combination``,
+so no term builds its own product, scaled copy or partial sum.  A class is
+split by degree in one pass (``ChowClass.graded_pieces``).  The tangent
+bundle's power sums are read once off its Chern character
+(``tangent_power_sums``); its Chern classes and its Todd class both start
+from them.
 
 Rank-two data (e, a, b) on a ring of lines is twisted in its coordinates by
 ``RankTwoData.twisted``, which every pipeline path uses; a bundle v of any
@@ -103,12 +106,18 @@ class ChernVector:
         p_m = c1*p_{m-1} - c2*p_{m-2} + ... + (-1)^{m-1} m*c_m."""
         ring, c = self.ring, self.c
         one = ring.one()
+        # the nonzero c_i with their signs, and the nonzero p_j met so far
+        signed = [(i, -1 if i % 2 == 0 else 1, c[i]) for i in range(1, ring.dimension + 1) if c[i]]
         p = [ring.zero()]
+        nonzero: dict[int, ChowClass] = {}
         for m in range(1, ring.dimension + 1):
-            terms = [((-1) ** (i - 1), c[i], p[m - i]) for i in range(1, m) if c[i] and p[m - i]]
+            terms = [(s, ci, nonzero[m - i]) for i, s, ci in signed if i < m and m - i in nonzero]
             if c[m]:
-                terms.append(((-1) ** (m - 1) * m, c[m], one))
-            p.append(sum_of_products(ring, terms))
+                terms.append(((-1 if m % 2 == 0 else 1) * m, c[m], one))
+            pm = sum_of_products(ring, terms)
+            p.append(pm)
+            if pm:
+                nonzero[m] = pm
         return PowerSumVector(ring, self.rank, tuple(p))
 
     def ch(self) -> ChowClass:
@@ -145,10 +154,16 @@ class PowerSumVector:
     def to_chern(self) -> ChernVector:
         """Invert Newton's identities: m*c_m = sum (-1)^{i-1} p_i c_{m-i}."""
         ring, p = self.ring, self.p
+        # the nonzero p_i with their signs, and the nonzero c_j met so far
+        signed = [(i, -1 if i % 2 == 0 else 1, p[i]) for i in range(1, ring.dimension + 1) if p[i]]
         c = [ring.one()]
+        nonzero = {0: c[0]}
         for m in range(1, ring.dimension + 1):
-            terms = [((-1) ** (i - 1), p[i], c[m - i]) for i in range(1, m + 1) if p[i] and c[m - i]]
-            c.append(sum_of_products(ring, terms, m))
+            terms = [(s, pi, nonzero[m - i]) for i, s, pi in signed if i <= m and m - i in nonzero]
+            cm = sum_of_products(ring, terms, m)
+            c.append(cm)
+            if cm:
+                nonzero[m] = cm
         return ChernVector(ring, self.rank, dict(enumerate(c[1:], 1)))
 
     def ch(self) -> ChowClass:
@@ -223,10 +238,16 @@ def exp_nilpotent(x: ChowClass) -> ChowClass:
     ring = x.ring
     dim = ring.dimension
     xs = x.graded_pieces()
+    # the nonzero x_j, and the nonzero y_i met so far
+    pieces = [(j, xs[j]) for j in range(1, dim + 1) if xs[j]]
     y = [ring.one()]
+    nonzero = {0: y[0]}
     for m in range(1, dim + 1):
-        terms = [(j, xs[j], y[m - j]) for j in range(1, m + 1) if xs[j] and y[m - j]]
-        y.append(sum_of_products(ring, terms, m))
+        terms = [(j, xj, nonzero[m - j]) for j, xj in pieces if j <= m and m - j in nonzero]
+        ym = sum_of_products(ring, terms, m)
+        y.append(ym)
+        if ym:
+            nonzero[m] = ym
     return linear_combination(ring, [(1, ym) for ym in y])
 
 

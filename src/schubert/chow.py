@@ -23,18 +23,20 @@ sigma_la * sigma_mu * sigma_ka, is symmetric in its three indices (the
 duality theorem, Fulton, Young Tableaux, 1997, 9.4), so the three degree
 blocks of a degree triple (a block is the rows with |la| and |mu| fixed)
 hold the same numbers, and only the block whose skew shapes have the
-fewest cells is ever enumerated, one ``_basis_product`` row per nonzero
-pair.  A missed pair of that block is enumerated alone; a pair of either
-other block has the whole enumerated block filled, and each coefficient
-found is written into the other two blocks as well, gathered in one dict
-per index of the larger degree, so no pair of indices is built or hashed
-per coefficient.  So each LR triple is enumerated once, and no empty row is
-built or cached.  A row whose skew shape falls apart into pieces is the
-product of the pieces' expansions, which ``partitions`` enumerates once per
-set of pieces.  Rings are immutable and shareable; the product table, its
-rows and the dual indices are pure caches (identical inputs always produce
-identical rows, only complete rows are stored, and a stored row never
-changes), so concurrent use needs no coordination.
+fewest cells is ever enumerated, one uncached ``_lr_row`` per nonzero pair:
+the pair's skew expansion, read from the LR layer without a copy, and the
+row built from it.  A missed pair of that block is enumerated alone; a pair
+of either other block has the whole enumerated block filled, and each
+coefficient found is written into the other two blocks as well, at the
+expansion's content itself, gathered in one dict per index of the larger
+degree, so no pair of indices is built or hashed per coefficient.  So each
+LR triple is enumerated once, and no empty row is ever enumerated.  A row
+whose skew shape falls apart into pieces is the product of the pieces'
+expansions, which ``partitions`` enumerates once per set of pieces.  Rings
+are immutable and shareable; the product table, its rows and the dual
+indices are pure caches (identical inputs always produce identical rows,
+only complete rows are stored, and a stored row never changes), so
+concurrent use needs no coordination.
 
 The table is read by one multiply-accumulate kernel, ``sum_of_products``:
 (1/d) * sum of w * x * y over (int weight, class, class) terms, collected
@@ -60,12 +62,12 @@ from typing import Iterable, NamedTuple
 from .partitions import (
     Box,
     Partition,
+    _skew_expansion,
     complement,
     enumerate_partitions,
     fits,
     lr_coefficient,  # unused here; the benchmark's tracer rebinds it by name in this module
     partition,
-    skew_lr_expansion,
     weight,
 )
 
@@ -393,11 +395,12 @@ def _fill_pair(box: Box, la: Partition, mu: Partition) -> tuple[tuple[Partition,
     of block (q, r) have p cells, the fewest of the three.
 
     A pair of block (q, r) itself (d == p) is enumerated alone, as one
-    ``_basis_product`` row: a sparse product, and every product into the
-    top degree, needs no more.  For any other pair every row of block
-    (q, r) with mu inside la' is enumerated (a row already stored is read,
-    not rebuilt), and each coefficient found is also written into one row
-    of each other block.  Those rows are collected in ``found`` first, row
+    ``_lr_row``: a sparse product, and every product into the top degree,
+    needs no more.  For any other pair every row of block (q, r) with mu
+    inside la' is enumerated (a row already stored is read, not rebuilt),
+    and each coefficient found is also written into one row of each other
+    block, at the content ka itself, so no entry goes through its dual
+    index and back.  Those rows are collected in ``found`` first, row
     (ka, z) with |ka| = p as ``found[z][ka]``, so the table only ever
     receives complete rows; then every pair of the blocks is stored in both
     orders, ``()`` for the zero pairs.
@@ -413,7 +416,7 @@ def _fill_pair(box: Box, la: Partition, mu: Partition) -> tuple[tuple[Partition,
     d = len(grades) - 1 - i - j
     if d <= i and d <= j:
         # ordered as block (q, r) is enumerated: |la| <= |mu|, la <= mu within a degree
-        row = _basis_product(box, la, mu) if (i, la) <= (j, mu) else _basis_product(box, mu, la)
+        row = _lr_row(duals, la, mu)[1] if (i, la) <= (j, mu) else _lr_row(duals, mu, la)[1]
         table[la][mu] = table[mu][la] = row
         return row
     p, q, r = sorted((i, j, d))
@@ -422,24 +425,27 @@ def _fill_pair(box: Box, la: Partition, mu: Partition) -> tuple[tuple[Partition,
         x_rows, x_dual, found_x = table[x], duals[x], found[x]
         for y in ys:
             row = x_rows.get(y)
-            if row is None:
-                row = _basis_product(box, x, y) if len(y) <= len(x_dual) and all(map(le, y, x_dual)) else ()
+            if row is not None:
+                contents = [(duals[nu], c) for nu, c in row]  # stored by an earlier lone pair
+            elif len(y) <= len(x_dual) and all(map(le, y, x_dual)):
+                expansion, row = _lr_row(duals, x, y)
+                contents = expansion.items()
                 x_rows[y] = table[y][x] = row
-            if not row:
+            else:
+                x_rows[y] = table[y][x] = ()
                 continue
             y_dual = duals[y]
             if p < q:
                 # T(x, y, ka) is entry x' of row (ka, y) and y' of row (ka, x)
                 found_y = found[y]
-                for nu, c in row:
-                    ka = duals[nu]
+                for ka, c in contents:
                     found_y[ka].append((x_dual, c))
-                    if x != y:
+                if x != y:
+                    for ka, c in contents:
                         found_x[ka].append((y_dual, c))
             else:
                 # block (p, r) is this one (q < r, as d > p); block (p, p) keeps row (ka, x) for ka <= x
-                for nu, c in row:
-                    ka = duals[nu]
+                for ka, c in contents:
                     if ka <= x:
                         found_x[ka].append((y_dual, c))
     for block in {(p, r), (p, q)} - {(q, r)}:
@@ -460,20 +466,34 @@ def _block_pairs(
     return [(la, mus[: a + 1] if i == j else mus) for a, la in enumerate(grades[i])]
 
 
-@lru_cache(maxsize=None)
-def _basis_product(box: Box, la: Partition, mu: Partition) -> tuple[tuple[Partition, int], ...]:
-    """sigma_la * sigma_mu expanded in the Schubert basis, truncated to the box.
+def _lr_row(
+    duals: dict[Partition, Partition], la: Partition, mu: Partition
+) -> tuple[dict[Partition, int], tuple[tuple[Partition, int], ...]]:
+    """The skew expansion of la'/mu and the row sigma_la * sigma_mu built
+    from it, for mu inside la' (not checked; ``duals`` is the box's).
 
     With ' the box complement, the coefficient of sigma_nu is the integral of
     sigma_la * sigma_mu * sigma_nu', which is c^{la'}_{mu,nu'}: the whole row
-    is the skew expansion of la'/mu, content ka landing on sigma_ka'.
-    ``_fill_pair`` asks for each row once, only for rows of the degree
-    block it enumerates, with |la| <= |mu| (la <= mu within one degree), and
-    only when mu lies inside la', so no row here is empty.
+    is the skew expansion of la'/mu, content ka landing on sigma_ka'.  The
+    expansion may be shared with the LR layer's cache (never mutate it);
+    ``_fill_pair`` scatters its contents into the other blocks as they are.
+    ``_fill_pair`` asks for each row once, only for rows of the degree block
+    it enumerates, with |la| <= |mu| (la <= mu within one degree), so no row
+    here is empty.
     """
-    duals = _duals(box)
-    row = skew_lr_expansion(duals[la], mu)
-    return tuple(zip(map(duals.__getitem__, row), row.values()))
+    expansion = _skew_expansion(duals[la], mu)
+    return expansion, tuple(zip(map(duals.__getitem__, expansion), expansion.values()))
+
+
+# Kept only for the benchmark's tracer, which reads this cache's statistics
+# by name (no engine caller).
+@lru_cache(maxsize=None)
+def _basis_product(box: Box, la: Partition, mu: Partition) -> tuple[tuple[Partition, int], ...]:
+    """sigma_la * sigma_mu expanded in the Schubert basis, truncated to the
+    box, for mu inside la': the row of ``_lr_row``, cached.  No engine code
+    calls it; ``bench/tracing.py`` reports its cache as
+    ``chow.basis_product``."""
+    return _lr_row(_duals(box), la, mu)[1]
 
 
 @lru_cache(maxsize=None)

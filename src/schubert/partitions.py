@@ -13,14 +13,18 @@ family of shapes needs no tableaux: when every nonempty row starts at one
 column or every one ends at one column, the shape is a translated or a
 rotated partition and its skew Schur function is the single Schur function
 of its row lengths (van Willigenburg, "Equality of Schur and skew Schur
-functions", Ann. Comb. 2005), so it is answered before any set-up.  The
-skew Schur function of a disconnected shape is the product of those of its
+functions", Ann. Comb. 2005), so it is answered after one pad of the inner
+partition and one scan from each end for the nonempty rows.  The skew
+Schur function of a disconnected shape is the product of those of its
 edge-connected components, wherever they sit (Macdonald, Symmetric
 Functions and Hall Polynomials, I.5), so such a shape is enumerated once
 per unordered set of components, placed corner to corner, and read from a
-cache after that.  Everything in this module is a pure function on
-immutable values (the cache only remembers such results) and safe to call
-concurrently.
+cache after that.  The product table of ``chow`` reads the unchecked form,
+``_skew_expansion``, which leaves the containment test to its caller and
+returns a disconnected shape's cached dict without a copy; the public
+``skew_lr_expansion`` tests containment and returns a fresh dict.
+Everything in this module is a pure function on immutable values (the
+cache only remembers such results) and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -96,24 +100,32 @@ def complement(la: Partition, box: Box) -> Partition:
 
 def skew_lr_expansion(outer: Partition, inner: Partition) -> dict[Partition, int]:
     """s_{outer/inner} in the Schur basis: ``{ka: c^outer_{inner,ka}}`` over
-    the nonzero coefficients; empty unless inner <= outer.
+    the nonzero coefficients; empty unless inner <= outer.  A fresh dict:
+    the containment test, then ``_skew_expansion``, copied.
+    """
+    if len(inner) > len(outer) or not all(map(le, inner, outer)):
+        return {}
+    return dict(_skew_expansion(outer, inner))
 
-    A translated or rotated partition returns its row lengths (reversed for
-    a rotated one) with coefficient 1.  Any other shape is split into its
-    edge-connected components: rows r - 1 and r share an edge iff
-    outer[r] > inner[r - 1], so an empty row shares none and is dropped.  A
-    connected shape is enumerated by ``_lattice_words``.  A disconnected
-    one is read from ``_component_product``, keyed by its components, each
-    moved to its own leftmost column, sorted.
+
+def _skew_expansion(outer: Partition, inner: Partition) -> dict[Partition, int]:
+    """``skew_lr_expansion`` of a shape with inner <= outer, which is not
+    checked: the product table's rows come from here.  The dict of a
+    disconnected shape is shared with the cache; never mutate the result.
+
+    The empty shape returns {(): 1}, and a translated or rotated partition
+    its row lengths (reversed for a rotated one) with coefficient 1.  Any
+    other shape is split into its edge-connected components: rows r - 1 and
+    r share an edge iff outer[r] > inner[r - 1], so an empty row shares none
+    and is dropped.  A connected shape is enumerated by ``_lattice_words``.
+    A disconnected one is read from ``_component_product``, keyed by its
+    components, each moved to its own leftmost column, sorted.
     """
     rows = len(outer)
-    if len(inner) > rows:
-        return {}
-    inner = inner + (0,) * (rows - len(inner))
+    if len(inner) < rows:
+        inner += (0,) * (rows - len(inner))
     if inner == outer:
         return {(): 1}
-    if not all(map(le, inner, outer)):
-        return {}
     top, bottom = 0, rows  # the nonempty rows lie in [top:bottom]
     while inner[top] == outer[top]:
         top += 1
@@ -126,10 +138,12 @@ def skew_lr_expansion(outer: Partition, inner: Partition) -> dict[Partition, int
     # empty: between two rows starting at column c an empty row would have
     # both parts c, under an outer part below it that exceeds c (and
     # likewise for rows ending at one column).
-    if inner[top] == inner[bottom - 1]:
-        return {tuple(o - inner[top] for o in outer[top:bottom]): 1}
-    if outer[top] == outer[bottom - 1]:
-        return {tuple(outer[top] - n for n in reversed(inner[top:bottom])): 1}
+    left = inner[top]
+    if left == inner[bottom - 1]:
+        return {tuple([o - left for o in outer[top:bottom]]): 1}
+    right = outer[top]
+    if right == outer[bottom - 1]:
+        return {tuple([right - n for n in reversed(inner[top:bottom])]): 1}
     # Each component [start:r] is its outer rows and then its inner rows,
     # all less its leftmost column inner[r - 1].
     components = []
@@ -141,12 +155,12 @@ def skew_lr_expansion(outer: Partition, inner: Partition) -> dict[Partition, int
             return _lattice_words(outer, inner, top, bottom)  # connected
         if r - start > 1:
             left = inner[r - 1]
-            components.append(tuple(x - left for x in outer[start:r] + inner[start:r]))
+            components.append(tuple([x - left for x in outer[start:r] + inner[start:r]]))
         elif outer[start] > inner[start]:  # one row, not empty
             components.append((outer[start] - inner[start], 0))
         start = r
     components.sort()
-    return dict(_component_product(tuple(components)))
+    return _component_product(tuple(components))
 
 
 @lru_cache(maxsize=None)
@@ -233,12 +247,12 @@ def lr_coefficient(la: Partition, mu: Partition, nu: Partition) -> int:
     """Littlewood-Richardson coefficient: multiplicity of s_nu in s_la * s_mu.
 
     The coefficient of s_mu in the skew Schur function s_{nu/la}, read from
-    :func:`skew_lr_expansion`.  Zero whenever |nu| != |la| + |mu| or the
-    shapes are not nested.
+    ``_skew_expansion``, as la <= nu is tested here.  Zero whenever
+    |nu| != |la| + |mu| or the shapes are not nested.
     """
     la, mu, nu = partition(la), partition(mu), partition(nu)
     if weight(la) + weight(mu) != weight(nu):
         return 0
     if not contains(nu, la) or not contains(nu, mu):
         return 0
-    return skew_lr_expansion(nu, la).get(mu, 0)
+    return _skew_expansion(nu, la).get(mu, 0)

@@ -1,13 +1,15 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from schubert import (
     ChernVector,
+    ChowClass,
     GrassmannRing,
     PowerSumVector,
     RankTwoData,
@@ -29,6 +31,7 @@ from schubert.charclass import (
     rank_two_character,
     rank_two_form,
 )
+from schubert.hrr import tangent_todd
 
 from oracles import todd_log_series, twist
 
@@ -245,6 +248,34 @@ def test_tangent_bundle_gauss_bonnet_on_the_benchmark_rings(ring_args, euler_num
     assert t.c[ring.dimension].integrate() == comb(n + 1, k + 1) == euler_number
 
 
+# SHA-256 of repr(tangent_bundle(R).c) and repr(tangent_todd(R)) on the
+# rings of the big-ring benchmark: a coefficient moved anywhere in the
+# product table, the LR layer or the recurrences changes one of them
+BIG_RING_CLASS_SHA256 = {
+    (3, 7): (
+        "5e7b7d64eac32488ba468d11835d45edfb33debf16bf69d08064bb4ca9b81e67",
+        "0287fe306720ac78aab2118070ccc27829974079af28fcfc28b2767fcf4be061",
+    ),
+    (2, 8): (
+        "9833d0205afa44fddb743cff4fd573932f525f365c831df3166772f08a7d51f1",
+        "9ee55bf01ce0f7389e088ff7df97d7498f4822a9740fc5909e931e8e88b4948d",
+    ),
+    (3, 8): (
+        "3afbb998ba7caa15dc0e3ec7d1cb8e1a8f28163957d8969b649d9ea342419827",
+        "0e6fc0e5a25f5304974b1dcd250de2a77646058673bf2ee4298535a0ff13b72a",
+    ),
+}
+
+
+@pytest.mark.parametrize("ring_args", sorted(BIG_RING_CLASS_SHA256))
+def test_big_ring_tangent_and_todd_classes_are_pinned(ring_args):
+    ring = GrassmannRing(*ring_args)
+    got = tuple(
+        hashlib.sha256(repr(cls).encode()).hexdigest() for cls in (tangent_bundle(ring).c, tangent_todd(ring))
+    )
+    assert got == BIG_RING_CLASS_SHA256[ring_args]
+
+
 @pytest.mark.parametrize("ring_args", [(0, 3), (1, 3), (1, 4)])
 def test_tautological_sequence(ring_args):
     ring = GrassmannRing(*ring_args)
@@ -299,6 +330,57 @@ def test_exp_nilpotent_matches_the_power_series(ring_args):
         assert exp_x == _exp_by_powers(x)
         assert exp_x * exp_nilpotent(-x) == ring.one()
         assert exp_nilpotent(x + y) == exp_x * exp_nilpotent(y)
+
+
+ZERO_PIECE_RINGS = (GrassmannRing(1, 4), GrassmannRing(2, 5), GrassmannRing(3, 7))
+
+
+@st.composite
+def zero_piece_cases(draw):
+    """A ring and graded pieces that vanish in some degrees: only degree 2,
+    only the even degrees, or any set of degrees; each nonzero piece is a
+    sum of up to three basis classes with nonzero Fraction coefficients."""
+    ring = draw(st.sampled_from(ZERO_PIECE_RINGS))
+    dim = ring.dimension
+    degrees = draw(
+        st.one_of(
+            st.just([2]),
+            st.just(list(range(2, dim + 1, 2))),
+            st.lists(st.integers(1, dim), min_size=1, max_size=dim, unique=True),
+        )
+    )
+    coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+    pieces = {}
+    for d in degrees:
+        indices = draw(st.lists(st.sampled_from(ring.basis(d)), min_size=1, max_size=3, unique=True))
+        pieces[d] = ChowClass(ring, {la: draw(coefficients) for la in indices})
+    return ring, pieces
+
+
+def _log_of_chern(ring, p):
+    """log c = sum_m (-1)^(m-1) p_m / m for power sums p_1..p_dim, summed
+    class by class."""
+    acc = ring.zero()
+    for m in range(1, ring.dimension + 1):
+        acc = acc + p[m] * Fraction((-1) ** (m - 1), m)
+    return acc
+
+
+@given(zero_piece_cases())
+@example((ZERO_PIECE_RINGS[2], {2: ZERO_PIECE_RINGS[2].sigma((1, 1))}))
+def test_recurrences_with_zero_pieces_match_the_exponential_of_powers(case):
+    # c = exp(sum (-1)^(m-1) p_m / m), with exp the power series of full
+    # powers: none of Newton's identities or the graded exp recurrence
+    ring, pieces = case
+    dim = ring.dimension
+    as_chern = ChernVector(ring, 2, pieces)
+    p = as_chern.power_sums().p
+    assert _exp_by_powers(_log_of_chern(ring, p)) == as_chern.total()
+    as_power_sums = PowerSumVector(ring, 2, tuple(pieces.get(m, ring.zero()) for m in range(dim + 1)))
+    log_c = _log_of_chern(ring, as_power_sums.p)
+    assert as_power_sums.to_chern().total() == _exp_by_powers(log_c)
+    for y in (sum(pieces.values(), ring.zero()), log_c):
+        assert exp_nilpotent(y) == _exp_by_powers(y)
 
 
 def test_component_validation(g14):

@@ -286,25 +286,25 @@ def test_zero_coefficients_pruned(g14):
 
 
 def _record_rows_from_a_cold_clear(monkeypatch):
-    """Empty the product caches and record every ``_basis_product`` row
-    built from then on, as (la, mu, row), until ``monkeypatch.undo()``."""
+    """Empty the product caches and record every row ``_lr_row`` builds
+    from then on, as (la, mu, row), until ``monkeypatch.undo()``."""
     chow._table.cache_clear()
     chow._basis_product.cache_clear()
     built = []
-    plain = chow._basis_product
+    plain = chow._lr_row
 
-    def recording(box, la, mu):
-        row = plain(box, la, mu)
+    def recording(duals, la, mu):
+        expansion, row = plain(duals, la, mu)
         built.append((la, mu, row))
-        return row
+        return expansion, row
 
-    monkeypatch.setattr(chow, "_basis_product", recording)
+    monkeypatch.setattr(chow, "_lr_row", recording)
     return built
 
 
 def _full_square_after_a_cold_clear(monkeypatch, ring):
     """``full * full`` with every basis coefficient 1, from empty product
-    caches, and every ``_basis_product`` row it built, with the row."""
+    caches, and every ``_lr_row`` row it built, with the row."""
     basis = ring.all_partitions()
     full = ChowClass(ring, {la: 1 for la in basis})
     expected = ChowClass(ring, {})
@@ -350,7 +350,9 @@ def test_products_skip_pairs_above_the_top_degree(monkeypatch, ring_args):
         assert weight(la) + weight(mu) <= dim
         assert contains(dual_partition(ring, la), mu)
         assert row  # no empty row is built, so none is cached
-    assert chow._basis_product.cache_info().currsize == len(built)
+    # the rows are built uncached: the tracer-only ``_basis_product`` is never asked
+    info = chow._basis_product.cache_info()
+    assert (info.currsize, info.misses) == (0, 0)
     # products of zero pairs alone, from cold caches, do no LR work at all
     basis = ring.all_partitions()
     built = _record_rows_from_a_cold_clear(monkeypatch)
@@ -434,7 +436,6 @@ def test_dense_product_stores_every_row_of_the_skew_expansion(ring_args):
     basis = ring.all_partitions()
     full = ChowClass(ring, {la: 1 for la in basis})
     chow._table.cache_clear()
-    chow._basis_product.cache_clear()
     full * full
     table = chow._table(ring.box)
     assert all(len(table[la]) == len(basis) for la in basis)  # one product fills the table
@@ -461,7 +462,6 @@ _SMALL_BOXES = [(rows, cols) for rows in range(1, 21) for cols in range(1, 20 //
 def test_block_fill_on_random_boxes_matches_the_skew_expansion(case):
     ring, xs, ys = case
     chow._table.cache_clear()
-    chow._basis_product.cache_clear()
     ChowClass(ring, {la: 1 for la in xs}) * ChowClass(ring, {mu: 1 for mu in ys})
     table = chow._table(ring.box)
     assert all(mu in table[la] and la in table[mu] for la in xs for mu in ys)

@@ -138,6 +138,9 @@ def test_skew_lr_expansion_examples():
     assert skew_lr_expansion((5, 3, 1), (2, 2, 1)) == {(3, 1): 1}
     assert skew_lr_expansion((4, 3, 1), (4, 1, 1)) == {(2,): 1}
     assert skew_lr_expansion((3, 2), (3, 2)) == {(): 1}
+    # a disconnected shape's expansion is cached: each caller gets its own copy
+    skew_lr_expansion((3, 1), (1,)).clear()
+    assert skew_lr_expansion((3, 1), (1,)) == {(2, 1): 1, (3,): 1}
 
 
 def _random_skew_shape(rng, kind):
