@@ -15,13 +15,15 @@ is one call of the ring's multiply-accumulate kernel
 terms whose classes are both nonzero; Newton's identities, their inverse
 and ``exp`` list the nonzero pieces of their input once per call, with
 their signs, and keep the nonzero pieces they find by degree, so no pair of
-degrees is tested for zero classes.  Each weighted sum (``ch``, the Todd
-weights, the total Chern class) is one call of ``chow.linear_combination``,
-so no term builds its own product, scaled copy or partial sum.  A class is
-split by degree in one pass (``ChowClass.graded_pieces``).  The tangent
-bundle's power sums are read once off its Chern character
-(``tangent_power_sums``); its Chern classes and its Todd class both start
-from them.
+degrees is tested for zero classes.  The inverse identities and ``exp``
+share one solver of m * y_m = sum of w_i * x_i * y_{m-i} from y_0 = 1,
+``_graded_solve``, each with its own weights.  Each weighted sum (``ch``,
+the Todd weights, the total Chern class) is one call of
+``chow.linear_combination``, so no term builds its own product, scaled copy
+or partial sum.  A class is split by degree in one pass
+(``ChowClass.graded_pieces``).  The tangent bundle's power sums are read
+once off its Chern character (``tangent_power_sums``); its Chern classes
+and its Todd class both start from them.
 
 Rank-two data (e, a, b) on a ring of lines is twisted in its coordinates by
 ``RankTwoData.twisted``, which every pipeline path uses; a bundle v of any
@@ -154,16 +156,9 @@ class PowerSumVector:
     def to_chern(self) -> ChernVector:
         """Invert Newton's identities: m*c_m = sum (-1)^{i-1} p_i c_{m-i}."""
         ring, p = self.ring, self.p
-        # the nonzero p_i with their signs, and the nonzero c_j met so far
+        # the nonzero p_i with their signs
         signed = [(i, -1 if i % 2 == 0 else 1, p[i]) for i in range(1, ring.dimension + 1) if p[i]]
-        c = [ring.one()]
-        nonzero = {0: c[0]}
-        for m in range(1, ring.dimension + 1):
-            terms = [(s, pi, nonzero[m - i]) for i, s, pi in signed if i <= m and m - i in nonzero]
-            cm = sum_of_products(ring, terms, m)
-            c.append(cm)
-            if cm:
-                nonzero[m] = cm
+        c = _graded_solve(ring, signed)
         return ChernVector(ring, self.rank, dict(enumerate(c[1:], 1)))
 
     def ch(self) -> ChowClass:
@@ -236,19 +231,25 @@ def exp_nilpotent(x: ChowClass) -> ChowClass:
     if x.coefficient(()):
         raise ValueError("exp needs a class with vanishing degree-zero part")
     ring = x.ring
-    dim = ring.dimension
     xs = x.graded_pieces()
-    # the nonzero x_j, and the nonzero y_i met so far
-    pieces = [(j, xs[j]) for j in range(1, dim + 1) if xs[j]]
+    # the nonzero x_j, each with its weight j
+    y = _graded_solve(ring, [(j, j, xs[j]) for j in range(1, ring.dimension + 1) if xs[j]])
+    return linear_combination(ring, [(1, ym) for ym in y])
+
+
+def _graded_solve(ring: GrassmannRing, pieces: list[tuple[int, int, ChowClass]]) -> list[ChowClass]:
+    """y_0..y_dim with m * y_m = sum of w_i * x_i * y_{m-i} from y_0 = 1,
+    for the listed pieces (i, w_i, x_i) with x_i nonzero of degree i >= 1:
+    one ``sum_of_products`` per degree, over the nonzero y_j met so far."""
     y = [ring.one()]
     nonzero = {0: y[0]}
-    for m in range(1, dim + 1):
-        terms = [(j, xj, nonzero[m - j]) for j, xj in pieces if j <= m and m - j in nonzero]
+    for m in range(1, ring.dimension + 1):
+        terms = [(w, xi, nonzero[m - i]) for i, w, xi in pieces if i <= m and m - i in nonzero]
         ym = sum_of_products(ring, terms, m)
         y.append(ym)
         if ym:
             nonzero[m] = ym
-    return linear_combination(ring, [(1, ym) for ym in y])
+    return y
 
 
 def line_bundle(ring: GrassmannRing, t: Scalar) -> ChernVector:

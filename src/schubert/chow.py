@@ -14,11 +14,12 @@ leaves the class (``coefficient``, ``integrate``, ``pair``, ``coeffs`` and
 the repr).  No floating point enters the engine anywhere.
 
 Products read one table per ring: for each basis index la, the rows of
-sigma_la * sigma_mu met so far, by mu.  A missed pair with mu not inside
-the dual of la has product zero and maps to an empty tuple with no LR work
-(so does every pair above the top degree: containment implies the degree
-bound).  Any other missed pair is filled by ``_fill_pair``.  The triple
-intersection number T(la, mu, ka), the integral of
+sigma_la * sigma_mu met so far, by mu.  Every missed pair goes to
+``_fill_pair``, the table's only writer.  A pair with mu not inside the
+dual of la has product zero and is stored as an empty tuple in both orders
+with no LR work (so is every pair above the top degree: containment
+implies the degree bound); any other pair is filled from the LR layer.
+The triple intersection number T(la, mu, ka), the integral of
 sigma_la * sigma_mu * sigma_ka, is symmetric in its three indices (the
 duality theorem, Fulton, Young Tableaux, 1997, 9.4), so the three degree
 blocks of a degree triple (a block is the rows with |la| and |mu| fixed)
@@ -33,10 +34,11 @@ degree, so no pair of indices is built or hashed per coefficient.  So each
 LR triple is enumerated once, and no empty row is ever enumerated.  A row
 whose skew shape falls apart into pieces is the product of the pieces'
 expansions, which ``partitions`` enumerates once per set of pieces.  Rings
-are immutable and shareable; the product table, its rows and the dual
-indices are pure caches (identical inputs always produce identical rows,
-only complete rows are stored, and a stored row never changes), so
-concurrent use needs no coordination.
+are immutable and shareable; a box has one cache, ``_tables``, holding its
+product table with its dual indices and its grades, all pure caches
+(identical inputs always produce identical rows, only complete rows are
+stored, and a stored row never changes), so concurrent use needs no
+coordination.
 
 The table is read by one multiply-accumulate kernel, ``sum_of_products``:
 (1/d) * sum of w * x * y over (int weight, class, class) terms, collected
@@ -277,7 +279,7 @@ class ChowClass:
         0 with every other basis class."""
         if self.ring != other.ring:
             raise ValueError(f"classes live in different rings: {self.ring} vs {other.ring}")
-        duals = _duals(self.ring.box)
+        duals = _tables(self.ring.box)[1]
         ys = other.num
         acc = 0
         for la, x in self.num.items():
@@ -324,8 +326,7 @@ def sum_of_products(ring: GrassmannRing, terms, divisor: int = 1) -> ChowClass:
     sum is built."""
     den = lcm(*(x.den * y.den for _, x, y in terms))
     box = ring.box
-    table = _table(box)
-    duals = _duals(box)
+    table = _tables(box)[0]
     acc: dict[Partition, int] = {}
     get = acc.get
     for w, x, y in terms:
@@ -335,21 +336,12 @@ def sum_of_products(ring: GrassmannRing, terms, divisor: int = 1) -> ChowClass:
         w *= den // (x.den * y.den)
         ys = y.num.items()
         for la, a in x.num.items():
-            rows = table[la]
-            row_of = rows.get
+            row_of = table[la].get
             wa = w * a
             for mu, b in ys:
                 row = row_of(mu)
                 if row is None:
-                    # First met.  The product is zero unless mu lies inside
-                    # la's dual, which implies the degree bound
-                    # |la| + |mu| <= dim, as |la'| = dim - |la|: then the
-                    # pair is stored in both orders with no LR work.
-                    dual = duals[la]
-                    if len(mu) <= len(dual) and all(map(le, mu, dual)):
-                        row = _fill_pair(box, la, mu)
-                    else:
-                        row = rows[mu] = table[mu][la] = ()
+                    row = _fill_pair(box, la, mu)
                 if row:
                     wab = wa * b
                     for nu, c in row:
@@ -374,17 +366,26 @@ def linear_combination(ring: GrassmannRing, terms, divisor: int = 1) -> ChowClas
 
 
 @lru_cache(maxsize=None)
-def _table(box: Box) -> dict[Partition, dict[Partition, tuple[tuple[Partition, int], ...]]]:
-    """The ring's product table: for each basis index la, the rows of
-    sigma_la * sigma_mu met so far, by mu (shared; only ``sum_of_products``
-    and ``_fill_pair`` add to it).  A pair whose product is zero maps to
-    ``()``."""
-    return {la: {} for la in _duals(box)}
+def _tables(box: Box) -> tuple[dict, dict[Partition, Partition], tuple[list[Partition], ...]]:
+    """The box's one cache: its product table, its dual indices and its
+    grades, always read together.
+
+    The table maps each basis index la to the rows of sigma_la * sigma_mu
+    met so far, by mu; only ``_fill_pair`` adds to it, and a pair whose
+    product is zero maps to ``()``.  The duals map every index to its
+    Poincare-dual index, and the grades list the indices by degree, each
+    grade lexicographically descending (both shared; never mutate)."""
+    grades = tuple(enumerate_partitions(box, d) for d in range(box.rows * box.cols + 1))
+    duals = {la: complement(la, box) for grade in grades for la in grade}
+    return {la: {} for la in duals}, duals, grades
 
 
 def _fill_pair(box: Box, la: Partition, mu: Partition) -> tuple[tuple[Partition, int], ...]:
-    """The row of a missed pair (la, mu) with mu inside la', stored in both
-    orders.
+    """The row of a missed pair (la, mu), stored in both orders.
+
+    The product is zero unless mu lies inside la', which implies the degree
+    bound |la| + |mu| <= dim, as |la'| = dim - |la|: a pair outside is
+    stored as ``()`` with no LR work.
 
     Degree block (i, j) is the rows sigma_la * sigma_mu with |la| = i and
     |mu| = j; the entry at ka' of such a row is T(la, mu, ka), the integral
@@ -411,7 +412,11 @@ def _fill_pair(box: Box, la: Partition, mu: Partition) -> tuple[tuple[Partition,
     already block (p, r), and block (p, p) takes each unordered pair once;
     with p == q == r every pair is enumerated alone.
     """
-    table, duals, grades = _table(box), _duals(box), _grades(box)
+    table, duals, grades = _tables(box)
+    dual = duals[la]
+    if len(mu) > len(dual) or not all(map(le, mu, dual)):
+        table[la][mu] = table[mu][la] = ()
+        return ()
     i, j = sum(la), sum(mu)
     d = len(grades) - 1 - i - j
     if d <= i and d <= j:
@@ -493,20 +498,7 @@ def _basis_product(box: Box, la: Partition, mu: Partition) -> tuple[tuple[Partit
     box, for mu inside la': the row of ``_lr_row``, cached.  No engine code
     calls it; ``bench/tracing.py`` reports its cache as
     ``chow.basis_product``."""
-    return _lr_row(_duals(box), la, mu)[1]
-
-
-@lru_cache(maxsize=None)
-def _grades(box: Box) -> tuple[list[Partition], ...]:
-    """The box's indices by degree, each grade lexicographically descending
-    (shared; never mutate)."""
-    return tuple(enumerate_partitions(box, d) for d in range(box.rows * box.cols + 1))
-
-
-@lru_cache(maxsize=None)
-def _duals(box: Box) -> dict[Partition, Partition]:
-    """Every index in the box mapped to its Poincare-dual index (shared; never mutate)."""
-    return {la: complement(la, box) for grade in _grades(box) for la in grade}
+    return _lr_row(_tables(box)[1], la, mu)[1]
 
 
 def dual_partition(ring: GrassmannRing, la) -> Partition:

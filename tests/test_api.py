@@ -76,10 +76,32 @@ def test_tracer_install_and_uninstall_leave_the_package_as_it_was(bench):
         assert after[key] == before[key], ns
 
 
+# Every cache the bench's walker clears before a cold pass.  A cache added,
+# merged or deleted changes this list on purpose; a cache the walker missed
+# would stay warm through the benchmark's cold passes.
+BENCH_CACHES = [
+    "schubert.charclass._rank_two_monomials",
+    "schubert.charclass.tangent_bundle",
+    "schubert.charclass.tangent_power_sums",
+    "schubert.chow._basis_product",
+    "schubert.chow._tables",
+    "schubert.classify.enumerate_candidates",
+    "schubert.classify.scan_forms",
+    "schubert.classify.scan_line",
+    "schubert.classify.schur3_form",
+    "schubert.cli._scan_rows",
+    "schubert.hrr.chi_form",
+    "schubert.hrr.tangent_todd",
+    "schubert.partitions._component_product",
+    "schubert.partitions.lr_coefficient",
+]
+
+
 def test_bench_cache_walker_finds_the_traced_caches(bench):
     _, workloads = bench
     walker = workloads.Caches(schubert)
     caches = walker.caches
+    assert list(caches) == BENCH_CACHES
     assert caches["schubert.partitions.lr_coefficient"] is schubert.partitions.lr_coefficient
     assert caches["schubert.chow._basis_product"] is schubert.chow._basis_product
     # the products of skew components, which a cold pass must not find warm

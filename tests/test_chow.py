@@ -288,7 +288,7 @@ def test_zero_coefficients_pruned(g14):
 def _record_rows_from_a_cold_clear(monkeypatch):
     """Empty the product caches and record every row ``_lr_row`` builds
     from then on, as (la, mu, row), until ``monkeypatch.undo()``."""
-    chow._table.cache_clear()
+    chow._tables.cache_clear()
     chow._basis_product.cache_clear()
     built = []
     plain = chow._lr_row
@@ -362,6 +362,19 @@ def test_products_skip_pairs_above_the_top_degree(monkeypatch, ring_args):
                 assert ring.sigma(la) * ring.sigma(mu) == ring.zero()
     monkeypatch.undo()
     assert built == []
+    # the product table's one writer decides such a pair itself: from a cold
+    # table it returns (), stores the pair in both orders and nothing else
+    built = _record_rows_from_a_cold_clear(monkeypatch)
+    for la in basis:
+        for mu in basis:
+            if not contains(dual_partition(ring, la), mu):
+                chow._tables.cache_clear()
+                assert chow._fill_pair(ring.box, la, mu) == ()
+                table = chow._tables(ring.box)[0]
+                assert table[la][mu] == table[mu][la] == ()
+                assert {(x, y) for x, row in table.items() for y in row} == {(la, mu), (mu, la)}
+    monkeypatch.undo()
+    assert built == []
 
 
 @pytest.mark.parametrize("ring_args", [(1, 4), (2, 5)])
@@ -388,7 +401,7 @@ def test_products_look_up_each_unordered_pair_in_one_order(monkeypatch, ring_arg
             ring.sigma(la) * ring.sigma(mu)
             monkeypatch.undo()
             built = [(x, y) for x, y, _ in built]
-            stored = {(x, y) for x, row in chow._table(ring.box).items() for y in row}
+            stored = {(x, y) for x, row in chow._tables(ring.box)[0].items() for y in row}
             if ring.dimension - weight(la) - weight(mu) == p:
                 assert built == [min((la, mu), (mu, la), key=lambda pair: (weight(pair[0]), pair))]
                 assert stored == {(la, mu), (mu, la)}
@@ -408,7 +421,7 @@ def _assert_rows_are_the_skew_expansion(ring):
     and a nonzero row outside its triple's enumerated block (the one whose
     content degree is the smallest of the three) comes with every pair of
     the three blocks of its degree triple."""
-    table = chow._table(ring.box)
+    table = chow._tables(ring.box)[0]
     dim = ring.dimension
     triples = set()
     for la, rows in table.items():
@@ -435,9 +448,9 @@ def test_dense_product_stores_every_row_of_the_skew_expansion(ring_args):
     ring = GrassmannRing(*ring_args)
     basis = ring.all_partitions()
     full = ChowClass(ring, {la: 1 for la in basis})
-    chow._table.cache_clear()
+    chow._tables.cache_clear()
     full * full
-    table = chow._table(ring.box)
+    table = chow._tables(ring.box)[0]
     assert all(len(table[la]) == len(basis) for la in basis)  # one product fills the table
     _assert_rows_are_the_skew_expansion(ring)
 
@@ -461,9 +474,9 @@ _SMALL_BOXES = [(rows, cols) for rows in range(1, 21) for cols in range(1, 20 //
 @example((GrassmannRing(2, 5), [(3, 1)], [(2, 2)]))
 def test_block_fill_on_random_boxes_matches_the_skew_expansion(case):
     ring, xs, ys = case
-    chow._table.cache_clear()
+    chow._tables.cache_clear()
     ChowClass(ring, {la: 1 for la in xs}) * ChowClass(ring, {mu: 1 for mu in ys})
-    table = chow._table(ring.box)
+    table = chow._tables(ring.box)[0]
     assert all(mu in table[la] and la in table[mu] for la in xs for mu in ys)
     _assert_rows_are_the_skew_expansion(ring)
 

@@ -714,10 +714,14 @@ def test_final_template_matches_json_dumps_on_synthetic_entries(entry):
     assert_entries_written_as_json_dumps([entry, entry])
 
 
-def coordinate_writers(rec: classify.CandidateRecord) -> dict:
+def coordinate_writers(rec: classify.CandidateRecord, first=None) -> dict:
     """Every writer of a candidate record's coordinates, each writing ``rec``
-    after a record of int coordinates."""
-    records = [classify.CandidateRecord(RankTwoData(0, 0, 0), (), "", ""), rec]
+    after a record of int coordinates: a bare one, or ``first`` with both in
+    a ``ScanRecords``, so that ``rec``'s row may come from the scan rows."""
+    if first is None:
+        records = [classify.CandidateRecord(RankTwoData(0, 0, 0), (), "", ""), rec]
+    else:
+        records = classify.ScanRecords((first, rec))
     sections = [("step1", "step1_table", records)]
     writers = {
         "json": lambda: _write_records_json(records, "\n"),
@@ -729,16 +733,24 @@ def coordinate_writers(rec: classify.CandidateRecord) -> dict:
     return writers
 
 
-@pytest.mark.parametrize("value", [0.0, 1.5, Fraction(1, 2)])
+@pytest.mark.parametrize("value", [0.0, 1.5, Fraction(1, 2), Fraction(2)])
 def test_templates_write_integer_coordinates_only(value):
-    # every writer, JSON, csv and plain, refuses a coordinate that is not an int
+    # every writer, JSON, csv and plain, refuses a coordinate that is not an
+    # int: after a bare record, and in a scan after the same filter-built
+    # record with int coordinates, whose shape the scan rows then hold
     data = RankTwoData(0, value, 0)
-    for name, write in coordinate_writers(classify.CandidateRecord(data, (), "", "")).items():
-        try:
-            captured_stdout(write)
-        except TypeError:
-            continue
-        pytest.fail(f"the {name} writer wrote the coordinate {value!r}")
+    scanned = classify.evaluate_candidate(0, 2, 2)
+    inputs = {
+        "bare": coordinate_writers(classify.CandidateRecord(data, (), "", "")),
+        "scan": coordinate_writers(scanned._replace(data=data), first=scanned),
+    }
+    for source, writers in inputs.items():
+        for name, write in writers.items():
+            try:
+                captured_stdout(write)
+            except TypeError:
+                continue
+            pytest.fail(f"the {name} writer wrote the coordinate {value!r} of a {source} record")
     final_rows = _replay_rows([], [classify.BundleType("split", None, data, "")])
     with pytest.raises(TypeError):
         captured_stdout(_print_table, "csv", REPLAY_COLUMNS, final_rows)
@@ -1031,6 +1043,12 @@ def test_scan_rows_are_the_record_shapes_and_follow_a_new_scan(monkeypatch, fres
     flagged = scan_with_witness(monkeypatch, "positivity", "qb", lambda _: True, lambda d: (d.a + d.b) % 5 == 0)
     assert sum(rec.verdicts[0].witness["qb"] is True for rec in flagged) > 100
     assert_rows_are_the_record_shapes(flagged)
+    # Schur's strict_positive as the int 1 or 0 where b is a multiple of 3:
+    # equal to True or False, but a number, so a shape of its own
+    counted = scan_with_witness(monkeypatch, "schur", "strict_positive", int, lambda d: d.b % 3 == 0)
+    schur = [rec.verdict("schur") for rec in counted]
+    assert sum(v is not None and type(v.witness["strict_positive"]) is int for v in schur) > 100
+    assert_rows_are_the_record_shapes(counted)
 
 
 # Each number witness of the scan as a float, or as a tuple that holds one.
