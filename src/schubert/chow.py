@@ -14,7 +14,9 @@ leaves the class (``coefficient``, ``integrate``, ``pair``, ``coeffs`` and
 the repr).  No floating point enters the engine anywhere.
 
 Products read one table per ring: for each basis index la, the rows of
-sigma_la * sigma_mu met so far, by mu.  Every missed pair goes to
+sigma_la * sigma_mu met so far, by mu, each keyed by content: the entry at
+ka is the coefficient of sigma_ka', ' the box complement, and the kernel
+maps each content to its class once per product.  Every missed pair goes to
 ``_fill_pair``, the table's only writer.  A pair with mu not inside the
 dual of la has product zero and is stored as an empty tuple in both orders
 with no LR work (so is every pair above the top degree: containment
@@ -25,15 +27,15 @@ duality theorem, Fulton, Young Tableaux, 1997, 9.4), so the three degree
 blocks of a degree triple (a block is the rows with |la| and |mu| fixed)
 hold the same numbers, and only the block whose skew shapes have the
 fewest cells is ever enumerated, one uncached ``_lr_row`` per nonzero pair:
-the pair's skew expansion, read from the LR layer without a copy, and the
-row built from it.  A missed pair of that block is enumerated alone; a pair
-of either other block has the whole enumerated block filled, and each
-coefficient found is written into the other two blocks as well, at the
-expansion's content itself, gathered in one dict per index of the larger
-degree, so no pair of indices is built or hashed per coefficient.  So each
-LR triple is enumerated once, and no empty row is ever enumerated.  A row
-whose skew shape falls apart into pieces is the product of the pieces'
-expansions, which ``partitions`` enumerates once per set of pieces.  Rings
+the items of the pair's skew expansion, as the LR layer returns it.  A
+missed pair of that block is enumerated alone; a pair of either other block
+has the whole enumerated block filled, and each coefficient found is
+written into the other two blocks as well, keyed by the pair's own
+indices, gathered in one dict per index of the larger degree, so no pair
+of indices is built or hashed per coefficient.  So each LR triple is
+enumerated once, and no empty row is ever enumerated.  A row whose skew
+shape falls apart into pieces is the product of the pieces' expansions,
+which ``partitions`` enumerates once per set of pieces.  Rings
 are immutable and shareable; a box has one cache, ``_tables``, holding its
 product table with its dual indices and its grades, all pure caches
 (identical inputs always produce identical rows, only complete rows are
@@ -320,13 +322,13 @@ def sum_of_products(ring: GrassmannRing, terms, divisor: int = 1) -> ChowClass:
 
     The engine's one product loop (``ChowClass.__mul__`` is its one-term
     case): every term pair reads its row of the ring's table, filling it
-    at first meeting, and is accumulated into one dict of integer
-    numerators over the lcm of the terms' denominators, which is cancelled
-    once at the end, so no intermediate product, scaled copy or partial
-    sum is built."""
+    at first meeting, and is accumulated by content into one dict of
+    integer numerators over the lcm of the terms' denominators; each sum
+    is mapped to its class sigma_ka' and cancelled once at the end, so no
+    intermediate product, scaled copy or partial sum is built."""
     den = lcm(*(x.den * y.den for _, x, y in terms))
     box = ring.box
-    table = _tables(box)[0]
+    table, duals, _ = _tables(box)
     acc: dict[Partition, int] = {}
     get = acc.get
     for w, x, y in terms:
@@ -344,9 +346,9 @@ def sum_of_products(ring: GrassmannRing, terms, divisor: int = 1) -> ChowClass:
                     row = _fill_pair(box, la, mu)
                 if row:
                     wab = wa * b
-                    for nu, c in row:
-                        acc[nu] = get(nu, 0) + wab * c
-    return ChowClass._raw(ring, {nu: s for nu, s in acc.items() if s}, den * divisor)
+                    for ka, c in row:
+                        acc[ka] = get(ka, 0) + wab * c
+    return ChowClass._raw(ring, {duals[ka]: s for ka, s in acc.items() if s}, den * divisor)
 
 
 def linear_combination(ring: GrassmannRing, terms, divisor: int = 1) -> ChowClass:
@@ -371,10 +373,11 @@ def _tables(box: Box) -> tuple[dict, dict[Partition, Partition], tuple[list[Part
     grades, always read together.
 
     The table maps each basis index la to the rows of sigma_la * sigma_mu
-    met so far, by mu; only ``_fill_pair`` adds to it, and a pair whose
-    product is zero maps to ``()``.  The duals map every index to its
-    Poincare-dual index, and the grades list the indices by degree, each
-    grade lexicographically descending (both shared; never mutate)."""
+    met so far, by mu, each keyed by content (see ``_lr_row``); only
+    ``_fill_pair`` adds to it, and a pair whose product is zero maps to
+    ``()``.  The duals map every index to its Poincare-dual index, and the
+    grades list the indices by degree, each grade lexicographically
+    descending (both shared; never mutate)."""
     grades = tuple(enumerate_partitions(box, d) for d in range(box.rows * box.cols + 1))
     duals = {la: complement(la, box) for grade in grades for la in grade}
     return {la: {} for la in duals}, duals, grades
@@ -388,23 +391,27 @@ def _fill_pair(box: Box, la: Partition, mu: Partition) -> tuple[tuple[Partition,
     stored as ``()`` with no LR work.
 
     Degree block (i, j) is the rows sigma_la * sigma_mu with |la| = i and
-    |mu| = j; the entry at ka' of such a row is T(la, mu, ka), the integral
-    of sigma_la * sigma_mu * sigma_ka, with |ka| = d = dim - i - j.  T is
-    symmetric in its three indices (the duality theorem, Fulton, Young
-    Tableaux, 1997, 9.4), so with p <= q <= r the degrees i, j, d sorted,
-    blocks (q, r), (p, r) and (p, q) hold the same numbers; the skew shapes
-    of block (q, r) have p cells, the fewest of the three.
+    |mu| = j.  A row is keyed by content: its entry at ka, with
+    |ka| = d = dim - i - j, is T(la, mu, ka), the integral of
+    sigma_la * sigma_mu * sigma_ka, which is the coefficient of sigma_ka'
+    in the product (``sum_of_products`` maps each content to its dual once
+    per product).  T is symmetric in its three indices (the duality
+    theorem, Fulton, Young Tableaux, 1997, 9.4), so with p <= q <= r the
+    degrees i, j, d sorted, blocks (q, r), (p, r) and (p, q) hold the same
+    numbers; the skew shapes of block (q, r) have p cells, the fewest of
+    the three.
 
     A pair of block (q, r) itself (d == p) is enumerated alone, as one
     ``_lr_row``: a sparse product, and every product into the top degree,
     needs no more.  For any other pair every row of block (q, r) with mu
-    inside la' is enumerated (a row already stored is read, not rebuilt),
-    and each coefficient found is also written into one row of each other
-    block, at the content ka itself, so no entry goes through its dual
-    index and back.  Those rows are collected in ``found`` first, row
-    (ka, z) with |ka| = p as ``found[z][ka]``, so the table only ever
-    receives complete rows; then every pair of the blocks is stored in both
-    orders, ``()`` for the zero pairs.
+    inside la' is enumerated (a row already stored is read as it is, not
+    rebuilt), and each coefficient T(x, y, ka) found is also written into
+    one row of each other block: at x in row (ka, y) and at y in row
+    (ka, x), so no entry goes through a dual index.  Those rows are
+    collected in ``found`` first, row (ka, z) with |ka| = p as
+    ``found[z][ka]``, so the table only ever receives complete rows; then
+    every pair of the blocks is stored in both orders, ``()`` for the zero
+    pairs.
 
     A tie of degrees merges blocks, and each entry is still written once:
     with q == r only the unordered pairs of block (q, q) are enumerated,
@@ -421,7 +428,7 @@ def _fill_pair(box: Box, la: Partition, mu: Partition) -> tuple[tuple[Partition,
     d = len(grades) - 1 - i - j
     if d <= i and d <= j:
         # ordered as block (q, r) is enumerated: |la| <= |mu|, la <= mu within a degree
-        row = _lr_row(duals, la, mu)[1] if (i, la) <= (j, mu) else _lr_row(duals, mu, la)[1]
+        row = _lr_row(duals, la, mu) if (i, la) <= (j, mu) else _lr_row(duals, mu, la)
         table[la][mu] = table[mu][la] = row
         return row
     p, q, r = sorted((i, j, d))
@@ -430,29 +437,24 @@ def _fill_pair(box: Box, la: Partition, mu: Partition) -> tuple[tuple[Partition,
         x_rows, x_dual, found_x = table[x], duals[x], found[x]
         for y in ys:
             row = x_rows.get(y)
-            if row is not None:
-                contents = [(duals[nu], c) for nu, c in row]  # stored by an earlier lone pair
-            elif len(y) <= len(x_dual) and all(map(le, y, x_dual)):
-                expansion, row = _lr_row(duals, x, y)
-                contents = expansion.items()
-                x_rows[y] = table[y][x] = row
-            else:
-                x_rows[y] = table[y][x] = ()
-                continue
-            y_dual = duals[y]
+            if row is None:
+                if len(y) > len(x_dual) or not all(map(le, y, x_dual)):
+                    x_rows[y] = table[y][x] = ()
+                    continue
+                row = x_rows[y] = table[y][x] = _lr_row(duals, x, y)
             if p < q:
-                # T(x, y, ka) is entry x' of row (ka, y) and y' of row (ka, x)
+                # T(x, y, ka) is entry x of row (ka, y) and entry y of row (ka, x)
                 found_y = found[y]
-                for ka, c in contents:
-                    found_y[ka].append((x_dual, c))
+                for ka, c in row:
+                    found_y[ka].append((x, c))
                 if x != y:
-                    for ka, c in contents:
-                        found_x[ka].append((y_dual, c))
+                    for ka, c in row:
+                        found_x[ka].append((y, c))
             else:
                 # block (p, r) is this one (q < r, as d > p); block (p, p) keeps row (ka, x) for ka <= x
-                for ka, c in contents:
+                for ka, c in row:
                     if ka <= x:
-                        found_x[ka].append((y_dual, c))
+                        found_x[ka].append((y, c))
     for block in {(p, r), (p, q)} - {(q, r)}:
         for x, ys in _block_pairs(grades, *block):
             x_rows = table[x]
@@ -473,21 +475,17 @@ def _block_pairs(
 
 def _lr_row(
     duals: dict[Partition, Partition], la: Partition, mu: Partition
-) -> tuple[dict[Partition, int], tuple[tuple[Partition, int], ...]]:
-    """The skew expansion of la'/mu and the row sigma_la * sigma_mu built
-    from it, for mu inside la' (not checked; ``duals`` is the box's).
+) -> tuple[tuple[Partition, int], ...]:
+    """The row of sigma_la * sigma_mu, for mu inside la' (not checked;
+    ``duals`` is the box's): the items of the skew expansion of la'/mu.
 
-    With ' the box complement, the coefficient of sigma_nu is the integral of
-    sigma_la * sigma_mu * sigma_nu', which is c^{la'}_{mu,nu'}: the whole row
-    is the skew expansion of la'/mu, content ka landing on sigma_ka'.  The
-    expansion may be shared with the LR layer's cache (never mutate it);
-    ``_fill_pair`` scatters its contents into the other blocks as they are.
-    ``_fill_pair`` asks for each row once, only for rows of the degree block
-    it enumerates, with |la| <= |mu| (la <= mu within one degree), so no row
-    here is empty.
+    With ' the box complement, the coefficient of content ka is
+    c^{la'}_{mu,ka}, the integral of sigma_la * sigma_mu * sigma_ka, which
+    is the coefficient of sigma_ka' in the product.  ``_fill_pair`` asks for
+    each row once, only for rows of the degree block it enumerates, with
+    |la| <= |mu| (la <= mu within one degree), so no row here is empty.
     """
-    expansion = _skew_expansion(duals[la], mu)
-    return expansion, tuple(zip(map(duals.__getitem__, expansion), expansion.values()))
+    return tuple(_skew_expansion(duals[la], mu).items())
 
 
 # Kept only for the benchmark's tracer, which reads this cache's statistics
@@ -495,10 +493,11 @@ def _lr_row(
 @lru_cache(maxsize=None)
 def _basis_product(box: Box, la: Partition, mu: Partition) -> tuple[tuple[Partition, int], ...]:
     """sigma_la * sigma_mu expanded in the Schubert basis, truncated to the
-    box, for mu inside la': the row of ``_lr_row``, cached.  No engine code
-    calls it; ``bench/tracing.py`` reports its cache as
-    ``chow.basis_product``."""
-    return _lr_row(_tables(box)[1], la, mu)[1]
+    box, for mu inside la': the row of ``_lr_row`` with each content ka
+    mapped to its dual ka', cached.  No engine code calls it;
+    ``bench/tracing.py`` reports its cache as ``chow.basis_product``."""
+    duals = _tables(box)[1]
+    return tuple((duals[ka], c) for ka, c in _lr_row(duals, la, mu))
 
 
 def dual_partition(ring: GrassmannRing, la) -> Partition:

@@ -294,9 +294,9 @@ def _record_rows_from_a_cold_clear(monkeypatch):
     plain = chow._lr_row
 
     def recording(duals, la, mu):
-        expansion, row = plain(duals, la, mu)
+        row = plain(duals, la, mu)
         built.append((la, mu, row))
-        return expansion, row
+        return row
 
     monkeypatch.setattr(chow, "_lr_row", recording)
     return built
@@ -416,7 +416,7 @@ def test_products_look_up_each_unordered_pair_in_one_order(monkeypatch, ring_arg
 
 def _assert_rows_are_the_skew_expansion(ring):
     """Every row stored in ``ring``'s product table is the skew expansion
-    of la'/mu mapped through the duals, each index once; the pair is stored
+    of la'/mu, keyed by content, each content once; the pair is stored
     in both orders, as the empty row exactly when mu is not inside la';
     and a nonzero row outside its triple's enumerated block (the one whose
     content degree is the smallest of the three) comes with every pair of
@@ -427,7 +427,7 @@ def _assert_rows_are_the_skew_expansion(ring):
     for la, rows in table.items():
         dual = dual_partition(ring, la)
         for mu, row in rows.items():
-            expected = {dual_partition(ring, ka): c for ka, c in skew_lr_expansion(dual, mu).items()}
+            expected = skew_lr_expansion(dual, mu)
             assert dict(row) == expected
             assert len(row) == len(expected)  # no index twice
             assert (row == ()) == (not contains(dual, mu))
@@ -479,6 +479,40 @@ def test_block_fill_on_random_boxes_matches_the_skew_expansion(case):
     table = chow._tables(ring.box)[0]
     assert all(mu in table[la] and la in table[mu] for la in xs for mu in ys)
     _assert_rows_are_the_skew_expansion(ring)
+
+
+def _dense_square(ring):
+    basis = ring.all_partitions()
+    return ring, basis, basis
+
+
+@given(sparse_products())
+@example(_dense_square(GrassmannRing(1, 4)))
+@example(_dense_square(GrassmannRing(2, 5)))
+@example(_dense_square(GrassmannRing(2, 6)))
+@example(_dense_square(GrassmannRing(3, 7)))
+def test_block_fill_stores_symmetric_triple_numbers(case):
+    # T(la, mu, ka) is symmetric in its three indices (the duality theorem,
+    # Fulton, Young Tableaux, 9.4), and a row is keyed by content, so every
+    # stored entry T = row(la, mu)[ka] is also row(la, ka)[mu] and
+    # row(mu, ka)[la], and no row holds a content twice; a row the table
+    # lacks is asked of its one writer.  No row is compared with the LR layer.
+    ring, xs, ys = case
+    box = ring.box
+    chow._tables.cache_clear()
+    ChowClass(ring, {la: 1 for la in xs}) * ChowClass(ring, {mu: 1 for mu in ys})
+    table = chow._tables(box)[0]
+    stored = [(la, mu, row) for la, rows in table.items() for mu, row in rows.items()]
+
+    def row_of(la, mu):
+        row = table[la].get(mu)
+        return dict(chow._fill_pair(box, la, mu) if row is None else row)
+
+    for la, mu, row in stored:
+        assert table[mu][la] == row
+        assert len(dict(row)) == len(row)  # no content twice
+        for ka, c in row:
+            assert row_of(la, ka)[mu] == row_of(mu, ka)[la] == c
 
 
 KERNEL_RINGS = (GrassmannRing(1, 4), GrassmannRing(2, 5), GrassmannRing(3, 7))
