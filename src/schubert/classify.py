@@ -60,7 +60,9 @@ Candidate evaluation is a pure map over the coordinates (e, a, b): verdicts
 do not depend on evaluation order, and the report is assembled in canonical
 candidate order.  A record's verdicts follow ``FILTER_RULES`` up to its
 first failure, so ``survivors`` reads a stage's verdict at the stage's
-position.  The records are NamedTuples; the scan returns its records as a
+position.  A verdict's witness is a dict, which the cli prints key by key
+as the verdict holds it; no reader takes a witness value by its position.
+The records are NamedTuples; the scan returns its records as a
 ``ScanRecords`` tuple.
 """
 
@@ -375,8 +377,6 @@ def griffiths_filter(e: int, a: int, b: int) -> Verdict:
     )
 
 
-# The cli reads a scan record's witnesses by their position in each filter's
-# witness dict (``cli._scan_rows``), so the keys' order is part of a filter's output.
 _FILTERS = (positivity_filter, schur_filter, schwarzenberger_filter, griffiths_filter)
 FILTER_RULES = tuple(rule.__name__.removesuffix("_filter") for rule in _FILTERS)
 
@@ -396,8 +396,8 @@ class ScanRecords(tuple):
     """The scan's records, in canonical order, as ``enumerate_candidates``
     returns them.  Each is built by ``evaluate_candidate`` through
     ``_FILTERS``: its verdicts follow ``FILTER_RULES`` up to the first
-    failure, each with the witnesses of its filter in the filter's order, so
-    a reader may take a witness by its position (the cli's scan rows)."""
+    failure.  A reader may tell a scan by its type: the cli builds its rows
+    once per scan."""
 
     __slots__ = ()
 

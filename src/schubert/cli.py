@@ -19,20 +19,17 @@ csv).  Every writer reads a record as its row, the (shape, numbers) pair
 of ``_record_shape``, through one loop, ``_rendered``; only the source of
 the rows differs (``_record_rows``).  The scan's records, the
 ``ScanRecords`` that ``enumerate_candidates`` returns, have one list of
-rows per scan (``_scan_rows``): built once, on the first render, and tied
-to the identity of the records it was built from, so a new scan gets new
-rows.  A scan row's shape is found from a key of the record's status,
-detail, flags and the type of each of its numbers, read by position, and a
-key keeps a shape only once ``_record_shape`` has given its record the same
-numbers; any other record goes through ``_record_shape``.  So
-``_record_shape`` alone classifies a witness value, from a closed set of
-kinds: True, False, None, an int or a Fraction, and a tuple of ints and
-Fractions (a SplittingType too); any other raises TypeError.  Every writer
-prints a coordinate e, a, b as ``int.__repr__`` does: a Fraction or a
-float raises TypeError, a bool is 1 or 0.  Within one render call each
-shape's format is built once, in a dict local to the call, and each record
-is written as ``formats[shape] % values``; no rendered text outlives the
-call.
+rows per scan (``_scan_rows``): ``_record_shape`` of each record, built
+once, on the first render, and tied to the identity of the records it was
+built from, so a new scan gets new rows; any other record goes through
+``_record_shape`` as it is written.  So ``_record_shape`` alone classifies
+a witness value, from a closed set of kinds: True, False, None, an int or
+a Fraction, and a tuple of ints and Fractions (a SplittingType too); any
+other raises TypeError.  Every writer prints a coordinate e, a, b as
+``int.__repr__`` does: a Fraction or a float raises TypeError, a bool is 1
+or 0.  Within one render call each shape's format is built once, in a dict
+local to the call, and each record is written as ``formats[shape] %
+values``; no rendered text outlives the call.
 
 The other csv and plain tables go through one table printer, which streams
 csv row by row; each row is a sequence of cells in column order, read
@@ -272,49 +269,9 @@ class _Same:
 
 @lru_cache(maxsize=1)
 def _scan_rows(scan: _Same) -> list:
-    """The (shape, numbers) row of each record of the scan ``scan.obj``,
-    equal to what ``_record_shape`` returns for it; built once per scan.
-
-    A scan record's numbers are read by position in the filters' witnesses:
-    e, a, b; qa, qb; the two pairings; the seven chi; chi(E(5)) where
-    Griffiths applies.  Its verdicts follow the filters up to its first
-    failure, each with its filter's rule, citation and witness keys, so a
-    key of its status, detail, Schur's strict_positive, Griffiths' applies
-    and the types of these flags, of its chi and of each number fixes its
-    shape.  A key keeps the shape of ``_record_shape`` only if that gives
-    the same numbers; every other row, of a record off these positions too,
-    is ``_record_shape``'s, which raises TypeError on a kind outside the
-    closed set."""
-    shapes = {}
-    rows = []
-    for rec in scan.obj:
-        verdicts = rec.verdicts
-        n = len(verdicts)
-        try:
-            qa, qb = verdicts[0].witness.values()
-            numbers = [*rec.data, qa, qb]
-            strict = applies = chi = None
-            if n > 1:
-                point, hyper, strict = verdicts[1].witness.values()
-                numbers += point, hyper
-                if n > 2:
-                    (chi,) = verdicts[2].witness.values()
-                    numbers += chi
-                    if n > 3:
-                        applies, *chi5 = verdicts[3].witness.values()
-                        numbers += chi5
-            key = (rec.status, rec.detail, strict, applies, type(strict), type(applies), type(chi),
-                   *map(type, numbers))
-            shape = shapes.get(key)  # TypeError if a flag is unhashable
-        except (IndexError, TypeError, ValueError):  # not the filters' layout
-            key = shape = None
-        if shape is None:
-            shape, checked = _record_shape(rec)
-            if key is not None and checked == numbers:
-                shapes[key] = shape
-            numbers = checked
-        rows.append((shape, numbers))
-    return rows
+    """The ``_record_shape`` row of each record of the scan ``scan.obj``,
+    built once per scan, so every render of the scan reads one list."""
+    return [*map(_record_shape, scan.obj)]
 
 
 def _record_rows(records):

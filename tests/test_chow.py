@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from schubert import GrassmannRing, chow, dual_partition
 from schubert.chow import ChowClass, linear_combination, sum_of_products
-from schubert.partitions import contains, skew_lr_expansion, weight
+from schubert.partitions import complement, contains, skew_lr_expansion, weight
 
 from oracles import catalan, conjugate, pieri_product
 
@@ -553,13 +553,17 @@ def kernel_cases(draw):
 
 def _product_by_basis(x, y):
     """x * y as an {index: Fraction} dict, expanded bilinearly over products
-    of basis classes, which the Pieri oracle checks; every other sum and
-    product is taken on Fractions, outside the class layer."""
-    ring = x.ring
+    of basis classes, each read from the LR layer, which has its own Pieri
+    and Jacobi-Trudi oracles: the coefficient of sigma_nu in sigma_la *
+    sigma_mu is that of s_ka in the skew expansion of complement(la) / mu,
+    ka = complement(nu).  No product table, no block fill and no class
+    arithmetic is used; every sum and product is taken on Fractions."""
+    box = x.ring.box
     acc = {}
     for la, a in x.coeffs.items():
         for mu, b in y.coeffs.items():
-            for nu, c in (ring.sigma(la) * ring.sigma(mu)).coeffs.items():
+            for ka, c in skew_lr_expansion(complement(la, box), mu).items():
+                nu = complement(ka, box)
                 acc[nu] = acc.get(nu, 0) + a * b * c
     return acc
 
@@ -591,7 +595,7 @@ _MINUS_X = ChowClass(_G37, {la: -c for la, c in _X.coeffs.items()})
 @example((_G37, [(3, _X, _Y), (-2, _G37.zero(), _Y), (-3, _X, _Y), (4, _Y, _X)], 12, Fraction(-3, 4)))
 @example((_G37, [(1, _X, _Y), (1, _MINUS_X, _Y)], 7, Fraction(5)))  # cancels to zero
 def test_kernel_matches_products_sums_and_quotients(case):
-    # the expected values use no class arithmetic beyond one-term basis products
+    # the expected values use no class arithmetic: products come from the LR layer
     ring, terms, divisor, r = case
     linear = [(w, x) for w, x, _ in terms] + [(w, y) for w, _, y in terms]
     checks = [

@@ -38,6 +38,9 @@ from schubert.cli import (
 )
 from schubert.hrr import euler_characteristic
 
+import replay_document
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -530,6 +533,28 @@ def test_indented_json_round_trips_through_the_stdlib(capsys, command):
     code, out, _ = run(capsys, command, "--format", "json")
     assert code == 0
     assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+def test_printed_replay_document_holds_without_the_engine():
+    # the document as a process prints it, checked by a stdlib module with no
+    # schubert import; then the checker refuses it with one qa's num and den
+    # swapped, and with the Griffiths witness made positive
+    proc = subprocess.run(
+        [sys.executable, "-m", "schubert", "replay", "--format", "json"],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    doc = json.loads(proc.stdout)
+    replay_document.check(doc)
+    swapped = copy.deepcopy(doc)
+    qa = swapped["step1_table"][0]["verdicts"][0]["witness"]["qa"]
+    qa["num"], qa["den"] = qa["den"], qa["num"]
+    griffiths = copy.deepcopy(doc)
+    for rec in griffiths["step1_table"]:
+        if rec["detail"] == "griffiths":
+            rec["verdicts"][3]["witness"]["chi_at_5"]["num"] = "935"
+    for bad in (swapped, griffiths):
+        with pytest.raises(replay_document.DocumentMismatch):
+            replay_document.check(bad)
 
 
 # -- the list writer and the record and entry writers against json.dumps(indent=2) -------
@@ -1038,8 +1063,8 @@ def test_scan_rows_are_the_record_shapes_and_follow_a_new_scan(monkeypatch, fres
     moved = classify.enumerate_candidates()
     assert len(moved) == len(scan) and moved[0].data != scan[0].data
     assert_rows_are_the_record_shapes(moved)
-    # qb True, a shape of its own, wherever a + b is a multiple of 5: each such row
-    # comes from _record_shape, and no key keeps its shape for the others
+    # qb True, a shape of its own, wherever a + b is a multiple of 5: no row
+    # of a record with qb True shares a shape with one whose qb is a number
     flagged = scan_with_witness(monkeypatch, "positivity", "qb", lambda _: True, lambda d: (d.a + d.b) % 5 == 0)
     assert sum(rec.verdicts[0].witness["qb"] is True for rec in flagged) > 100
     assert_rows_are_the_record_shapes(flagged)
@@ -1049,6 +1074,29 @@ def test_scan_rows_are_the_record_shapes_and_follow_a_new_scan(monkeypatch, fres
     schur = [rec.verdict("schur") for rec in counted]
     assert sum(v is not None and type(v.witness["strict_positive"]) is int for v in schur) > 100
     assert_rows_are_the_record_shapes(counted)
+
+
+def test_one_cold_pass_classifies_each_record_once(capsys, monkeypatch, fresh_scan):
+    # replay --format json then filter --format csv, from a cold scan: the
+    # 1458 scan records once between the two renders, and the 9 records of
+    # steps 2-4, which only the replay prints; rows rebuilt per render
+    # would classify the scan twice, 2925 calls
+    cli._scan_rows.cache_clear()
+    calls = 0
+    plain = cli._record_shape
+
+    def counted(rec):
+        nonlocal calls
+        calls += 1
+        return plain(rec)
+
+    monkeypatch.setattr(cli, "_record_shape", counted)
+    for command, fmt in (("replay", "json"), ("filter", "csv")):
+        assert main([command, "--format", fmt]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert len(classify.enumerate_candidates()) == 1458
+    assert calls == 1458 + 9
+    cli._scan_rows.cache_clear()
 
 
 # Each number witness of the scan as a float, or as a tuple that holds one.
@@ -1063,7 +1111,7 @@ FLOAT_WITNESSES = {
 @pytest.mark.parametrize("rule, key", sorted(FLOAT_WITNESSES))
 def test_every_scan_writer_refuses_a_float_witness(capsys, monkeypatch, fresh_scan, rule, key):
     # at one candidate: the last that carries the witness and whose shape an
-    # earlier record has, so that its row would come from the scan's table
+    # earlier record has, so that a row table shared by shape would miss it
     seen, target = set(), None
     for rec in classify.enumerate_candidates():
         shape = _record_shape(rec)[0]
