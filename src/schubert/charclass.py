@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from typing import NamedTuple
 
 from .chow import ChowClass, GrassmannRing, Scalar, linear_combination, sum_of_products
@@ -357,11 +357,12 @@ class LineForm(NamedTuple):
         return Fraction(acc, den) if acc % den else Fraction(acc // den)  # an int needs no gcd
 
 
-def line_values(forms: tuple[LineForm, ...], b: int) -> tuple[tuple[Fraction, ...], bool]:
+def line_values(forms: tuple[LineForm, ...], b: int) -> tuple[tuple[int, ...], bool]:
     """The value of each of ``forms`` at integer b, equal to its ``__call__``,
-    and whether every value is an integer.  Each value is one Horner loop in
-    integers; its integrality is read off the numerator before the one
-    Fraction of the value is built."""
+    as its reduced (numerator, denominator) pair, the denominator positive,
+    the pairs laid out in one flat tuple; and whether every value is an
+    integer.  Each value is one Horner loop in integers, its integrality read
+    off the numerator; no Fraction is built."""
     values = []
     integral = True
     for coeffs, den in forms:
@@ -370,9 +371,10 @@ def line_values(forms: tuple[LineForm, ...], b: int) -> tuple[tuple[Fraction, ..
             acc = acc * b + c
         if acc % den:
             integral = False
-            values.append(Fraction(acc, den))
+            g = gcd(acc, den)
+            values += (acc // g, den // g)
         else:
-            values.append(Fraction(acc // den))  # an int needs no gcd
+            values += (acc // den, 1)
     return tuple(values), integral
 
 

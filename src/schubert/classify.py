@@ -39,16 +39,15 @@ and the ample Q-twist m) into a polynomial in (a, b)
 (``RankTwoForm.at_twist``, cached by ``scan_forms``), and each line of fixed
 (e, a) restricts it to a polynomial in b (``PlaneForm.line``, one Horner
 loop in a per column of the form, cached by ``scan_line`` for the 54 lines
-of the scan square), which the filters evaluate by Horner at integer b.
-The integrality filter reads a line's seven chi values in one call
-(``charclass.line_values``), which decides integrality on the integer
-numerators and builds one Fraction per value.  The witnesses constant
-along a line are built there once: a + s, which is also the second
-coordinate of every candidate whose b is this a, and the pairing with the
-lines through a point, which does not depend on b.  Step 2 reads
-chi(E(-2)) from a form as well.  Steps 3 and 4 restrict each candidate
-through one computed map, ``restriction_to_p3``, and read the restricted
-chi (``hrr.chi_p3``) at its value.  The general path (``rank_two_chern`` -> ``ch`` -> ``pair``) runs
+of the scan square), which the rules evaluate by Horner at integer b
+(``charclass.line_values``, which gives each value as its reduced
+(numerator, denominator) pair and decides integrality on the numerators).
+The witnesses constant along a line are built there once: a + s, from which
+qb follows as a + s + (b - a), and the pairing with the lines through a
+point, which does not depend on b.  Step 2 reads chi(E(-2)) from a form as
+well.  Steps 3 and 4 restrict each candidate through one computed map,
+``restriction_to_p3``, and read the restricted chi (``hrr.chi_p3``) at its
+value.  The general path (``rank_two_chern`` -> ``ch`` -> ``pair``) runs
 only in the preflight: it checks the G(1,4) forms against that path, then
 the cached lines against the forms at the twisted data on a grid that
 determines every line.  The preflight also proves the restriction map: it
@@ -56,18 +55,32 @@ is linear in (e, a, b), so its values on the three basis vectors prove it
 equal to (e, a) everywhere.  The scan is exhaustive by a certificate: its
 square holds every (a, b) that passes positivity and the Schur bounds.
 
-Candidate evaluation is a pure map over the coordinates (e, a, b): verdicts
-do not depend on evaluation order, and the report is assembled in canonical
-candidate order.  A record's verdicts follow ``FILTER_RULES`` up to its
-first failure, so ``survivors`` reads a stage's verdict at the stage's
-position.  A verdict's witness is a dict, which the cli prints key by key
-as the verdict holds it; no reader takes a witness value by its position.
-The records are NamedTuples; the scan returns its records as a
-``ScanRecords`` tuple.
+Each filter is one rule over integers (``_positivity``, ``_schur``,
+``_schwarzenberger``, ``_griffiths``), a function of the scan line and b
+that gives (passed, witness schema, witness numbers).  The schema is the
+witness's (key, kind) pairs in order, a number's kind being Fraction; the
+numbers are reduced (numerator, denominator) pairs of ints.  Everything
+else reads the rules: the scan keeps one row per candidate (``scan_row``),
+with no record, Verdict or Fraction; ``enumerate_candidates`` returns them
+as a ``ScanRecords`` sequence, which builds a record from its row when it
+is read (``scan_record``); the exported filters and ``evaluate_candidate``
+build theirs from the same rules.  A row's key is its stop point, the
+position in ``FILTER_RULES`` of its first failed rule or 4, then the schema
+of each rule applied; its numbers are e, a, b and the witness numbers.
+``survivors`` and ``step1_survivors`` read the stop points off the rows, so
+a replay builds only the ten integrality survivors, and ``step1_survivors``
+checks the number of candidates each filter eliminates against frozen
+counts.  Candidate evaluation is a pure map over (e, a, b): verdicts do not
+depend on evaluation order, and the report is assembled in canonical
+candidate order.  A verdict's witness is a dict, which the cli prints key
+by key as the verdict holds it; no reader takes a witness value by its
+position.  The records are NamedTuples.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
@@ -288,10 +301,13 @@ def scan_forms(e: int) -> ScanForms:
 
 class ScanLine(NamedTuple):
     """What the four filters read along one line of fixed (e, a), as
-    witnesses constant along it or as functions of b."""
+    witnesses constant along it or as functions of b.  A number constant
+    along the line is its reduced (numerator, denominator) pair."""
 
-    qa: Fraction  # a + shift; also the qb of every candidate whose b is this a
-    pairing_point: Fraction  # s_(3)(E(m)) on the lines through a point, free of b
+    e: int
+    a: int
+    qa: tuple[int, int]  # a + shift; the qb of (e, a, b) adds (b - a) to it
+    pairing_point: tuple[int, int]  # s_(3)(E(m)) on the lines through a point, free of b
     hyper: LineForm  # s_(3)(E(m)) on the lines in a hyperplane
     chi: tuple[LineForm, ...]  # chi(E(k)) for k = 0..dim
 
@@ -304,26 +320,42 @@ def scan_line(e: int, a: int) -> ScanLine:
     point, hyper = (form.line(a) for form in forms.schur)
     if any(point.coeffs[:-1]):  # the message is built only on failure
         _expect("scan", f"the pairing with the lines through a point at (e, a) = ({e}, {a})", point, point(0))
+    shift = forms.shift
     return ScanLine(
-        a + forms.shift,
-        point(0),
+        e,
+        a,
+        (a * shift.denominator + shift.numerator, shift.denominator),
+        point(0).as_integer_ratio(),
         hyper,
         tuple(form.line(a) for form in forms.chi),
     )
 
 
-def positivity_filter(e: int, a: int, b: int) -> Verdict:
-    """Both Chern coordinates of the Q-twist E(m) must be strictly positive."""
-    qa, qb = scan_line(e, a).qa, scan_line(e, b).qa
-    return Verdict(
-        "positivity",
-        qa.numerator > 0 and qb.numerator > 0,
-        {"qa": qa, "qb": qb},
-        CITE_AMPLE_POSITIVITY,
+# Each rule's witness schema: its (key, kind) pairs in order.  A kind is the
+# witness value itself (True, False, None), or Fraction for a number, or a
+# tuple of kinds; a rule gives its numbers apart, each as a reduced
+# (numerator, denominator) pair of ints, in the order of the schema.
+_POSITIVITY_SCHEMA = (("qa", Fraction), ("qb", Fraction))
+_SCHUR_SCHEMAS = {
+    strict: (
+        ("pairing_lines_through_point", Fraction),
+        ("pairing_lines_in_hyperplane", Fraction),
+        ("strict_positive", strict),
     )
+    for strict in (False, True)
+}
+_SCHWARZENBERGER_SCHEMA = (("chi", (Fraction,) * (G14.dimension + 1)),)
+_GRIFFITHS_SCHEMAS = {False: (("applies", False),), True: (("applies", True), ("chi_at_5", Fraction))}
 
 
-def schur_filter(e: int, a: int, b: int) -> Verdict:
+def _positivity(line: ScanLine, b: int):
+    """Both Chern coordinates of the Q-twist E(m) must be strictly positive."""
+    qa, den = line.qa
+    qb = qa + (b - line.a) * den  # the twist adds one shift to a and to b
+    return qa > 0 and qb > 0, _POSITIVITY_SCHEMA, (qa, den, qb, den)
+
+
+def _schur(line: ScanLine, b: int):
     """Degree-three Schur polynomial of E(m) against the two families of
     three-dimensional cycles.
 
@@ -336,70 +368,148 @@ def schur_filter(e: int, a: int, b: int) -> Verdict:
     a + b <= 12; both readings leave the same candidates after the
     integrality filter).
     """
-    line = scan_line(e, a)
-    pair_point, pair_hyper = line.pairing_point, line.hyper(b)
-    passed = a <= SCHUR_A_MAX and a + b <= SCHUR_SUM_MAX[e]
-    return Verdict(
-        "schur",
-        passed,
-        {
-            "pairing_lines_through_point": pair_point,
-            "pairing_lines_in_hyperplane": pair_hyper,
-            "strict_positive": pair_point.numerator > 0 and pair_hyper.numerator > 0,
-        },
-        CITE_SCHUR_POSITIVITY,
-    )
+    point = line.pairing_point
+    hyper = line_values((line.hyper,), b)[0]
+    a = line.a
+    passed = a <= SCHUR_A_MAX and a + b <= SCHUR_SUM_MAX[line.e]
+    return passed, _SCHUR_SCHEMAS[point[0] > 0 and hyper[0] > 0], point + hyper
+
+
+def _schwarzenberger(line: ScanLine, b: int):
+    """Every chi(E(k)) must be an integer.  chi(E(k)) is a polynomial of
+    degree at most dim in k, so integrality at k = 0..dim settles every twist."""
+    chis, integral = line_values(line.chi, b)
+    return integral, _SCHWARZENBERGER_SCHEMA, chis
+
+
+def _griffiths(line: ScanLine, b: int):
+    """For e = -1 the twist E(5) is ample enough for Griffiths vanishing,
+    so chi(E(5)) < 0 eliminates the candidate.  Vacuous for e = 0."""
+    if line.e == 0:
+        return True, _GRIFFITHS_SCHEMAS[False], ()
+    chi5 = line_values(line.chi[5:6], b)[0]
+    return chi5[0] >= 0, _GRIFFITHS_SCHEMAS[True], chi5
+
+
+# The four rules in the order the scan applies them; each, over integers at a
+# scan line and b, gives (passed, witness schema, witness numbers).
+_RULES = (_positivity, _schur, _schwarzenberger, _griffiths)
+_CITATIONS = (CITE_AMPLE_POSITIVITY, CITE_SCHUR_POSITIVITY, CITE_INTEGRALITY, CITE_GRIFFITHS)
+
+
+def _filled(kind, numbers):
+    """The witness value of ``kind``, each number a Fraction of the next
+    (numerator, denominator) that the iterator ``numbers`` gives."""
+    if kind is Fraction:
+        return Fraction(next(numbers), next(numbers))
+    if type(kind) is tuple:
+        return tuple([_filled(k, numbers) for k in kind])
+    return kind
+
+
+def witness_values(schema, numbers) -> dict:
+    """The witness dict of ``schema`` with its numbers read, in order, from the iterator ``numbers``."""
+    return {key: _filled(kind, numbers) for key, kind in schema}
+
+
+def _verdict(i: int, e: int, a: int, b: int) -> Verdict:
+    passed, schema, numbers = _RULES[i](scan_line(e, a), b)
+    return Verdict(FILTER_RULES[i], passed, witness_values(schema, iter(numbers)), _CITATIONS[i])
+
+
+def positivity_filter(e: int, a: int, b: int) -> Verdict:
+    """The positivity verdict on (e, a, b); see ``_positivity``."""
+    return _verdict(0, e, a, b)
+
+
+def schur_filter(e: int, a: int, b: int) -> Verdict:
+    """The Schur verdict on (e, a, b); see ``_schur``."""
+    return _verdict(1, e, a, b)
 
 
 def schwarzenberger_filter(e: int, a: int, b: int) -> Verdict:
-    """Every chi(E(k)) must be an integer.  chi(E(k)) is a polynomial of
-    degree at most dim in k, so integrality at k = 0..dim settles every twist."""
-    chis, integral = line_values(scan_line(e, a).chi, b)
-    return Verdict(
-        "schwarzenberger",
-        integral,
-        {"chi": chis},
-        CITE_INTEGRALITY,
-    )
+    """The integrality verdict on (e, a, b); see ``_schwarzenberger``."""
+    return _verdict(2, e, a, b)
 
 
 def griffiths_filter(e: int, a: int, b: int) -> Verdict:
-    """For e = -1 the twist E(5) is ample enough for Griffiths vanishing,
-    so chi(E(5)) < 0 eliminates the candidate.  Vacuous for e = 0."""
-    if e == 0:
-        return Verdict("griffiths", True, {"applies": False}, CITE_GRIFFITHS)
-    chi5 = scan_line(e, a).chi[5](b)
-    return Verdict(
-        "griffiths",
-        chi5.numerator >= 0,
-        {"applies": True, "chi_at_5": chi5},
-        CITE_GRIFFITHS,
-    )
+    """The Griffiths verdict on (e, a, b); see ``_griffiths``."""
+    return _verdict(3, e, a, b)
 
 
 _FILTERS = (positivity_filter, schur_filter, schwarzenberger_filter, griffiths_filter)
 FILTER_RULES = tuple(rule.__name__.removesuffix("_filter") for rule in _FILTERS)
 
 
+def scan_row(line: ScanLine, b: int) -> tuple:
+    """The scan's row of the candidate (line.e, line.a, b): the rules applied
+    in order up to the first failure, as (key, numbers).  The key is the
+    stop point, the position of the failed rule in FILTER_RULES or its
+    length if none failed, then the witness schema of each rule applied; the
+    numbers are e, a, b, then each witness number's reduced (numerator,
+    denominator) pair, in order."""
+    schemas = []
+    numbers = [line.e, line.a, b]
+    for rule in _RULES:
+        passed, schema, witness = rule(line, b)
+        schemas.append(schema)
+        numbers += witness
+        if not passed:
+            return (len(schemas) - 1, *schemas), tuple(numbers)
+    return (len(schemas), *schemas), tuple(numbers)
+
+
+def scan_record(row) -> CandidateRecord:
+    """The record of a scan row, its witness numbers as Fractions."""
+    (stop, *schemas), numbers = row
+    witness_numbers = iter(numbers[3:])
+    verdicts = tuple([
+        Verdict(rule, i < stop, witness_values(schema, witness_numbers), citation)
+        for i, (rule, schema, citation) in enumerate(zip(FILTER_RULES, schemas, _CITATIONS))
+    ])
+    data = RankTwoData(*numbers[:3])
+    if stop < len(FILTER_RULES):
+        return CandidateRecord(data, verdicts, "eliminated", FILTER_RULES[stop])
+    return CandidateRecord(data, verdicts, "surviving", "")
+
+
 def evaluate_candidate(e: int, a: int, b: int) -> CandidateRecord:
     """Apply the four filters in order, stopping at the first failure."""
-    verdicts = []
-    for rule in _FILTERS:
-        v = rule(e, a, b)
-        verdicts.append(v)
-        if not v.passed:
-            return CandidateRecord(RankTwoData(e, a, b), tuple(verdicts), "eliminated", v.rule)
-    return CandidateRecord(RankTwoData(e, a, b), tuple(verdicts), "surviving", "")
+    return scan_record(scan_row(scan_line(e, a), b))
 
 
-class ScanRecords(tuple):
+class ScanRecords(Sequence):
     """The scan's records, in canonical order, as ``enumerate_candidates``
-    returns them.  Each is built by ``evaluate_candidate`` through
-    ``_FILTERS``: its verdicts follow ``FILTER_RULES`` up to the first
-    failure.  A reader may tell a scan by its type: the cli builds its rows
-    once per scan."""
+    returns them: a sequence that holds one row per candidate (``scan_row``)
+    and builds a record (``scan_record``) only when it is read.  A slice is a
+    ``ScanRecords`` of its rows.  It equals another ``ScanRecords`` with
+    equal rows, and prints as the tuple of its records."""
 
-    __slots__ = ()
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple) -> None:
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ScanRecords(self.rows[i])
+        return scan_record(self.rows[i])
+
+    def __iter__(self):
+        return map(scan_record, self.rows)
+
+    def __eq__(self, other):
+        return self.rows == other.rows if type(other) is ScanRecords else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def stops(self) -> list[int]:
+        """Each row's stop point, read off its key."""
+        return [key[0] for key, _ in self.rows]
 
 
 @lru_cache(maxsize=1)
@@ -418,16 +528,17 @@ def enumerate_candidates() -> ScanRecords:
             (max(lo, SCAN_LO), min(hi, SCAN_HI)),
             (lo, hi),
         )
-    records = []
+    rows = []
     for e in (0, -1):
         for a in range(SCAN_LO, SCAN_HI + 1):
-            for b in range(SCAN_LO, SCAN_HI + 1):
-                records.append(evaluate_candidate(e, a, b))
-    return ScanRecords(records)
+            line = scan_line(e, a)
+            rows += [scan_row(line, b) for b in range(SCAN_LO, SCAN_HI + 1)]
+    return ScanRecords(tuple(rows))
 
 
 # -- frozen expected tables (regression gates for the replay) ------------------
 
+STEP1_ELIMINATED = {"positivity": 53, "schur": 936, "schwarzenberger": 459, "griffiths": 1}
 STEP1_SURVIVORS = {
     0: ((-4, -4), (-4, 12), (-1, -1), (-1, 3), (0, 0)),
     -1: ((6, 6), (-2, -2), (-2, 7), (0, 1), (0, 0)),
@@ -459,20 +570,33 @@ def survivors(records, stage: str) -> list[CandidateRecord]:
     """Records that pass every filter up to and including ``stage``: verdicts
     follow ``FILTER_RULES`` up to the first failure, so passing ``stage`` is
     enough, and its verdict is read at the stage's position in that order (a
-    record whose verdict there has another rule does not pass)."""
+    record whose verdict there has another rule does not pass).  Of a scan's
+    records only those that pass are built: the stop points of its rows say
+    which."""
     if stage not in FILTER_RULES:
         raise ValueError(f"unknown filter stage {stage!r}")
     i = FILTER_RULES.index(stage)
+    if type(records) is ScanRecords:
+        return [scan_record(row) for row, stop in zip(records.rows, records.stops()) if stop > i]
     return [
         r for r in records
         if len(r.verdicts) > i and r.verdicts[i].passed and r.verdicts[i].rule == stage
     ]
 
 
-def step1_survivors(records) -> list[CandidateRecord]:
+def step1_survivors(records: ScanRecords) -> list[CandidateRecord]:
     """The records that pass the integrality filter, once the scan is checked
-    against the frozen candidate table, then its one Griffiths elimination
-    and witness; raises :class:`ReplayMismatch` at step1 on any difference."""
+    against the frozen tables: the number of candidates each filter
+    eliminates, counted from the rows' stop points, the candidate table, and
+    the one Griffiths elimination and its witness; raises
+    :class:`ReplayMismatch` at step1 on any difference."""
+    stops = Counter(records.stops())
+    _expect(
+        "step1",
+        "the number of candidates each filter eliminates",
+        {rule: stops[i] for i, rule in enumerate(FILTER_RULES)},
+        STEP1_ELIMINATED,
+    )
     pre = survivors(records, "schwarzenberger")
     _expect(
         "step1",
@@ -574,7 +698,7 @@ def _preflight() -> None:
     for e in (0, -1):
         m = ample_twist(e)
         reads = [(chi, k, lambda line, b, k=k: line.chi[k](b)) for k in range(ring.dimension + 1)]
-        reads += [(point, m, lambda line, b: line.pairing_point), (hyper, m, lambda line, b: line.hyper(b))]
+        reads += [(point, m, lambda line, b: Fraction(*line.pairing_point)), (hyper, m, lambda line, b: line.hyper(b))]
         for unfolded, t, read in reads:
             d = unfolded.top // 2
             grid = [(a, b) for a in range(d + 1) for b in range(d + 1)]

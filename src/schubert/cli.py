@@ -15,25 +15,30 @@ A candidate record is written from ``%``-formats built from its shape, each
 with a ``%s`` slot per number and every other ``%`` doubled:
 ``_record_json_format``, ``_record_csv_format`` (a ``filter`` csv line) and
 ``_witness_format`` (the witness cell of the plain tables and the ``replay``
-csv).  Every writer reads a record as its row, the (shape, numbers) pair
-of ``_record_shape``, through one loop, ``_rendered``; only the source of
-the rows differs (``_record_rows``).  The scan's records, the
-``ScanRecords`` that ``enumerate_candidates`` returns, have one list of
-rows per scan (``_scan_rows``): ``_record_shape`` of each record, built
-once, on the first render, and tied to the identity of the records it was
-built from, so a new scan gets new rows; any other record goes through
-``_record_shape`` as it is written.  So ``_record_shape`` alone classifies
-a witness value, from a closed set of kinds: True, False, None, an int or
-a Fraction, and a tuple of ints and Fractions (a SplittingType too); any
-other raises TypeError.  Every writer prints a coordinate e, a, b as
+csv).  Every writer reads a record as a (key, numbers) row through one
+loop, ``_formatted``, which builds each format once per row key, in a dict
+local to the render call; no rendered text outlives the call.  The numbers
+are ints: e, a, b, then each witness number as its reduced (numerator,
+denominator) pair.  JSON fills its slots with them; csv and the plain
+tables with each number's text, n or n/d (``_cell_values``).
+
+Only the source of the rows differs (``_record_rows``).  The scan's records,
+the ``ScanRecords`` that ``enumerate_candidates`` returns, hold their rows,
+made by the scan in ints: a row's key is its stop point and the witness
+schema of each rule applied, which fix its record's shape, and the key's
+shape is ``_record_shape`` of the record built for its first row.  So no
+other scan record is built to be written.  Any other record's row is
+``_record_row``: its ``_record_shape``, as key, with its numbers.  So
+``_record_shape`` alone classifies a witness value, from a closed set of
+kinds: True, False, None, an int or a Fraction, and a tuple of ints and
+Fractions (a SplittingType too); any other raises TypeError, also where a
+scan rule's schema holds it.  Every writer prints a coordinate e, a, b as
 ``int.__repr__`` does: a Fraction or a float raises TypeError, a bool is 1
-or 0.  Within one render call each shape's format is built once, in a dict
-local to the call, and each record is written as ``formats[shape] %
-values``; no rendered text outlives the call.
+or 0.
 
 The other csv and plain tables go through one table printer, which streams
-csv row by row; each row is a sequence of cells in column order, read
-straight off the record, the coordinates through ``int.__repr__``.
+csv row by row; each row is a sequence of cells in column order, read off
+the record's row, status and detail off its shape.
 
 Exit codes: 0 success, 2 usage error (its message cut to its two ends,
 since argparse quotes a bad argument in full), 3 domain error, 4 regression
@@ -50,9 +55,9 @@ import json
 import os
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from types import SimpleNamespace
 
 from .charclass import RankTwoData
@@ -67,6 +72,7 @@ from .classify import (
     enumerate_candidates,
     fano_splitting_types,
     replay_proof,
+    scan_record,
     step1_survivors,
 )
 from .hrr import chi_form, chi_p3
@@ -240,67 +246,54 @@ def _record_json_format(shape, newline: str) -> str:
     )
 
 
-def _json_values(numbers: list) -> tuple:
-    """The slot values of a record's JSON format: e, a, b as
-    ``_record_shape`` gives them, then each witness number's numerator and
-    denominator."""
-    values = numbers[:3]
-    for n in numbers[3:]:
-        values += n.as_integer_ratio()
-    return tuple(values)
+def _record_row(rec: CandidateRecord) -> tuple:
+    """The row of a record that is not a scan's: its ``_record_shape``, which
+    is also its key, and its numbers, each witness number as its (numerator,
+    denominator) pair."""
+    shape, numbers = _record_shape(rec)
+    return shape, (*numbers[:3], *chain.from_iterable(n.as_integer_ratio() for n in numbers[3:]))
 
 
-class _Same:
-    """A cache key equal only to a key of the same object, whatever the
-    object's value.  A cache keyed by it holds the object, so the object's id
-    is not reused by another while the entry lives."""
-
-    __slots__ = ("obj",)
-
-    def __init__(self, obj) -> None:
-        self.obj = obj
-
-    def __hash__(self) -> int:
-        return id(self.obj)
-
-    def __eq__(self, other) -> bool:
-        return self.obj is other.obj
-
-
-@lru_cache(maxsize=1)
-def _scan_rows(scan: _Same) -> list:
-    """The ``_record_shape`` row of each record of the scan ``scan.obj``,
-    built once per scan, so every render of the scan reads one list."""
-    return [*map(_record_shape, scan.obj)]
+def _scan_shape(row) -> tuple:
+    """The shape of the record of a scan row."""
+    return _record_shape(scan_record(row))[0]
 
 
 def _record_rows(records):
-    """The (shape, numbers) row of each record, as ``_record_shape`` gives it:
-    a scan's records from its rows, built once per scan, any other record
-    through ``_record_shape``."""
+    """The (key, numbers) row of each record, and the function from a row to
+    its record's shape.  A scan's rows are its own; any other record's row is
+    ``_record_row``, whose key is the shape."""
     if type(records) is ScanRecords:
-        return _scan_rows(_Same(records))
-    return map(_record_shape, records)
+        return records.rows, _scan_shape
+    return map(_record_row, records), itemgetter(0)
 
 
-def _rendered(rows, build, values):
-    """The text of each record's row: its shape's format % ``values(numbers)``,
-    the format built once per shape by ``build(shape)``, in a dict that lives
-    as long as the render."""
-    formats = {}
-    for shape, numbers in rows:
-        fmt = formats.get(shape)
-        if fmt is None:
-            fmt = formats[shape] = build(shape)
-        yield fmt % values(numbers)
+def _formatted(records, build, built: dict):
+    """Each record as (``build(shape)`` of its shape, its numbers), made once
+    per row key in ``built``, a dict that lives as long as the render; a scan
+    row's key gets the shape of the record built for its first row."""
+    rows, shape_of = _record_rows(records)
+    for row in rows:
+        made = built.get(row[0])
+        if made is None:
+            made = built[row[0]] = build(shape_of(row))
+        yield made, row[1]
+
+
+def _cell_values(numbers) -> tuple:
+    """The slot values of a record's csv line: e, a, b as they are, then each
+    witness number's text as ``str(Fraction)`` writes it, n or n/d."""
+    pairs = iter(numbers[3:])
+    return (*numbers[:3], *[n if d == 1 else f"{n}/{d}" for n, d in zip(pairs, pairs)])
 
 
 def _write_records_json(records, newline: str) -> None:
     """Write ``records`` as ``json.dumps(indent=2)`` lays out their list at
-    the indent of ``newline``, each from its shape's format."""
+    the indent of ``newline``, each from its shape's format, its slots filled
+    with its row's numbers."""
     inner = newline + "  "
-    texts = _rendered(_record_rows(records), lambda shape: _record_json_format(shape, inner), _json_values)
-    _write_json_list(texts, lambda text, _: text, newline)
+    rows = _formatted(records, lambda shape: _record_json_format(shape, inner), {})
+    _write_json_list((fmt % numbers for fmt, numbers in rows), lambda text, _: text, newline)
 
 
 # The witness cell text of each kind but a tuple, in a format.
@@ -319,23 +312,25 @@ def _witness_format(shape) -> str:
     ])
 
 
-def _witness_cells(rows):
-    """The witness cell of each record's row, from its shape's format."""
-    return _rendered(rows, _witness_format, lambda numbers: tuple(numbers[3:]))
-
-
-def _marks(passes: list) -> list:
-    """The rule cells of a ``filter`` row: the verdicts follow FILTER_RULES up
-    to the first failure, each marked pass or fail; later rules stay blank."""
+def _marks(shape) -> list:
+    """The rule cells of a ``filter`` row of a record of ``shape``: the
+    verdicts follow FILTER_RULES up to the first failure, each marked pass or
+    fail; later rules stay blank."""
+    passes = [passed for _, passed, _, _ in _shape_verdicts(shape)]
     return ["pass" if p else "fail" for p in passes] + [""] * (len(FILTER_RULES) - len(passes))
 
 
+def _table_rows(records, build, built: dict):
+    """Each record's cells: e, a, b, then ``build(shape)`` of its shape, then
+    its witness cell, from its shape's witness-cell format."""
+    for (cells, witness), numbers in _formatted(records, lambda shape: (build(shape), _witness_format(shape)), built):
+        yield (*map(str, numbers[:3]), *cells, witness % _cell_values(numbers)[3:])
+
+
 def _filter_rows(records):
-    """The ``filter`` table's rows of ``records``: e, a, b through
-    ``int.__repr__``, the marks, status, detail and the witness cell."""
-    for rec, witness in zip(records, _witness_cells(_record_rows(records))):
-        marks = _marks([v.passed for v in rec.verdicts])
-        yield (*map(int.__repr__, rec.data), *marks, rec.status, rec.detail, witness)
+    """The ``filter`` table's rows of ``records``: e, a, b, the marks,
+    status, detail and the witness cell."""
+    return _table_rows(records, lambda shape: (*_marks(shape), *shape[:2]), {})
 
 
 def _csv_line_writer():
@@ -348,17 +343,17 @@ def _record_csv_format(shape) -> str:
     """The format of the csv line of a ``filter`` row of a record of
     ``shape``.  csv quotes and escapes a cell by its literal text alone, as
     neither ``%s`` nor a number's text holds a character it quotes."""
-    marks = _marks([passed for _, passed, _, _ in _shape_verdicts(shape)])
     status, detail = shape[0].replace("%", "%%"), shape[1].replace("%", "%%")
-    return _csv_line_writer().writerow(("%s", "%s", "%s", *marks, status, detail, _witness_format(shape)))
+    return _csv_line_writer().writerow(("%s", "%s", "%s", *_marks(shape), status, detail, _witness_format(shape)))
 
 
 def _write_records_csv(records) -> None:
     """Write the ``filter`` csv table of ``records`` as ``_print_table("csv",
     FILTER_COLUMNS, _filter_rows(records))`` does, each row from its shape's
-    format."""
+    format, its slots filled with its row's numbers as text."""
     sys.stdout.write(_csv_line_writer().writerow(FILTER_COLUMNS))
-    sys.stdout.writelines(_rendered(_record_rows(records), _record_csv_format, tuple))
+    rows = _formatted(records, _record_csv_format, {})
+    sys.stdout.writelines(fmt % _cell_values(numbers) for fmt, numbers in rows)
 
 
 REPLAY_COLUMNS = ["section", "e", "a", "b", "action", "outcome", "witness"]
@@ -366,11 +361,11 @@ REPLAY_COLUMNS = ["section", "e", "a", "b", "action", "outcome", "witness"]
 
 def _replay_rows(sections, final_list):
     """The ``replay`` table's rows: each section's records, then the final
-    list, each with e, a, b through ``int.__repr__``."""
-    cells = _witness_cells(chain.from_iterable(_record_rows(records) for _, _, records in sections))
+    list, with one witness-cell format per row key of all the sections."""
+    built = {}
     for section, _, records in sections:
-        for rec, witness in zip(records, cells):  # zip takes no cell past a section's last record
-            yield (section, *map(int.__repr__, rec.data), rec.status, rec.detail, witness)
+        for cells in _table_rows(records, itemgetter(slice(2)), built):
+            yield (section, *cells)
     for entry in final_list:
         yield ("final", *map(int.__repr__, entry.data), entry.kind, entry.name, "")
 

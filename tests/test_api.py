@@ -89,7 +89,6 @@ BENCH_CACHES = [
     "schubert.classify.scan_forms",
     "schubert.classify.scan_line",
     "schubert.classify.schur3_form",
-    "schubert.cli._scan_rows",
     "schubert.hrr.chi_form",
     "schubert.hrr.tangent_todd",
     "schubert.partitions._component_product",

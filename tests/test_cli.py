@@ -6,12 +6,14 @@ import inspect
 import io
 import itertools
 import json
+import math
 import os
 import pickle
 import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -300,7 +302,12 @@ def test_filter_plain_matches_csv(capsys):
 # names it: the candidate table, the record the Griffiths test removes, and
 # its witness chi(E(5)).
 GRIFFITHS_CHECK = "chi(E(5)) of the candidates the Griffiths test removes"
+ELIMINATED_CHECK = "the number of candidates each filter eliminates"
 WRONG_STEP1_VALUES = {
+    "STEP1_ELIMINATED": (
+        {"positivity": 53, "schur": 936, "schwarzenberger": 460, "griffiths": 0},
+        ELIMINATED_CHECK,
+    ),
     "STEP1_SURVIVORS": ({0: ((0, 0),), -1: ()}, "the (a, b) by e that pass the integrality filter"),
     "GRIFFITHS_ELIMINATED": (RankTwoData(-1, 0, 1), GRIFFITHS_CHECK),
     "GRIFFITHS_WITNESS": (Fraction(935), GRIFFITHS_CHECK),
@@ -317,6 +324,27 @@ def test_filter_regression_exit_code(capsys, monkeypatch, name):
         code, out, err = run(capsys, "filter", "--format", fmt)
         assert (code, out) == (4, ""), fmt
         assert err.startswith(f"regression at step1: {check} is ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["filter", "replay"])
+def test_a_changed_schur_bound_exits_4_at_step1(capsys, monkeypatch, command):
+    # the e = -1 bound a + b <= 13 tightened to a + b <= 12, the strict
+    # pairing's reading: the ten integrality survivors stay, but twelve
+    # candidates move from the integrality filter to Schur, and the frozen
+    # elimination counts refuse the scan before any format writes a byte
+    monkeypatch.setattr(classify, "SCHUR_SUM_MAX", {0: 12, -1: 12})
+    classify.enumerate_candidates.cache_clear()
+    try:
+        for fmt in ("plain", "csv", "json"):
+            code, out, err = run(capsys, command, "--format", fmt)
+            assert (code, out) == (4, ""), fmt
+            assert err == (
+                f"regression at step1: {ELIMINATED_CHECK} is "
+                "{'positivity': 53, 'schur': 948, 'schwarzenberger': 447, 'griffiths': 1}, "
+                "expected {'positivity': 53, 'schur': 936, 'schwarzenberger': 459, 'griffiths': 1}\n"
+            ), fmt
+    finally:
+        classify.enumerate_candidates.cache_clear()
 
 
 def test_filter_byte_identical_across_runs(capsys):
@@ -402,6 +430,12 @@ def test_a_restriction_that_keeps_b_exits_4_from_the_preflight(capsys, monkeypat
 # One wrong frozen value per table of the replay: (the wrong value, the step
 # that checks it, the value the engine computes, the frozen value as compared)
 WRONG_FROZEN_VALUES = {
+    "STEP1_ELIMINATED": (
+        WRONG_STEP1_VALUES["STEP1_ELIMINATED"][0],
+        "step1",
+        {"positivity": 53, "schur": 936, "schwarzenberger": 459, "griffiths": 1},
+        {"positivity": 53, "schur": 936, "schwarzenberger": 460, "griffiths": 0},
+    ),
     "STEP1_SURVIVORS": (
         WRONG_STEP1_VALUES["STEP1_SURVIVORS"][0],
         "step1",
@@ -739,14 +773,10 @@ def test_final_template_matches_json_dumps_on_synthetic_entries(entry):
     assert_entries_written_as_json_dumps([entry, entry])
 
 
-def coordinate_writers(rec: classify.CandidateRecord, first=None) -> dict:
+def coordinate_writers(rec: classify.CandidateRecord) -> dict:
     """Every writer of a candidate record's coordinates, each writing ``rec``
-    after a record of int coordinates: a bare one, or ``first`` with both in
-    a ``ScanRecords``, so that ``rec``'s row may come from the scan rows."""
-    if first is None:
-        records = [classify.CandidateRecord(RankTwoData(0, 0, 0), (), "", ""), rec]
-    else:
-        records = classify.ScanRecords((first, rec))
+    after a record of int coordinates."""
+    records = [classify.CandidateRecord(RankTwoData(0, 0, 0), (), "", ""), rec]
     sections = [("step1", "step1_table", records)]
     writers = {
         "json": lambda: _write_records_json(records, "\n"),
@@ -761,13 +791,13 @@ def coordinate_writers(rec: classify.CandidateRecord, first=None) -> dict:
 @pytest.mark.parametrize("value", [0.0, 1.5, Fraction(1, 2), Fraction(2)])
 def test_templates_write_integer_coordinates_only(value):
     # every writer, JSON, csv and plain, refuses a coordinate that is not an
-    # int: after a bare record, and in a scan after the same filter-built
-    # record with int coordinates, whose shape the scan rows then hold
+    # int: after a bare record, and after a record the scan built, its
+    # coordinate replaced
     data = RankTwoData(0, value, 0)
     scanned = classify.evaluate_candidate(0, 2, 2)
     inputs = {
         "bare": coordinate_writers(classify.CandidateRecord(data, (), "", "")),
-        "scan": coordinate_writers(scanned._replace(data=data), first=scanned),
+        "scan": coordinate_writers(scanned._replace(data=data)),
     }
     for source, writers in inputs.items():
         for name, write in writers.items():
@@ -784,6 +814,19 @@ def test_templates_write_integer_coordinates_only(value):
     split = classify.SplittingType(value, 0)
     with pytest.raises(TypeError):
         _final_json_text(classify.BundleType("split", split, RankTwoData(0, 0, 0), ""), "\n")
+
+
+def test_scan_rows_hold_ints_only():
+    # the writers fill a scan row's formats with its numbers as they are, so
+    # every number of every row, e, a, b and each witness number's numerator
+    # and denominator, is an int, the denominator positive and the pair reduced
+    rows = classify.enumerate_candidates().rows
+    assert len(rows) == 1458
+    for key, numbers in rows:
+        assert all(type(n) is int for n in numbers), numbers[:3]
+        pairs = iter(numbers[3:])
+        for n, d in zip(pairs, pairs):
+            assert d > 0 and math.gcd(n, d) == 1, numbers[:3]
 
 
 # -- csv tables, built here cell by cell and written by csv.writer ---------------------
@@ -1023,29 +1066,48 @@ def fresh_scan():
 
 
 def assert_rows_are_the_record_shapes(records) -> None:
-    """Each record's row equals its ``_record_shape``, shape and numbers, and
-    each number has the type ``_record_shape`` gives it."""
-    rows = list(cli._record_rows(records))
-    assert len(rows) == len(records)
-    for rec, (shape, numbers) in zip(records, rows):
-        expected_shape, expected_numbers = _record_shape(rec)
-        assert (shape, numbers) == (expected_shape, expected_numbers), rec.data
-        assert list(map(type, numbers)) == list(map(type, expected_numbers)), rec.data
+    """The shape and numbers each writer reads for a record, through the
+    writers' one loop, are its ``_record_shape`` with every witness number as
+    its reduced pair of ints: a row's key, whose shape is that of the record
+    built for its first row, never stands for a record of another shape."""
+    written = list(cli._formatted(records, lambda shape: shape, {}))
+    assert len(written) == len(records)
+    for rec, (shape, numbers) in zip(records, written):
+        assert (shape, numbers) == cli._record_row(rec), rec.data
+        assert all(type(n) is int for n in numbers), rec.data
+
+
+def witness_schema(witness: dict) -> tuple:
+    """The schema and numbers of ``witness`` as a scan rule gives them: a
+    number as Fraction and its reduced pair, a tuple item by item, any other
+    value as itself."""
+    numbers = []
+
+    def kind(value):
+        if type(value) in (int, Fraction):
+            numbers.extend(value.as_integer_ratio())
+            return Fraction
+        if type(value) is tuple:
+            return tuple(map(kind, value))
+        return value
+
+    return tuple((k, kind(v)) for k, v in witness.items()), tuple(numbers)
 
 
 def scan_with_witness(monkeypatch, rule: str, key: str, value, where):
-    """The scan once more, its ``rule`` filter giving ``value(old)`` as the
-    ``key`` witness at the candidates where ``where(data)`` holds."""
+    """The scan once more, its ``rule`` giving ``value(old)`` as the ``key``
+    witness at the candidates where ``where(data)`` holds."""
     i = classify.FILTER_RULES.index(rule)
-    plain = classify._FILTERS[i]
+    plain = classify._RULES[i]
 
-    def replaced(e, a, b):
-        v = plain(e, a, b)
-        if key in v.witness and where(RankTwoData(e, a, b)):
-            v = v._replace(witness={**v.witness, key: value(v.witness[key])})
-        return v
+    def replaced(line, b):
+        passed, schema, numbers = plain(line, b)
+        witness = classify.witness_values(schema, iter(numbers))
+        if key in witness and where(RankTwoData(line.e, line.a, b)):
+            schema, numbers = witness_schema({**witness, key: value(witness[key])})
+        return passed, schema, numbers
 
-    monkeypatch.setattr(classify, "_FILTERS", (*classify._FILTERS[:i], replaced, *classify._FILTERS[i + 1:]))
+    monkeypatch.setattr(classify, "_RULES", (*classify._RULES[:i], replaced, *classify._RULES[i + 1:]))
     classify.enumerate_candidates.cache_clear()
     return classify.enumerate_candidates()
 
@@ -1054,7 +1116,7 @@ def test_scan_rows_are_the_record_shapes_and_follow_a_new_scan(monkeypatch, fres
     scan = classify.enumerate_candidates()
     assert type(scan) is classify.ScanRecords
     assert_rows_are_the_record_shapes(scan)
-    assert cli._record_rows(scan) is cli._record_rows(scan)  # built once per scan
+    assert cli._record_rows(scan)[0] is scan.rows  # built once per scan, by the scan
     # a square of the same size one step lower, with only the scan's cache
     # cleared: the rows follow the new records
     monkeypatch.setattr(classify, "SCAN_LO", classify.SCAN_LO - 1)
@@ -1072,31 +1134,44 @@ def test_scan_rows_are_the_record_shapes_and_follow_a_new_scan(monkeypatch, fres
     # equal to True or False, but a number, so a shape of its own
     counted = scan_with_witness(monkeypatch, "schur", "strict_positive", int, lambda d: d.b % 3 == 0)
     schur = [rec.verdict("schur") for rec in counted]
-    assert sum(v is not None and type(v.witness["strict_positive"]) is int for v in schur) > 100
+    assert sum(v is not None and type(v.witness["strict_positive"]) is Fraction for v in schur) > 100
     assert_rows_are_the_record_shapes(counted)
 
 
 def test_one_cold_pass_classifies_each_record_once(capsys, monkeypatch, fresh_scan):
-    # replay --format json then filter --format csv, from a cold scan: the
-    # 1458 scan records once between the two renders, and the 9 records of
-    # steps 2-4, which only the replay prints; rows rebuilt per render
-    # would classify the scan twice, 2925 calls
-    cli._scan_rows.cache_clear()
+    # replay --format json then filter --format csv, from a cold scan: each
+    # command builds the scan's 10 integrality survivors, and each render one
+    # record per row key, whose shape it classifies; every other scan row is
+    # written from its ints.  The 9 records of steps 2-4, which only the
+    # replay prints, are classified record by record.
+    built = []
+    plain_record = classify.scan_record
+
+    def building(row):
+        built.append(row)
+        return plain_record(row)
+
     calls = 0
-    plain = cli._record_shape
+    plain_shape = cli._record_shape
 
     def counted(rec):
         nonlocal calls
         calls += 1
-        return plain(rec)
+        return plain_shape(rec)
 
+    monkeypatch.setattr(classify, "scan_record", building)
+    monkeypatch.setattr(cli, "scan_record", building)
     monkeypatch.setattr(cli, "_record_shape", counted)
     for command, fmt in (("replay", "json"), ("filter", "csv")):
         assert main([command, "--format", fmt]) == cli.EXIT_OK
     capsys.readouterr()
-    assert len(classify.enumerate_candidates()) == 1458
-    assert calls == 1458 + 9
-    cli._scan_rows.cache_clear()
+    rows = classify.enumerate_candidates().rows
+    assert len(rows) == 1458
+    survivors = [row for row in rows if row[0][0] > classify.FILTER_RULES.index("schwarzenberger")]
+    first_of_key = list({key: (key, numbers) for key, numbers in reversed(rows)}.values())
+    assert len(survivors) == 10 and len(first_of_key) == SCAN_SHAPES
+    assert Counter(built) == Counter(2 * survivors + 2 * first_of_key)
+    assert calls == 2 * SCAN_SHAPES + 9
 
 
 # Each number witness of the scan as a float, or as a tuple that holds one.

@@ -226,6 +226,47 @@ def test_candidate_scan_table():
     assert step1_survivors(records) == pre
 
 
+def _typed(value):
+    """``value`` beside its type, a tuple item by item."""
+    if type(value) is tuple:
+        return tuple, tuple(map(_typed, value))
+    return type(value), value
+
+
+def _typed_record(rec: CandidateRecord) -> tuple:
+    verdicts = [
+        (_typed(v.rule), _typed(v.passed), {k: _typed(x) for k, x in v.witness.items()}, _typed(v.citation))
+        for v in rec.verdicts
+    ]
+    return tuple(map(_typed, rec.data)), verdicts, _typed(rec.status), _typed(rec.detail)
+
+
+def test_the_scan_equals_the_filters_applied_candidate_by_candidate():
+    # the per-candidate path: at each (e, a, b) in canonical order, the
+    # exported filters in order up to the first failure, each verdict built
+    # on its own; the scan's records, built from its rows, must equal these
+    # in every value and in the type of every witness
+    expected = []
+    for e in (0, -1):
+        for a in range(SCAN_LO, SCAN_HI + 1):
+            for b in range(SCAN_LO, SCAN_HI + 1):
+                verdicts = []
+                for rule in classify._FILTERS:
+                    verdicts.append(rule(e, a, b))
+                    if not verdicts[-1].passed:
+                        break
+                last = verdicts[-1]
+                status, detail = ("surviving", "") if last.passed else ("eliminated", last.rule)
+                expected.append(CandidateRecord(RankTwoData(e, a, b), tuple(verdicts), status, detail))
+    records = list(enumerate_candidates())
+    assert len(records) == len(expected) == 1458
+    assert records == expected
+    assert list(map(_typed_record, records)) == list(map(_typed_record, expected))
+    assert Counter(r.detail for r in records) == {
+        "positivity": 53, "schur": 936, "schwarzenberger": 459, "griffiths": 1, "": 9,
+    }
+
+
 def test_candidate_survives_step1():
     records = enumerate_candidates()
     (rec,) = [r for r in records if r.data == RankTwoData(0, -4, 12)]
@@ -336,12 +377,20 @@ def test_the_scan_refuses_a_square_that_clips_the_region(monkeypatch):
             with pytest.raises(ReplayMismatch) as info:
                 enumerate_candidates()
             assert info.value.step == "scan" and "e = 0" in str(info.value)
-        # the smallest square the certificate accepts scans the same survivors
+        # the smallest square the certificate accepts scans the same survivors;
+        # it holds fewer candidates for positivity and Schur to eliminate, so
+        # the frozen elimination counts refuse it
         monkeypatch.setattr(classify, "SCAN_LO", -6)
         monkeypatch.setattr(classify, "SCAN_HI", 18)
         records = enumerate_candidates()
         assert len(records) == 2 * 25**2
-        assert len(step1_survivors(records)) == 10
+        pre = survivors(records, "schwarzenberger")
+        got = {e: sorted((r.data.a, r.data.b) for r in pre if r.data.e == e) for e in (0, -1)}
+        assert got == {e: sorted(v) for e, v in STEP1_SURVIVORS.items()}
+        with pytest.raises(ReplayMismatch) as info:
+            step1_survivors(records)
+        assert (info.value.step, info.value.what) == ("step1", "the number of candidates each filter eliminates")
+        assert info.value.got == {"positivity": 49, "schur": 732, "schwarzenberger": 459, "griffiths": 1}
     finally:
         enumerate_candidates.cache_clear()
 
@@ -592,19 +641,15 @@ def test_scan_folds_each_form_once_per_twist(monkeypatch):
     assert (info.misses, info.currsize) == (2, 2)  # one set of folded forms per e
     assert len(folds) == 2 * (G14.dimension + 1 + len(SCHUR_CYCLES))
     assert set(folds.values()) == {1}
-    # the filters read lines only: each line of the square is restricted once
+    # the rules read lines only: each line of the square is restricted once
     lines = scan_line.cache_info()
     assert lines.misses == lines.currsize == 2 * (SCAN_HI - SCAN_LO + 1)
     # one lookup per line, plus one per e for the certificate's shift
     assert info.hits + info.misses == lines.misses + 2
-    # every later line lookup is a hit: positivity reads the lines of a and
-    # of b, and only Griffiths at e = 0 reads none
-    lookups = sum(
-        2 if v.rule == "positivity" else v.witness.get("applies", True)
-        for r in records
-        for v in r.verdicts
-    )
-    assert lines.hits + lines.misses == lookups
+    # and the scan looks each line up once: every rule of a candidate reads
+    # the line of its a, the qb of positivity too
+    assert lines.hits == 0
+    assert len(records) == 2 * (SCAN_HI - SCAN_LO + 1) ** 2
 
 
 def _unfolded_verdicts(e, a, b):
@@ -646,11 +691,15 @@ def test_scan_lines_match_the_unfolded_forms(e):
     chi = chi_form(G14)
     for a in rng.sample(range(-10**4, 0), 40):
         line = scan_line(e, a)
-        assert type(line.qa) is Fraction and line.qa == RankTwoData(e, a, 0).twisted(m).a
+        assert (line.e, line.a) == (e, a)
+        # the numbers constant along the line as reduced pairs of ints
+        at_m = RankTwoData(e, a, 0).twisted(m)
+        for pair, expected in ((line.qa, at_m.a), (line.pairing_point, point(at_m))):
+            assert list(map(type, pair)) == [int, int] and pair == expected.as_integer_ratio()
         for _ in range(10):
             b = rng.randint(-10**4, 10**4)
             at_m = RankTwoData(e, a, b).twisted(m)
-            pairs = [(line.pairing_point, point(at_m)), (line.hyper(b), hyper(at_m))]
+            pairs = [(Fraction(*line.pairing_point), point(at_m)), (line.hyper(b), hyper(at_m))]
             pairs += [(chi_k(b), chi(RankTwoData(e, a, b).twisted(k))) for k, chi_k in enumerate(line.chi)]
             assert len(pairs) == len(SCHUR_CYCLES) + G14.dimension + 1
             for got, expected in pairs:
