@@ -29,9 +29,10 @@ Rank-two data (e, a, b) on a ring of lines is twisted in its coordinates by
 ``RankTwoData.twisted``, which every pipeline path uses; a bundle v of any
 rank twists through its power sums, ``v.power_sums().twisted(t).to_chern()``.
 Rational twists are supported, and their "Chern classes" need not be
-integral.  A ``RankTwoForm`` in (e, a, b) folds at a fixed e and twist into
-a ``PlaneForm`` in (a, b) alone, which restricts at a fixed a to a
-``LineForm`` in b, which evaluates in integers at integer b.
+integral.  A ``RankTwoForm`` in (e, a, b) evaluates to an unreduced pair of
+ints (``ratio``) and folds at a fixed e and twist into a ``PlaneForm`` in
+(a, b) alone, one polynomial in a per power of b, which restricts at a
+fixed a to a ``LineForm`` in b, evaluated in integers over a run of b.
 """
 
 from __future__ import annotations
@@ -296,24 +297,35 @@ class RankTwoForm(NamedTuple):
         return cls(tuple(rows), den, top)
 
     def __call__(self, data: RankTwoData) -> Fraction:
+        return Fraction(*self.ratio(data))
+
+    def ratio(self, data: RankTwoData) -> tuple[int, int]:
+        """The value at ``data``: an unreduced (numerator, denominator) pair, the denominator positive."""
         # With q a common denominator of the coordinates, x = e*q, y = a*q^2
         # and z = b*q^2 are integers, and q^top times the value is
         # sum y^l * z^r * (sum_i c_i * x^i * q^(d - i)) over the rows, each
-        # inner sum by Horner; for integer data q = 1.
+        # inner sum by Horner; int data takes q = 1 and skips its powers.
         e, a, b = data
+        acc = 0
+        if type(e) is int and type(a) is int and type(b) is int:
+            for l, r, coeffs in self.rows:
+                inner = 0
+                for c in coeffs:
+                    inner = inner * e + c
+                acc += inner * a**l * b**r
+            return acc, self.den
         q = lcm(e.denominator, a.denominator, b.denominator)
         qq = q * q
         x = e.numerator * (q // e.denominator)
         y = a.numerator * (qq // a.denominator)
         z = b.numerator * (qq // b.denominator)
-        acc = 0
         for l, r, coeffs in self.rows:
             inner, q_power = 0, 1
             for c in coeffs:
                 inner = inner * x + c * q_power
                 q_power *= q
             acc += inner * y**l * z**r
-        return Fraction(acc, self.den * q**self.top)
+        return acc, self.den * q**self.top
 
     def at_twist(self, e: Scalar, t: Scalar) -> PlaneForm:
         """The form at ``RankTwoData(e, a, b).twisted(t)`` as a polynomial in
@@ -325,21 +337,23 @@ class RankTwoForm(NamedTuple):
         least common multiple of the denominators of x and s, x*q and s*q^2
         are integers, and the coefficient of a^i * b^j is an integer over
         den * q^top."""
-        x, s, _ = RankTwoData(Fraction(e), 0, 0).twisted(Fraction(t))
+        x, s, _ = RankTwoData(e, 0, 0).twisted(t)
         q = lcm(x.denominator, s.denominator)
         xq, sqq = int(x * q), int(s * q * q)
         half = self.top // 2
-        out = [[0] * (half + 1 - i) for i in range(half + 1)]  # out[i][j]: a^i * b^j
+        # binomial[l][i]: the coefficient of a^i in q^(2l) * (a + s)^l, and of b^i in q^(2l) * (b + s)^l
+        binomial = [[comb(l, i) * sqq ** (l - i) * q ** (2 * i) for i in range(l + 1)] for l in range(half + 1)]
+        out = [[0] * (half + 1 - j) for j in range(half + 1)]  # out[j][i]: a^i * b^j
         for l, r, coeffs in self.rows:
             # q^d * P(x) by Horner, for d = top - 2(l + r)
             p, q_power = 0, 1
             for c in coeffs:
                 p = p * xq + c * q_power
                 q_power *= q
-            for i in range(l + 1):
-                for j in range(r + 1):
-                    out[i][j] += p * comb(l, i) * comb(r, j) * sqq ** (l - i + r - j) * q ** (2 * (i + j))
-        return PlaneForm(tuple(tuple(reversed(row)) for row in reversed(out)), self.den * q**self.top)
+            for j, bj in enumerate(binomial[r]):
+                for i, ai in enumerate(binomial[l]):
+                    out[j][i] += p * ai * bj
+        return PlaneForm(tuple(tuple(reversed(col)) for col in reversed(out)), self.den * q**self.top)
 
 
 class LineForm(NamedTuple):
@@ -357,46 +371,49 @@ class LineForm(NamedTuple):
         return Fraction(acc, den) if acc % den else Fraction(acc // den)  # an int needs no gcd
 
 
-def line_values(forms: tuple[LineForm, ...], b: int) -> tuple[tuple[int, ...], bool]:
-    """The value of each of ``forms`` at integer b, equal to its ``__call__``,
-    as its reduced (numerator, denominator) pair, the denominator positive,
-    the pairs laid out in one flat tuple; and whether every value is an
-    integer.  Each value is one Horner loop in integers, its integrality read
-    off the numerator; no Fraction is built."""
-    values = []
-    integral = True
-    for coeffs, den in forms:
-        acc = 0
-        for c in coeffs:
-            acc = acc * b + c
-        if acc % den:
-            integral = False
-            g = gcd(acc, den)
-            values += (acc // g, den // g)
-        else:
-            values += (acc // den, 1)
-    return tuple(values), integral
+def line_values(forms: tuple[LineForm, ...], bs) -> list[tuple[tuple[int, ...], bool]]:
+    """For each integer b of the run ``bs``, in its order: the value of each
+    of ``forms`` at b, equal to its ``__call__``, as its reduced (numerator,
+    denominator) pair, the denominator positive, the pairs laid out in one
+    flat tuple; and whether every value is an integer.  Each value is one
+    Horner loop in integers, its integrality read off the numerator; no
+    Fraction is built."""
+    out = []
+    for b in bs:
+        values = []
+        integral = True
+        for coeffs, den in forms:
+            acc = 0
+            for c in coeffs:
+                acc = acc * b + c
+            if acc % den:
+                integral = False
+                g = gcd(acc, den)
+                values.append(acc // g)
+                values.append(den // g)
+            else:
+                values.append(acc // den)
+                values.append(1)
+        out.append((tuple(values), integral))
+    return out
 
 
 class PlaneForm(NamedTuple):
     """A polynomial in (a, b) with integer coefficients over one positive
-    denominator ``den``: ``rows`` runs from the polynomial in b multiplying
-    the highest power of a down to the one multiplying a^0, each with its
-    coefficients from the highest power of b down to b^0."""
+    denominator ``den``: ``cols`` runs from the polynomial in a multiplying
+    the highest power of b down to the one multiplying b^0, each with its
+    coefficients from the highest power of a down to a^0."""
 
-    rows: tuple[tuple[int, ...], ...]
+    cols: tuple[tuple[int, ...], ...]
     den: int
 
     def line(self, a: int) -> LineForm:
-        """The form on the line of fixed a: each row aligned at b^0, its last
-        coefficient, and each column of a power of b one Horner loop in a
-        over the rows, a row too short for the column adding nothing."""
-        rows = self.rows
+        """The form on the line of fixed a: each column one Horner loop in a."""
         out = []
-        for p in range(max(map(len, rows)), 0, -1):  # the column of b^(p - 1)
+        for col in self.cols:
             acc = 0
-            for row in rows:
-                acc = acc * a + row[-p] if len(row) >= p else acc * a
+            for c in col:
+                acc = acc * a + c
             out.append(acc)
         return LineForm(tuple(out), self.den)
 

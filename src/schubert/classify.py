@@ -39,8 +39,8 @@ and the ample Q-twist m) into a polynomial in (a, b)
 (``RankTwoForm.at_twist``, cached by ``scan_forms``), and each line of fixed
 (e, a) restricts it to a polynomial in b (``PlaneForm.line``, one Horner
 loop in a per column of the form, cached by ``scan_line`` for the 54 lines
-of the scan square), which the rules evaluate by Horner at integer b
-(``charclass.line_values``, which gives each value as its reduced
+of the scan square), which the rules evaluate by Horner over a run of
+integer b (``charclass.line_values``, which gives each value as its reduced
 (numerator, denominator) pair and decides integrality on the numerators).
 The witnesses constant along a line are built there once: a + s, from which
 qb follows as a + s + (b - a), and the pairing with the lines through a
@@ -48,33 +48,36 @@ point, which does not depend on b.  Step 2 reads chi(E(-2)) from a form as
 well.  Steps 3 and 4 restrict each candidate through one computed map,
 ``restriction_to_p3``, and read the restricted chi (``hrr.chi_p3``) at its
 value.  The general path (``rank_two_chern`` -> ``ch`` -> ``pair``) runs
-only in the preflight: it checks the G(1,4) forms against that path, then
-the cached lines against the forms at the twisted data on a grid that
-determines every line.  The preflight also proves the restriction map: it
-is linear in (e, a, b), so its values on the three basis vectors prove it
-equal to (e, a) everywhere.  The scan is exhaustive by a certificate: its
-square holds every (a, b) that passes positivity and the Schur bounds.
+only in the preflight: it checks the G(1,4) forms against that path, then,
+in integers, the cached lines against the forms at the twisted data
+(``RankTwoForm.ratio``) on a grid that determines every line.  It also
+proves the restriction map: it is linear in (e, a, b), so its values on the
+three basis vectors prove it equal to (e, a) everywhere.  The scan is
+exhaustive by a certificate: its square holds every (a, b) that passes
+positivity and the Schur bounds.
 
 Each filter is one rule over integers (``_positivity``, ``_schur``,
-``_schwarzenberger``, ``_griffiths``), a function of the scan line and b
-that gives (passed, witness schema, witness numbers).  The schema is the
-witness's (key, kind) pairs in order, a number's kind being Fraction; the
-numbers are reduced (numerator, denominator) pairs of ints.  Everything
-else reads the rules: the scan keeps one row per candidate (``scan_row``),
-with no record, Verdict or Fraction; ``enumerate_candidates`` returns them
-as a ``ScanRecords`` sequence, which builds a record from its row when it
-is read (``scan_record``); the exported filters and ``evaluate_candidate``
-build theirs from the same rules.  A row's key is its stop point, the
-position in ``FILTER_RULES`` of its first failed rule or 4, then the schema
-of each rule applied; its numbers are e, a, b and the witness numbers.
-``survivors`` and ``step1_survivors`` read the stop points off the rows, so
-a replay builds only the ten integrality survivors, and ``step1_survivors``
-checks the number of candidates each filter eliminates against frozen
-counts.  Candidate evaluation is a pure map over (e, a, b): verdicts do not
-depend on evaluation order, and the report is assembled in canonical
-candidate order.  A verdict's witness is a dict, which the cli prints key
-by key as the verdict holds it; no reader takes a witness value by its
-position.  The records are NamedTuples.
+``_schwarzenberger``, ``_griffiths``), a function of the scan line and a
+run of b that gives (passed, witness schema, witness numbers) for each b.
+The schema is the witness's (key, kind) pairs in order, a number's kind
+being Fraction; the numbers are reduced (numerator, denominator) pairs of
+ints.  Everything else reads the rules: the scan runs each rule once per
+line, on the b that passed the rules before it, and keeps one row per
+candidate (``scan_rows``), with no record, Verdict or Fraction;
+``enumerate_candidates`` returns them as a ``ScanRecords`` sequence, which
+builds a record from its row when it is read (``scan_record``); the
+exported filters and ``evaluate_candidate`` read the same rules with a run
+of one b.  A row's key is its stop point, the position in ``FILTER_RULES``
+of its first failed rule or 4, then the schema of each rule applied; its
+numbers are e, a, b and the witness numbers.  ``survivors`` and
+``step1_survivors`` read the stop points off the rows, so a replay builds
+only the ten integrality survivors, and ``step1_survivors`` checks the
+number of candidates each filter eliminates against frozen counts.
+Candidate evaluation is a pure map over (e, a, b): verdicts do not depend
+on evaluation order, and the report is assembled in canonical candidate
+order.  A verdict's witness is a dict, which the cli prints key by key as
+the verdict holds it; no reader takes a witness value by its position.
+The records are NamedTuples.
 """
 
 from __future__ import annotations
@@ -348,14 +351,14 @@ _SCHWARZENBERGER_SCHEMA = (("chi", (Fraction,) * (G14.dimension + 1)),)
 _GRIFFITHS_SCHEMAS = {False: (("applies", False),), True: (("applies", True), ("chi_at_5", Fraction))}
 
 
-def _positivity(line: ScanLine, b: int):
+def _positivity(line: ScanLine, bs: Sequence[int]) -> list:
     """Both Chern coordinates of the Q-twist E(m) must be strictly positive."""
     qa, den = line.qa
-    qb = qa + (b - line.a) * den  # the twist adds one shift to a and to b
-    return qa > 0 and qb > 0, _POSITIVITY_SCHEMA, (qa, den, qb, den)
+    positive, q0 = qa > 0, qa - line.a * den  # qb at b = 0: the twist adds one shift to a and to b
+    return [(positive and qb > 0, _POSITIVITY_SCHEMA, (qa, den, qb, den)) for b in bs for qb in [q0 + b * den]]
 
 
-def _schur(line: ScanLine, b: int):
+def _schur(line: ScanLine, bs: Sequence[int]) -> list:
     """Degree-three Schur polynomial of E(m) against the two families of
     three-dimensional cycles.
 
@@ -369,30 +372,30 @@ def _schur(line: ScanLine, b: int):
     integrality filter).
     """
     point = line.pairing_point
-    hyper = line_values((line.hyper,), b)[0]
-    a = line.a
-    passed = a <= SCHUR_A_MAX and a + b <= SCHUR_SUM_MAX[line.e]
-    return passed, _SCHUR_SCHEMAS[point[0] > 0 and hyper[0] > 0], point + hyper
+    point_positive, a_passes, b_max = point[0] > 0, line.a <= SCHUR_A_MAX, SCHUR_SUM_MAX[line.e] - line.a
+    return [
+        (a_passes and b <= b_max, _SCHUR_SCHEMAS[point_positive and hyper[0] > 0], point + hyper)
+        for b, (hyper, _) in zip(bs, line_values((line.hyper,), bs))
+    ]
 
 
-def _schwarzenberger(line: ScanLine, b: int):
+def _schwarzenberger(line: ScanLine, bs: Sequence[int]) -> list:
     """Every chi(E(k)) must be an integer.  chi(E(k)) is a polynomial of
     degree at most dim in k, so integrality at k = 0..dim settles every twist."""
-    chis, integral = line_values(line.chi, b)
-    return integral, _SCHWARZENBERGER_SCHEMA, chis
+    return [(integral, _SCHWARZENBERGER_SCHEMA, chis) for chis, integral in line_values(line.chi, bs)]
 
 
-def _griffiths(line: ScanLine, b: int):
+def _griffiths(line: ScanLine, bs: Sequence[int]) -> list:
     """For e = -1 the twist E(5) is ample enough for Griffiths vanishing,
     so chi(E(5)) < 0 eliminates the candidate.  Vacuous for e = 0."""
     if line.e == 0:
-        return True, _GRIFFITHS_SCHEMAS[False], ()
-    chi5 = line_values(line.chi[5:6], b)[0]
-    return chi5[0] >= 0, _GRIFFITHS_SCHEMAS[True], chi5
+        return [(True, _GRIFFITHS_SCHEMAS[False], ())] * len(bs)
+    return [(v[0] >= 0, _GRIFFITHS_SCHEMAS[True], v) for v, _ in line_values(line.chi[5:6], bs)]
 
 
 # The four rules in the order the scan applies them; each, over integers at a
-# scan line and b, gives (passed, witness schema, witness numbers).
+# scan line and a run of b, gives (passed, witness schema, witness numbers)
+# for each b of the run, in its order.
 _RULES = (_positivity, _schur, _schwarzenberger, _griffiths)
 _CITATIONS = (CITE_AMPLE_POSITIVITY, CITE_SCHUR_POSITIVITY, CITE_INTEGRALITY, CITE_GRIFFITHS)
 
@@ -413,7 +416,7 @@ def witness_values(schema, numbers) -> dict:
 
 
 def _verdict(i: int, e: int, a: int, b: int) -> Verdict:
-    passed, schema, numbers = _RULES[i](scan_line(e, a), b)
+    (passed, schema, numbers), = _RULES[i](scan_line(e, a), (b,))
     return Verdict(FILTER_RULES[i], passed, witness_values(schema, iter(numbers)), _CITATIONS[i])
 
 
@@ -441,22 +444,35 @@ _FILTERS = (positivity_filter, schur_filter, schwarzenberger_filter, griffiths_f
 FILTER_RULES = tuple(rule.__name__.removesuffix("_filter") for rule in _FILTERS)
 
 
+def scan_rows(line: ScanLine, bs: Sequence[int]) -> list:
+    """The scan's rows (key, numbers) of the candidates (line.e, line.a, b)
+    for b in the run ``bs``, in its order.  The key is the stop point, the
+    position in FILTER_RULES of the first failed rule or its length, then
+    the schema of each rule applied; the numbers are e, a, b, then each
+    witness number's reduced (numerator, denominator) pair, in order."""
+    verdicts, live = [], bs
+    for rule in _RULES:  # each rule once, on the b that passed every rule before it
+        if not live:
+            break
+        got = rule(line, live)
+        verdicts.append(iter(got))
+        live = [b for b, (passed, _, _) in zip(live, got, strict=True) if passed]
+    rows = []
+    for b in bs:  # a b reaches a rule in the order it reached the rule before
+        key, numbers = [len(_RULES)], [line.e, line.a, b]  # the stop point, then the schemas
+        for passed, schema, witness in map(next, verdicts):
+            key.append(schema)
+            numbers += witness
+            if not passed:
+                key[0] = len(key) - 2  # the position of this rule
+                break
+        rows.append((tuple(key), tuple(numbers)))
+    return rows
+
+
 def scan_row(line: ScanLine, b: int) -> tuple:
-    """The scan's row of the candidate (line.e, line.a, b): the rules applied
-    in order up to the first failure, as (key, numbers).  The key is the
-    stop point, the position of the failed rule in FILTER_RULES or its
-    length if none failed, then the witness schema of each rule applied; the
-    numbers are e, a, b, then each witness number's reduced (numerator,
-    denominator) pair, in order."""
-    schemas = []
-    numbers = [line.e, line.a, b]
-    for rule in _RULES:
-        passed, schema, witness = rule(line, b)
-        schemas.append(schema)
-        numbers += witness
-        if not passed:
-            return (len(schemas) - 1, *schemas), tuple(numbers)
-    return (len(schemas), *schemas), tuple(numbers)
+    """The scan's row of the candidate (line.e, line.a, b); see ``scan_rows``."""
+    return scan_rows(line, (b,))[0]
 
 
 def scan_record(row) -> CandidateRecord:
@@ -531,8 +547,7 @@ def enumerate_candidates() -> ScanRecords:
     rows = []
     for e in (0, -1):
         for a in range(SCAN_LO, SCAN_HI + 1):
-            line = scan_line(e, a)
-            rows += [scan_row(line, b) for b in range(SCAN_LO, SCAN_HI + 1)]
+            rows += scan_rows(scan_line(e, a), range(SCAN_LO, SCAN_HI + 1))
     return ScanRecords(tuple(rows))
 
 
@@ -577,7 +592,7 @@ def survivors(records, stage: str) -> list[CandidateRecord]:
         raise ValueError(f"unknown filter stage {stage!r}")
     i = FILTER_RULES.index(stage)
     if type(records) is ScanRecords:
-        return [scan_record(row) for row, stop in zip(records.rows, records.stops()) if stop > i]
+        return [scan_record(row) for row in records.rows if row[0][0] > i]
     return [
         r for r in records
         if len(r.verdicts) > i and r.verdicts[i].passed and r.verdicts[i].rule == stage
@@ -694,18 +709,26 @@ def _preflight() -> None:
     # However the fold and the restriction place the coefficients, a line's
     # value is of degree at most d = top/2 in a and in b, like the form's, so
     # the grid a, b in 0..d proves every line; a scan corner is probed too.
+    # Pairs are cross-multiplied; a Fraction is built only on a mismatch.
     point, hyper = (schur3_form(ring, i, j) for i, j in SCHUR_CYCLES)
     for e in (0, -1):
         m = ample_twist(e)
-        reads = [(chi, k, lambda line, b, k=k: line.chi[k](b)) for k in range(ring.dimension + 1)]
-        reads += [(point, m, lambda line, b: Fraction(*line.pairing_point)), (hyper, m, lambda line, b: line.hyper(b))]
-        for unfolded, t, read in reads:
-            d = unfolded.top // 2
+        # what the scan reads on a line at b, as flat pairs, with the forms and twists read
+        chis = [(chi, k) for k in range(ring.dimension + 1)]
+        reads = (
+            (lambda line, b: line_values(line.chi, (b,))[0][0], chis),
+            (lambda line, b: line.pairing_point + line_values((line.hyper,), (b,))[0][0], [(point, m), (hyper, m)]),
+        )
+        for read, forms in reads:
+            d = max(form.top for form, _ in forms) // 2
             grid = [(a, b) for a in range(d + 1) for b in range(d + 1)]
             for a, b in (*grid, (SCAN_LO, SCAN_HI)):
-                got, expected = read(scan_line(e, a), b), unfolded(RankTwoData(e, a, b).twisted(t))
-                if got != expected:  # the message is built only on failure
-                    _expect("preflight", f"the scan line ({e}, {a}) at b = {b}, twist {t},", got, expected)
+                got = read(scan_line(e, a), b)
+                for (form, t), num, den in zip(forms, got[::2], got[1::2], strict=True):
+                    n, q = form.ratio(RankTwoData(e, a, b).twisted(t))
+                    if num * q != n * den:  # the message is built only on failure
+                        what = f"the scan line ({e}, {a}) at b = {b}, twist {t},"
+                        _expect("preflight", what, Fraction(num, den), Fraction(n, q))
     # the restriction to P^3 is linear in (e, a, b), so its values on the
     # basis prove it equal to (e, a) everywhere
     for data, expected in (((1, 0, 0), (1, 0)), ((0, 1, 0), (0, 1)), ((0, 0, 1), (0, 0))):

@@ -420,25 +420,25 @@ def test_rank_two_form_call_matches_naive_sum():
 def test_line_form_call_equals_the_fraction_of_its_value():
     # a value that den divides takes the path without a gcd; every value must
     # equal Fraction(value, den) in lowest terms, the sign on the numerator.
-    # The lines are those of plane forms with rows of every length, so the
-    # restriction's alignment of each row at b^0 is checked as well.
+    # The lines are those of plane forms with columns of every length, so the
+    # restriction's alignment of each column at a^0 is checked as well.
     rng = random.Random(5815)
     seen = set()
     for _ in range(400):
         den = rng.choice((1, 2, 6, 720))
         # coefficients mostly multiples of den, so that den divides many values
-        rows = tuple(
+        cols = tuple(
             tuple(den * rng.randint(-9, 9) + rng.choice((0, 0, rng.randint(-9, 9)))
                   for _ in range(rng.randint(1, 4)))
             for _ in range(rng.randint(1, 4))
         )
         a, b = rng.randint(-9, 9), rng.randint(-9, 9)
         value = sum(
-            c * a ** (len(rows) - 1 - i) * b ** (len(row) - 1 - j)
-            for i, row in enumerate(rows)
-            for j, c in enumerate(row)
+            c * a ** (len(col) - 1 - i) * b ** (len(cols) - 1 - j)
+            for j, col in enumerate(cols)
+            for i, c in enumerate(col)
         )
-        line = PlaneForm(rows, den).line(a)
+        line = PlaneForm(cols, den).line(a)
         assert type(line) is LineForm and line.den == den
         got, expected = line(b), Fraction(value, den)
         assert type(got) is Fraction
@@ -458,41 +458,45 @@ def line_forms(draw) -> LineForm:
     return LineForm(tuple(coeffs), den)
 
 
-@given(st.lists(line_forms(), max_size=8).map(tuple), st.integers(-40, 40) | st.integers())
-def test_horner_line_values_equal_each_line_form_call(forms, b):
-    # the scan's one loop over a line's chi forms against each form's own
-    # call: each value as its reduced pair, the sign on the numerator
-    values, integral = line_values(forms, b)
-    expected = [form(b) for form in forms]
-    assert values == tuple(n for v in expected for n in (v.numerator, v.denominator))
-    assert all(type(n) is int for n in values)
-    assert integral is all(v.denominator == 1 for v in expected)
+@given(st.lists(line_forms(), max_size=8).map(tuple), st.lists(st.integers(-40, 40) | st.integers(), max_size=6))
+def test_horner_line_values_equal_each_line_form_call(forms, bs):
+    # the scan's one loop over a line's forms and a run of b against each
+    # form's own call at each b: each value as its reduced pair, the sign on
+    # the numerator, one entry per b in the run's order
+    got = line_values(forms, bs)
+    assert len(got) == len(bs)
+    for b, (values, integral) in zip(bs, got):
+        expected = [form(b) for form in forms]
+        assert values == tuple(n for v in expected for n in (v.numerator, v.denominator))
+        assert all(type(n) is int for n in values)
+        assert integral is all(v.denominator == 1 for v in expected)
 
 
 @st.composite
 def at_twist_planes(draw) -> tuple[PlaneForm, int, int]:
-    """A plane form with the rows ``RankTwoForm.at_twist`` builds, the row of
-    a^(half - k) of length k + 1, and a point (a, b)."""
+    """A plane form with the columns ``RankTwoForm.at_twist`` builds, the
+    column of b^(half - k) of length k + 1, and a point (a, b)."""
     half = draw(st.integers(0, 5))
     coeff = st.integers(-(10**6), 10**6)
-    rows = tuple(tuple(draw(st.lists(coeff, min_size=k + 1, max_size=k + 1))) for k in range(half + 1))
+    cols = tuple(tuple(draw(st.lists(coeff, min_size=k + 1, max_size=k + 1))) for k in range(half + 1))
     point = st.integers(-30, 30) | st.integers(-(10**12), 10**12)
-    return PlaneForm(rows, draw(st.integers(1, 10**4))), draw(point), draw(point)
+    return PlaneForm(cols, draw(st.integers(1, 10**4))), draw(point), draw(point)
 
 
 @given(at_twist_planes())
 def test_horner_plane_restriction_equals_the_plane_polynomial(case):
-    # the column-wise restriction to a line against the polynomial in (a, b)
+    # the restriction to a line, one Horner loop in a per column, against the
+    # polynomial in (a, b)
     plane, a, b = case
-    rows = plane.rows
+    cols = plane.cols
     value = sum(
-        c * a ** (len(rows) - 1 - i) * b ** (len(row) - 1 - j)
-        for i, row in enumerate(rows)
-        for j, c in enumerate(row)
+        c * a ** (len(col) - 1 - i) * b ** (len(cols) - 1 - j)
+        for j, col in enumerate(cols)
+        for i, c in enumerate(col)
     )
     line = plane.line(a)
     assert type(line) is LineForm and line.den == plane.den
-    assert len(line.coeffs) == len(rows[-1])
+    assert len(line.coeffs) == len(cols)
     assert line(b) == Fraction(value, plane.den)
 
 

@@ -1100,12 +1100,14 @@ def scan_with_witness(monkeypatch, rule: str, key: str, value, where):
     i = classify.FILTER_RULES.index(rule)
     plain = classify._RULES[i]
 
-    def replaced(line, b):
-        passed, schema, numbers = plain(line, b)
-        witness = classify.witness_values(schema, iter(numbers))
-        if key in witness and where(RankTwoData(line.e, line.a, b)):
-            schema, numbers = witness_schema({**witness, key: value(witness[key])})
-        return passed, schema, numbers
+    def replaced(line, bs):
+        verdicts = []
+        for b, (passed, schema, numbers) in zip(bs, plain(line, bs), strict=True):
+            witness = classify.witness_values(schema, iter(numbers))
+            if key in witness and where(RankTwoData(line.e, line.a, b)):
+                schema, numbers = witness_schema({**witness, key: value(witness[key])})
+            verdicts.append((passed, schema, numbers))
+        return verdicts
 
     monkeypatch.setattr(classify, "_RULES", (*classify._RULES[:i], replaced, *classify._RULES[i + 1:]))
     classify.enumerate_candidates.cache_clear()
@@ -1136,6 +1138,34 @@ def test_scan_rows_are_the_record_shapes_and_follow_a_new_scan(monkeypatch, fres
     schur = [rec.verdict("schur") for rec in counted]
     assert sum(v is not None and type(v.witness["strict_positive"]) is Fraction for v in schur) > 100
     assert_rows_are_the_record_shapes(counted)
+
+
+def _witness_kinds(record) -> list:
+    return [
+        (v.rule, key, [type(x) for x in (value if type(value) is tuple else (value,))])
+        for v in record.verdicts
+        for key, value in v.witness.items()
+    ]
+
+
+@given(
+    st.sampled_from((0, -1)),
+    st.integers(classify.SCAN_LO - 6, classify.SCAN_HI + 6),
+    st.builds(range, st.integers(-12, 26), st.integers(-12, 26)) | st.lists(st.integers(-12, 26), max_size=30),
+)
+def test_a_scan_run_equals_the_rows_of_each_b_alone(e, a, bs):
+    # the rules run once over the run of b, each on the b that passed the
+    # rules before it; the rows must be those of each b scanned alone, in the
+    # run's order, duplicates and unsorted runs included, and their records
+    # those of evaluate_candidate, witness types too
+    line = classify.scan_line(e, a)
+    rows = classify.scan_rows(line, bs)
+    assert rows == [classify.scan_row(line, b) for b in bs]
+    for b, row in zip(bs, rows, strict=True):
+        assert row[1][:3] == (e, a, b) and all(type(n) is int for n in row[1])
+        record, alone = classify.scan_record(row), classify.evaluate_candidate(e, a, b)
+        assert record == alone
+        assert _witness_kinds(record) == _witness_kinds(alone)
 
 
 def test_one_cold_pass_classifies_each_record_once(capsys, monkeypatch, fresh_scan):

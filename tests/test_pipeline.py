@@ -31,7 +31,7 @@ from schubert import (
     split_detect,
     split_fano_bundles,
 )
-from schubert.charclass import RankTwoForm
+from schubert.charclass import PlaneForm, RankTwoForm
 from schubert.hrr import chi_form
 from schubert.classify import (
     FILTER_RULES,
@@ -587,6 +587,28 @@ def test_preflight_refuses_a_wrong_form_before_folding_it(monkeypatch, name):
     assert scan_forms.cache_info().currsize == 0
 
 
+def test_preflight_refuses_a_wrong_scan_line(monkeypatch):
+    # every line one off in its constant term at a = 2, inside the grid: the
+    # forms are right, so only the grid's integer comparison of the line
+    # values with the forms can refuse the lines
+    plain = PlaneForm.line
+
+    def wrong(plane, a):
+        line = plain(plane, a)
+        return line._replace(coeffs=(*line.coeffs[:-1], line.coeffs[-1] + (a == 2)))
+
+    monkeypatch.setattr(PlaneForm, "line", wrong)
+    scan_line.cache_clear()
+    try:
+        with pytest.raises(ReplayMismatch) as info:
+            classify._preflight()
+    finally:
+        scan_line.cache_clear()
+    assert info.value.step == "preflight" and info.value.what.startswith("the scan line (0, 2)")
+    assert type(info.value.got) is Fraction and type(info.value.expected) is Fraction
+    assert info.value.got != info.value.expected
+
+
 def test_positivity_witnesses_and_witness_types():
     records = enumerate_candidates()
     assert len(records) == 1458
@@ -650,6 +672,39 @@ def test_scan_folds_each_form_once_per_twist(monkeypatch):
     # the line of its a, the qb of positivity too
     assert lines.hits == 0
     assert len(records) == 2 * (SCAN_HI - SCAN_LO + 1) ** 2
+
+
+def test_a_cold_scan_applies_each_rule_once_per_line(monkeypatch):
+    # each rule runs once over a line's run of b, never once per candidate,
+    # and sees exactly the candidates that no rule before it eliminated
+    passes, seen = Counter(), Counter()
+
+    def counting(rule):
+        def counted(line, bs):
+            passes[rule.__name__] += 1
+            seen[rule.__name__] += len(bs)
+            return rule(line, bs)
+
+        return counted
+
+    plain, rules = enumerate_candidates(), classify._RULES
+    monkeypatch.setattr(classify, "_RULES", tuple(map(counting, rules)))
+    scan_forms.cache_clear()
+    scan_line.cache_clear()
+    enumerate_candidates.cache_clear()
+    try:
+        records = enumerate_candidates()
+    finally:
+        enumerate_candidates.cache_clear()
+    assert records == plain
+    lines = 2 * (SCAN_HI - SCAN_LO + 1)
+    assert set(passes) == {rule.__name__ for rule in rules}
+    assert all(count <= lines for count in passes.values()) and passes["_positivity"] == lines
+    left, expected = len(records), {}
+    for rule, name in zip(rules, FILTER_RULES):
+        expected[rule.__name__] = left
+        left -= classify.STEP1_ELIMINATED[name]
+    assert dict(seen) == expected
 
 
 def _unfolded_verdicts(e, a, b):
