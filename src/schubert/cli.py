@@ -7,20 +7,21 @@ text (default), csv, or json; json renders every rational as
 of row objects.  The indented JSON of ``filter`` and ``replay`` is streamed
 to stdout with text equal to ``json.dumps(doc, indent=2)``: with an indent,
 ``json`` falls back to its pure-Python encoder, which is slower.  Each
-document is a fixed frame of lists, and one list writer streams them, each
-item in one write; no dict tree is built and no whole list is held as one
-string.  A final-list entry is written by ``_final_json_text``.
+document is a fixed frame of lists, streamed item by item; no dict tree is
+built and no whole list is held as one string.  A final-list entry is
+written by ``_final_json_text``.
 
-A candidate record is written from ``%``-formats built from its shape, each
-with a ``%s`` slot per number and every other ``%`` doubled:
-``_record_json_format``, ``_record_csv_format`` (a ``filter`` csv line) and
+A candidate record is written from ``%``-formats built from its shape, with
+every literal ``%`` doubled: ``_record_json_format`` (bytes, a ``%d`` slot
+per number), ``_record_csv_format`` (a ``filter`` csv line) and
 ``_witness_format`` (the witness cell of the plain tables and the ``replay``
 csv).  Every writer reads a record as a (key, numbers) row through one
 loop, ``_formatted``, which builds each format once per row key, in a dict
 local to the render call; no rendered text outlives the call.  The numbers
 are ints: e, a, b, then each witness number as its reduced (numerator,
 denominator) pair.  JSON fills its slots with them; csv and the plain
-tables with each number's text, n or n/d (``_cell_values``).
+tables fill a format derived for the row's witness denominators
+(``_derived_format``) with e, a, b and the numerators.
 
 Only the source of the rows differs (``_record_rows``).  The scan's records,
 the ``ScanRecords`` that ``enumerate_candidates`` returns, hold their rows,
@@ -33,8 +34,8 @@ other scan record is built to be written.  Any other record's row is
 kinds: True, False, None, an int or a Fraction, and a tuple of ints and
 Fractions (a SplittingType too); any other raises TypeError, also where a
 scan rule's schema holds it.  Every writer prints a coordinate e, a, b as
-``int.__repr__`` does: a Fraction or a float raises TypeError, a bool is 1
-or 0.
+``int.__index__`` makes it an int: a Fraction or a float raises TypeError, a
+bool is 1 or 0, so no ``%d`` slot truncates a number.
 
 The other csv and plain tables go through one table printer, which streams
 csv row by row; each row is a sequence of cells in column order, read off
@@ -160,12 +161,12 @@ def _record_shape(rec: CandidateRecord):
     a tuple of them as a tuple of the class Fraction (never its length, or a
     1-tuple would share a shape with True).  Any other value raises
     TypeError.  The numbers are e, a, b, then the witness numbers in order;
-    e, a, b are ints, or else their ``int.__repr__`` text (a Fraction or a
-    float raises TypeError, a bool is 1 or 0), so every writer prints them
-    alike."""
+    e, a, b are ints, made so by ``int.__index__`` if they are not (a
+    Fraction or a float raises TypeError, a bool is 1 or 0), so no ``%d``
+    slot truncates one and every writer prints them alike."""
     numbers = list(rec.data)
     if not (type(numbers[0]) is int and type(numbers[1]) is int and type(numbers[2]) is int):
-        numbers = [*map(int.__repr__, numbers)]
+        numbers = [*map(int.__index__, numbers)]
     shape = [rec.status, rec.detail]
     for v in rec.verdicts:
         witness = v.witness
@@ -207,21 +208,23 @@ def _json_string(text: str) -> str:
 def _witness_json_format(kind, newline: str) -> str:
     """The JSON text of a witness of ``kind`` at the indent of ``newline``, in
     a format: True, False and None as themselves, a number as ``{"num",
-    "den"}`` with a ``%s`` slot for each, a tuple as the list of its numbers."""
+    "den"}`` with a ``%d`` slot for each, a tuple as the list of its numbers."""
     inner = newline + "  "
     if kind is Fraction:
-        return f'{{{inner}"num": "%s",{inner}"den": "%s"{newline}}}'
+        return f'{{{inner}"num": "%d",{inner}"den": "%d"{newline}}}'
     if type(kind) is not tuple:
         return json.dumps(kind)
-    number = f'{{{inner}  "num": "%s",{inner}  "den": "%s"{inner}}}'
+    number = f'{{{inner}  "num": "%d",{inner}  "den": "%d"{inner}}}'
     return f"[{inner}{(',' + inner).join([number] * len(kind))}{newline}]" if kind else "[]"
 
 
-def _record_json_format(shape, newline: str) -> str:
+def _record_json_format(shape, newline: str) -> bytes:
     """The format of the JSON object of a record of ``shape`` at the indent
     of ``newline``, as ``json.dumps(indent=2)`` lays it out: e, a, b, status,
     detail, then the verdicts, each an object of rule, passed, witness and
-    citation; a witness number's numerator and denominator get a slot each."""
+    citation; a witness number's numerator and denominator get a slot each.
+    Bytes, as ``%`` finds their slots by ``memchr`` and a str's by reading
+    each character; the text is ASCII, so it decodes to the same text."""
     key = newline + "  "  # the record's keys
     item = key + "  "  # the verdict objects
     field = item + "  "  # their keys
@@ -239,11 +242,11 @@ def _record_json_format(shape, newline: str) -> str:
         )
     verdict_list = "[" + item + ("," + item).join(verdicts) + key + "]" if verdicts else "[]"
     return (
-        f'{{{key}"e": %s,{key}"a": %s,{key}"b": %s,'
+        f'{{{key}"e": %d,{key}"a": %d,{key}"b": %d,'
         f'{key}"status": {_json_string(shape[0])},'
         f'{key}"detail": {_json_string(shape[1])},'
         f'{key}"verdicts": {verdict_list}{newline}}}'
-    )
+    ).encode()
 
 
 def _record_row(rec: CandidateRecord) -> tuple:
@@ -280,20 +283,25 @@ def _formatted(records, build, built: dict):
         yield made, row[1]
 
 
-def _cell_values(numbers) -> tuple:
-    """The slot values of a record's csv line: e, a, b as they are, then each
-    witness number's text as ``str(Fraction)`` writes it, n or n/d."""
-    pairs = iter(numbers[3:])
-    return (*numbers[:3], *[n if d == 1 else f"{n}/{d}" for n, d in zip(pairs, pairs)])
-
-
 def _write_records_json(records, newline: str) -> None:
     """Write ``records`` as ``json.dumps(indent=2)`` lays out their list at
-    the indent of ``newline``, each from its shape's format, its slots filled
-    with its row's numbers."""
+    the indent of ``newline``, each from its shape's byte format, its slots
+    filled with its row's numbers (two writes cost less than one join)."""
+    write = sys.stdout.write
     inner = newline + "  "
-    rows = _formatted(records, lambda shape: _record_json_format(shape, inner), {})
-    _write_json_list((fmt % numbers for fmt, numbers in rows), lambda text, _: text, newline)
+    first = sep = "[" + inner
+    for fmt, numbers in _formatted(records, lambda shape: _record_json_format(shape, inner), {}):
+        write(sep)
+        write((fmt % numbers).decode())
+        sep = "," + inner
+    write("[]" if sep is first else newline + "]")
+
+
+def _derived_format(fmt: str, lead: tuple, denominators) -> str:
+    """``fmt``, its ``%%`` kept and its ``%s`` slots filled by the texts
+    ``lead``, then by ``%d``, or ``%d/d`` for a witness denominator d other
+    than 1, as ``str(Fraction)`` writes a number."""
+    return fmt.replace("%%", "%%%%") % (*lead, *["%d" if d == 1 else f"%d/{d}" for d in denominators])
 
 
 # The witness cell text of each kind but a tuple, in a format.
@@ -322,9 +330,14 @@ def _marks(shape) -> list:
 
 def _table_rows(records, build, built: dict):
     """Each record's cells: e, a, b, then ``build(shape)`` of its shape, then
-    its witness cell, from its shape's witness-cell format."""
+    its witness cell, from its shape's witness-cell format, derived once per
+    (format, witness denominators)."""
+    derived = {}
     for (cells, witness), numbers in _formatted(records, lambda shape: (build(shape), _witness_format(shape)), built):
-        yield (*map(str, numbers[:3]), *cells, witness % _cell_values(numbers)[3:])
+        fmt = derived.get((witness, numbers[4::2]))
+        if fmt is None:
+            fmt = derived[witness, numbers[4::2]] = _derived_format(witness, (), numbers[4::2])
+        yield (*map(str, numbers[:3]), *cells, fmt % numbers[3::2])
 
 
 def _filter_rows(records):
@@ -342,7 +355,7 @@ def _csv_line_writer():
 def _record_csv_format(shape) -> str:
     """The format of the csv line of a ``filter`` row of a record of
     ``shape``.  csv quotes and escapes a cell by its literal text alone, as
-    neither ``%s`` nor a number's text holds a character it quotes."""
+    neither a slot's text nor a number's holds a character it quotes."""
     status, detail = shape[0].replace("%", "%%"), shape[1].replace("%", "%%")
     return _csv_line_writer().writerow(("%s", "%s", "%s", *_marks(shape), status, detail, _witness_format(shape)))
 
@@ -350,10 +363,15 @@ def _record_csv_format(shape) -> str:
 def _write_records_csv(records) -> None:
     """Write the ``filter`` csv table of ``records`` as ``_print_table("csv",
     FILTER_COLUMNS, _filter_rows(records))`` does, each row from its shape's
-    format, its slots filled with its row's numbers as text."""
-    sys.stdout.write(_csv_line_writer().writerow(FILTER_COLUMNS))
-    rows = _formatted(records, _record_csv_format, {})
-    sys.stdout.writelines(fmt % _cell_values(numbers) for fmt, numbers in rows)
+    format, derived once per (format, witness denominators)."""
+    write = sys.stdout.write
+    write(_csv_line_writer().writerow(FILTER_COLUMNS))
+    derived = {}
+    for fmt, numbers in _formatted(records, _record_csv_format, {}):
+        line = derived.get((fmt, numbers[4::2]))
+        if line is None:
+            line = derived[fmt, numbers[4::2]] = _derived_format(fmt, ("%d", "%d", "%d"), numbers[4::2])
+        write(line % (numbers[:3] + numbers[3::2]))
 
 
 REPLAY_COLUMNS = ["section", "e", "a", "b", "action", "outcome", "witness"]

@@ -1265,13 +1265,13 @@ def mostly(common, rare):
 FIXED_FIELDS = ("rule", "passed", "citation", "witness key", "witness kind", "status", "detail")
 
 
-def renumbered(rec: classify.CandidateRecord, draw) -> classify.CandidateRecord:
-    """``rec`` with other e, a, b and witness numbers: the same shape."""
+def renumbered(rec: classify.CandidateRecord, draw, numbers=slot_numbers) -> classify.CandidateRecord:
+    """``rec`` with other e, a, b and witness numbers, drawn from ``numbers``: the same shape."""
 
     def number(value):
         if type(value) is tuple:
             return tuple(map(number, value))
-        return draw(slot_numbers) if type(value) in (int, Fraction) else value
+        return draw(numbers) if type(value) in (int, Fraction) else value
 
     verdicts = tuple(
         classify.Verdict(v.rule, v.passed, {k: number(x) for k, x in v.witness.items()}, v.citation)
@@ -1422,6 +1422,21 @@ def test_every_writer_refuses_a_witness_outside_the_closed_kinds(kind):
         assert str(info.value).endswith(WITNESS_KINDS_RULE), name
 
 
+@pytest.mark.parametrize("value", [2.0, 1.5, (1, 2.5)], ids=["2.0", "1.5", "tuple"])
+def test_every_writer_refuses_a_float_witness_of_a_record_not_the_scans(value):
+    # a %d slot would print 2.0 as 2 and 1.5 as 1: each writer raises before
+    # it prints any of the record, after a record it has written
+    verdict = classify.Verdict("positivity", True, {"qa": Fraction(1, 2), "qb": value}, "c")
+    rec = classify.CandidateRecord(RankTwoData(-1, 76543, 3), (verdict,), "surviving", "")
+    for name, write in coordinate_writers(rec).items():
+        buf = io.StringIO()
+        with pytest.raises(TypeError) as info, contextlib.redirect_stdout(buf):
+            write()
+        assert str(info.value).startswith("witness 'qb' of rule 'positivity' is a "), name
+        assert str(info.value).endswith(WITNESS_KINDS_RULE), name
+        assert "76543" not in buf.getvalue(), name
+
+
 @given(records_of_one_shape())
 @example([COMMA_KEY, DIGIT_RUN_DETAIL, PERCENT_DETAIL])
 @example(WITNESS_KINDS)
@@ -1436,6 +1451,40 @@ def test_record_templates_match_json_dumps_on_records_of_one_shape(records):
 def test_record_templates_match_an_independent_csv_writer_on_records_of_one_shape(records):
     expected = csv_lines(FILTER_CSV_HEADER, map(filter_csv_cells, records))
     assert captured_stdout(_write_records_csv, records).splitlines(keepends=True) == expected
+
+
+# Witness numbers whose denominators come from a small pool with 1 in it, so
+# records of one shape share some denominator patterns and differ in others.
+pooled_numbers = st.builds(Fraction, big_ints, st.sampled_from((1, 2, 3, 10**15 + 4)))
+
+
+@st.composite
+def records_of_one_shape_and_pooled_denominators(draw) -> list:
+    """A record whose verdicts follow FILTER_RULES up to some rule, its
+    witness numbers from ``pooled_numbers``, and copies of it with other
+    numbers from the same pool: one shape, each copy's own denominators."""
+    witness = st.dictionaries(format_text, st.none() | st.booleans() | pooled_numbers
+                              | st.lists(pooled_numbers, max_size=3).map(tuple), max_size=4)
+    verdicts = tuple(
+        classify.Verdict(rule, draw(st.booleans()), draw(witness), draw(format_text))
+        for rule in classify.FILTER_RULES[:draw(st.integers(1, len(classify.FILTER_RULES)))]
+    )
+    base = classify.CandidateRecord(RankTwoData(*(draw(big_ints) for _ in range(3))), verdicts,
+                                    draw(format_text), draw(format_text))
+    return [base, *(renumbered(base, draw, pooled_numbers) for _ in range(draw(st.integers(1, 6))))]
+
+
+# csv and the plain tables write each record from the format derived for its
+# shape and its witness denominators: a format kept for another pattern of
+# denominators, or one that writes n/1, shows here.
+@given(records_of_one_shape_and_pooled_denominators())
+@example([with_witness(Fraction(1, 2)), with_witness(1), with_witness(Fraction(2, 3)), with_witness(Fraction(1, 2))])
+@example([PERCENT_DETAIL._replace(verdicts=with_witness(Fraction(n, d)).verdicts) for n, d in ((1, 2), (3, 1))])
+def test_denominator_formats_match_the_oracles_on_records_of_one_shape(records):
+    assert_records_written_as_json_dumps(records)
+    expected = csv_lines(FILTER_CSV_HEADER, map(filter_csv_cells, records))
+    assert captured_stdout(_write_records_csv, records).splitlines(keepends=True) == expected
+    assert general_csv(records).splitlines(keepends=True) == expected
 
 
 # -- one real subprocess pass through the module entry point -------------------------
