@@ -523,10 +523,6 @@ class ScanRecords(Sequence):
     def __repr__(self) -> str:
         return repr(tuple(self))
 
-    def stops(self) -> list[int]:
-        """Each row's stop point, read off its key."""
-        return [key[0] for key, _ in self.rows]
-
 
 @lru_cache(maxsize=1)
 def enumerate_candidates() -> ScanRecords:
@@ -605,7 +601,7 @@ def step1_survivors(records: ScanRecords) -> list[CandidateRecord]:
     eliminates, counted from the rows' stop points, the candidate table, and
     the one Griffiths elimination and its witness; raises
     :class:`ReplayMismatch` at step1 on any difference."""
-    stops = Counter(records.stops())
+    stops = Counter(key[0] for key, _ in records.rows)
     _expect(
         "step1",
         "the number of candidates each filter eliminates",

@@ -15,22 +15,24 @@ A candidate record is written from ``%``-formats built from its shape, with
 every literal ``%`` doubled: ``_record_json_format`` (bytes, a ``%d`` slot
 per number), ``_record_csv_format`` (a ``filter`` csv line) and
 ``_witness_format`` (the witness cell of the plain tables and the ``replay``
-csv).  Every writer reads a record as a (key, numbers) row through one
-loop, ``_formatted``, which builds each format once per row key, in a dict
-local to the render call; no rendered text outlives the call.  The numbers
-are ints: e, a, b, then each witness number as its reduced (numerator,
-denominator) pair.  JSON fills its slots with them; csv and the plain
-tables fill a format derived for the row's witness denominators
-(``_derived_format``) with e, a, b and the numerators.
+csv).  ``_record_shape`` gives a record's shape, its status, detail and per
+verdict the rule, passed, citation and (key, kind) pairs of the witness, and
+its numbers, all ints: e, a, b, then each witness number as its reduced
+(numerator, denominator) pair.  Every writer reads records as (key, numbers)
+rows through one loop, ``_formatted``, which builds each format once per row
+key, in a dict local to the render call; no rendered text outlives the call.
+A scan's records, the ``ScanRecords`` that ``enumerate_candidates`` returns,
+are read as their own rows, made by the scan in ints: a key is the stop point
+and the witness schema of each rule applied, which fix the record's shape,
+and its formats are built from the record of its first row, so no other scan
+record is built to be written.  Any other record's row is its
+``_record_shape``, keyed by the shape.  JSON fills its slots with the
+numbers, and every JSON list, of records or of final-list entries, is
+written by ``_write_json_list``.  csv and the plain tables fill a format
+derived per (format, witness denominators) (``_derived_format``) with e, a,
+b and the numerators.
 
-Only the source of the rows differs (``_record_rows``).  The scan's records,
-the ``ScanRecords`` that ``enumerate_candidates`` returns, hold their rows,
-made by the scan in ints: a row's key is its stop point and the witness
-schema of each rule applied, which fix its record's shape, and the key's
-shape is ``_record_shape`` of the record built for its first row.  So no
-other scan record is built to be written.  Any other record's row is
-``_record_row``: its ``_record_shape``, as key, with its numbers.  So
-``_record_shape`` alone classifies a witness value, from a closed set of
+So ``_record_shape`` alone classifies a witness value, from a closed set of
 kinds: True, False, None, an int or a Fraction, and a tuple of ints and
 Fractions (a SplittingType too); any other raises TypeError, also where a
 scan rule's schema holds it.  Every writer prints a coordinate e, a, b as
@@ -56,7 +58,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from types import SimpleNamespace
@@ -107,20 +108,18 @@ MAX_USAGE_MESSAGE = 200
 # -- rendering helpers ---------------------------------------------------------
 
 
-def _frac_json(value: int | Fraction) -> dict:
-    return {"num": str(value.numerator), "den": str(value.denominator)}
-
-
-def _write_json_list(items, text, newline: str) -> None:
-    """Write ``items``, any iterable, to stdout as ``json.dumps(indent=2)``
-    lays out a list at the indent of ``newline``: each item is ``text(item,
-    inner)``, written with the separator before it in one write, so the list
-    is never held whole."""
+def _write_json_list(texts, newline: str) -> None:
+    """Write ``texts``, the JSON texts of a list's items at the indent of
+    ``newline`` and two spaces, to stdout as ``json.dumps(indent=2)`` lays
+    out the list at the indent of ``newline``: the separator, then the item,
+    two writes per item (they cost less than one join), so the list is never
+    held whole."""
     write = sys.stdout.write
     inner = newline + "  "
     first = sep = "[" + inner
-    for item in items:
-        write(sep + text(item, inner))
+    for text in texts:
+        write(sep)
+        write(text)
         sep = "," + inner
     write("[]" if sep is first else newline + "]")
 
@@ -141,7 +140,7 @@ def _print_table(fmt: str, columns: list[str], rows) -> None:
 
 def _emit_scalar(value: Fraction, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(_frac_json(value)))
+        print(json.dumps({"num": str(value.numerator), "den": str(value.denominator)}))
     else:
         print(value)
 
@@ -155,49 +154,37 @@ def _record_shape(rec: CandidateRecord):
     """The shape of ``rec`` and its numbers; the one classifier of witness values.
 
     The shape fixes every byte of the record's text but e, a, b and the
-    witness numbers: status, detail, and per verdict the tuple of its rule,
-    passed, citation and witness keys, then each witness value's kind: True,
-    False and None as themselves, an int or a Fraction as the class Fraction,
-    a tuple of them as a tuple of the class Fraction (never its length, or a
-    1-tuple would share a shape with True).  Any other value raises
-    TypeError.  The numbers are e, a, b, then the witness numbers in order;
-    e, a, b are ints, made so by ``int.__index__`` if they are not (a
-    Fraction or a float raises TypeError, a bool is 1 or 0), so no ``%d``
-    slot truncates one and every writer prints them alike."""
-    numbers = list(rec.data)
-    if not (type(numbers[0]) is int and type(numbers[1]) is int and type(numbers[2]) is int):
-        numbers = [*map(int.__index__, numbers)]
-    shape = [rec.status, rec.detail]
+    witness numbers: (status, detail, verdicts), each verdict its rule,
+    passed, citation and the (key, kind) pair of each witness value.  The
+    kind of True, False and None is the value itself, of an int or a
+    Fraction the class Fraction, of a tuple of them a tuple of the class
+    Fraction (never its length, or a 1-tuple would share a shape with True).
+    Any other value raises TypeError.  The numbers are ints: e, a, b, made
+    so by ``int.__index__`` (a Fraction or a float raises TypeError, a bool
+    is 1 or 0, so no ``%d`` slot truncates one and every writer prints them
+    alike), then each witness number's reduced (numerator, denominator)."""
+    numbers = [*map(int.__index__, rec.data)]
+    verdicts = []
     for v in rec.verdicts:
-        witness = v.witness
-        shape.append((v.rule, v.passed, v.citation, *witness))
-        for value in witness.values():
+        kinds = []
+        for key, value in v.witness.items():
             kind = type(value)
             if kind is int or kind is Fraction:
-                numbers.append(value)
-                shape.append(Fraction)
+                numbers += value.as_integer_ratio()
+                kinds.append((key, Fraction))
             elif value is True or value is False or value is None:
-                shape.append(value)
+                kinds.append((key, value))
             elif isinstance(value, tuple) and _NUMBER_TYPES.issuperset(map(type, value)):
-                numbers += value
-                shape.append((Fraction,) * len(value))
+                for x in value:
+                    numbers += x.as_integer_ratio()
+                kinds.append((key, (Fraction,) * len(value)))
             else:
-                key = next(k for k, x in witness.items() if x is value)
                 raise TypeError(
                     f"witness {key!r} of rule {v.rule!r} is a {kind.__name__}: a witness is True, "
                     "False, None, an int, a Fraction or a tuple of ints and Fractions"
                 )
-    return tuple(shape), numbers
-
-
-def _shape_verdicts(shape):
-    """The verdicts of a record shape, each as its rule, passed, citation and
-    the (key, kind) pairs of its witness."""
-    i = 2
-    while i < len(shape):
-        rule, passed, citation, *keys = shape[i]
-        i += 1 + len(keys)
-        yield rule, passed, citation, zip(keys, shape[i - len(keys):i])
+        verdicts.append((v.rule, v.passed, v.citation, tuple(kinds)))
+    return (rec.status, rec.detail, tuple(verdicts)), tuple(numbers)
 
 
 def _json_string(text: str) -> str:
@@ -230,7 +217,7 @@ def _record_json_format(shape, newline: str) -> bytes:
     field = item + "  "  # their keys
     entry = field + "  "  # the witness keys
     verdicts = []
-    for rule, passed, citation, witness in _shape_verdicts(shape):
+    for rule, passed, citation, witness in shape[2]:
         witness = ",".join([
             f"{entry}{_json_string(k)}: {_witness_json_format(kind, entry)}" for k, kind in witness
         ])
@@ -249,59 +236,41 @@ def _record_json_format(shape, newline: str) -> bytes:
     ).encode()
 
 
-def _record_row(rec: CandidateRecord) -> tuple:
-    """The row of a record that is not a scan's: its ``_record_shape``, which
-    is also its key, and its numbers, each witness number as its (numerator,
-    denominator) pair."""
-    shape, numbers = _record_shape(rec)
-    return shape, (*numbers[:3], *chain.from_iterable(n.as_integer_ratio() for n in numbers[3:]))
-
-
-def _scan_shape(row) -> tuple:
-    """The shape of the record of a scan row."""
-    return _record_shape(scan_record(row))[0]
-
-
-def _record_rows(records):
-    """The (key, numbers) row of each record, and the function from a row to
-    its record's shape.  A scan's rows are its own; any other record's row is
-    ``_record_row``, whose key is the shape."""
-    if type(records) is ScanRecords:
-        return records.rows, _scan_shape
-    return map(_record_row, records), itemgetter(0)
-
-
 def _formatted(records, build, built: dict):
     """Each record as (``build(shape)`` of its shape, its numbers), made once
-    per row key in ``built``, a dict that lives as long as the render; a scan
-    row's key gets the shape of the record built for its first row."""
-    rows, shape_of = _record_rows(records)
-    for row in rows:
+    per row key in ``built``, a dict that lives as long as the render.  A
+    scan's rows are its own, and a key's shape is that of the record built
+    for its first row; any other record's row is its ``_record_shape``,
+    keyed by the shape."""
+    scan = type(records) is ScanRecords
+    for row in records.rows if scan else map(_record_shape, records):
         made = built.get(row[0])
         if made is None:
-            made = built[row[0]] = build(shape_of(row))
+            made = built[row[0]] = build(_record_shape(scan_record(row))[0] if scan else row[0])
         yield made, row[1]
 
 
 def _write_records_json(records, newline: str) -> None:
     """Write ``records`` as ``json.dumps(indent=2)`` lays out their list at
     the indent of ``newline``, each from its shape's byte format, its slots
-    filled with its row's numbers (two writes cost less than one join)."""
-    write = sys.stdout.write
+    filled with its row's numbers."""
     inner = newline + "  "
-    first = sep = "[" + inner
-    for fmt, numbers in _formatted(records, lambda shape: _record_json_format(shape, inner), {}):
-        write(sep)
-        write((fmt % numbers).decode())
-        sep = "," + inner
-    write("[]" if sep is first else newline + "]")
+    formatted = _formatted(records, lambda shape: _record_json_format(shape, inner), {})
+    _write_json_list(((fmt % numbers).decode() for fmt, numbers in formatted), newline)
 
 
-def _derived_format(fmt: str, lead: tuple, denominators) -> str:
-    """``fmt``, its ``%%`` kept and its ``%s`` slots filled by the texts
-    ``lead``, then by ``%d``, or ``%d/d`` for a witness denominator d other
-    than 1, as ``str(Fraction)`` writes a number."""
-    return fmt.replace("%%", "%%%%") % (*lead, *["%d" if d == 1 else f"%d/{d}" for d in denominators])
+def _derived_format(derived: dict, fmt: str, lead: tuple, numbers) -> str:
+    """``fmt`` for a row of ``numbers``, made once per (format, witness
+    denominators) in ``derived``: its ``%%`` kept and its ``%s`` slots filled
+    by the texts ``lead``, then by ``%d``, or ``%d/d`` for a witness
+    denominator d other than 1, as ``str(Fraction)`` writes a number."""
+    denominators = numbers[4::2]
+    line = derived.get((fmt, denominators))
+    if line is None:
+        line = derived[fmt, denominators] = fmt.replace("%%", "%%%%") % (
+            *lead, *["%d" if d == 1 else f"%d/{d}" for d in denominators]
+        )
+    return line
 
 
 # The witness cell text of each kind but a tuple, in a format.
@@ -316,7 +285,7 @@ def _witness_format(shape) -> str:
     return ";".join([
         f"{k.replace('%', '%%')}="
         + ("|".join(["%s"] * len(kind)) if type(kind) is tuple else _WITNESS_CELL_TEXT[kind])
-        for *_, witness in _shape_verdicts(shape) for k, kind in witness
+        for *_, witness in shape[2] for k, kind in witness
     ])
 
 
@@ -324,20 +293,16 @@ def _marks(shape) -> list:
     """The rule cells of a ``filter`` row of a record of ``shape``: the
     verdicts follow FILTER_RULES up to the first failure, each marked pass or
     fail; later rules stay blank."""
-    passes = [passed for _, passed, _, _ in _shape_verdicts(shape)]
+    passes = [passed for _, passed, _, _ in shape[2]]
     return ["pass" if p else "fail" for p in passes] + [""] * (len(FILTER_RULES) - len(passes))
 
 
 def _table_rows(records, build, built: dict):
     """Each record's cells: e, a, b, then ``build(shape)`` of its shape, then
-    its witness cell, from its shape's witness-cell format, derived once per
-    (format, witness denominators)."""
+    its witness cell, from its shape's witness-cell format."""
     derived = {}
     for (cells, witness), numbers in _formatted(records, lambda shape: (build(shape), _witness_format(shape)), built):
-        fmt = derived.get((witness, numbers[4::2]))
-        if fmt is None:
-            fmt = derived[witness, numbers[4::2]] = _derived_format(witness, (), numbers[4::2])
-        yield (*map(str, numbers[:3]), *cells, fmt % numbers[3::2])
+        yield (*map(str, numbers[:3]), *cells, _derived_format(derived, witness, (), numbers) % numbers[3::2])
 
 
 def _filter_rows(records):
@@ -363,15 +328,12 @@ def _record_csv_format(shape) -> str:
 def _write_records_csv(records) -> None:
     """Write the ``filter`` csv table of ``records`` as ``_print_table("csv",
     FILTER_COLUMNS, _filter_rows(records))`` does, each row from its shape's
-    format, derived once per (format, witness denominators)."""
+    format, derived for its witness denominators."""
     write = sys.stdout.write
     write(_csv_line_writer().writerow(FILTER_COLUMNS))
     derived = {}
     for fmt, numbers in _formatted(records, _record_csv_format, {}):
-        line = derived.get((fmt, numbers[4::2]))
-        if line is None:
-            line = derived[fmt, numbers[4::2]] = _derived_format(fmt, ("%d", "%d", "%d"), numbers[4::2])
-        write(line % (numbers[:3] + numbers[3::2]))
+        write(_derived_format(derived, fmt, ("%d", "%d", "%d"), numbers) % (numbers[:3] + numbers[3::2]))
 
 
 REPLAY_COLUMNS = ["section", "e", "a", "b", "action", "outcome", "witness"]
@@ -527,7 +489,7 @@ def cmd_replay(args) -> int:
             _write_records_json(records, "\n  ")
             sep = ","
         sys.stdout.write(',\n  "final_list": ')
-        _write_json_list(report.final_list, _final_json_text, "\n  ")
+        _write_json_list((_final_json_text(entry, "\n    ") for entry in report.final_list), "\n  ")
         sys.stdout.write("\n}\n")
     else:
         _print_table(args.format, REPLAY_COLUMNS, _replay_rows(sections, report.final_list))

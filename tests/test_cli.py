@@ -614,7 +614,7 @@ def json_dumps_at_depth(forms: list, depth: int) -> str:
 
 def test_list_writer_writes_an_empty_list_as_json_dumps():
     for depth in (0, 1):
-        assert captured_json(depth, _write_json_list, [], _final_json_text) == json_dumps_at_depth([], depth)
+        assert captured_json(depth, _write_json_list, []) == json_dumps_at_depth([], depth)
         assert captured_json(depth, _write_records_json, []) == json_dumps_at_depth([], depth)
 
 
@@ -737,10 +737,16 @@ def final_json_form(entry: classify.BundleType) -> dict:
     }
 
 
+def write_final_list(entries, newline: str) -> None:
+    """The list of ``entries`` at the indent of ``newline`` as ``replay`` writes
+    its final list: each entry's text at the list's item indent."""
+    _write_json_list((_final_json_text(entry, newline + "  ") for entry in entries), newline)
+
+
 def assert_entries_written_as_json_dumps(entries) -> None:
     forms = [final_json_form(entry) for entry in entries]
     for depth in (0, 1):
-        got = captured_json(depth, _write_json_list, entries, _final_json_text)
+        got = captured_json(depth, write_final_list, entries)
         assert got == json_dumps_at_depth(forms, depth), depth
 
 
@@ -1067,13 +1073,13 @@ def fresh_scan():
 
 def assert_rows_are_the_record_shapes(records) -> None:
     """The shape and numbers each writer reads for a record, through the
-    writers' one loop, are its ``_record_shape`` with every witness number as
-    its reduced pair of ints: a row's key, whose shape is that of the record
-    built for its first row, never stands for a record of another shape."""
+    writers' one loop, are its ``_record_shape``, every number an int and each
+    witness number a reduced pair: a row's key, whose shape is that of the
+    record built for its first row, never stands for a record of another shape."""
     written = list(cli._formatted(records, lambda shape: shape, {}))
     assert len(written) == len(records)
     for rec, (shape, numbers) in zip(records, written):
-        assert (shape, numbers) == cli._record_row(rec), rec.data
+        assert (shape, numbers) == _record_shape(rec), rec.data
         assert all(type(n) is int for n in numbers), rec.data
 
 
@@ -1118,7 +1124,6 @@ def test_scan_rows_are_the_record_shapes_and_follow_a_new_scan(monkeypatch, fres
     scan = classify.enumerate_candidates()
     assert type(scan) is classify.ScanRecords
     assert_rows_are_the_record_shapes(scan)
-    assert cli._record_rows(scan)[0] is scan.rows  # built once per scan, by the scan
     # a square of the same size one step lower, with only the scan's cache
     # cleared: the rows follow the new records
     monkeypatch.setattr(classify, "SCAN_LO", classify.SCAN_LO - 1)
