@@ -22,8 +22,16 @@ the Todd weights, the total Chern class) is one call of
 ``chow.linear_combination``, so no term builds its own product, scaled copy
 or partial sum.  A class is split by degree in one pass
 (``ChowClass.graded_pieces``).  The tangent bundle's power sums are read
-once off its Chern character (``tangent_power_sums``); its Chern classes
-and its Todd class both start from them.
+once off its Chern character ch(T) = ch(S-dual) * ch(Q)
+(``tangent_power_sums``); its Chern classes and its Todd class both start
+from them.  The two factors come from the hook formula, with no Newton
+recurrence and no product: p_m(Q) is the signed sum of the hook classes of
+size m in the box (the Murnaghan-Nakayama rule, Macdonald, Symmetric
+Functions and Hall Polynomials, I.3 Ex. 11, read with sigma_la = s_la'(Q)),
+and p_m(S-dual) = (-1)^(m+1) p_m(Q) since S + Q is trivial, so each
+character is one ``linear_combination`` of basis classes over dim!, and
+their product is the one product.  Newton's identities
+(``ChernVector.power_sums``) serve every other bundle.
 
 Rank-two data (e, a, b) on a ring of lines is twisted in its coordinates by
 ``RankTwoData.twisted``, which every pipeline path uses; a bundle v of any
@@ -484,10 +492,28 @@ def _power_sums_from_character(ring: GrassmannRing, rank: int, character: ChowCl
 def tangent_power_sums(ring: GrassmannRing) -> PowerSumVector:
     """Power sums of the Chern roots of the tangent bundle of G(k, n), read
     off ch(T) = ch(S-dual) * ch(Q); its Chern classes and its Todd class
-    both start here."""
-    sub_dual = tautological_subbundle(ring).dual()
-    quotient = tautological_quotient(ring)
-    return _power_sums_from_character(ring, sub_dual.rank * quotient.rank, sub_dual.ch() * quotient.ch())
+    both start here.
+
+    The two factors need no product: with sigma_la = s_la'(Q), the
+    Murnaghan-Nakayama rule (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.3 Ex. 11) gives p_m(Q) as the signed sum of the hooks
+    of the box, sum_r (-1)^r sigma_(r+1, 1^(m-1-r)), and S + Q trivial
+    gives p_m(S-dual) = (-1)^(m+1) p_m(Q), so each character is one
+    combination of basis classes over dim!."""
+    rows, cols = ring.box  # the ranks of S-dual and Q
+    dim = ring.dimension
+    d = factorial(dim)
+    # (m, the weight of the hook in p_m(Q) / m! over d, the hook's class)
+    hooks = [
+        (m, (-1) ** r * (d // factorial(m)), ChowClass._raw(ring, {(r + 1,) + (1,) * (m - 1 - r): 1}))
+        for m in range(1, dim + 1)
+        for r in range(min(m, cols))
+        if m - r <= rows
+    ]
+    one = ring.one()
+    quotient = linear_combination(ring, [(cols * d, one), *((w, x) for _, w, x in hooks)], d)
+    sub_dual = linear_combination(ring, [(rows * d, one), *(((-1) ** (m + 1) * w, x) for m, w, x in hooks)], d)
+    return _power_sums_from_character(ring, rows * cols, sub_dual * quotient)
 
 
 @lru_cache(maxsize=None)

@@ -3,7 +3,8 @@
 The Euler characteristic of a bundle is the exact rational
 ``integral(ch(E) * td(T))``, read as one Poincare pairing; it is an integer
 whenever the Chern data comes from an actual bundle, and the value is
-returned unreduced as a Fraction so integrality filters can see a failure.
+returned as a Fraction, exact and never rounded, so integrality filters can
+see a failure.
 ``euler_polynomial`` packages chi(E(k)) as a polynomial in the twist k:
 twisting multiplies ch(E) by exp(k*h), so the coefficient of k^j is the
 pairing of ch(E) with h^j * td(T) / j!.

@@ -283,6 +283,39 @@ def test_tautological_sequence(ring_args):
     assert product == ring.one()
 
 
+# every G(k, n) of dimension at most 20, dual pairs G(k, n) and G(n-k-1, n) both
+SMALL_RINGS = [(k, n) for n in range(1, 21) for k in range(n) if (k + 1) * (n - k) <= 20]
+
+
+def _hook_power_sum(ring, m):
+    """p_m(Q) by the Murnaghan-Nakayama rule read with sigma_la = s_la'(Q):
+    the hooks of size m in the box, each signed by (-1)^(arm length)."""
+    acc = ring.zero()
+    for la in ring.basis(m):
+        if all(part == 1 for part in la[1:]):
+            acc = acc + (-1) ** (la[0] - 1) * ring.sigma(la)
+    return acc
+
+
+def test_tangent_power_sums_closed_form_matches_newton_on_every_small_ring():
+    # the hook sums against Newton's identities on the Chern classes of Q
+    # and of S-dual, then the tangent's power sums against the character
+    # product of the two Newton paths, field for field
+    assert len(SMALL_RINGS) == 66
+    for ring_args in SMALL_RINGS:
+        ring = GrassmannRing(*ring_args)
+        quotient = tautological_quotient(ring)
+        sub_dual = tautological_subbundle(ring).dual()
+        for m in range(1, ring.dimension + 1):
+            hooks = _hook_power_sum(ring, m)
+            assert quotient.power_sums().p[m] == hooks, (ring_args, m)
+            assert sub_dual.power_sums().p[m] == (-1) ** (m + 1) * hooks, (ring_args, m)
+        rank = sub_dual.rank * quotient.rank
+        newton = charclass._power_sums_from_character(ring, rank, sub_dual.ch() * quotient.ch())
+        got = charclass.tangent_power_sums(ring)
+        assert (got.ring, got.rank, got.p) == (newton.ring, newton.rank, newton.p), ring_args
+
+
 def test_chern_from_character_round_trip(g14):
     # the power sums read off the character, p_m = m! * ch_m, give the Chern classes back
     rng = random.Random(555)

@@ -17,6 +17,7 @@ from schubert import (
     tautological_quotient,
     tautological_subbundle,
 )
+from schubert.classify import STEP3_TABLE, STEP4_TABLE, restriction_to_p3
 from schubert.hrr import chi_form, tangent_todd
 
 from oracles import bott_chi, line_bundle_chi, lower_set, twist
@@ -300,3 +301,27 @@ def test_sym2_and_wedge2_chi_match_bott_through_adams_operations(ring_args):
             expected = bott_chi(k, n, tuple(a + t for a in alpha), beta)
             got = (ch_square * line_bundle(ring, t).ch()).pair(todd)
             assert got == expected, (bundle, sign, t)
+
+
+def test_restricted_chi_matches_the_koszul_complex_of_a_section_of_q(g14):
+    # The P^3 of lines through a point is the zero locus of a regular section
+    # of Q (rank 3), so its structure sheaf is resolved by the Koszul complex
+    # 0 -> Wedge^3 Q* -> Wedge^2 Q* -> Q* -> O (Eisenbud, Commutative Algebra,
+    # ch. 17); with Wedge^2 Q* = Q(-1) and Wedge^3 Q* = O(-1),
+    # chi(E|P^3 (t)) = chi(E(t)) - chi(E(t) x Q*) + chi(E(t-1) x Q) - chi(E(t-1)).
+    # The right side is one character paired with the Todd class of G(1,4),
+    # with no code of the P^3 path.
+    todd = tangent_todd(g14)
+    q = tautological_quotient(g14)
+    ch_q, ch_q_dual = q.ch(), q.dual().ch()
+    koszul = g14.one() - ch_q_dual + (ch_q - g14.one()) * line_bundle(g14, -1).ch()
+    points = [(*data, t) for data, _ in STEP3_TABLE + STEP4_TABLE for t in range(-3, 3)]
+    rng = random.Random(1517)
+    points += [
+        (rng.randint(-3, 3), rng.randint(-12, 12), rng.randint(-12, 12), rng.randint(-3, 3)) for _ in range(100)
+    ]
+    assert len(points) == 148
+    for e, a, b, t in points:
+        ch_e = rank_two_chern(g14, RankTwoData(e, a, b)).ch()
+        expected = (ch_e * (koszul * line_bundle(g14, t).ch())).pair(todd)
+        assert chi_p3(*restriction_to_p3(e, a, b), t) == expected, (e, a, b, t)
