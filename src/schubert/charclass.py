@@ -30,7 +30,10 @@ size m in the box (the Murnaghan-Nakayama rule, Macdonald, Symmetric
 Functions and Hall Polynomials, I.3 Ex. 11, read with sigma_la = s_la'(Q)),
 and p_m(S-dual) = (-1)^(m+1) p_m(Q) since S + Q is trivial, so each
 character is one ``linear_combination`` of basis classes over dim!, and
-their product is the one product.  Newton's identities
+their product is the one product.  A bundle with no Chern class above c1,
+a line bundle O(t) among them, has c1 = s*h and p_m = s^m * h^m, read off
+the closed form of the hyperplane powers (``GrassmannRing.hyperplane_powers``,
+the standard tableau counts) with no product.  Newton's identities
 (``ChernVector.power_sums``) serve every other bundle.
 
 Rank-two data (e, a, b) on a ring of lines is twisted in its coordinates by
@@ -114,8 +117,18 @@ class ChernVector:
 
     def power_sums(self) -> PowerSumVector:
         """Power sums of the Chern roots via Newton's identities:
-        p_m = c1*p_{m-1} - c2*p_{m-2} + ... + (-1)^{m-1} m*c_m."""
+        p_m = c1*p_{m-1} - c2*p_{m-2} + ... + (-1)^{m-1} m*c_m.
+
+        With no Chern class above c1, as for a line bundle, they are the
+        powers c1^m with no product: sigma_1 spans degree 1, so c1 = (x/q)*h
+        and p_m = (x/q)^m * h^m, read off ``hyperplane_powers``."""
         ring, c = self.ring, self.c
+        if not any(c[2:]):
+            x, q = c[1].num.get((1,), 0), c[1].den
+            p = [ring.zero()]
+            for m, hm in enumerate(ring.hyperplane_powers()[1:], 1):
+                p.append(ChowClass._raw(ring, {la: x**m * f for la, f in hm.num.items()} if x else {}, q**m))
+            return PowerSumVector(ring, self.rank, tuple(p))
         one = ring.one()
         # the nonzero c_i with their signs, and the nonzero p_j met so far
         signed = [(i, -1 if i % 2 == 0 else 1, c[i]) for i in range(1, ring.dimension + 1) if c[i]]

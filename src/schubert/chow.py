@@ -35,7 +35,9 @@ indices, gathered in one dict per index of the larger degree, so no pair
 of indices is built or hashed per coefficient.  So each LR triple is
 enumerated once, and no empty row is ever enumerated.  A row whose skew
 shape falls apart into pieces is the product of the pieces' expansions,
-which ``partitions`` enumerates once per set of pieces.  Rings
+which ``partitions`` enumerates once per set of pieces.  The powers of the
+hyperplane class need no product at all: ``hyperplane_powers`` reads them
+off the standard tableau counts, one cached tuple per ring.  Rings
 are immutable and shareable; a box has one cache, ``_tables``, holding its
 product table with its dual indices and its grades, all pure caches
 (identical inputs always produce identical rows, only complete rows are
@@ -146,17 +148,41 @@ class GrassmannRing(_RingFields):
             raise ValueError(f"need 0 <= i < j <= {self.n}, got ({i}, {j})")
         return self.sigma((self.n - 1 - i, self.n - j))
 
+    @lru_cache(maxsize=None)
     def hyperplane_powers(self) -> tuple[ChowClass, ...]:
-        """h^0, h^1, ..., h^dim for the ample generator h, each a full product."""
-        h = self.hyperplane()
+        """h^0, h^1, ..., h^dim for the ample generator h, with no product.
+
+        By Pieri's rule one box at a time, h^m is the sum of f^la * sigma_la
+        over the la of size m in the box, f^la the number of standard
+        tableaux of shape la (Fulton, Young Tableaux, 1997, 9.4; the hook
+        length formula of Frame, Robinson and Thrall, 1954).  The counts come
+        from one walk up Young's lattice in the box: f^nu is the sum of f^la
+        over the la that nu covers.  Cached per ring (never mutate)."""
+        rows, cols = self.box
+        counts: dict[Partition, int] = {(): 1}
         powers = [self.one()]
         for _ in range(self.dimension):
-            powers.append(powers[-1] * h)
+            covers: dict[Partition, int] = {}
+            for la, f in counts.items():
+                # one box added at the end of row i, inside the box and below a longer row
+                for i in range(min(len(la) + 1, rows)):
+                    part = la[i] if i < len(la) else 0
+                    if part < (la[i - 1] if i else cols):
+                        nu = la[:i] + (part + 1,) + la[i + 1 :]
+                        covers[nu] = covers.get(nu, 0) + f
+            counts = covers
+            powers.append(ChowClass._raw(self, counts))
         return tuple(powers)
 
     def plucker_degree(self) -> int:
-        """Degree of the ring's variety in its Plucker embedding."""
-        deg = self.hyperplane_powers()[-1].integrate()
+        """Degree of the ring's variety in its Plucker embedding: the
+        integral of h^dim, built as its own product chain h * h * ... * h,
+        which the tests read as the oracle of ``hyperplane_powers``."""
+        h = self.hyperplane()
+        power = self.one()
+        for _ in range(self.dimension):
+            power = power * h
+        deg = power.integrate()
         if deg.denominator != 1:
             raise ArithmeticError(f"the Plucker degree of {self} came out as {deg}, not an integer")
         return deg.numerator

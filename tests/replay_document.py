@@ -8,8 +8,10 @@ From the parsed JSON alone it derives once more what the paper's rules fix:
   counts by status and detail (53 / 936 / 459 / 1 eliminated, 9 surviving);
 - each positivity witness as (qa, qb) = (a, b) + m*e + m^2, m = (5 - e)/2,
   the slope of the ample Q-twist E(m);
-- each Schur verdict from the classical bounds a <= 6 and a + b <= 12
-  (e = 0) or 13 (e = -1);
+- each Schur witness, the two pairings of s_(3)(E(m)), from the printed
+  positivity witness (qa, qb) and e' = e + 2m = 5, and each Schur verdict
+  both from the classical bounds a <= 6 and a + b <= 12 (e = 0) or 13
+  (e = -1) and as "both pairings >= 0";
 - each integrality verdict as "every printed chi has den 1";
 - the Griffiths verdicts: chi(E(5)) read at e = -1 only, equal to the chi
   at k = 5 of the integrality witness, and negative at (-1, 6, 6) alone,
@@ -46,6 +48,15 @@ SCAN_COUNTS = {
 }
 SCHUR_A_MAX = 6
 SCHUR_SUM_MAX = {0: 12, -1: 13}
+# The Schur rule pairs s_(3) = c1^3 - 2*c1*c2 of E(m), whose data is
+# c1 = e'*s(1) and c2 = qa*s(2) + qb*s(1,1), with s(3) (lines through a
+# point) and with s(2,1) (the pairing keyed by lines in a hyperplane).  By
+# Pieri's rule (Fulton, Young Tableaux, 1997, 9.4) the integrals over G(1,4)
+# of s(1)^3, s(1)*s(2) and s(1)*s(1,1) times each cycle are:
+SCHUR_PAIRING_NUMBERS = {
+    "pairing_lines_through_point": (1, 1, 0),
+    "pairing_lines_in_hyperplane": (2, 1, 1),
+}
 CHI_TWISTS = 7  # chi(E(k)) for k = 0..6, the dimension of G(1,4)
 GRIFFITHS_DATA = (-1, 6, 6)
 GRIFFITHS_CHI5 = {"num": "-935", "den": "1"}
@@ -87,14 +98,15 @@ def coordinates(rec) -> tuple:
     return data
 
 
-def check_verdict(verdict, data) -> bool:
+def check_verdict(verdict, data, positivity) -> bool:
     """Whether the scan verdict ``verdict`` at ``data`` passed, once its
-    witness has been derived again from the rules."""
+    witness has been derived again from the rules; ``positivity`` is the
+    printed witness of the record's positivity verdict."""
     e, a, b = data
     rule, witness, passed = verdict["rule"], verdict["witness"], verdict["passed"]
     where = f"{rule} at {data}"
+    m = Fraction(5 - e, 2)  # the slope of the ample Q-twist E(m)
     if rule == "positivity":
-        m = Fraction(5 - e, 2)
         expect(f"{where}: witness keys", list(witness), ["qa", "qb"])
         qa, qb = (rational(witness[k], f"{where}: {k}") for k in ("qa", "qb"))
         expect(f"{where}: (qa, qb)", (qa, qb), (a + m * e + m * m, b + m * e + m * m))
@@ -104,7 +116,14 @@ def check_verdict(verdict, data) -> bool:
         expect(f"{where}: witness keys", list(witness), keys)
         point, hyper = (rational(witness[k], f"{where}: {k}") for k in keys[:2])
         expect(f"{where}: strict_positive", witness["strict_positive"], point > 0 and hyper > 0)
+        qa, qb = (rational(positivity[k], f"{where}: printed {k}") for k in ("qa", "qb"))
+        twisted_e = e + 2 * m
+        for key, pairing in zip(keys, (point, hyper)):
+            cubed, with_s2, with_s11 = SCHUR_PAIRING_NUMBERS[key]
+            derived = twisted_e**3 * cubed - 2 * twisted_e * (qa * with_s2 + qb * with_s11)
+            expect(f"{where}: {key}", pairing, derived)
         expected = a <= SCHUR_A_MAX and a + b <= SCHUR_SUM_MAX[e]
+        expect(f"{where}: passed, against both pairings >= 0", passed, point >= 0 and hyper >= 0)
     elif rule == "schwarzenberger":
         expect(f"{where}: witness keys", list(witness), ["chi"])
         chi = [rational(x, f"{where}: chi") for x in witness["chi"]]
@@ -134,7 +153,7 @@ def check_scan(records) -> list:
         verdicts = rec["verdicts"]
         expect(f"rules at {data}", [v["rule"] for v in verdicts], FILTERS[: len(verdicts)])
         for i, verdict in enumerate(verdicts):
-            if not check_verdict(verdict, data):
+            if not check_verdict(verdict, data, verdicts[0]["witness"]):
                 expect(f"verdicts after the failure at {data}", len(verdicts), i + 1)
                 expect(f"status at {data}", (rec["status"], rec["detail"]), ("eliminated", verdict["rule"]))
                 break

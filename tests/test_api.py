@@ -83,6 +83,7 @@ BENCH_CACHES = [
     "schubert.charclass._rank_two_monomials",
     "schubert.charclass.tangent_bundle",
     "schubert.charclass.tangent_power_sums",
+    "schubert.chow.GrassmannRing.hyperplane_powers",
     "schubert.chow._basis_product",
     "schubert.chow._tables",
     "schubert.classify.enumerate_candidates",

@@ -147,10 +147,13 @@ def test_todd_log_coefficients_closed_form_matches_the_series():
 
 @pytest.mark.parametrize("t", [-7, 2, Fraction(5, 3)])
 def test_line_bundle_power_sums_are_powers_of_the_twist(monkeypatch, t):
-    # p_m(O(t)) = t^m h^m on G(3,8), each degree one kernel call of one term:
-    # the Newton recurrence skips the terms of the zero classes c_2, c_3, ...
+    # p_m(O(t)) = t^m h^m on G(3,8), read off the closed form of h^m with no
+    # kernel call.  Newton's recurrence still serves a vector with zero
+    # classes and skips their terms: with c2 = s(2) alone, p_2 = -2*c2 is one
+    # term, each even p_m = -c2 * p_(m-2) one more, and each odd p_m none
     ring = GrassmannRing(3, 8)
     h = ring.hyperplane()
+    s2 = ring.sigma((2,))
     sizes = []
     plain = charclass.sum_of_products
 
@@ -160,10 +163,14 @@ def test_line_bundle_power_sums_are_powers_of_the_twist(monkeypatch, t):
 
     monkeypatch.setattr(charclass, "sum_of_products", recording)
     p = line_bundle(ring, t).power_sums().p
+    assert sizes == []
+    c2_alone = ChernVector(ring, 2, {2: s2}).power_sums().p
     monkeypatch.undo()
-    assert sizes == [1] * ring.dimension
+    assert sizes == [1 - m % 2 for m in range(1, ring.dimension + 1)]
     for m in range(1, ring.dimension + 1):
         assert p[m] == t**m * h**m
+        # the roots are the two square roots of -c2
+        assert c2_alone[m] == (2 * (-1) ** (m // 2) * s2 ** (m // 2) if m % 2 == 0 else ring.zero()), m
 
 
 def test_twist_identity_and_composition(g14):
@@ -314,6 +321,55 @@ def test_tangent_power_sums_closed_form_matches_newton_on_every_small_ring():
         newton = charclass._power_sums_from_character(ring, rank, sub_dual.ch() * quotient.ch())
         got = charclass.tangent_power_sums(ring)
         assert (got.ring, got.rank, got.p) == (newton.ring, newton.rank, newton.p), ring_args
+
+
+def _schubert_degree(k, n):
+    """deg G(k, n) = dim! * prod_{i=0..k} i! / (n - k + i)! (Schubert)."""
+    degree = Fraction(factorial((k + 1) * (n - k)))
+    for i in range(k + 1):
+        degree *= Fraction(factorial(i), factorial(n - k + i))
+    return degree
+
+
+def test_hyperplane_powers_match_the_product_chain_on_every_small_ring():
+    # the tableau counts against h^m built as the product chain h * h * ... * h,
+    # and the chain's top degree, the Plucker degree, against Schubert's formula
+    for ring_args in SMALL_RINGS:
+        ring = GrassmannRing(*ring_args)
+        h = ring.hyperplane()
+        powers = ring.hyperplane_powers()
+        assert len(powers) == ring.dimension + 1
+        chain = ring.one()
+        for m, power in enumerate(powers):
+            assert power == chain, (ring_args, m)
+            chain = chain * h
+        assert ring.plucker_degree() == _schubert_degree(*ring_args), ring_args
+
+
+def _power_sums_by_products(v):
+    """p_m = c1*p_(m-1) - c2*p_(m-2) from p_0 = rank and p_1 = c1, each
+    class built by explicit products: Newton's identities for a vector with
+    no class above c2 whose c2 is zero unless its rank is 2."""
+    ring, c = v.ring, v.c
+    p = [v.rank * ring.one(), c[1]]
+    for _ in range(2, ring.dimension + 1):
+        p.append(c[1] * p[-1] - c[2] * p[-2])
+    return p[1:]
+
+
+def test_power_sums_without_higher_classes_match_explicit_products_on_every_small_ring():
+    # line bundles and a rank-3 vector with c1 alone take the closed form;
+    # a rank-two vector with c2 != 0 keeps Newton's identities
+    for ring_args in SMALL_RINGS:
+        ring = GrassmannRing(*ring_args)
+        h = ring.hyperplane()
+        c2 = ChowClass(ring, {la: Fraction(-3, 2) for la in ring.basis(2)})
+        vectors = [line_bundle(ring, t) for t in (-12, -1, 0, 3, Fraction(5, 2))]
+        vectors += [ChernVector(ring, 3, {1: Fraction(-2, 3) * h}), ChernVector(ring, 2, {1: 5 * h, 2: c2})]
+        for v in vectors:
+            got = v.power_sums()
+            assert (got.ring, got.rank, got.p[0]) == (ring, v.rank, ring.zero())
+            assert list(got.p[1:]) == _power_sums_by_products(v), (ring_args, v)
 
 
 def test_chern_from_character_round_trip(g14):

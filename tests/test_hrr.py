@@ -325,3 +325,21 @@ def test_restricted_chi_matches_the_koszul_complex_of_a_section_of_q(g14):
         ch_e = rank_two_chern(g14, RankTwoData(e, a, b)).ch()
         expected = (ch_e * (koszul * line_bundle(g14, t).ch())).pair(todd)
         assert chi_p3(*restriction_to_p3(e, a, b), t) == expected, (e, a, b, t)
+
+
+def test_hyperplane_chi_matches_the_koszul_complex_of_a_section_of_s_dual(g14):
+    # The G(1,3) of lines in a hyperplane is the zero locus of a regular
+    # section of S* (rank 2), so its structure sheaf is resolved by the Koszul
+    # complex 0 -> Wedge^2 S -> S -> O (Eisenbud, Commutative Algebra, ch. 17);
+    # with Wedge^2 S = O(-1), chi_{G(1,3)}(E|) = chi(E) - chi(E x S) + chi(E(-1)).
+    # Each Schubert class of G(1,4) restricts to the one of the same index that
+    # fits the 2x2 box, so E| has the data (e, a, b) of E.  The right side is
+    # one character paired with the Todd class of G(1,4).
+    todd = tangent_todd(g14)
+    koszul = g14.one() - tautological_subbundle(g14).ch() + line_bundle(g14, -1).ch()
+    chi_g13 = chi_form(GrassmannRing(1, 3))
+    rng = random.Random(1913)
+    for _ in range(200):
+        data = RankTwoData(rng.randint(-3, 3), rng.randint(-12, 12), rng.randint(-12, 12))
+        expected = (rank_two_chern(g14, data).ch() * koszul).pair(todd)
+        assert chi_g13(data) == expected, data

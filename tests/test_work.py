@@ -1,36 +1,84 @@
-"""Host-free work counts: the calls of the engine's kernels over one cold
-ring of work, counted by code object, pinned.
+"""Host-free work counts: the calls of the engine's code over cold passes,
+counted by code object, pinned.
 
 A count moves only when the code does more or less work, never with the
-host, so a change that moves one updates the table below on purpose.  The
+host, so a change that moves one updates the tables below on purpose.  The
 counts hold under any hash seed (CI runs this file under three).
 """
 
+import contextlib
+import io
 import sys
 from collections import Counter
+from pathlib import Path
 
-from schubert import GrassmannRing, charclass, chow, classify, euler_characteristic, hrr, line_bundle, partitions
+import schubert
+from schubert import GrassmannRing, charclass, chow, classify, cli, hrr, partitions
+from schubert import euler_characteristic, line_bundle
+
+MODULES = (partitions, chow, charclass, hrr, classify, cli)
+PACKAGE = Path(schubert.__file__).parent
 
 # calls of each kernel over the tangent bundle, its Todd class and six
 # chi(O(t)) on G(3,7), from cold caches
 COLD_G37_CALLS = {
-    "sum_of_products": 129,
-    "linear_combination": 32,
-    "_fill_pair": 30,
-    "_lr_row": 425,
+    "chow.sum_of_products": 33,
+    "chow.linear_combination": 32,
+    "chow._fill_pair": 30,
+    "chow._lr_row": 425,
 }
 COLD_G37_TWISTS = (-10, -9, -8, -5, -4, 1)
 
+# calls into each module of the package over one cold `replay --format json`
+# and `filter --format csv`, comprehensions left out: Python 3.12 inlines
+# list, dict and set comprehensions, so their frames are not calls there
+COLD_REPLAY_MODULE_CALLS = {
+    "charclass": 1782,
+    "chow": 5231,
+    "classify": 4682,
+    "cli": 6243,
+    "hrr": 25,
+    "partitions": 1773,
+}
+# calls of named functions over the same pass
+COLD_REPLAY_CALLS = {
+    "chow._lr_row": 46,
+    "chow._fill_pair": 51,
+    "chow.sum_of_products": 353,
+    "charclass.line_values": 125,
+    "classify.scan_record": 34,
+    "cli._record_shape": 23,
+    "cli._derived_format": 1458,
+    "cli.build_parser": 2,
+}
+COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>"}
+
 
 def _clear_caches():
-    for module in (partitions, chow, charclass, hrr, classify):
-        for obj in vars(module).values():
-            if callable(getattr(obj, "cache_clear", None)):
-                obj.cache_clear()
+    """Clear every cache of the package, module level and on classes."""
+    for module in MODULES:
+        classes = [v for v in vars(module).values() if isinstance(v, type) and v.__module__ == module.__name__]
+        for owner in (module, *classes):
+            for obj in vars(owner).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
 
 
-def _count_calls(work):
-    """Calls of each code object while ``work()`` runs, by ``sys.setprofile``."""
+def _calls_of(counts, paths):
+    """The calls in ``counts`` of each function named "module.name" in ``paths``."""
+    out = {}
+    for path in paths:
+        module, name = path.split(".")
+        out[path] = counts[getattr(getattr(schubert, module), name).__code__]
+    return out
+
+
+def _cold_calls(work):
+    """Calls of each code object of the package while ``work()`` runs from
+    cold caches, by ``sys.setprofile``.  Code outside the package is left
+    out: argparse compiles its patterns on a first pass only, and a garbage
+    collector callback may run during any pass."""
+    _clear_caches()
     counts = Counter()
 
     def profile(frame, event, arg):
@@ -42,7 +90,7 @@ def _count_calls(work):
         work()
     finally:
         sys.setprofile(None)
-    return counts
+    return Counter({code: n for code, n in counts.items() if Path(code.co_filename).parent == PACKAGE})
 
 
 def test_cold_ring_pins_its_calls_of_each_product_layer_function():
@@ -54,10 +102,24 @@ def test_cold_ring_pins_its_calls_of_each_product_layer_function():
         for t in COLD_G37_TWISTS:
             euler_characteristic(line_bundle(ring, t))
 
-    _clear_caches()
-    counts = _count_calls(work)
-    codes = {name: getattr(chow, name).__code__ for name in COLD_G37_CALLS}
-    assert {name: counts[code] for name, code in codes.items()} == COLD_G37_CALLS
+    counts = _cold_calls(work)
+    assert _calls_of(counts, COLD_G37_CALLS) == COLD_G37_CALLS
     # every cache cleared: a second pass from cold does the same work
-    _clear_caches()
-    assert _count_calls(work) == counts
+    assert _cold_calls(work) == counts
+
+
+def test_cold_replay_and_filter_pass_pins_its_calls_per_module():
+    def work():
+        for argv in (["replay", "--format", "json"], ["filter", "--format", "csv"]):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main(argv) == 0
+
+    counts = _cold_calls(work)
+    per_module = Counter()
+    for code, calls in counts.items():
+        if code.co_name not in COMPREHENSIONS:
+            per_module[Path(code.co_filename).stem] += calls
+    assert dict(per_module) == COLD_REPLAY_MODULE_CALLS
+    assert _calls_of(counts, COLD_REPLAY_CALLS) == COLD_REPLAY_CALLS
+    # every cache cleared: a second pass from cold does the same work
+    assert _cold_calls(work) == counts
