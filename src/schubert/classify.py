@@ -54,7 +54,7 @@ in integers, the cached lines against the forms at the twisted data
 proves the restriction map: it is linear in (e, a, b), so its values on the
 three basis vectors prove it equal to (e, a) everywhere.  The scan is
 exhaustive by a certificate: its square holds every (a, b) that passes
-positivity and the Schur bounds.
+positivity and Schur, whose bounds it reads off the pairing forms.
 
 Each filter is one rule over integers (``_positivity``, ``_schur``,
 ``_schwarzenberger``, ``_griffiths``), a function of the scan line and a
@@ -87,6 +87,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
+from operator import index
 from typing import NamedTuple
 
 from .charclass import (
@@ -265,10 +266,6 @@ def bundle_name(st: SplittingType) -> str:
 # -- the four scan filters ----------------------------------------------------
 
 
-# the classical Schur bounds the verdict applies: a <= SCHUR_A_MAX and
-# a + b <= SCHUR_SUM_MAX[e]
-SCHUR_A_MAX = 6
-SCHUR_SUM_MAX = {0: 12, -1: 13}
 # s_(3) = c1^3 - 2*c1*c2, as the coefficients of c1^i * c2^j
 SCHUR3_WEIGHTS = {(3, 0): 1, (1, 1): -2}
 # the incidence cycles omega(i, j) of lines through a point and of lines in a hyperplane
@@ -360,22 +357,15 @@ def _positivity(line: ScanLine, bs: Sequence[int]) -> list:
 
 def _schur(line: ScanLine, bs: Sequence[int]) -> list:
     """Degree-three Schur polynomial of E(m) against the two families of
-    three-dimensional cycles.
-
-    The classical bounds are a <= 6 and a + b <= 12 when e = 0, and a <= 6
-    and a + b <= 13 when e = -1.  The verdict applies those bounds; the two
-    exact ring pairings of s_(3) = c1^3 - 2*c1*c2 against the cycles of
-    lines through a point and of lines in a hyperplane are recorded as
-    witnesses, together with the strictly-positive alternative reading they
-    support (for e = -1 the strict pairing tightens b <= 13 - a to
-    a + b <= 12; both readings leave the same candidates after the
-    integrality filter).
-    """
+    three-dimensional cycles: a b passes when both exact pairings of
+    s_(3) = c1^3 - 2*c1*c2, with the lines through a point and with the lines
+    in a hyperplane, are >= 0.  Both are witnesses, with the strict reading
+    (at e = -1 it also drops a + b = 13, eliminated anyway by the other rules)."""
     point = line.pairing_point
-    point_positive, a_passes, b_max = point[0] > 0, line.a <= SCHUR_A_MAX, SCHUR_SUM_MAX[line.e] - line.a
+    point_passes, point_positive = point[0] >= 0, point[0] > 0
     return [
-        (a_passes and b <= b_max, _SCHUR_SCHEMAS[point_positive and hyper[0] > 0], point + hyper)
-        for b, (hyper, _) in zip(bs, line_values((line.hyper,), bs))
+        (point_passes and hyper[0] >= 0, _SCHUR_SCHEMAS[point_positive and hyper[0] > 0], point + hyper)
+        for hyper, _ in line_values((line.hyper,), bs)
     ]
 
 
@@ -416,7 +406,7 @@ def witness_values(schema, numbers) -> dict:
 
 
 def _verdict(i: int, e: int, a: int, b: int) -> Verdict:
-    (passed, schema, numbers), = _RULES[i](scan_line(e, a), (b,))
+    (passed, schema, numbers), = _RULES[i](scan_line(index(e), index(a)), (index(b),))
     return Verdict(FILTER_RULES[i], passed, witness_values(schema, iter(numbers)), _CITATIONS[i])
 
 
@@ -490,8 +480,9 @@ def scan_record(row) -> CandidateRecord:
 
 
 def evaluate_candidate(e: int, a: int, b: int) -> CandidateRecord:
-    """Apply the four filters in order, stopping at the first failure."""
-    return scan_record(scan_row(scan_line(e, a), b))
+    """Apply the four filters in order, stopping at the first failure.  Its
+    coordinates pass ``operator.index``: a float would equal a cached key."""
+    return scan_record(scan_row(scan_line(index(e), index(a)), index(b)))
 
 
 class ScanRecords(Sequence):
@@ -528,11 +519,16 @@ class ScanRecords(Sequence):
 def enumerate_candidates() -> ScanRecords:
     """Scan e in {0, -1} and (a, b) over the square [SCAN_LO, SCAN_HI]^2,
     once a certificate shows that it clips nothing: positivity needs
-    a, b >= lo = floor(-shift) + 1, and Schur needs a <= SCHUR_A_MAX and
-    a + b <= SCHUR_SUM_MAX[e], so a, b <= SCHUR_SUM_MAX[e] - lo = hi."""
+    a, b >= lo = floor(-shift) + 1, and Schur, whose pairings are k*a + c and
+    k*(a + b) + c with k < 0, caps a and a + b at the floors of their roots,
+    checked against SCHUR_A_MAX and SCHUR_SUM_MAX[e], so a, b <= cap - lo = hi."""
     for e in (0, -1):
-        lo = (-scan_forms(e).shift) // 1 + 1
-        hi = SCHUR_SUM_MAX[e] - lo
+        forms = scan_forms(e)
+        (_, (k, c)), (_, (k_sum, c_sum)) = forms.schur[0].cols, forms.schur[1].cols
+        a_max, sum_max = c // -k, c_sum // -k_sum
+        _expect("scan", f"the Schur cap on (a, a + b) at e = {e}", (a_max, sum_max), (SCHUR_A_MAX, SCHUR_SUM_MAX[e]))
+        lo = (-forms.shift) // 1 + 1
+        hi = sum_max - lo
         _expect(
             "scan",
             f"the range of a, b that positivity and Schur leave at e = {e}, "
@@ -549,6 +545,8 @@ def enumerate_candidates() -> ScanRecords:
 
 # -- frozen expected tables (regression gates for the replay) ------------------
 
+SCHUR_A_MAX = 6  # the largest a, and a + b by e, that pass Schur
+SCHUR_SUM_MAX = {0: 12, -1: 13}
 STEP1_ELIMINATED = {"positivity": 53, "schur": 936, "schwarzenberger": 459, "griffiths": 1}
 STEP1_SURVIVORS = {
     0: ((-4, -4), (-4, 12), (-1, -1), (-1, 3), (0, 0)),

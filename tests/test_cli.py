@@ -328,11 +328,18 @@ def test_filter_regression_exit_code(capsys, monkeypatch, name):
 
 @pytest.mark.parametrize("command", ["filter", "replay"])
 def test_a_changed_schur_bound_exits_4_at_step1(capsys, monkeypatch, command):
-    # the e = -1 bound a + b <= 13 tightened to a + b <= 12, the strict
-    # pairing's reading: the ten integrality survivors stay, but twelve
-    # candidates move from the integrality filter to Schur, and the frozen
-    # elimination counts refuse the scan before any format writes a byte
-    monkeypatch.setattr(classify, "SCHUR_SUM_MAX", {0: 12, -1: 12})
+    # the Schur rule made strict on the lines in a hyperplane, pairing > 0:
+    # at e = -1 it drops the line a + b = 13, so the ten integrality
+    # survivors stay, but twelve candidates move from the integrality filter
+    # to Schur, and the frozen elimination counts refuse the scan before any
+    # format writes a byte
+    def strict_hyperplane(line, bs):
+        # a rule's numbers are the point pairing's pair, then the hyperplane's
+        return [(passed and numbers[2] > 0, schema, numbers) for passed, schema, numbers in classify._schur(line, bs)]
+
+    rules = list(classify._RULES)
+    rules[rules.index(classify._schur)] = strict_hyperplane
+    monkeypatch.setattr(classify, "_RULES", tuple(rules))
     classify.enumerate_candidates.cache_clear()
     try:
         for fmt in ("plain", "csv", "json"):
@@ -343,6 +350,29 @@ def test_a_changed_schur_bound_exits_4_at_step1(capsys, monkeypatch, command):
                 "{'positivity': 53, 'schur': 948, 'schwarzenberger': 447, 'griffiths': 1}, "
                 "expected {'positivity': 53, 'schur': 936, 'schwarzenberger': 459, 'griffiths': 1}\n"
             ), fmt
+    finally:
+        classify.enumerate_candidates.cache_clear()
+
+
+# A changed frozen Schur bound, with the line the scan's check prints: the
+# bounds are read off the pairing forms, so the constants only check them
+CHANGED_SCHUR_BOUNDS = {
+    "SCHUR_A_MAX": (5, "at e = 0 is (6, 12), expected (5, 12)"),
+    "SCHUR_SUM_MAX": ({0: 12, -1: 12}, "at e = -1 is (6, 13), expected (6, 12)"),
+}
+
+
+@pytest.mark.parametrize("command", ["filter", "replay"])
+@pytest.mark.parametrize("name", sorted(CHANGED_SCHUR_BOUNDS))
+def test_a_changed_frozen_schur_bound_exits_4_at_the_scan(capsys, monkeypatch, name, command):
+    wrong, where = CHANGED_SCHUR_BOUNDS[name]
+    monkeypatch.setattr(classify, name, wrong)
+    classify.enumerate_candidates.cache_clear()
+    try:
+        for fmt in ("plain", "csv", "json"):
+            code, out, err = run(capsys, command, "--format", fmt)
+            assert (code, out) == (4, ""), fmt
+            assert err == f"regression at scan: the Schur cap on (a, a + b) {where}\n", fmt
     finally:
         classify.enumerate_candidates.cache_clear()
 

@@ -104,6 +104,25 @@ def test_filters_refuse_data_that_is_not_normalized(check, e):
         check(*args)
 
 
+@pytest.mark.parametrize("cache", ["cold", "warm"])
+@pytest.mark.parametrize(
+    "check", [positivity_filter, schur_filter, schwarzenberger_filter, griffiths_filter, evaluate_candidate]
+)
+def test_filters_refuse_a_float_coordinate_whatever_the_caches_hold(check, cache):
+    # a float equal to an int is the same cache key as the int, so a float
+    # that reached the cached lines would fail on a cold line and pass on a
+    # line some scan had cached
+    for args in ((0, 1.0, 2), (0.0, 1, 2), (0, 1, 2.0), (-1.0, 0, 1)):
+        scan_line.cache_clear()
+        scan_forms.cache_clear()
+        if cache == "warm":
+            scan_line(0, 1)
+            scan_line(-1, 0)
+        with pytest.raises(TypeError):
+            check(*args)
+    assert check(0, True, 2) == check(0, 1, 2)  # an int subclass is an int
+
+
 def test_positivity_filter():
     v = positivity_filter(0, -6, -6)
     assert v.passed and v.witness["qa"] == Fraction(1, 4)
@@ -121,12 +140,19 @@ def test_positivity_matches_stated_bounds():
 
 
 def test_schur_filter_closed_forms():
-    for a in range(-6, 8):
-        for b in range(-6, 8):
-            v = schur_filter(0, a, b)
-            assert v.witness["pairing_lines_through_point"] == Fraction(125, 2) - 10 * a
-            assert v.witness["pairing_lines_in_hyperplane"] == 125 - 10 * (a + b)
-            assert v.passed == (a <= 6 and b <= 12 - a)
+    # e' = e + 2m = 5 at both e, so each pairing is linear in (a, b), and the
+    # verdict is both pairings >= 0: a <= 6 and a + b <= 12 at e = 0, 13 at e = -1
+    closed_forms = {
+        0: (lambda a: Fraction(125, 2) - 10 * a, lambda s: 125 - 10 * s, 12),
+        -1: (lambda a: 65 - 10 * a, lambda s: 130 - 10 * s, 13),
+    }
+    for e, (point, hyper, sum_max) in closed_forms.items():
+        for a in range(-6, 8):
+            for b in range(-6, 9):
+                v = schur_filter(e, a, b)
+                assert v.witness["pairing_lines_through_point"] == point(a)
+                assert v.witness["pairing_lines_in_hyperplane"] == hyper(a + b)
+                assert v.passed == (a <= 6 and a + b <= sum_max), (e, a, b)
 
 
 def test_schur_filter_boundary_cases():
@@ -134,7 +160,7 @@ def test_schur_filter_boundary_cases():
     assert not schur_filter(0, 7, 0).passed
     assert not schur_filter(0, 0, 13).passed
     v = schur_filter(-1, 6, 7)
-    assert v.passed  # the classical bound b <= 13 - a holds with equality
+    assert v.passed  # the hyperplane pairing is 0, and the verdict asks only >= 0
     assert v.witness["pairing_lines_in_hyperplane"] == 0
     assert not v.witness["strict_positive"]
 
@@ -332,10 +358,10 @@ def test_candidate_evaluation_is_order_independent():
 
 
 def test_classical_bound_and_strict_bound_agree_after_integrality():
-    # the verdict applies the classical bounds, and its witnesses are the
-    # exact pairings: at e = 0 the two readings agree on the whole square; for
-    # e = -1 the classical bound admits the line a + b = 13 that the strict
-    # pairing excludes, and the scan must kill all of it before step 1: its
+    # the verdict is both exact pairings >= 0, and strict_positive both > 0:
+    # at e = 0 the two readings agree on the whole square; for e = -1 the
+    # verdict admits the line a + b = 13, where the hyperplane pairing is 0,
+    # and the scan must kill all of it before step 1: its
     # one point of positive qb and zero qa, (-6, 19), fails positivity, and
     # integrality kills the other twelve
     square = [(a, b) for a in range(SCAN_LO, SCAN_HI + 1) for b in range(SCAN_LO, SCAN_HI + 1)]

@@ -35,7 +35,7 @@ COLD_G37_TWISTS = (-10, -9, -8, -5, -4, 1)
 COLD_REPLAY_MODULE_CALLS = {
     "charclass": 1782,
     "chow": 5231,
-    "classify": 4682,
+    "classify": 4684,
     "cli": 6243,
     "hrr": 25,
     "partitions": 1773,
