@@ -38,18 +38,19 @@ normalized e, every form is folded at each twist the scan reads (k = 0..6
 and the ample Q-twist m) into a polynomial in (a, b)
 (``RankTwoForm.at_twist``, cached by ``scan_forms``), and each line of fixed
 (e, a) restricts it to a polynomial in b (``PlaneForm.line``, one Horner
-loop in a per column of the form, cached by ``scan_line`` for the 54 lines
-of the scan square), which the rules evaluate by Horner over a run of
-integer b (``charclass.line_values``, which gives each value as its reduced
+loop in a per column; ``scan_line``, uncached, builds each line once per
+scan), which the rules evaluate by Horner over a run of integer b
+(``charclass.line_values``, which gives each value as its reduced
 (numerator, denominator) pair and decides integrality on the numerators).
-The witnesses constant along a line are built there once: a + s, from which
-qb follows as a + s + (b - a), and the pairing with the lines through a
-point, which does not depend on b.  Step 2 reads chi(E(-2)) from a form as
-well.  Steps 3 and 4 restrict each candidate through one computed map,
+A line holds one witness constant along it, a + s (qb is a + s + (b - a)),
+and its forms in b, both Schur pairings among them; that the pairing with
+the lines through a point is free of b is checked once per e by the scan's
+certificate, its one reader.  Step 2 reads chi(E(-2)) from a form as well.
+Steps 3 and 4 restrict each candidate through one computed map,
 ``restriction_to_p3``, and read the restricted chi (``hrr.chi_p3``) at its
 value.  The general path (``rank_two_chern`` -> ``ch`` -> ``pair``) runs
 only in the preflight: it checks the G(1,4) forms against that path, then,
-in integers, the cached lines against the forms at the twisted data
+in integers, the scan's lines against the forms at the twisted data
 (``RankTwoForm.ratio``) on a grid that determines every line.  It also
 proves the restriction map: it is linear in (e, a, b), so its values on the
 three basis vectors prove it equal to (e, a) everywhere.  The scan is
@@ -300,33 +301,26 @@ def scan_forms(e: int) -> ScanForms:
 
 
 class ScanLine(NamedTuple):
-    """What the four filters read along one line of fixed (e, a), as
-    witnesses constant along it or as functions of b.  A number constant
-    along the line is its reduced (numerator, denominator) pair."""
+    """What the four filters read along one line of fixed (e, a): qa, constant
+    along it, as its reduced (numerator, denominator) pair, and each form of
+    ``ScanForms`` restricted to the line, as a function of b."""
 
     e: int
     a: int
     qa: tuple[int, int]  # a + shift; the qb of (e, a, b) adds (b - a) to it
-    pairing_point: tuple[int, int]  # s_(3)(E(m)) on the lines through a point, free of b
-    hyper: LineForm  # s_(3)(E(m)) on the lines in a hyperplane
+    schur: tuple[LineForm, LineForm]  # s_(3)(E(m)) paired with each of SCHUR_CYCLES
     chi: tuple[LineForm, ...]  # chi(E(k)) for k = 0..dim
 
 
-# one entry per line of the scan square: 2 values of e times SCAN_HI - SCAN_LO + 1 of a
-@lru_cache(maxsize=2 * (SCAN_HI - SCAN_LO + 1))
 def scan_line(e: int, a: int) -> ScanLine:
     """The scan's forms at e restricted to the line of fixed a."""
     forms = scan_forms(e)
-    point, hyper = (form.line(a) for form in forms.schur)
-    if any(point.coeffs[:-1]):  # the message is built only on failure
-        _expect("scan", f"the pairing with the lines through a point at (e, a) = ({e}, {a})", point, point(0))
     shift = forms.shift
     return ScanLine(
         e,
         a,
         (a * shift.denominator + shift.numerator, shift.denominator),
-        point(0).as_integer_ratio(),
-        hyper,
+        tuple(form.line(a) for form in forms.schur),
         tuple(form.line(a) for form in forms.chi),
     )
 
@@ -361,11 +355,9 @@ def _schur(line: ScanLine, bs: Sequence[int]) -> list:
     s_(3) = c1^3 - 2*c1*c2, with the lines through a point and with the lines
     in a hyperplane, are >= 0.  Both are witnesses, with the strict reading
     (at e = -1 it also drops a + b = 13, eliminated anyway by the other rules)."""
-    point = line.pairing_point
-    point_passes, point_positive = point[0] >= 0, point[0] > 0
     return [
-        (point_passes and hyper[0] >= 0, _SCHUR_SCHEMAS[point_positive and hyper[0] > 0], point + hyper)
-        for hyper, _ in line_values((line.hyper,), bs)
+        (v[0] >= 0 and v[2] >= 0, _SCHUR_SCHEMAS[v[0] > 0 and v[2] > 0], v)
+        for v, _ in line_values(line.schur, bs)
     ]
 
 
@@ -460,11 +452,6 @@ def scan_rows(line: ScanLine, bs: Sequence[int]) -> list:
     return rows
 
 
-def scan_row(line: ScanLine, b: int) -> tuple:
-    """The scan's row of the candidate (line.e, line.a, b); see ``scan_rows``."""
-    return scan_rows(line, (b,))[0]
-
-
 def scan_record(row) -> CandidateRecord:
     """The record of a scan row, its witness numbers as Fractions."""
     (stop, *schemas), numbers = row
@@ -481,13 +468,14 @@ def scan_record(row) -> CandidateRecord:
 
 def evaluate_candidate(e: int, a: int, b: int) -> CandidateRecord:
     """Apply the four filters in order, stopping at the first failure.  Its
-    coordinates pass ``operator.index``: a float would equal a cached key."""
-    return scan_record(scan_row(scan_line(index(e), index(a)), index(b)))
+    coordinates pass ``operator.index``: a float a or b would give float
+    witnesses, and a float e is its int's key in the cached ``scan_forms``."""
+    return scan_record(scan_rows(scan_line(index(e), index(a)), (index(b),))[0])
 
 
 class ScanRecords(Sequence):
     """The scan's records, in canonical order, as ``enumerate_candidates``
-    returns them: a sequence that holds one row per candidate (``scan_row``)
+    returns them: a sequence that holds one row per candidate (``scan_rows``)
     and builds a record (``scan_record``) only when it is read.  A slice is a
     ``ScanRecords`` of its rows.  It equals another ``ScanRecords`` with
     equal rows, and prints as the tuple of its records."""
@@ -519,12 +507,17 @@ class ScanRecords(Sequence):
 def enumerate_candidates() -> ScanRecords:
     """Scan e in {0, -1} and (a, b) over the square [SCAN_LO, SCAN_HI]^2,
     once a certificate shows that it clips nothing: positivity needs
-    a, b >= lo = floor(-shift) + 1, and Schur, whose pairings are k*a + c and
-    k*(a + b) + c with k < 0, caps a and a + b at the floors of their roots,
-    checked against SCHUR_A_MAX and SCHUR_SUM_MAX[e], so a, b <= cap - lo = hi."""
+    a, b >= lo = floor(-shift) + 1, and Schur, whose pairings are checked to
+    be k*a + c, free of b, and k_sum*(a + b) + c_sum with k, k_sum < 0, caps a
+    and a + b at the floors of their roots, checked against SCHUR_A_MAX and
+    SCHUR_SUM_MAX[e], so a, b <= cap - lo = hi."""
     for e in (0, -1):
         forms = scan_forms(e)
-        (_, (k, c)), (_, (k_sum, c_sum)) = forms.schur[0].cols, forms.schur[1].cols
+        point, hyper = forms.schur[0].cols, forms.schur[1].cols
+        # each slope read as at most -1, so that a slope >= 0 fails the check too
+        k, c, k_sum, c_sum = min(point[-1][0], -1), point[-1][-1], min(hyper[0][0], -1), hyper[-1][-1]
+        what = f"the columns of the Schur forms at e = {e}, k*a + c and k_sum*(a + b) + c_sum with k, k_sum < 0,"
+        _expect("scan", what, (point, hyper), (((0,), (k, c)), ((k_sum,), (k_sum, c_sum))))
         a_max, sum_max = c // -k, c_sum // -k_sum
         _expect("scan", f"the Schur cap on (a, a + b) at e = {e}", (a_max, sum_max), (SCHUR_A_MAX, SCHUR_SUM_MAX[e]))
         lo = (-forms.shift) // 1 + 1
@@ -698,31 +691,29 @@ def _preflight() -> None:
         for i, j in SCHUR_CYCLES:
             got, expected = schur3_form(ring, i, j)(data), schur3.pair(ring.omega(i, j))
             _expect("preflight", f"the s(3) form on omega({i},{j}) at {data}", got, expected)
-    # the cached lines the scan reads against the forms at the twisted data,
-    # checked only now so that a wrong form is refused before it is folded.
-    # However the fold and the restriction place the coefficients, a line's
-    # value is of degree at most d = top/2 in a and in b, like the form's, so
-    # the grid a, b in 0..d proves every line; a scan corner is probed too.
-    # Pairs are cross-multiplied; a Fraction is built only on a mismatch.
-    point, hyper = (schur3_form(ring, i, j) for i, j in SCHUR_CYCLES)
+    # the lines the scan reads against the forms at the twisted data, checked
+    # only now so that a wrong form is refused before it is folded.  However
+    # the fold and the restriction place the coefficients, a line's value is
+    # of degree at most d = top/2 in a and in b, like the form's, so the grid
+    # a, b in 0..d proves every line; a scan corner is probed too.  Pairs are
+    # cross-multiplied; a Fraction is built only on a mismatch.
     for e in (0, -1):
         m = ample_twist(e)
-        # what the scan reads on a line at b, as flat pairs, with the forms and twists read
-        chis = [(chi, k) for k in range(ring.dimension + 1)]
-        reads = (
-            (lambda line, b: line_values(line.chi, (b,))[0][0], chis),
-            (lambda line, b: line.pairing_point + line_values((line.hyper,), (b,))[0][0], [(point, m), (hyper, m)]),
+        # each field of forms on a line, with the forms and twists it is read against
+        families = (
+            ("chi", [(chi, k) for k in range(ring.dimension + 1)]),
+            ("schur", [(schur3_form(ring, i, j), m) for i, j in SCHUR_CYCLES]),
         )
-        for read, forms in reads:
+        for family, forms in families:
             d = max(form.top for form, _ in forms) // 2
-            grid = [(a, b) for a in range(d + 1) for b in range(d + 1)]
-            for a, b in (*grid, (SCAN_LO, SCAN_HI)):
-                got = read(scan_line(e, a), b)
-                for (form, t), num, den in zip(forms, got[::2], got[1::2], strict=True):
-                    n, q = form.ratio(RankTwoData(e, a, b).twisted(t))
-                    if num * q != n * den:  # the message is built only on failure
-                        what = f"the scan line ({e}, {a}) at b = {b}, twist {t},"
-                        _expect("preflight", what, Fraction(num, den), Fraction(n, q))
+            runs = [(a, range(d + 1)) for a in range(d + 1)] + [(SCAN_LO, (SCAN_HI,))]
+            for a, bs in runs:
+                for b, (got, _) in zip(bs, line_values(getattr(scan_line(e, a), family), bs)):
+                    for (form, t), num, den in zip(forms, got[::2], got[1::2], strict=True):
+                        n, q = form.ratio(RankTwoData(e, a, b).twisted(t))
+                        if num * q != n * den:  # the message is built only on failure
+                            what = f"the scan line ({e}, {a}) at b = {b}, twist {t},"
+                            _expect("preflight", what, Fraction(num, den), Fraction(n, q))
     # the restriction to P^3 is linear in (e, a, b), so its values on the
     # basis prove it equal to (e, a) everywhere
     for data, expected in (((1, 0, 0), (1, 0)), ((0, 1, 0), (0, 1)), ((0, 0, 1), (0, 0))):

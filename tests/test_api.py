@@ -88,7 +88,6 @@ BENCH_CACHES = [
     "schubert.chow._tables",
     "schubert.classify.enumerate_candidates",
     "schubert.classify.scan_forms",
-    "schubert.classify.scan_line",
     "schubert.classify.schur3_form",
     "schubert.hrr.chi_form",
     "schubert.hrr.tangent_todd",

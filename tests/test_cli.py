@@ -377,6 +377,72 @@ def test_a_changed_frozen_schur_bound_exits_4_at_the_scan(capsys, monkeypatch, n
         classify.enumerate_candidates.cache_clear()
 
 
+def _hyperplane_cycle_of_codimension_4(monkeypatch):
+    # s_(3) has degree 3 and G(1,4) dimension 6, so the hyperplane form is zero
+    monkeypatch.setattr(classify, "SCHUR_CYCLES", ((0, 4), (0, 3)))
+
+
+def _point_form_with_a_b_term(monkeypatch):
+    right = classify.scan_forms
+
+    def wrong(e):
+        forms = right(e)
+        point = forms.schur[0]
+        point = point._replace(cols=((point.den,), *point.cols[1:]))  # the pairing plus b
+        return forms._replace(schur=(point, forms.schur[1]))
+
+    monkeypatch.setattr(classify, "scan_forms", wrong)
+
+
+SCHUR_SHAPE_CHECK = (
+    "regression at scan: the columns of the Schur forms at e = 0, "
+    "k*a + c and k_sum*(a + b) + c_sum with k, k_sum < 0, is "
+)
+# Schur forms of another shape than the scan's certificate reads, and the
+# line each command prints.  replay refuses the b term earlier, in the
+# preflight, whose grid checks the scan's lines against the unfolded forms.
+SCHUR_FORMS_OF_ANOTHER_SHAPE = {
+    "hyperplane_cycle_of_codimension_4": (
+        _hyperplane_cycle_of_codimension_4,
+        {
+            command: SCHUR_SHAPE_CHECK
+            + "(((0,), (-640, 4000)), ((0,),)), expected (((0,), (-640, 4000)), ((-1,), (-1, 0)))\n"
+            for command in ("filter", "replay")
+        },
+    ),
+    "point_form_with_a_b_term": (
+        _point_form_with_a_b_term,
+        {
+            "filter": SCHUR_SHAPE_CHECK
+            + "(((64,), (-640, 4000)), ((-640,), (-640, 8000))), "
+            "expected (((0,), (-640, 4000)), ((-640,), (-640, 8000)))\n",
+            "replay": "regression at preflight: the scan line (0, 0) at b = 1, twist 5/2, is 127/2, expected 125/2\n",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["filter", "replay"])
+@pytest.mark.parametrize("case", sorted(SCHUR_FORMS_OF_ANOTHER_SHAPE))
+def test_a_schur_form_of_another_shape_exits_4_without_a_traceback(capsys, monkeypatch, case, command):
+    # the certificate reads the slopes and constants off the two forms'
+    # columns: a form of another shape is refused, never unpacked.  Forms
+    # folded from patched cycles must not outlive the patch.
+    patch, lines = SCHUR_FORMS_OF_ANOTHER_SHAPE[case]
+    scan_forms = classify.scan_forms
+    patch(monkeypatch)
+    scan_forms.cache_clear()
+    classify.enumerate_candidates.cache_clear()
+    try:
+        for fmt in ("plain", "csv", "json"):
+            code, out, err = run(capsys, command, "--format", fmt)
+            assert (code, out) == (4, ""), fmt
+            assert err == lines[command], fmt
+    finally:
+        scan_forms.cache_clear()
+        classify.enumerate_candidates.cache_clear()
+
+
 def test_filter_byte_identical_across_runs(capsys):
     out1 = run(capsys, "filter", "--format", "json")[1]
     out2 = run(capsys, "filter", "--format", "json")[1]
@@ -1195,7 +1261,7 @@ def test_a_scan_run_equals_the_rows_of_each_b_alone(e, a, bs):
     # those of evaluate_candidate, witness types too
     line = classify.scan_line(e, a)
     rows = classify.scan_rows(line, bs)
-    assert rows == [classify.scan_row(line, b) for b in bs]
+    assert rows == [classify.scan_rows(line, (b,))[0] for b in bs]
     for b, row in zip(bs, rows, strict=True):
         assert row[1][:3] == (e, a, b) and all(type(n) is int for n in row[1])
         record, alone = classify.scan_record(row), classify.evaluate_candidate(e, a, b)

@@ -109,15 +109,14 @@ def test_filters_refuse_data_that_is_not_normalized(check, e):
     "check", [positivity_filter, schur_filter, schwarzenberger_filter, griffiths_filter, evaluate_candidate]
 )
 def test_filters_refuse_a_float_coordinate_whatever_the_caches_hold(check, cache):
-    # a float equal to an int is the same cache key as the int, so a float
-    # that reached the cached lines would fail on a cold line and pass on a
-    # line some scan had cached
+    # a float e equal to an int is the same cache key as the int, so it
+    # would fail on cold folded forms and pass on forms some scan had cached;
+    # a float a or b would reach the integer Horner loops of the lines
     for args in ((0, 1.0, 2), (0.0, 1, 2), (0, 1, 2.0), (-1.0, 0, 1)):
-        scan_line.cache_clear()
         scan_forms.cache_clear()
         if cache == "warm":
-            scan_line(0, 1)
-            scan_line(-1, 0)
+            scan_forms(0)
+            scan_forms(-1)
         with pytest.raises(TypeError):
             check(*args)
     assert check(0, True, 2) == check(0, 1, 2)  # an int subclass is an int
@@ -624,12 +623,8 @@ def test_preflight_refuses_a_wrong_scan_line(monkeypatch):
         return line._replace(coeffs=(*line.coeffs[:-1], line.coeffs[-1] + (a == 2)))
 
     monkeypatch.setattr(PlaneForm, "line", wrong)
-    scan_line.cache_clear()
-    try:
-        with pytest.raises(ReplayMismatch) as info:
-            classify._preflight()
-    finally:
-        scan_line.cache_clear()
+    with pytest.raises(ReplayMismatch) as info:
+        classify._preflight()
     assert info.value.step == "preflight" and info.value.what.startswith("the scan line (0, 2)")
     assert type(info.value.got) is Fraction and type(info.value.expected) is Fraction
     assert info.value.got != info.value.expected
@@ -673,31 +668,41 @@ def test_folded_forms_match_the_unfolded_forms(e):
 
 
 def test_scan_folds_each_form_once_per_twist(monkeypatch):
-    folds = Counter()
-    fold = RankTwoForm.at_twist
+    folds, restrictions = Counter(), Counter()
+    fold, restrict = RankTwoForm.at_twist, PlaneForm.line
 
-    def counting(form, e, t):
+    def counting_folds(form, e, t):
         folds[form, e, t] += 1
         return fold(form, e, t)
 
-    monkeypatch.setattr(RankTwoForm, "at_twist", counting)
+    def counting_restrictions(form, a):
+        restrictions[form, a] += 1
+        return restrict(form, a)
+
+    monkeypatch.setattr(RankTwoForm, "at_twist", counting_folds)
+    monkeypatch.setattr(PlaneForm, "line", counting_restrictions)
     scan_forms.cache_clear()
-    scan_line.cache_clear()
     enumerate_candidates.cache_clear()
     records = enumerate_candidates()
     info = scan_forms.cache_info()
     assert (info.misses, info.currsize) == (2, 2)  # one set of folded forms per e
     assert len(folds) == 2 * (G14.dimension + 1 + len(SCHUR_CYCLES))
     assert set(folds.values()) == {1}
-    # the rules read lines only: each line of the square is restricted once
-    lines = scan_line.cache_info()
-    assert lines.misses == lines.currsize == 2 * (SCAN_HI - SCAN_LO + 1)
-    # one lookup per line, plus one per e for the certificate's shift
-    assert info.hits + info.misses == lines.misses + 2
-    # and the scan looks each line up once: every rule of a candidate reads
-    # the line of its a, the qb of positivity too
-    assert lines.hits == 0
+    lines = 2 * (SCAN_HI - SCAN_LO + 1)
+    # one lookup per line, plus one per e for the certificate
+    assert info.hits + info.misses == lines + 2
     assert len(records) == 2 * (SCAN_HI - SCAN_LO + 1) ** 2
+    # a cold scan with warm forms folds nothing and restricts each form
+    # once per line: the rules read lines only, every rule of a candidate
+    # the line of its a, the qb of positivity too
+    folds.clear()
+    restrictions.clear()
+    enumerate_candidates.cache_clear()
+    assert enumerate_candidates() == records
+    assert not folds
+    forms_per_line = len(SCHUR_CYCLES) + G14.dimension + 1
+    assert sum(restrictions.values()) == lines * forms_per_line == 486
+    assert set(restrictions.values()) == {1}
 
 
 def test_a_cold_scan_applies_each_rule_once_per_line(monkeypatch):
@@ -716,7 +721,6 @@ def test_a_cold_scan_applies_each_rule_once_per_line(monkeypatch):
     plain, rules = enumerate_candidates(), classify._RULES
     monkeypatch.setattr(classify, "_RULES", tuple(map(counting, rules)))
     scan_forms.cache_clear()
-    scan_line.cache_clear()
     enumerate_candidates.cache_clear()
     try:
         records = enumerate_candidates()
@@ -773,21 +777,22 @@ def test_scan_lines_match_the_unfolded_forms(e):
     for a in rng.sample(range(-10**4, 0), 40):
         line = scan_line(e, a)
         assert (line.e, line.a) == (e, a)
-        # the numbers constant along the line as reduced pairs of ints
-        at_m = RankTwoData(e, a, 0).twisted(m)
-        for pair, expected in ((line.qa, at_m.a), (line.pairing_point, point(at_m))):
-            assert list(map(type, pair)) == [int, int] and pair == expected.as_integer_ratio()
+        # the number constant along the line as a reduced pair of ints
+        qa = RankTwoData(e, a, 0).twisted(m).a
+        assert list(map(type, line.qa)) == [int, int] and line.qa == qa.as_integer_ratio()
+        # the pairing with the lines through a point is free of b
+        assert len(line.schur) == len(SCHUR_CYCLES) and not any(line.schur[0].coeffs[:-1])
         for _ in range(10):
             b = rng.randint(-10**4, 10**4)
             at_m = RankTwoData(e, a, b).twisted(m)
-            pairs = [(Fraction(*line.pairing_point), point(at_m)), (line.hyper(b), hyper(at_m))]
+            pairs = [(line.schur[0](b), point(at_m)), (line.schur[1](b), hyper(at_m))]
             pairs += [(chi_k(b), chi(RankTwoData(e, a, b).twisted(k))) for k, chi_k in enumerate(line.chi)]
             assert len(pairs) == len(SCHUR_CYCLES) + G14.dimension + 1
             for got, expected in pairs:
                 assert type(got) is Fraction and got == expected, (e, a, b)
 
 
-def test_filters_off_the_square_keep_the_line_cache_bounded():
+def test_filters_off_the_square_match_the_unfolded_forms():
     rng = random.Random(5815)
     outside = [*range(-10**4, SCAN_LO), *range(SCAN_HI + 1, 10**4)]
     for i, a in enumerate(rng.sample(outside, 1000)):
@@ -796,4 +801,3 @@ def test_filters_off_the_square_keep_the_line_cache_bounded():
         assert [(v.passed, v.witness) for v in got] == list(_unfolded_verdicts(e, a, b)), (e, a, b)
         for v in got:
             assert all(t is bool or t is Fraction for t in _witness_types(v.witness)), (e, a, b, v.rule)
-        assert scan_line.cache_info().currsize <= 2 * (SCAN_HI - SCAN_LO + 1)

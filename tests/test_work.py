@@ -33,9 +33,9 @@ COLD_G37_TWISTS = (-10, -9, -8, -5, -4, 1)
 # and `filter --format csv`, comprehensions left out: Python 3.12 inlines
 # list, dict and set comprehensions, so their frames are not calls there
 COLD_REPLAY_MODULE_CALLS = {
-    "charclass": 1782,
+    "charclass": 1844,
     "chow": 5231,
-    "classify": 4684,
+    "classify": 4831,
     "cli": 6243,
     "hrr": 25,
     "partitions": 1773,
@@ -45,7 +45,7 @@ COLD_REPLAY_CALLS = {
     "chow._lr_row": 46,
     "chow._fill_pair": 51,
     "chow.sum_of_products": 353,
-    "charclass.line_values": 125,
+    "charclass.line_values": 97,
     "classify.scan_record": 34,
     "cli._record_shape": 23,
     "cli._derived_format": 1458,
