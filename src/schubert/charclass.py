@@ -529,9 +529,8 @@ def tangent_power_sums(ring: GrassmannRing) -> PowerSumVector:
     return _power_sums_from_character(ring, rows * cols, sub_dual * quotient)
 
 
-@lru_cache(maxsize=None)
 def tangent_bundle(ring: GrassmannRing) -> ChernVector:
-    """Tangent bundle of G(k, n), recovered from its power sums."""
+    """Tangent bundle of G(k, n), recovered from its cached power sums."""
     return tangent_power_sums(ring).to_chern()
 
 

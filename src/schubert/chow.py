@@ -62,7 +62,7 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import le
+from operator import index, le
 from typing import Iterable, NamedTuple
 
 from .partitions import (
@@ -87,11 +87,13 @@ class _RingFields(NamedTuple):
 
 class GrassmannRing(_RingFields):
     """The Chow ring of G(k, n), k-dimensional planes in P^n: the pair
-    (k, n), checked on construction."""
+    (k, n), checked on construction and made ints by ``operator.index``
+    (1.0 would hash equal to 1 in every per-ring cache)."""
 
     __slots__ = ()
 
     def __new__(cls, k: int, n: int) -> GrassmannRing:
+        k, n = index(k), index(n)
         if not 0 <= k < n:
             raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
         return super().__new__(cls, k, n)

@@ -675,7 +675,8 @@ def _preflight() -> None:
                 _expect("preflight", f"the integral of s{la} * s{mu}", got, expected)
     # Newton round trips
     rank_two = [RankTwoData(-1, 0, 1), RankTwoData(0, -1, -1), RankTwoData(-1, 6, 6)]
-    probes = [rank_two_chern(ring, data) for data in rank_two] + [tangent_bundle(ring)]
+    tangent = tangent_bundle(ring)
+    probes = [rank_two_chern(ring, data) for data in rank_two] + [tangent]
     for v in probes:
         _expect("preflight", "the Newton round trip", v.power_sums().to_chern(), v)
     # the scan's forms against the general path (rank_two_chern -> ch -> pair)
@@ -722,7 +723,7 @@ def _preflight() -> None:
     total = tautological_subbundle(ring).total() * tautological_quotient(ring).total()
     _expect("preflight", "c(S) * c(Q)", total, ring.one())
     # anticanonical index: the 5 in the splitting-type inequality at e = 0
-    _expect("preflight", "c1 of the tangent bundle", tangent_bundle(ring).c[1], 5 * ring.hyperplane())
+    _expect("preflight", "c1 of the tangent bundle", tangent.c[1], 5 * ring.hyperplane())
     for p, q in ((-2, 2), (1, 3), (0, -1)):
         split = line_bundle(ring, p).direct_sum(line_bundle(ring, q))
         expected = rank_two_chern(ring, RankTwoData(p + q, p * q, p * q))

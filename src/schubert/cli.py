@@ -20,7 +20,7 @@ verdict the rule, passed, citation and (key, kind) pairs of the witness, and
 its numbers, all ints: e, a, b, then each witness number as its reduced
 (numerator, denominator) pair.  Every writer reads records as (key, numbers)
 rows through one loop, ``_formatted``, which builds each format once per row
-key, in a dict local to the render call; no rendered text outlives the call.
+key, in a dict local to that loop; no rendered text outlives it.
 A scan's records, the ``ScanRecords`` that ``enumerate_candidates`` returns,
 are read as their own rows, made by the scan in ints: a key is the stop point
 and the witness schema of each rule applied, which fix the record's shape,
@@ -236,13 +236,13 @@ def _record_json_format(shape, newline: str) -> bytes:
     ).encode()
 
 
-def _formatted(records, build, built: dict):
+def _formatted(records, build):
     """Each record as (``build(shape)`` of its shape, its numbers), made once
-    per row key in ``built``, a dict that lives as long as the render.  A
-    scan's rows are its own, and a key's shape is that of the record built
-    for its first row; any other record's row is its ``_record_shape``,
-    keyed by the shape."""
+    per row key in ``built``, a dict of this loop's alone.  A scan's rows
+    are its own, and a key's shape is that of the record built for its first
+    row; any other record's row is its ``_record_shape``, keyed by the shape."""
     scan = type(records) is ScanRecords
+    built = {}
     for row in records.rows if scan else map(_record_shape, records):
         made = built.get(row[0])
         if made is None:
@@ -255,7 +255,7 @@ def _write_records_json(records, newline: str) -> None:
     the indent of ``newline``, each from its shape's byte format, its slots
     filled with its row's numbers."""
     inner = newline + "  "
-    formatted = _formatted(records, lambda shape: _record_json_format(shape, inner), {})
+    formatted = _formatted(records, lambda shape: _record_json_format(shape, inner))
     _write_json_list(((fmt % numbers).decode() for fmt, numbers in formatted), newline)
 
 
@@ -297,18 +297,18 @@ def _marks(shape) -> list:
     return ["pass" if p else "fail" for p in passes] + [""] * (len(FILTER_RULES) - len(passes))
 
 
-def _table_rows(records, build, built: dict):
+def _table_rows(records, build):
     """Each record's cells: e, a, b, then ``build(shape)`` of its shape, then
     its witness cell, from its shape's witness-cell format."""
     derived = {}
-    for (cells, witness), numbers in _formatted(records, lambda shape: (build(shape), _witness_format(shape)), built):
+    for (cells, witness), numbers in _formatted(records, lambda shape: (build(shape), _witness_format(shape))):
         yield (*map(str, numbers[:3]), *cells, _derived_format(derived, witness, (), numbers) % numbers[3::2])
 
 
 def _filter_rows(records):
     """The ``filter`` table's rows of ``records``: e, a, b, the marks,
     status, detail and the witness cell."""
-    return _table_rows(records, lambda shape: (*_marks(shape), *shape[:2]), {})
+    return _table_rows(records, lambda shape: (*_marks(shape), *shape[:2]))
 
 
 def _csv_line_writer():
@@ -332,7 +332,7 @@ def _write_records_csv(records) -> None:
     write = sys.stdout.write
     write(_csv_line_writer().writerow(FILTER_COLUMNS))
     derived = {}
-    for fmt, numbers in _formatted(records, _record_csv_format, {}):
+    for fmt, numbers in _formatted(records, _record_csv_format):
         write(_derived_format(derived, fmt, ("%d", "%d", "%d"), numbers) % (numbers[:3] + numbers[3::2]))
 
 
@@ -341,10 +341,9 @@ REPLAY_COLUMNS = ["section", "e", "a", "b", "action", "outcome", "witness"]
 
 def _replay_rows(sections, final_list):
     """The ``replay`` table's rows: each section's records, then the final
-    list, with one witness-cell format per row key of all the sections."""
-    built = {}
+    list, with one witness-cell format per row key of each section."""
     for section, _, records in sections:
-        for cells in _table_rows(records, itemgetter(slice(2)), built):
+        for cells in _table_rows(records, itemgetter(slice(2))):
             yield (section, *cells)
     for entry in final_list:
         yield ("final", *map(int.__repr__, entry.data), entry.kind, entry.name, "")

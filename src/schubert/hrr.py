@@ -107,6 +107,5 @@ PROJECTIVE_3_SPACE = GrassmannRing(0, 3)
 
 def chi_p3(c1: int, c2: int, t: int) -> Fraction:
     """chi on P^3 of rank-two data (c1, c2) twisted by t (``RankTwoData.twisted``), i.e. of
-    (c1 + 2t, c2 + t*c1 + t^2), read off ``chi_form``; P^3 has no s(1,1), so b stays 0."""
-    e, a, _ = RankTwoData(c1, c2, 0).twisted(t)
-    return chi_form(PROJECTIVE_3_SPACE)(RankTwoData(e, a, 0))
+    (c1 + 2t, c2 + t*c1 + t^2), read off ``chi_form``, which has no b term: s(1,1) is not in P^3."""
+    return chi_form(PROJECTIVE_3_SPACE)(RankTwoData(c1, c2, 0).twisted(t))

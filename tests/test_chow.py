@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from schubert import GrassmannRing, chow, dual_partition
+from schubert import GrassmannRing, charclass, chow, dual_partition
 from schubert.chow import ChowClass, linear_combination, sum_of_products
 from schubert.partitions import complement, contains, skew_lr_expansion, weight
 
@@ -21,6 +21,23 @@ def test_ring_validation():
         GrassmannRing(4, 4)
     with pytest.raises(ValueError):
         GrassmannRing(-1, 3)
+
+
+def test_ring_fields_are_ints_whatever_the_caches_hold():
+    # 1.0 hashes equal to 1, so a ring of floats would read G(1,4)'s entries
+    # in every per-ring cache once they are warm, and fail inside the engine
+    # while they are cold: it is refused on construction either way
+    non_ints = ((1.0, 4), (1, 4.0), (1.5, 4), (Fraction(1, 2), 4), (Fraction(1), 4))
+    for warm in (False, True):
+        for cache in (charclass.tangent_power_sums, chow._tables, GrassmannRing.hyperplane_powers):
+            cache.cache_clear()
+        if warm:
+            charclass.tangent_bundle(GrassmannRing(1, 4))
+        for k, n in non_ints:
+            with pytest.raises(TypeError):
+                GrassmannRing(k, n)
+    ring = GrassmannRing(True, 4)
+    assert ring == (1, 4) and [type(x) for x in ring] == [int, int]
 
 
 def test_ring_shape(g14):

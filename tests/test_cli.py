@@ -1172,7 +1172,7 @@ def assert_rows_are_the_record_shapes(records) -> None:
     writers' one loop, are its ``_record_shape``, every number an int and each
     witness number a reduced pair: a row's key, whose shape is that of the
     record built for its first row, never stands for a record of another shape."""
-    written = list(cli._formatted(records, lambda shape: shape, {}))
+    written = list(cli._formatted(records, lambda shape: shape))
     assert len(written) == len(records)
     for rec, (shape, numbers) in zip(records, written):
         assert (shape, numbers) == _record_shape(rec), rec.data
