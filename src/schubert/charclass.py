@@ -70,10 +70,6 @@ class RankTwoData(NamedTuple):
         shift = t * self.e + t * t
         return RankTwoData(self.e + 2 * t, self.a + shift, self.b + shift)
 
-    def normalized(self) -> RankTwoData:
-        """The twist-equivalent representative with e in {0, -1}."""
-        return self.twisted(-((self.e + 1) // 2))
-
 
 class ChernVector:
     """Rank plus total Chern class of a bundle, one class per degree."""
@@ -384,19 +380,12 @@ class LineForm(NamedTuple):
     coeffs: tuple[int, ...]
     den: int
 
-    def __call__(self, b: int) -> Fraction:
-        acc = 0
-        for c in self.coeffs:
-            acc = acc * b + c
-        den = self.den
-        return Fraction(acc, den) if acc % den else Fraction(acc // den)  # an int needs no gcd
-
 
 def line_values(forms: tuple[LineForm, ...], bs) -> list[tuple[tuple[int, ...], bool]]:
     """For each integer b of the run ``bs``, in its order: the value of each
-    of ``forms`` at b, equal to its ``__call__``, as its reduced (numerator,
-    denominator) pair, the denominator positive, the pairs laid out in one
-    flat tuple; and whether every value is an integer.  Each value is one
+    of ``forms`` at b, its polynomial over its ``den``, as its reduced
+    (numerator, denominator) pair, the denominator positive, the pairs laid
+    out in one flat tuple; and whether every value is an integer.  Each value is one
     Horner loop in integers, its integrality read off the numerator; no
     Fraction is built."""
     out = []

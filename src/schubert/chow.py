@@ -124,9 +124,6 @@ class GrassmannRing(_RingFields):
     def one(self) -> ChowClass:
         return ChowClass._raw(self, {(): 1})
 
-    def point(self) -> ChowClass:
-        return ChowClass._raw(self, {self.top: 1})
-
     def hyperplane(self) -> ChowClass:
         """The ample generator sigma_(1)."""
         return self.sigma((1,))

@@ -1,8 +1,8 @@
 """Classification of rank-two Fano bundles on the Grassmannian of lines in P^4.
 
 The pipeline works with normalized Chern coordinates (e, a, b), e in {0, -1}
-(``RankTwoData.normalized`` twists arbitrary data to this form), and runs
-four steps:
+(``RankTwoData.twisted`` by -((e + 1) // 2) takes arbitrary data to this
+form), and runs four steps:
 
 1. a finite scan of (a, b) pairs, filtered in order by positivity of the
    ample Q-twist, positivity of Schur-polynomial pairings, integrality of
@@ -568,22 +568,15 @@ NONSPLIT_NAME = (
 )
 
 
-def survivors(records, stage: str) -> list[CandidateRecord]:
-    """Records that pass every filter up to and including ``stage``: verdicts
-    follow ``FILTER_RULES`` up to the first failure, so passing ``stage`` is
-    enough, and its verdict is read at the stage's position in that order (a
-    record whose verdict there has another rule does not pass).  Of a scan's
-    records only those that pass are built: the stop points of its rows say
-    which."""
+def survivors(records: ScanRecords, stage: str) -> list[CandidateRecord]:
+    """The scan's records that pass every filter up to and including
+    ``stage``: a row passes when its stop point lies past the stage's
+    position in ``FILTER_RULES``, and only the records of the rows that pass
+    are built."""
     if stage not in FILTER_RULES:
         raise ValueError(f"unknown filter stage {stage!r}")
     i = FILTER_RULES.index(stage)
-    if type(records) is ScanRecords:
-        return [scan_record(row) for row in records.rows if row[0][0] > i]
-    return [
-        r for r in records
-        if len(r.verdicts) > i and r.verdicts[i].passed and r.verdicts[i].rule == stage
-    ]
+    return [scan_record(row) for row in records.rows if row[0][0] > i]
 
 
 def step1_survivors(records: ScanRecords) -> list[CandidateRecord]:

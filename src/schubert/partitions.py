@@ -6,7 +6,7 @@ trailing zeros and every function here returns normalized tuples, so
 partitions compare and hash structurally.
 
 Littlewood-Richardson coefficients come from one iterative enumerator of
-lattice-word skew tableaux, ``skew_lr_expansion``, which collects every
+lattice-word skew tableaux, ``_skew_expansion``, which collects every
 content of a skew shape at once.  Direct enumeration is easy to audit and,
 at the box sizes this library targets, beats asymptotic cleverness.  One
 family of shapes needs no tableaux: when every nonempty row starts at one
@@ -19,12 +19,11 @@ Schur function of a disconnected shape is the product of those of its
 edge-connected components, wherever they sit (Macdonald, Symmetric
 Functions and Hall Polynomials, I.5), so such a shape is enumerated once
 per unordered set of components, placed corner to corner, and read from a
-cache after that.  The product table of ``chow`` reads the unchecked form,
-``_skew_expansion``, which leaves the containment test to its caller and
-returns a disconnected shape's cached dict without a copy; the public
-``skew_lr_expansion`` tests containment and returns a fresh dict.
-Everything in this module is a pure function on immutable values (the
-cache only remembers such results) and safe to call concurrently.
+cache after that.  ``_skew_expansion`` leaves the containment test to its
+callers, the product table of ``chow`` and ``lr_coefficient``, and returns
+a disconnected shape's cached dict without a copy.  Everything in this
+module is a pure function on immutable values (the cache only remembers
+such results) and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -98,20 +97,11 @@ def complement(la: Partition, box: Box) -> Partition:
     return partition(box.cols - padded[i] for i in reversed(range(box.rows)))
 
 
-def skew_lr_expansion(outer: Partition, inner: Partition) -> dict[Partition, int]:
-    """s_{outer/inner} in the Schur basis: ``{ka: c^outer_{inner,ka}}`` over
-    the nonzero coefficients; empty unless inner <= outer.  A fresh dict:
-    the containment test, then ``_skew_expansion``, copied.
-    """
-    if len(inner) > len(outer) or not all(map(le, inner, outer)):
-        return {}
-    return dict(_skew_expansion(outer, inner))
-
-
 def _skew_expansion(outer: Partition, inner: Partition) -> dict[Partition, int]:
-    """``skew_lr_expansion`` of a shape with inner <= outer, which is not
-    checked: the product table's rows come from here.  The dict of a
-    disconnected shape is shared with the cache; never mutate the result.
+    """s_{outer/inner} in the Schur basis, ``{ka: c^outer_{inner,ka}}`` over
+    the nonzero coefficients, for inner <= outer, which is not checked: the
+    product table's rows come from here.  The dict of a disconnected shape
+    is shared with the cache; never mutate the result.
 
     The empty shape returns {(): 1}, and a translated or rotated partition
     its row lengths (reversed for a rotated one) with coefficient 1.  Any
@@ -187,7 +177,7 @@ def _component_product(components: tuple[tuple[int, ...], ...]) -> dict[Partitio
 def _lattice_words(
     outer: Partition, inner: tuple[int, ...], top: int, bottom: int
 ) -> dict[Partition, int]:
-    """The lattice-word search behind ``skew_lr_expansion``: ``inner``
+    """The lattice-word search behind ``_skew_expansion``: ``inner``
     padded to the length of ``outer``, the nonempty rows in [top:bottom].
 
     Each column-strict filling of outer/inner whose reverse reading word (rows
@@ -247,7 +237,7 @@ def lr_coefficient(la: Partition, mu: Partition, nu: Partition) -> int:
     """Littlewood-Richardson coefficient: multiplicity of s_nu in s_la * s_mu.
 
     The coefficient of s_mu in the skew Schur function s_{nu/la}, read from
-    ``_skew_expansion``, as la <= nu is tested here.  Zero whenever
+    ``_skew_expansion`` once ``contains`` has found la <= nu.  Zero whenever
     |nu| != |la| + |mu| or the shapes are not nested.
     """
     la, mu, nu = partition(la), partition(mu), partition(nu)

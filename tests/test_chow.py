@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from schubert import GrassmannRing, charclass, chow, dual_partition
 from schubert.chow import ChowClass, linear_combination, sum_of_products
-from schubert.partitions import complement, contains, skew_lr_expansion, weight
+from schubert.partitions import _skew_expansion, complement, contains, weight
 
 from oracles import catalan, conjugate, pieri_product
 
@@ -50,7 +50,7 @@ def test_ring_shape(g14):
 def test_sigma_basics(g14):
     assert g14.sigma(()) == g14.one()
     assert g14.sigma((1,)) == g14.hyperplane()
-    assert g14.sigma((3, 3)) == g14.point()
+    assert g14.sigma((3, 3)) == g14.sigma(g14.top)
     with pytest.raises(ValueError):
         g14.sigma((4,))
     with pytest.raises(ValueError):
@@ -202,7 +202,7 @@ def test_products_in_a_long_box_do_not_recurse():
     # whose rows are one-cell shapes; sigma_(1200)^2 off block (1200, 1200)
     ring = GrassmannRing(0, 2400)
     assert ring.sigma((1,)) * ring.sigma((1,)) == ring.sigma((2,))
-    assert ring.sigma((1200,)) * ring.sigma((1200,)) == ring.point()
+    assert ring.sigma((1200,)) * ring.sigma((1200,)) == ring.sigma(ring.top)
 
 
 def test_rings_with_equal_k_and_n_are_equal():
@@ -444,7 +444,7 @@ def _assert_rows_are_the_skew_expansion(ring):
     for la, rows in table.items():
         dual = dual_partition(ring, la)
         for mu, row in rows.items():
-            expected = skew_lr_expansion(dual, mu)
+            expected = _skew_expansion(dual, mu) if contains(dual, mu) else {}
             assert dict(row) == expected
             assert len(row) == len(expected)  # no index twice
             assert (row == ()) == (not contains(dual, mu))
@@ -579,7 +579,10 @@ def _product_by_basis(x, y):
     acc = {}
     for la, a in x.coeffs.items():
         for mu, b in y.coeffs.items():
-            for ka, c in skew_lr_expansion(complement(la, box), mu).items():
+            outer = complement(la, box)
+            if not contains(outer, mu):
+                continue
+            for ka, c in _skew_expansion(outer, mu).items():
                 nu = complement(ka, box)
                 acc[nu] = acc.get(nu, 0) + a * b * c
     return acc

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from schubert import GrassmannRing
 from schubert.partitions import (
     Box,
+    _skew_expansion,
     complement,
     contains,
     enumerate_partitions,
     lr_coefficient,
     partition,
-    skew_lr_expansion,
     weight,
 )
 
@@ -123,24 +123,31 @@ def test_lr_known_values():
     assert lr_coefficient((2, 2), (1,), (3, 1, 1)) == 0
 
 
+def _nested_skew(outer, inner):
+    """The skew expansion of outer/inner from ``_skew_expansion``, once
+    ``contains`` has checked the nesting that it leaves to its callers."""
+    assert contains(outer, inner), (outer, inner)
+    return _skew_expansion(outer, inner)
+
+
 def test_skew_lr_expansion_examples():
-    assert skew_lr_expansion((2, 1), (1,)) == {(2,): 1, (1, 1): 1}
-    assert skew_lr_expansion((3, 2, 1), (2, 1)) == {(3,): 1, (2, 1): 2, (1, 1, 1): 1}
-    assert skew_lr_expansion((2, 1), (2, 1)) == {(): 1}
-    assert skew_lr_expansion((2,), (1, 1)) == {}
+    assert _nested_skew((2, 1), (1,)) == {(2,): 1, (1, 1): 1}
+    assert _nested_skew((3, 2, 1), (2, 1)) == {(3,): 1, (2, 1): 2, (1, 1, 1): 1}
+    assert _nested_skew((2, 1), (2, 1)) == {(): 1}
+    # not nested: no term, so c^(2)_{(1,1),()} is zero
+    assert not contains((2,), (1, 1)) and lr_coefficient((1, 1), (), (2,)) == 0
     # one row of 2399 cells, far beyond the recursion limit
-    assert skew_lr_expansion((2400,), (1,)) == {(2399,): 1}
+    assert _nested_skew((2400,), (1,)) == {(2399,): 1}
     # one column of 200 cells: a grid 301 rows high and labels up to 200
-    assert skew_lr_expansion((1,) * 300, (1,) * 100) == {(1,) * 200: 1}
+    assert _nested_skew((1,) * 300, (1,) * 100) == {(1,) * 200: 1}
     # single-term shapes: rows ending at one column read bottom up, rows
     # starting at one column top down, a single row under a longer one
-    assert skew_lr_expansion((4, 4, 4), (2, 2)) == {(4, 2, 2): 1}
-    assert skew_lr_expansion((5, 3, 1), (2, 2, 1)) == {(3, 1): 1}
-    assert skew_lr_expansion((4, 3, 1), (4, 1, 1)) == {(2,): 1}
-    assert skew_lr_expansion((3, 2), (3, 2)) == {(): 1}
-    # a disconnected shape's expansion is cached: each caller gets its own copy
-    skew_lr_expansion((3, 1), (1,)).clear()
-    assert skew_lr_expansion((3, 1), (1,)) == {(2, 1): 1, (3,): 1}
+    assert _nested_skew((4, 4, 4), (2, 2)) == {(4, 2, 2): 1}
+    assert _nested_skew((5, 3, 1), (2, 2, 1)) == {(3, 1): 1}
+    assert _nested_skew((4, 3, 1), (4, 1, 1)) == {(2,): 1}
+    assert _nested_skew((3, 2), (3, 2)) == {(): 1}
+    # a disconnected shape
+    assert _nested_skew((3, 1), (1,)) == {(2, 1): 1, (3,): 1}
 
 
 def _random_skew_shape(rng, kind):
@@ -170,7 +177,8 @@ def _random_skew_shape(rng, kind):
 def test_skew_lr_expansion_matches_the_pieri_oracle(kind):
     # c^outer_{inner,nu} is the coefficient of s_outer in s_inner * s_nu, read
     # from the Jacobi-Trudi/Pieri oracle in a box that holds outer and inner
-    # whole, so nothing the coefficient needs is truncated
+    # whole, so nothing the coefficient needs is truncated; lr_coefficient
+    # agrees on every nu, and a pair that is not nested has no term
     rng = random.Random(f"skew {kind}")
     for _ in range(30):
         outer, inner = _random_skew_shape(rng, kind)
@@ -180,13 +188,14 @@ def test_skew_lr_expansion_matches_the_pieri_oracle(kind):
         expected = {}
         for nu in partitions_of(weight(outer) - weight(inner), len(outer), outer[0]):
             c = pieri_product(ring, inner, nu).get(outer, 0)
+            assert lr_coefficient(inner, nu, outer) == c, (outer, inner, nu)
             if c:
                 expected[nu] = c
-        got = skew_lr_expansion(outer, inner)
-        assert got == expected, (outer, inner)
         if kind == "not inside":
-            assert got == {}
+            assert not contains(outer, inner) and expected == {}
         else:
+            got = _nested_skew(outer, inner)
+            assert got == expected, (outer, inner)
             assert got  # a skew Schur function of a nested pair is not zero
 
 
@@ -208,12 +217,15 @@ def test_skew_lr_expansion_on_every_pair_of_a_box(rows, cols, nested):
     seen = 0
     for outer in shapes:
         for inner in shapes:
-            got = skew_lr_expansion(outer, inner)
             if cells(inner) <= cells(outer):
                 seen += 1
-                assert got == expected[outer, inner], (outer, inner)
+                assert _nested_skew(outer, inner) == expected[outer, inner], (outer, inner)
             else:
-                assert got == {}, (outer, inner)
+                # not nested: no term, and lr_coefficient is zero on every nu
+                assert not contains(outer, inner), (outer, inner)
+                for nu in shapes:
+                    if weight(inner) + weight(nu) == weight(outer):
+                        assert lr_coefficient(inner, nu, outer) == 0, (outer, inner, nu)
     assert seen == nested
 
 
@@ -236,14 +248,14 @@ def test_single_term_skew_shapes_are_the_translated_and_rotated_partitions(rows,
             lengths = [o - n for n, o in spans]
             left = len({n for n, _ in spans}) <= 1
             right = len({o for _, o in spans}) <= 1
-            got = skew_lr_expansion(outer, inner)
+            got = _nested_skew(outer, inner)
             single = len(got) == 1 and list(got.values()) == [1]
             assert single == (left or right), (outer, inner, got)
             if single:
                 singles += 1
                 ka = tuple(lengths if left else reversed(lengths))
                 assert got == {ka: 1}, (outer, inner)
-                assert skew_lr_expansion(outer, ka).get(inner) == 1, (outer, inner)
+                assert _nested_skew(outer, ka).get(inner) == 1, (outer, inner)
     assert singles
 
 
@@ -344,8 +356,8 @@ def test_disconnected_skew_shape_is_the_product_of_its_components(case):
     expected = {(): 1}
     for o, n in components:
         expected = _oracle_product(expected, _oracle_skew_expansion(partition(o), partition(n)))
-    first = skew_lr_expansion(*_place(components, gaps))
-    second = skew_lr_expansion(*_place(components[::-1], other_gaps))
+    first = _nested_skew(*_place(components, gaps))
+    second = _nested_skew(*_place(components[::-1], other_gaps))
     assert first == expected
     assert second == first
 

@@ -31,7 +31,7 @@ from schubert import (
     split_detect,
     split_fano_bundles,
 )
-from schubert.charclass import PlaneForm, RankTwoForm
+from schubert.charclass import PlaneForm, RankTwoForm, line_values
 from schubert.hrr import chi_form
 from schubert.classify import (
     FILTER_RULES,
@@ -42,7 +42,6 @@ from schubert.classify import (
     SCHUR_CYCLES,
     STEP1_SURVIVORS,
     CandidateRecord,
-    Verdict,
     evaluate_candidate,
     scan_forms,
     scan_line,
@@ -322,31 +321,6 @@ def test_survivors_match_every_rule_up_to_the_stage():
         survivors(records, "section-bound")
 
 
-def test_survivors_read_each_stage_at_its_position():
-    # the step records' verdicts have other rules at the filters' positions;
-    # the synthetic ones have FILTER_RULES out of order, one passing verdict at
-    # another rule's position among them
-    report = replay_proof()
-    steps = [*report.step2_results, *report.step3_table, *report.step4_results]
-
-    def record(*verdicts):
-        rules = tuple(Verdict(rule, passed, {}, "") for rule, passed in verdicts)
-        return CandidateRecord(RankTwoData(0, 0, 0), rules, "surviving", "")
-
-    synthetic = [
-        record(("schur", True), ("schur", True), ("positivity", False)),
-        record(("positivity", True), ("griffiths", False), ("schur", False)),
-        record(*((rule, False) for rule in reversed(FILTER_RULES))),
-    ]
-    scan = [r for r in report.step1_table if r.status == "surviving"] + list(report.step1_table[:40])
-    for records in (steps, synthetic, [*scan, *steps, *synthetic]):
-        for stage in FILTER_RULES:
-            assert survivors(records, stage) == [r for r in records if r.passed(stage)], stage
-    assert [r.data for r in survivors(synthetic, "schur")] == [RankTwoData(0, 0, 0)]
-    with pytest.raises(ValueError):
-        survivors(steps, "minimal-sections")
-
-
 def test_candidate_evaluation_is_order_independent():
     records = enumerate_candidates()
     by_data = {r.data: r for r in records}
@@ -528,7 +502,7 @@ def test_theorem_rules_marked_cited():
 def test_normalization_at_the_boundary():
     # arbitrary data normalizes into the scan's e range
     for e in range(-4, 5):
-        assert RankTwoData(e, 5, -3).normalized().e in (0, -1)
+        assert RankTwoData(e, 5, -3).twisted(-((e + 1) // 2)).e in (0, -1)
 
 
 def _schur3_pairings(ring, data, cycles):
@@ -661,9 +635,10 @@ def test_folded_forms_match_the_unfolded_forms(e):
     for form, t, folded in folds:
         for _ in range(20):
             a, b = rng.randint(-10**4, 10**4), rng.randint(-10**4, 10**4)
-            got, expected = folded.line(a)(b), form(RankTwoData(e, a, b).twisted(t))
-            assert type(got) is Fraction and type(expected) is Fraction
-            assert got == expected, (e, t, a, b)
+            [(got, _)] = line_values((folded.line(a),), (b,))
+            expected = form(RankTwoData(e, a, b).twisted(t))
+            assert type(expected) is Fraction
+            assert got == (expected.numerator, expected.denominator), (e, t, a, b)
     assert forms.shift == RankTwoData(e, 0, 0).twisted(m).a
 
 
@@ -782,14 +757,14 @@ def test_scan_lines_match_the_unfolded_forms(e):
         assert list(map(type, line.qa)) == [int, int] and line.qa == qa.as_integer_ratio()
         # the pairing with the lines through a point is free of b
         assert len(line.schur) == len(SCHUR_CYCLES) and not any(line.schur[0].coeffs[:-1])
-        for _ in range(10):
-            b = rng.randint(-10**4, 10**4)
+        # every form of the line at a run of b, read as the scan reads them
+        bs = [rng.randint(-10**4, 10**4) for _ in range(10)]
+        for b, (got, _) in zip(bs, line_values((*line.schur, *line.chi), bs), strict=True):
             at_m = RankTwoData(e, a, b).twisted(m)
-            pairs = [(line.schur[0](b), point(at_m)), (line.schur[1](b), hyper(at_m))]
-            pairs += [(chi_k(b), chi(RankTwoData(e, a, b).twisted(k))) for k, chi_k in enumerate(line.chi)]
-            assert len(pairs) == len(SCHUR_CYCLES) + G14.dimension + 1
-            for got, expected in pairs:
-                assert type(got) is Fraction and got == expected, (e, a, b)
+            expected = [point(at_m), hyper(at_m), *(chi(RankTwoData(e, a, b).twisted(k)) for k in range(len(line.chi)))]
+            assert len(expected) == len(SCHUR_CYCLES) + G14.dimension + 1
+            assert all(type(v) is Fraction for v in expected)
+            assert got == tuple(n for v in expected for n in (v.numerator, v.denominator)), (e, a, b)
 
 
 def test_filters_off_the_square_match_the_unfolded_forms():
