@@ -34,7 +34,10 @@ their product is the one product.  A bundle with no Chern class above c1,
 a line bundle O(t) among them, has c1 = s*h and p_m = s^m * h^m, read off
 the closed form of the hyperplane powers (``GrassmannRing.hyperplane_powers``,
 the standard tableau counts) with no product.  Newton's identities
-(``ChernVector.power_sums``) serve every other bundle.
+(``ChernVector.power_sums``) serve every other bundle.  Its Euler
+characteristic needs neither: ``hrr.euler_characteristic`` reads it off the
+ring's Hilbert polynomial, so the closed form serves the bundle's Chern
+character, its Todd class, its twists and the Euler polynomial.
 
 Rank-two data (e, a, b) on a ring of lines is twisted in its coordinates by
 ``RankTwoData.twisted``, which every pipeline path uses; a bundle v of any
@@ -83,6 +86,8 @@ class ChernVector:
         for d, cls in (components or {}).items():
             if type(d) is not int or d < 1:
                 raise ValueError(f"component degrees must be positive integers, got {d}")
+            if cls.ring != ring:
+                raise ValueError(f"classes live in different rings: {ring} vs {cls.ring}")
             if d > dim:
                 continue  # classes above the ring dimension vanish
             if not cls.is_homogeneous(d):

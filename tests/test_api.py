@@ -90,6 +90,7 @@ BENCH_CACHES = [
     "schubert.classify.enumerate_candidates",
     "schubert.classify.scan_forms",
     "schubert.classify.schur3_form",
+    "schubert.hrr._hilbert_polynomial",
     "schubert.hrr.chi_form",
     "schubert.hrr.tangent_todd",
     "schubert.partitions._component_product",

@@ -205,9 +205,10 @@ def test_normalized_representative():
         return data.twisted(-((data.e + 1) // 2))
 
     for e in range(-5, 6):
-        data = normalized(RankTwoData(e, 3, -2))
-        assert data.e in (0, -1)
-        assert normalized(data) == data
+        for a, b in ((3, -2), (5, -3)):
+            data = normalized(RankTwoData(e, a, b))
+            assert data.e in (0, -1)
+            assert normalized(data) == data
     assert normalized(RankTwoData(0, -4, -4)) == RankTwoData(0, -4, -4)
 
 
@@ -487,6 +488,15 @@ def test_component_validation(g14):
     for key in ("2", None, True, 2.0, -1):
         with pytest.raises(ValueError, match="positive integers"):
             ChernVector(g14, 2, {key: g14.hyperplane()})
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_a_component_from_another_ring_is_refused(g14, degree):
+    # a foreign c1 once passed, and chi read its coefficient as if it were
+    # one of G(1,4): 50 for 2h on G(1,5), the value of O(2) on G(1,4)
+    foreign = 2 * GrassmannRing(1, 5).hyperplane() ** degree
+    with pytest.raises(ValueError, match="classes live in different rings"):
+        ChernVector(g14, 1, {degree: foreign})
 
 
 @pytest.mark.parametrize("t", [0.5, 2.0, "1/2", None])

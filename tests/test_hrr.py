@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from schubert import (
     ChernVector,
@@ -137,16 +139,50 @@ def test_integer_valued_for_split_and_tautological(g14):
         assert poly(rng.randint(-50, 50)).denominator == 1
 
 
-# G(3,8) is the largest ring of the big-ring benchmark
-@pytest.mark.parametrize("ring_args", [(0, 3), (1, 4), (1, 6), (2, 6), (3, 7), (3, 8)])
+# G(3,7) and G(3,8), the largest ring of the big-ring benchmark, and every
+# ring of dimension at most 12
+SMALL_RINGS = [GrassmannRing(k, n) for n in range(1, 13) for k in range(n) if (k + 1) * (n - k) <= 12]
+BOREL_WEIL_RINGS = [(0, 3), (1, 4), (1, 6), (2, 6), (3, 7), (3, 8)]
+BOREL_WEIL_RINGS += [ring for ring in SMALL_RINGS if ring not in BOREL_WEIL_RINGS]
+
+
+@pytest.mark.parametrize("ring_args", BOREL_WEIL_RINGS)
 def test_line_bundle_chi_matches_borel_weil(ring_args):
+    # euler_characteristic reads the ring's Hilbert polynomial; the Euler
+    # polynomial pairs ch(O) against h^j * td(T) / j!
     k, n = ring_args
     ring = GrassmannRing(k, n)
     poly = euler_polynomial(line_bundle(ring, 0))
-    for t in range(-(n + 3), 5):
+    for t in range(-(n + 3), n + 4):
         expected = line_bundle_chi(k, n, t)
         assert euler_characteristic(line_bundle(ring, t)) == expected
         assert poly(t) == expected
+
+
+def _chi_by_the_character(v):
+    return v.ch().pair(tangent_todd(v.ring))
+
+
+@pytest.mark.parametrize("ring_args", [(0, 3), (1, 4), (2, 6), (3, 7)])
+def test_hilbert_polynomial_path_matches_the_character_pairing_at_rational_twists(ring_args):
+    # a vector with no class above c1 = s*h has chi = P(s) + (rank - 1) * P(0)
+    ring = GrassmannRing(*ring_args)
+    for rank in (0, 1, 2, 3):
+        for s in (0, 1, -4, Fraction(1, 2), Fraction(-1, 2), Fraction(7, 3)):
+            v = ChernVector(ring, rank, {1: s * ring.hyperplane()} if s else {})
+            got = euler_characteristic(v)
+            assert isinstance(got, Fraction)
+            assert got == _chi_by_the_character(v), (ring_args, rank, s)
+
+
+@given(
+    st.sampled_from(SMALL_RINGS),
+    st.integers(0, 4),
+    st.fractions(min_value=-12, max_value=12, max_denominator=7),
+)
+def test_hilbert_polynomial_oracle_matches_the_character_pairing(ring, rank, s):
+    v = ChernVector(ring, rank, {1: s * ring.hyperplane()})
+    assert euler_characteristic(v) == _chi_by_the_character(v)
 
 
 @pytest.mark.parametrize("ring_args", [(1, 4), (1, 5)])

@@ -28,7 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # chi(O(t)) on G(3,7), from cold caches
 COLD_G37_CALLS = {
     "chow.sum_of_products": 33,
-    "chow.linear_combination": 32,
+    "chow.linear_combination": 26,
     "chow._fill_pair": 30,
     "chow._lr_row": 425,
 }
@@ -38,14 +38,15 @@ COLD_G37_TWISTS = (-10, -9, -8, -5, -4, 1)
 COLD_G37_HITS = {
     "schubert.charclass._rank_two_monomials": 0,
     "schubert.charclass.tangent_power_sums": 1,
-    "schubert.chow.GrassmannRing.hyperplane_powers": 5,
+    "schubert.chow.GrassmannRing.hyperplane_powers": 0,
     "schubert.chow._basis_product": 0,  # no engine caller: kept while bench/tracing.py reads it
-    "schubert.chow._tables": 68,
+    "schubert.chow._tables": 79,
     "schubert.classify.enumerate_candidates": 0,
     "schubert.classify.scan_forms": 0,
     "schubert.classify.schur3_form": 0,
+    "schubert.hrr._hilbert_polynomial": 5,
     "schubert.hrr.chi_form": 0,
-    "schubert.hrr.tangent_todd": 6,
+    "schubert.hrr.tangent_todd": 1,
     "schubert.partitions._component_product": 153,
     "schubert.partitions.lr_coefficient": 0,  # no engine caller: kept while bench/tracing.py reads it
 }
@@ -54,11 +55,11 @@ COLD_G37_HITS = {
 # and `filter --format csv`, comprehensions left out: Python 3.12 inlines
 # list, dict and set comprehensions, so their frames are not calls there
 COLD_REPLAY_MODULE_CALLS = {
-    "charclass": 1844,
-    "chow": 5231,
+    "charclass": 1816,
+    "chow": 5097,
     "classify": 4831,
     "cli": 6243,
-    "hrr": 25,
+    "hrr": 42,
     "partitions": 1773,
 }
 # calls of named functions over the same pass
@@ -76,7 +77,7 @@ COLD_REPLAY_CALLS = {
 COLD_REPLAY_HITS = {
     "schubert.charclass._rank_two_monomials": 2,
     "schubert.charclass.tangent_power_sums": 1,
-    "schubert.chow.GrassmannRing.hyperplane_powers": 7,
+    "schubert.chow.GrassmannRing.hyperplane_powers": 1,
     "schubert.chow._basis_product": 0,  # no engine caller: kept while bench/tracing.py reads it
     "schubert.chow._tables": 459,
     # one hit, from the second command: its one second reader is the
@@ -85,8 +86,9 @@ COLD_REPLAY_HITS = {
     "schubert.classify.enumerate_candidates": 1,
     "schubert.classify.scan_forms": 70,
     "schubert.classify.schur3_form": 10,
+    "schubert.hrr._hilbert_polynomial": 6,
     "schubert.hrr.chi_form": 10,
-    "schubert.hrr.tangent_todd": 13,
+    "schubert.hrr.tangent_todd": 7,
     "schubert.partitions._component_product": 0,
     "schubert.partitions.lr_coefficient": 0,  # no engine caller: kept while bench/tracing.py reads it
 }
@@ -157,6 +159,10 @@ def test_cold_ring_pins_its_calls_of_each_product_layer_function():
     counts = _cold_calls(work)
     assert _hits() == COLD_G37_HITS
     assert _calls_of(counts, COLD_G37_CALLS) == COLD_G37_CALLS
+    # each chi(O(t)) reads the ring's cached Hilbert polynomial: it builds
+    # neither the line bundle's power sums nor its Chern character
+    assert counts[charclass.ChernVector.power_sums.__code__] == 0
+    assert counts[charclass.PowerSumVector.ch.__code__] == 0
     # every cache cleared: a second pass from cold does the same work
     assert _cold_calls(work) == counts
 
@@ -222,7 +228,7 @@ REACHED = {
         "line_bundle", "line_values", "rank_two_character", "rank_two_chern", "rank_two_form", "tangent_bundle",
         "tangent_power_sums", "tautological_quotient", "tautological_subbundle", "todd_log_coefficients",
     ),
-    "hrr": ("chi_form", "chi_p3", "euler_characteristic", "tangent_todd"),
+    "hrr": ("_hilbert_polynomial", "chi_form", "chi_p3", "euler_characteristic", "tangent_todd"),
     "classify": (
         "CandidateRecord.passed", "CandidateRecord.verdict", "ScanRecords.__init__", "_expect", "_filled",
         "_griffiths", "_positivity", "_preflight", "_schur", "_schwarzenberger", "_step2", "_step3", "_step4",
