@@ -30,14 +30,11 @@ size m in the box (the Murnaghan-Nakayama rule, Macdonald, Symmetric
 Functions and Hall Polynomials, I.3 Ex. 11, read with sigma_la = s_la'(Q)),
 and p_m(S-dual) = (-1)^(m+1) p_m(Q) since S + Q is trivial, so each
 character is one ``linear_combination`` of basis classes over dim!, and
-their product is the one product.  A bundle with no Chern class above c1,
-a line bundle O(t) among them, has c1 = s*h and p_m = s^m * h^m, read off
-the closed form of the hyperplane powers (``GrassmannRing.hyperplane_powers``,
-the standard tableau counts) with no product.  Newton's identities
-(``ChernVector.power_sums``) serve every other bundle.  Its Euler
-characteristic needs neither: ``hrr.euler_characteristic`` reads it off the
-ring's Hilbert polynomial, so the closed form serves the bundle's Chern
-character, its Todd class, its twists and the Euler polynomial.
+their product is the one product.  Newton's identities
+(``ChernVector.power_sums``) serve every other bundle, a line bundle O(t)
+among them.  The Euler characteristic of a bundle with no Chern class above
+c1 needs no power sum: ``hrr.euler_characteristic`` reads it off the ring's
+Hilbert polynomial, the one closed form for line bundles.
 
 Rank-two data (e, a, b) on a ring of lines is twisted in its coordinates by
 ``RankTwoData.twisted``, which every pipeline path uses; a bundle v of any
@@ -88,11 +85,10 @@ class ChernVector:
                 raise ValueError(f"component degrees must be positive integers, got {d}")
             if cls.ring != ring:
                 raise ValueError(f"classes live in different rings: {ring} vs {cls.ring}")
-            if d > dim:
-                continue  # classes above the ring dimension vanish
             if not cls.is_homogeneous(d):
                 raise ValueError(f"component {cls!r} is not homogeneous of degree {d}")
-            c[d] = cls
+            if d <= dim:  # above the ring dimension only the zero class passes
+                c[d] = cls
         self.ring = ring
         self.rank = rank
         self.c = tuple(c)
@@ -118,18 +114,8 @@ class ChernVector:
 
     def power_sums(self) -> PowerSumVector:
         """Power sums of the Chern roots via Newton's identities:
-        p_m = c1*p_{m-1} - c2*p_{m-2} + ... + (-1)^{m-1} m*c_m.
-
-        With no Chern class above c1, as for a line bundle, they are the
-        powers c1^m with no product: sigma_1 spans degree 1, so c1 = (x/q)*h
-        and p_m = (x/q)^m * h^m, read off ``hyperplane_powers``."""
+        p_m = c1*p_{m-1} - c2*p_{m-2} + ... + (-1)^{m-1} m*c_m."""
         ring, c = self.ring, self.c
-        if not any(c[2:]):
-            x, q = c[1].num.get((1,), 0), c[1].den
-            p = [ring.zero()]
-            for m, hm in enumerate(ring.hyperplane_powers()[1:], 1):
-                p.append(ChowClass._raw(ring, {la: x**m * f for la, f in hm.num.items()} if x else {}, q**m))
-            return PowerSumVector(ring, self.rank, tuple(p))
         one = ring.one()
         # the nonzero c_i with their signs, and the nonzero p_j met so far
         signed = [(i, -1 if i % 2 == 0 else 1, c[i]) for i in range(1, ring.dimension + 1) if c[i]]

@@ -37,7 +37,7 @@ enumerated once, and no empty row is ever enumerated.  A row whose skew
 shape falls apart into pieces is the product of the pieces' expansions,
 which ``partitions`` enumerates once per set of pieces.  The powers of the
 hyperplane class need no product at all: ``hyperplane_powers`` reads them
-off the standard tableau counts, one cached tuple per ring.  Rings
+off the standard tableau counts, with no cache of their own.  Rings
 are immutable and shareable; a box has one cache, ``_tables``, holding its
 product table with its dual indices and its grades, all pure caches
 (identical inputs always produce identical rows, only complete rows are
@@ -147,7 +147,6 @@ class GrassmannRing(_RingFields):
             raise ValueError(f"need 0 <= i < j <= {self.n}, got ({i}, {j})")
         return self.sigma((self.n - 1 - i, self.n - j))
 
-    @lru_cache(maxsize=None)
     def hyperplane_powers(self) -> tuple[ChowClass, ...]:
         """h^0, h^1, ..., h^dim for the ample generator h, with no product.
 
@@ -156,7 +155,8 @@ class GrassmannRing(_RingFields):
         tableaux of shape la (Fulton, Young Tableaux, 1997, 9.4; the hook
         length formula of Frame, Robinson and Thrall, 1954).  The counts come
         from one walk up Young's lattice in the box: f^nu is the sum of f^la
-        over the la that nu covers.  Cached per ring (never mutate)."""
+        over the la that nu covers.  Not cached: the per-ring caches that
+        read it keep what they build from it."""
         rows, cols = self.box
         counts: dict[Partition, int] = {(): 1}
         powers = [self.one()]

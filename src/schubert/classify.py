@@ -636,15 +636,17 @@ def split_detect(e: int, a: int, b: int) -> SplittingType | None:
 def restriction_to_p3(e: int, a: int, b: int) -> tuple[int, int]:
     """Chern coordinates of the restriction of (e, a, b) to the P^3 of lines
     through a point: (integral of c1 * h^2 * P, integral of c2 * h * P) with
-    c1 = e*s(1), c2 = a*s(2) + b*s(1,1) and P = omega(0, 4), read through
-    full products.  The map is linear in (e, a, b); the preflight proves it
-    equal to (e, a) on a basis (s(1,1) * P = 0, so b drops out)."""
+    c1 = e*s(1), c2 = a*s(2) + b*s(1,1) and P = omega(0, 4), each read as
+    one Poincare pairing with P (``ChowClass.pair``, whose duality the
+    preflight checks on the full basis before it uses this map).  The map is
+    linear in (e, a, b); the preflight proves it equal to (e, a) on a basis
+    (s(1,1) * P = 0, so b drops out)."""
     ring = G14
     h, p3 = ring.hyperplane(), ring.omega(0, 4)
     c1 = e * h
     c2 = a * ring.sigma((2,)) + b * ring.sigma((1, 1))
     # integer scalars times integer structure constants: each pairing is an integer
-    return (c1 * h * h * p3).integrate().numerator, (c2 * h * p3).integrate().numerator
+    return (c1 * h * h).pair(p3).numerator, (c2 * h).pair(p3).numerator
 
 
 # -- the four-step replay -------------------------------------------------------

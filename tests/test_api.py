@@ -84,7 +84,6 @@ def test_tracer_install_and_uninstall_leave_the_package_as_it_was(bench):
 BENCH_CACHES = [
     "schubert.charclass._rank_two_monomials",
     "schubert.charclass.tangent_power_sums",
-    "schubert.chow.GrassmannRing.hyperplane_powers",
     "schubert.chow._basis_product",
     "schubert.chow._tables",
     "schubert.classify.enumerate_candidates",

@@ -147,10 +147,10 @@ def test_todd_log_coefficients_closed_form_matches_the_series():
 
 @pytest.mark.parametrize("t", [-7, 2, Fraction(5, 3)])
 def test_line_bundle_power_sums_are_powers_of_the_twist(monkeypatch, t):
-    # p_m(O(t)) = t^m h^m on G(3,8), read off the closed form of h^m with no
-    # kernel call.  Newton's recurrence still serves a vector with zero
-    # classes and skips their terms: with c2 = s(2) alone, p_2 = -2*c2 is one
-    # term, each even p_m = -c2 * p_(m-2) one more, and each odd p_m none
+    # p_m(O(t)) = t^m h^m on G(3,8) by Newton's recurrence, which skips the
+    # terms of zero classes: p_1 = c1 is one term and each p_m = c1 * p_(m-1)
+    # one more.  With c2 = s(2) alone, p_2 = -2*c2 is one term, each even
+    # p_m = -c2 * p_(m-2) one more, and each odd p_m none
     ring = GrassmannRing(3, 8)
     h = ring.hyperplane()
     s2 = ring.sigma((2,))
@@ -163,7 +163,8 @@ def test_line_bundle_power_sums_are_powers_of_the_twist(monkeypatch, t):
 
     monkeypatch.setattr(charclass, "sum_of_products", recording)
     p = line_bundle(ring, t).power_sums().p
-    assert sizes == []
+    assert sizes == [1] * ring.dimension
+    sizes.clear()
     c2_alone = ChernVector(ring, 2, {2: s2}).power_sums().p
     monkeypatch.undo()
     assert sizes == [1 - m % 2 for m in range(1, ring.dimension + 1)]
@@ -364,8 +365,8 @@ def _power_sums_by_products(v):
 
 
 def test_power_sums_without_higher_classes_match_explicit_products_on_every_small_ring():
-    # line bundles and a rank-3 vector with c1 alone take the closed form;
-    # a rank-two vector with c2 != 0 keeps Newton's identities
+    # Newton's identities against explicit products: line bundles, a rank-3
+    # vector with c1 alone and a rank-two vector with c2 != 0
     for ring_args in SMALL_RINGS:
         ring = GrassmannRing(*ring_args)
         h = ring.hyperplane()
@@ -488,6 +489,11 @@ def test_component_validation(g14):
     for key in ("2", None, True, 2.0, -1):
         with pytest.raises(ValueError, match="positive integers"):
             ChernVector(g14, 2, {key: g14.hyperplane()})
+    # above the ring dimension only the zero class is homogeneous: a nonzero
+    # one was once skipped, and the vector was silently trivial with chi = 1
+    with pytest.raises(ValueError, match="not homogeneous of degree 7"):
+        ChernVector(g14, 1, {7: g14.hyperplane()})
+    assert ChernVector(g14, 1, {7: g14.zero()}) == ChernVector(g14, 1)
 
 
 @pytest.mark.parametrize("degree", [1, 2])
