@@ -43,7 +43,8 @@ Rational twists are supported, and their "Chern classes" need not be
 integral.  A ``RankTwoForm`` in (e, a, b) evaluates to an unreduced pair of
 ints (``ratio``) and folds at a fixed e and twist into a ``PlaneForm`` in
 (a, b) alone, one polynomial in a per power of b, which restricts at a
-fixed a to a ``LineForm`` in b, evaluated in integers over a run of b.
+fixed a to a polynomial in b, a plain (coefficients, denominator) pair,
+evaluated in integers over a run of b.
 """
 
 from __future__ import annotations
@@ -364,17 +365,10 @@ class RankTwoForm(NamedTuple):
         return PlaneForm(tuple(tuple(reversed(col)) for col in reversed(out)), self.den * q**self.top)
 
 
-class LineForm(NamedTuple):
-    """A polynomial in b with integer coefficients, highest power first, over
-    one positive denominator ``den``."""
-
-    coeffs: tuple[int, ...]
-    den: int
-
-
-def line_values(forms: tuple[LineForm, ...], bs) -> list[tuple[tuple[int, ...], bool]]:
-    """For each integer b of the run ``bs``, in its order: the value of each
-    of ``forms`` at b, its polynomial over its ``den``, as its reduced
+def line_values(forms: tuple[tuple[tuple[int, ...], int], ...], bs) -> list[tuple[tuple[int, ...], bool]]:
+    """For each integer b of the run ``bs``, in its order: the value at b of
+    each of ``forms``, a pair (integer coefficients of a polynomial in b,
+    highest power first; one positive denominator), as its reduced
     (numerator, denominator) pair, the denominator positive, the pairs laid
     out in one flat tuple; and whether every value is an integer.  Each value is one
     Horner loop in integers, its integrality read off the numerator; no
@@ -408,15 +402,16 @@ class PlaneForm(NamedTuple):
     cols: tuple[tuple[int, ...], ...]
     den: int
 
-    def line(self, a: int) -> LineForm:
-        """The form on the line of fixed a: each column one Horner loop in a."""
+    def line(self, a: int) -> tuple[tuple[int, ...], int]:
+        """The form on the line of fixed a, as the pair (coefficients of b,
+        highest power first; ``den``): each column one Horner loop in a."""
         out = []
         for col in self.cols:
             acc = 0
             for c in col:
                 acc = acc * a + c
             out.append(acc)
-        return LineForm(tuple(out), self.den)
+        return tuple(out), self.den
 
 
 def rank_two_character(dim: int) -> dict[tuple[int, int], Fraction]:

@@ -92,7 +92,6 @@ from operator import index
 from typing import NamedTuple
 
 from .charclass import (
-    LineForm,
     PlaneForm,
     RankTwoData,
     RankTwoForm,
@@ -308,8 +307,9 @@ class ScanLine(NamedTuple):
     e: int
     a: int
     qa: tuple[int, int]  # a + shift; the qb of (e, a, b) adds (b - a) to it
-    schur: tuple[LineForm, LineForm]  # s_(3)(E(m)) paired with each of SCHUR_CYCLES
-    chi: tuple[LineForm, ...]  # chi(E(k)) for k = 0..dim
+    # each form a (coefficients of b, denominator) pair, from PlaneForm.line
+    schur: tuple[tuple[tuple[int, ...], int], ...]  # s_(3)(E(m)) paired with each of SCHUR_CYCLES
+    chi: tuple[tuple[tuple[int, ...], int], ...]  # chi(E(k)) for k = 0..dim
 
 
 def scan_line(e: int, a: int) -> ScanLine:

@@ -19,7 +19,9 @@ whose c2 = pq*h^2 is nonzero at (p, q) = (-2, 2) and (1, 3), so that chi
 takes the pairing.
 ``euler_polynomial`` packages chi(E(k)) as a polynomial in the twist k:
 twisting multiplies ch(E) by exp(k*h), so the coefficient of k^j is the
-pairing of ch(E) with h^j * td(T) / j!.
+pairing of ch(E) * td(T), one product, with the hyperplane power h^j,
+over j!.  The Hilbert polynomial is the same series for O, read off td(T)
+alone.
 
 For rank-two data (e, a, b) on a ring of lines or on a projective space,
 chi(E) is a fixed polynomial in the coordinates: ``chi_form`` builds it once
@@ -52,7 +54,7 @@ from .charclass import (
     tangent_bundle,  # unused here; the benchmark's tracer rebinds it by name in this module
     tangent_power_sums,
 )
-from .chow import ChowClass, GrassmannRing, Scalar, sum_of_products
+from .chow import ChowClass, GrassmannRing, Scalar
 
 
 @lru_cache(maxsize=None)
@@ -62,26 +64,19 @@ def tangent_todd(ring: GrassmannRing) -> ChowClass:
     return tangent_power_sums(ring).todd()
 
 
-def _twist_kernels(ring: GrassmannRing) -> tuple[ChowClass, ...]:
-    # h^j * td(T) / j! for j = 0..dim: twisting by O(k) multiplies the Chern
-    # character by exp(k*h) = sum_j k^j * h^j / j!, so the coefficient of k^j
-    # in chi(E(k)) is one pairing against the j-th kernel.
-    kernel = tangent_todd(ring)
-    h = ring.hyperplane()
-    kernels = [kernel]
-    for j in range(1, ring.dimension + 1):
-        kernel = sum_of_products(ring, ((1, kernel, h),), j)
-        kernels.append(kernel)
-    return tuple(kernels)
+def _twist_series(x: ChowClass) -> tuple[Fraction, ...]:
+    # integral(x * h^m) / m! for m = 0..dim, the coefficients of k^m in
+    # integral(x * exp(k*h)): one pairing of each hyperplane power, which
+    # needs no product and runs over h^m's terms alone
+    return tuple(hm.pair(x) / factorial(m) for m, hm in enumerate(x.ring.hyperplane_powers()))
 
 
 @lru_cache(maxsize=None)
 def _hilbert_polynomial(ring: GrassmannRing) -> tuple[tuple[int, ...], int]:
     """P(t) = chi(O(t)) = sum_m t^m * integral(h^m * td(T)) / m!, as its
-    integer coefficients of t^0..t^dim over one positive denominator: one
-    pairing of each hyperplane power, which needs no product, with td(T)."""
-    todd = tangent_todd(ring)
-    coeffs = [hm.pair(todd) / factorial(m) for m, hm in enumerate(ring.hyperplane_powers())]
+    integer coefficients of t^0..t^dim over one positive denominator: the
+    twist series of td(T)."""
+    coeffs = _twist_series(tangent_todd(ring))
     den = lcm(*(c.denominator for c in coeffs))
     return tuple(int(c * den) for c in coeffs), den
 
@@ -136,9 +131,9 @@ class EulerPolynomial(NamedTuple):
 
 
 def euler_polynomial(v: ChernVector) -> EulerPolynomial:
-    """chi(E(k)) = sum_j k^j * integral(ch(E) * h^j * td(T)) / j!."""
-    character = v.ch()
-    return EulerPolynomial(tuple(character.pair(kernel) for kernel in _twist_kernels(v.ring)))
+    """chi(E(k)) = sum_j k^j * integral(ch(E) * td(T) * h^j) / j!: one
+    product, ch(E) * td(T), paired with each hyperplane power."""
+    return EulerPolynomial(_twist_series(v.ch() * tangent_todd(v.ring)))
 
 
 PROJECTIVE_3_SPACE = GrassmannRing(0, 3)

@@ -29,7 +29,7 @@ such results) and safe to call concurrently.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import le
+from operator import index, le
 from typing import Iterable, NamedTuple
 
 Partition = tuple[int, ...]
@@ -44,7 +44,7 @@ class Box(NamedTuple):
 
 def partition(parts: Iterable[int]) -> Partition:
     """Normalize ``parts`` to a partition tuple, dropping trailing zeros."""
-    t = tuple(int(x) for x in parts)
+    t = tuple(map(index, parts))  # a float, a Fraction or a string raises TypeError
     end = len(t)
     while end and t[end - 1] == 0:
         end -= 1

@@ -23,7 +23,6 @@ from schubert import (
     todd_log_coefficients,
 )
 from schubert.charclass import (
-    LineForm,
     PlaneForm,
     RankTwoForm,
     exp_nilpotent,
@@ -528,14 +527,15 @@ def test_rank_two_form_call_matches_naive_sum():
 
 
 @st.composite
-def line_forms(draw) -> LineForm:
-    """A line form whose coefficients are mostly multiples of its
-    denominator, so that many values are integers."""
+def line_forms(draw) -> tuple[tuple[int, ...], int]:
+    """A line form, the (coefficients, denominator) pair ``PlaneForm.line``
+    returns, whose coefficients are mostly multiples of its denominator, so
+    that many values are integers."""
     den = draw(st.sampled_from((1, 2, 6, 720)) | st.integers(1, 10**6))
     offsets = st.just(0) | st.integers(-(10**6), 10**6)
     coeffs = draw(st.lists(st.builds(lambda q, r: den * q + r, st.integers(-(10**9), 10**9), offsets),
                            min_size=1, max_size=8))
-    return LineForm(tuple(coeffs), den)
+    return tuple(coeffs), den
 
 
 @given(st.lists(line_forms(), max_size=8).map(tuple), st.lists(st.integers(-40, 40) | st.integers(), max_size=6))
@@ -579,8 +579,10 @@ def test_horner_plane_restriction_equals_the_plane_polynomial(case):
         for i, c in enumerate(col)
     )
     line = plane.line(a)
-    assert type(line) is LineForm and line.den == plane.den
-    assert len(line.coeffs) == len(cols)
+    assert type(line) is tuple and len(line) == 2
+    coeffs, den = line
+    assert type(coeffs) is tuple and den == plane.den
+    assert len(coeffs) == len(cols)
     expected = Fraction(value, plane.den)
     assert line_values((line,), (b,)) == [((expected.numerator, expected.denominator), expected.denominator == 1)]
 

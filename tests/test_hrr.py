@@ -185,6 +185,29 @@ def test_hilbert_polynomial_oracle_matches_the_character_pairing(ring, rank, s):
     assert euler_characteristic(v) == _chi_by_the_character(v)
 
 
+LINE_RINGS = [ring for ring in SMALL_RINGS if ring.k == 1 and ring.n >= 3]  # s(2) and s(1,1) both fit
+
+
+@st.composite
+def twist_series_bundles(draw) -> ChernVector:
+    """A line bundle O(t) on a ring of dimension at most 12, or rank-two data
+    (e, a, b) on a ring of lines of dimension at most 12."""
+    small = st.integers(-8, 8)
+    if draw(st.booleans()):
+        return line_bundle(draw(st.sampled_from(SMALL_RINGS)), draw(small))
+    return rank_two_chern(draw(st.sampled_from(LINE_RINGS)), RankTwoData(draw(small), draw(small), draw(small)))
+
+
+@given(twist_series_bundles(), st.integers(-12, 12))
+def test_euler_polynomial_twist_series_oracle_matches_direct_twists(v, k):
+    # the Euler polynomial, one product ch(E) * td(T) paired with each
+    # hyperplane power, against chi of v twisted by k through its power sums:
+    # euler_characteristic (the Hilbert polynomial for a line bundle) and the
+    # pairing of the twist's own Chern character with td(T)
+    w = twist(v, k)
+    assert euler_polynomial(v)(k) == euler_characteristic(w) == _chi_by_the_character(w)
+
+
 @pytest.mark.parametrize("ring_args", [(1, 4), (1, 5)])
 def test_chi_form_matches_general_path(ring_args):
     ring = GrassmannRing(*ring_args)

@@ -1,12 +1,13 @@
 import random
 import time
 from collections import defaultdict
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from schubert import GrassmannRing
+from schubert import ChowClass, GrassmannRing
 from schubert.partitions import (
     Box,
     _skew_expansion,
@@ -55,6 +56,30 @@ def test_partition_strips_many_trailing_zeros_at_once():
 def test_partition_rejects_non_partitions(bad):
     with pytest.raises(ValueError):
         partition(bad)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda G: G.sigma((1.9,)),
+        lambda G: G.omega(0.5, 4),
+        lambda G: ChowClass(G, {(1.5,): 1}),
+        lambda G: lr_coefficient((1.5,), (1,), (2,)),
+        lambda G: partition((Fraction(2),)),
+        lambda G: partition("21"),
+    ],
+    ids=["sigma", "omega", "ChowClass", "lr_coefficient", "Fraction", "str"],
+)
+def test_partition_refuses_parts_that_are_not_integers(build):
+    # a part is read by operator.index: truncating 1.9 to 1 would name
+    # another class, so a float, a Fraction or a string raises
+    with pytest.raises(TypeError):
+        build(GrassmannRing(1, 4))
+
+
+def test_partition_reads_bool_parts_as_integers():
+    assert partition((True, False)) == (1,)
+    assert GrassmannRing(1, 4).sigma((True,)) == GrassmannRing(1, 4).sigma((1,))
 
 
 def test_enumerate_examples():

@@ -593,8 +593,8 @@ def test_preflight_refuses_a_wrong_scan_line(monkeypatch):
     plain = PlaneForm.line
 
     def wrong(plane, a):
-        line = plain(plane, a)
-        return line._replace(coeffs=(*line.coeffs[:-1], line.coeffs[-1] + (a == 2)))
+        coeffs, den = plain(plane, a)
+        return (*coeffs[:-1], coeffs[-1] + (a == 2)), den
 
     monkeypatch.setattr(PlaneForm, "line", wrong)
     with pytest.raises(ReplayMismatch) as info:
@@ -756,7 +756,7 @@ def test_scan_lines_match_the_unfolded_forms(e):
         qa = RankTwoData(e, a, 0).twisted(m).a
         assert list(map(type, line.qa)) == [int, int] and line.qa == qa.as_integer_ratio()
         # the pairing with the lines through a point is free of b
-        assert len(line.schur) == len(SCHUR_CYCLES) and not any(line.schur[0].coeffs[:-1])
+        assert len(line.schur) == len(SCHUR_CYCLES) and not any(line.schur[0][0][:-1])
         # every form of the line at a run of b, read as the scan reads them
         bs = [rng.randint(-10**4, 10**4) for _ in range(10)]
         for b, (got, _) in zip(bs, line_values((*line.schur, *line.chi), bs), strict=True):

@@ -59,7 +59,7 @@ COLD_REPLAY_MODULE_CALLS = {
     "chow": 3555,
     "classify": 1042,
     "cli": 4754,
-    "hrr": 26,
+    "hrr": 27,
     "partitions": 779,
 }
 # entries into the generator expressions of each module over the same pass:
@@ -71,8 +71,8 @@ COLD_REPLAY_MODULE_RESUMES = {
     "chow": 1411,
     "classify": 3789,
     "cli": 1489,
-    "hrr": 16,
-    "partitions": 994,
+    "hrr": 24,
+    "partitions": 482,
 }
 # calls of named functions over the same pass
 COLD_REPLAY_CALLS = {
@@ -242,7 +242,7 @@ REACHED = {
         "line_bundle", "line_values", "rank_two_character", "rank_two_chern", "rank_two_form", "tangent_bundle",
         "tangent_power_sums", "tautological_quotient", "tautological_subbundle", "todd_log_coefficients",
     ),
-    "hrr": ("_hilbert_polynomial", "chi_form", "chi_p3", "euler_characteristic", "tangent_todd"),
+    "hrr": ("_hilbert_polynomial", "_twist_series", "chi_form", "chi_p3", "euler_characteristic", "tangent_todd"),
     "classify": (
         "CandidateRecord.passed", "CandidateRecord.verdict", "ScanRecords.__init__", "_expect", "_filled",
         "_griffiths", "_positivity", "_preflight", "_schur", "_schwarzenberger", "_step2", "_step3", "_step4",
@@ -291,7 +291,6 @@ DEMO = {
     "hrr.EulerPolynomial.__call__": "riemann_roch.py",
     "hrr.EulerPolynomial.degree": "riemann_roch.py",
     "hrr.EulerPolynomial.is_integer_valued": "riemann_roch.py",
-    "hrr._twist_kernels": "riemann_roch.py",
     "hrr.euler_polynomial": "riemann_roch.py",
 }
 # reached on a failure path only: each with the exit-code test that reaches it
