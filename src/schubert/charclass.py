@@ -5,24 +5,26 @@ pieces of the total Chern class).  Internally, Chern character and Todd
 class computations run through power sums of the Chern roots
 (:class:`PowerSumVector`): both are polynomial in power sums with universal
 rational coefficients, which avoids transcribing degree-six universal Todd
-polynomials by hand.  The Todd series coefficients are computed, never
+polynomials by hand.  The Todd series coefficients a_j are computed, never
 hard-coded, in closed form from the integer tangent numbers
-(``todd_log_coefficients``), and the exponential of a class is built degree
-by degree by the graded recurrence of ``exp_nilpotent``.  Each graded piece
-of a recurrence (Newton's identities and their inverse, ``exp`` and twists)
-is one call of the ring's multiply-accumulate kernel
-``chow.sum_of_products`` with int weights over one int divisor, over its
-terms whose classes are both nonzero; Newton's identities, their inverse
-and ``exp`` list the nonzero pieces of their input once per call, with
-their signs, and keep the nonzero pieces they find by degree, so no pair of
-degrees is tested for zero classes.  The inverse identities and ``exp``
-share one solver of m * y_m = sum of w_i * x_i * y_{m-i} from y_0 = 1,
-``_graded_solve``, each with its own weights.  Each weighted sum (``ch``,
-the Todd weights, the total Chern class) is one call of
+(``todd_log_coefficients``), and the Todd class exp(sum a_j * p_j) is
+solved degree by degree on the power sums themselves
+(``PowerSumVector.todd``).
+Each graded piece of a recurrence (Newton's identities and their inverse,
+the Todd exponential and twists) is one call of the ring's
+multiply-accumulate kernel ``chow.sum_of_products`` with int weights over
+one int divisor, over its terms whose classes are both nonzero; Newton's
+identities, their inverse and the Todd exponential list the nonzero pieces
+of their input once per call, with their signs or weights, and keep the
+nonzero pieces they find by degree, so no pair of degrees is tested for
+zero classes.  The inverse identities and the Todd exponential share one
+solver of m * d * y_m = sum of w_i * x_i * y_{m-i} from y_0 = 1,
+``_graded_solve``, each with its own weights and common divisor d.  Each
+weighted sum (``ch``, the Todd class, the total Chern class) is one call of
 ``chow.linear_combination``, so no term builds its own product, scaled copy
 or partial sum.  A class is split by degree in one pass
 (``ChowClass.graded_pieces``).  The tangent bundle's power sums are read
-once off its Chern character ch(T) = ch(S-dual) * ch(Q)
+once off its Chern character ch(T) = ch(S-dual) * ch(Q), p_m = m! * ch_m
 (``tangent_power_sums``); its Chern classes and its Todd class both start
 from them.  The two factors come from the hook formula, with no Newton
 recurrence and no product: p_m(Q) is the signed sum of the hook classes of
@@ -32,9 +34,11 @@ and p_m(S-dual) = (-1)^(m+1) p_m(Q) since S + Q is trivial, so each
 character is one ``linear_combination`` of basis classes over dim!, and
 their product is the one product.  Newton's identities
 (``ChernVector.power_sums``) serve every other bundle, a line bundle O(t)
-among them.  The Euler characteristic of a bundle with no Chern class above
-c1 needs no power sum: ``hrr.euler_characteristic`` reads it off the ring's
-Hilbert polynomial, the one closed form for line bundles.
+among them.  The tautological bundles are written down directly:
+c_d(Q) = sigma_(d) and c_d(S) = (-1)^d sigma_(1^d).  The Euler
+characteristic of a bundle with no Chern class above c1 needs no power sum:
+``hrr.euler_characteristic`` reads it off the ring's Hilbert polynomial,
+the one closed form for line bundles.
 
 Rank-two data (e, a, b) on a ring of lines is twisted in its coordinates by
 ``RankTwoData.twisted``, which every pipeline path uses; a bundle v of any
@@ -52,6 +56,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
+from operator import index
 from typing import NamedTuple
 
 from .chow import ChowClass, GrassmannRing, Scalar, linear_combination, sum_of_products
@@ -91,7 +96,7 @@ class ChernVector:
             if d <= dim:  # above the ring dimension only the zero class passes
                 c[d] = cls
         self.ring = ring
-        self.rank = rank
+        self.rank = index(rank)  # a float or a Fraction raises TypeError; a bool is 1 or 0
         self.c = tuple(c)
 
     def __eq__(self, other) -> bool:
@@ -160,7 +165,7 @@ class PowerSumVector:
 
     def __init__(self, ring: GrassmannRing, rank: int, p: tuple[ChowClass, ...]):
         self.ring = ring
-        self.rank = rank
+        self.rank = index(rank)  # a float or a Fraction raises TypeError, as in ChernVector
         self.p = p  # p[m] homogeneous of degree m; index 0 is an unused zero slot
 
     def to_chern(self) -> ChernVector:
@@ -180,12 +185,21 @@ class PowerSumVector:
         return linear_combination(ring, [(self.rank * d, ring.one()), *terms], d)
 
     def todd(self) -> ChowClass:
-        """Todd class: exp of the power sums weighted by the series
-        log(x / (1 - exp(-x)))."""
-        coeffs = todd_log_coefficients(self.ring.dimension)
+        """Todd class y = exp(sum_j a_j * p_j), the a_j the coefficients of
+        the series log(x / (1 - exp(-x))).  The grading derivation D (m times
+        the degree-m piece) gives Dy = y * sum_j j * a_j * p_j, so with d the
+        lcm of the a_j's denominators m * d * y_m = sum_j (j * d * a_j) * p_j *
+        y_{m-j} from y_0 = 1: one ``_graded_solve`` on the power sums
+        themselves, so no class is built only to be split by degree."""
+        ring = self.ring
+        coeffs = todd_log_coefficients(ring.dimension)
         d = lcm(*(a.denominator for a in coeffs))
-        terms = [(a.numerator * (d // a.denominator), pm) for a, pm in zip(coeffs, self.p[1:]) if a and pm]
-        return exp_nilpotent(linear_combination(self.ring, terms, d))
+        pieces = [
+            (j, j * a.numerator * (d // a.denominator), pj)
+            for j, (a, pj) in enumerate(zip(coeffs, self.p[1:]), 1)
+            if a and pj
+        ]
+        return linear_combination(ring, [(1, ym) for ym in _graded_solve(ring, pieces, d)])
 
     def twisted(self, t: Scalar) -> PowerSumVector:
         """Shift every Chern root by t*h: p_m becomes
@@ -231,31 +245,16 @@ def todd_log_coefficients(n: int) -> tuple[Fraction, ...]:
     return tuple(out[:n])
 
 
-def exp_nilpotent(x: ChowClass) -> ChowClass:
-    """exp of a class with no degree-zero part (a finite sum in a truncated ring).
-
-    Built degree by degree: y = exp(x) solves dy = y * dx, so its graded
-    pieces obey m * y_m = sum_{j=1..m} j * x_j * y_{m-j} from y_0 = 1, one
-    ``sum_of_products`` per degree, so no power of the whole class is ever
-    formed."""
-    if x.coefficient(()):
-        raise ValueError("exp needs a class with vanishing degree-zero part")
-    ring = x.ring
-    xs = x.graded_pieces()
-    # the nonzero x_j, each with its weight j
-    y = _graded_solve(ring, [(j, j, xs[j]) for j in range(1, ring.dimension + 1) if xs[j]])
-    return linear_combination(ring, [(1, ym) for ym in y])
-
-
-def _graded_solve(ring: GrassmannRing, pieces: list[tuple[int, int, ChowClass]]) -> list[ChowClass]:
-    """y_0..y_dim with m * y_m = sum of w_i * x_i * y_{m-i} from y_0 = 1,
-    for the listed pieces (i, w_i, x_i) with x_i nonzero of degree i >= 1:
-    one ``sum_of_products`` per degree, over the nonzero y_j met so far."""
+def _graded_solve(ring: GrassmannRing, pieces: list[tuple[int, int, ChowClass]], d: int = 1) -> list[ChowClass]:
+    """y_0..y_dim with m * d * y_m = sum of w_i * x_i * y_{m-i} from y_0 = 1,
+    for the listed pieces (i, w_i, x_i) with x_i nonzero of degree i >= 1
+    and the positive int d: one ``sum_of_products`` per degree, over the
+    nonzero y_j met so far."""
     y = [ring.one()]
     nonzero = {0: y[0]}
     for m in range(1, ring.dimension + 1):
         terms = [(w, xi, nonzero[m - i]) for i, w, xi in pieces if i <= m and m - i in nonzero]
-        ym = sum_of_products(ring, terms, m)
+        ym = sum_of_products(ring, terms, m * d)
         y.append(ym)
         if ym:
             nonzero[m] = ym
@@ -469,13 +468,6 @@ def rank_two_form(
     return RankTwoForm.from_terms(terms)
 
 
-def _power_sums_from_character(ring: GrassmannRing, rank: int, character: ChowClass) -> PowerSumVector:
-    """Power sums of the Chern roots from the Chern character: p_m = m! * ch_m."""
-    pieces = character.graded_pieces()
-    p = [ring.zero()] + [factorial(m) * pieces[m] for m in range(1, ring.dimension + 1)]
-    return PowerSumVector(ring, rank, tuple(p))
-
-
 @lru_cache(maxsize=None)
 def tangent_power_sums(ring: GrassmannRing) -> PowerSumVector:
     """Power sums of the Chern roots of the tangent bundle of G(k, n), read
@@ -501,7 +493,9 @@ def tangent_power_sums(ring: GrassmannRing) -> PowerSumVector:
     one = ring.one()
     quotient = linear_combination(ring, [(cols * d, one), *((w, x) for _, w, x in hooks)], d)
     sub_dual = linear_combination(ring, [(rows * d, one), *(((-1) ** (m + 1) * w, x) for m, w, x in hooks)], d)
-    return _power_sums_from_character(ring, rows * cols, sub_dual * quotient)
+    pieces = (sub_dual * quotient).graded_pieces()
+    p = [ring.zero()] + [factorial(m) * pieces[m] for m in range(1, dim + 1)]  # p_m = m! * ch_m
+    return PowerSumVector(ring, rows * cols, tuple(p))
 
 
 def tangent_bundle(ring: GrassmannRing) -> ChernVector:
@@ -510,12 +504,10 @@ def tangent_bundle(ring: GrassmannRing) -> ChernVector:
 
 
 def tautological_subbundle(ring: GrassmannRing) -> ChernVector:
-    """The rank k+1 tautological subbundle, as the dual of S-dual (c_i = sigma_(1^i))."""
+    """The rank k+1 tautological subbundle, c_d = (-1)^d sigma_(1^d): S-dual
+    has c_d = sigma_(1^d)."""
     sub_rank = ring.k + 1
-    sub_dual = ChernVector(
-        ring, sub_rank, {d: ring.sigma((1,) * d) for d in range(1, sub_rank + 1)}
-    )
-    return sub_dual.dual()
+    return ChernVector(ring, sub_rank, {d: (-1) ** d * ring.sigma((1,) * d) for d in range(1, sub_rank + 1)})
 
 
 def tautological_quotient(ring: GrassmannRing) -> ChernVector:

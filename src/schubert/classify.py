@@ -614,8 +614,9 @@ def step1_survivors(records: ScanRecords) -> list[CandidateRecord]:
 def section_constraints(e: int, a: int, b: int, j: int) -> SectionConstraints:
     """Zero-locus coordinates (a + j(e+j), b + j(e+j)) of a section of E(j)
     that is minimal (no section one twist lower); both vanish exactly when
-    the bundle splits as O(-j) + O(e+j)."""
-    _, va, vb = RankTwoData(e, a, b).twisted(j)
+    the bundle splits as O(-j) + O(e+j).  Each argument passes
+    ``operator.index``: a float or a Fraction raises TypeError."""
+    _, va, vb = RankTwoData(index(e), index(a), index(b)).twisted(index(j))
     return SectionConstraints(va, vb, va == 0 and vb == 0)
 
 

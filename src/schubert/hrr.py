@@ -43,6 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
+from operator import index
 from typing import NamedTuple
 
 from .charclass import (
@@ -118,6 +119,8 @@ class EulerPolynomial(NamedTuple):
         return len(self.coefficients) - 1
 
     def __call__(self, k: Scalar) -> Fraction:
+        if not isinstance(k, Scalar):
+            raise TypeError(f"a twist must be an int or a Fraction, got {k!r}")
         acc = Fraction(0)
         for c in reversed(self.coefficients):
             acc = acc * k + c
@@ -141,5 +144,6 @@ PROJECTIVE_3_SPACE = GrassmannRing(0, 3)
 
 def chi_p3(c1: int, c2: int, t: int) -> Fraction:
     """chi on P^3 of rank-two data (c1, c2) twisted by t (``RankTwoData.twisted``), i.e. of
-    (c1 + 2t, c2 + t*c1 + t^2), read off ``chi_form``, which has no b term: s(1,1) is not in P^3."""
-    return chi_form(PROJECTIVE_3_SPACE)(RankTwoData(c1, c2, 0).twisted(t))
+    (c1 + 2t, c2 + t*c1 + t^2), read off ``chi_form``, which has no b term: s(1,1) is not in P^3.
+    Each argument passes ``operator.index``: a float or a Fraction raises TypeError."""
+    return chi_form(PROJECTIVE_3_SPACE)(RankTwoData(index(c1), index(c2), 0).twisted(index(t)))

@@ -76,8 +76,6 @@ def enumerate_partitions(box: Box, degree: int) -> list[Partition]:
         if remaining == 0:
             out.append(tuple(prefix))
             return
-        if rows_left == 0:
-            return
         lo = -(-remaining // rows_left)  # smallest head part that can still absorb the rest
         for part in range(min(cap, remaining), lo - 1, -1):
             prefix.append(part)

@@ -25,7 +25,6 @@ from schubert import (
 from schubert.charclass import (
     PlaneForm,
     RankTwoForm,
-    exp_nilpotent,
     line_values,
     rank_two_character,
     rank_two_form,
@@ -289,7 +288,8 @@ def test_big_ring_tangent_and_todd_classes_are_pinned(ring_args):
     assert got == BIG_RING_CLASS_SHA256[ring_args]
 
 
-@pytest.mark.parametrize("ring_args", [(0, 3), (1, 3), (1, 4)])
+# S of rank 3 and 4 on the last two: c_3(S) and c_4(S) carry the signs (-1)^d
+@pytest.mark.parametrize("ring_args", [(0, 3), (1, 3), (1, 4), (2, 5), (3, 7)])
 def test_tautological_sequence(ring_args):
     ring = GrassmannRing(*ring_args)
     product = tautological_subbundle(ring).total() * tautological_quotient(ring).total()
@@ -323,10 +323,12 @@ def test_tangent_power_sums_closed_form_matches_newton_on_every_small_ring():
             hooks = _hook_power_sum(ring, m)
             assert quotient.power_sums().p[m] == hooks, (ring_args, m)
             assert sub_dual.power_sums().p[m] == (-1) ** (m + 1) * hooks, (ring_args, m)
-        rank = sub_dual.rank * quotient.rank
-        newton = charclass._power_sums_from_character(ring, rank, sub_dual.ch() * quotient.ch())
+        # p_m = m! * ch_m of the product of the two Newton characters
+        character = (sub_dual.ch() * quotient.ch()).graded_pieces()
+        newton = [factorial(m) * character[m] for m in range(1, ring.dimension + 1)]
         got = charclass.tangent_power_sums(ring)
-        assert (got.ring, got.rank, got.p) == (newton.ring, newton.rank, newton.p), ring_args
+        assert (got.ring, got.rank, got.p[0]) == (ring, sub_dual.rank * quotient.rank, ring.zero()), ring_args
+        assert list(got.p[1:]) == newton, ring_args
 
 
 def _schubert_degree(k, n):
@@ -388,11 +390,6 @@ def test_chern_from_character_round_trip(g14):
         assert PowerSumVector(g14, v.rank, tuple(p)).to_chern() == v
 
 
-def test_exp_nilpotent_rejects_constant_term(g14):
-    with pytest.raises(ValueError):
-        exp_nilpotent(g14.one())
-
-
 def _exp_by_powers(x):
     """exp(x) as sum_j x^j / j!, each power one full product of the whole
     class: the definition, with none of the graded recurrence."""
@@ -404,30 +401,53 @@ def _exp_by_powers(x):
     return acc
 
 
-def _random_nilpotent(ring, rng, terms=6):
-    """A class with no degree-zero part, a few Fraction terms spread over
-    the degrees, so it is inhomogeneous."""
+ZERO_PIECE_RINGS = (GrassmannRing(1, 4), GrassmannRing(2, 5), GrassmannRing(3, 7))
+
+
+def _todd_by_powers(v):
+    """td = exp(sum_m a_m * p_m), the a_m from the truncated log series of
+    the oracles and exp the power series of full powers: none of the
+    tangent numbers or the graded recurrence."""
+    ring = v.ring
+    x = ring.zero()
+    for m, a in enumerate(todd_log_series(ring.dimension), 1):
+        x = x + a * v.p[m]
+    return _exp_by_powers(x)
+
+
+@st.composite
+def inhomogeneous_power_sums(draw, ring):
+    """A power-sum vector on ``ring`` with pieces in at least two degrees:
+    up to six basis classes of positive degree with nonzero Fraction
+    coefficients, split by degree."""
     basis = [la for la in ring.all_partitions() if la]
-    acc = ring.zero()
-    for la in rng.sample(basis, terms):
-        acc = acc + Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4)) * ring.sigma(la)
-    return acc
+    coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+    indices = draw(
+        st.lists(st.sampled_from(basis), min_size=2, max_size=6, unique=True).filter(
+            lambda las: len({sum(la) for la in las}) > 1
+        )
+    )
+    p = [ring.zero()] * (ring.dimension + 1)
+    for la in indices:
+        p[sum(la)] = p[sum(la)] + draw(coefficients) * ring.sigma(la)
+    return PowerSumVector(ring, draw(st.integers(0, 3)), tuple(p))
 
 
 @pytest.mark.parametrize("ring_args", [(1, 4), (2, 5), (3, 7)])
-def test_exp_nilpotent_matches_the_power_series(ring_args):
+@given(data=st.data())
+def test_exp_nilpotent_matches_the_power_series(ring_args, data):
+    # td(p) is the exponential of the nilpotent class sum a_m * p_m: checked
+    # against exp by full powers, then multiplicative over direct sums,
+    # td(p + q) = td(p) * td(q), and td(p) * td(-p) = 1
     ring = GrassmannRing(*ring_args)
-    rng = random.Random(2291 + ring.dimension)
-    for _ in range(3):
-        x, y = _random_nilpotent(ring, rng), _random_nilpotent(ring, rng)
-        assert len({sum(la) for la in x.num}) > 1
-        exp_x = exp_nilpotent(x)
-        assert exp_x == _exp_by_powers(x)
-        assert exp_x * exp_nilpotent(-x) == ring.one()
-        assert exp_nilpotent(x + y) == exp_x * exp_nilpotent(y)
-
-
-ZERO_PIECE_RINGS = (GrassmannRing(1, 4), GrassmannRing(2, 5), GrassmannRing(3, 7))
+    p = data.draw(inhomogeneous_power_sums(ring))
+    q = data.draw(inhomogeneous_power_sums(ring))
+    td = p.todd()
+    assert td == _todd_by_powers(p)
+    both = PowerSumVector(ring, p.rank + q.rank, tuple(x + y for x, y in zip(p.p, q.p)))
+    assert both.todd() == td * q.todd()
+    negated = PowerSumVector(ring, -p.rank, tuple(-x for x in p.p))
+    assert td * negated.todd() == ring.one()
 
 
 @st.composite
@@ -464,8 +484,9 @@ def _log_of_chern(ring, p):
 @given(zero_piece_cases())
 @example((ZERO_PIECE_RINGS[2], {2: ZERO_PIECE_RINGS[2].sigma((1, 1))}))
 def test_recurrences_with_zero_pieces_match_the_exponential_of_powers(case):
-    # c = exp(sum (-1)^(m-1) p_m / m), with exp the power series of full
-    # powers: none of Newton's identities or the graded exp recurrence
+    # c = exp(sum (-1)^(m-1) p_m / m) and td = exp(sum a_m p_m), with exp
+    # the power series of full powers: none of Newton's identities or the
+    # graded recurrences
     ring, pieces = case
     dim = ring.dimension
     as_chern = ChernVector(ring, 2, pieces)
@@ -474,8 +495,23 @@ def test_recurrences_with_zero_pieces_match_the_exponential_of_powers(case):
     as_power_sums = PowerSumVector(ring, 2, tuple(pieces.get(m, ring.zero()) for m in range(dim + 1)))
     log_c = _log_of_chern(ring, as_power_sums.p)
     assert as_power_sums.to_chern().total() == _exp_by_powers(log_c)
-    for y in (sum(pieces.values(), ring.zero()), log_c):
-        assert exp_nilpotent(y) == _exp_by_powers(y)
+    for v in (as_power_sums, as_chern.power_sums()):
+        assert v.todd() == _todd_by_powers(v)
+
+
+def test_rank_is_an_integer(g14):
+    # a Fraction rank once passed, with chi = 19/2 for rank 1/2, and a float
+    # rank equal to an int made an equal vector with an equal hash; power
+    # sums of rank 0.5 twisted into classes with float numerators
+    p = line_bundle(g14, 1).power_sums().p
+    for rank in (Fraction(1, 2), Fraction(1), 1.0, 2.5, "2", None):
+        with pytest.raises(TypeError):
+            ChernVector(g14, rank, {1: g14.hyperplane()})
+        with pytest.raises(TypeError):
+            PowerSumVector(g14, rank, p)
+    v = ChernVector(g14, True, {1: g14.hyperplane()})
+    assert type(v.rank) is int and v == ChernVector(g14, 1, {1: g14.hyperplane()})
+    assert type(PowerSumVector(g14, True, p).rank) is int
 
 
 def test_component_validation(g14):

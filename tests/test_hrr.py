@@ -93,6 +93,20 @@ def test_chi_p3_trivial():
     assert chi_p3(-1, 0, 0) == 1
 
 
+def test_integer_entry_points_refuse_floats(g14):
+    # chi_p3 once failed inside the form with an AttributeError, and the
+    # Euler polynomial returned a float at a float twist
+    for args in ((0.5, 0, 0), (0, -1.0, -1), (0, -1, Fraction(-1))):
+        with pytest.raises(TypeError):
+            chi_p3(*args)
+    assert chi_p3(True, 0, False) == chi_p3(1, 0, 0)  # a bool is an int
+    poly = euler_polynomial(line_bundle(g14, 1))
+    for k in (0.5, 1.0, "1", None):
+        with pytest.raises(TypeError, match="a twist must be an int or a Fraction"):
+            poly(k)
+    assert poly(Fraction(1, 2)) == euler_characteristic(twist(line_bundle(g14, 1), Fraction(1, 2)))
+
+
 def test_is_integer_valued(g14):
     assert euler_polynomial(line_bundle(g14, 1)).is_integer_valued()
     assert not EulerPolynomial((Fraction(0), Fraction(1, 2))).is_integer_valued()

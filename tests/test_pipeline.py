@@ -400,6 +400,14 @@ def test_section_constraints():
     assert section_constraints(-1, 0, 1, 1) == (0, 1, False)
 
 
+def test_section_constraints_refuse_arguments_that_are_not_integers():
+    # a float once passed and gave float coordinates, (1.5, 1.5) at e = 0.5
+    for args in ((0.5, 0, 0, 1), (0, 1.0, 2, 1), (0, 1, Fraction(2), 1), (0, 1, 2, 1.0)):
+        with pytest.raises(TypeError):
+            section_constraints(*args)
+    assert section_constraints(False, -4, -4, 2) == section_constraints(0, -4, -4, 2)  # a bool is an int
+
+
 def test_split_detect():
     assert split_detect(0, -1, -1) == SplittingType(-1, 1)
     assert split_detect(-1, 0, 0) == SplittingType(-1, 0)
@@ -497,12 +505,6 @@ def test_theorem_rules_marked_cited():
             if v.rule != "schwarzenberger":
                 assert "cited, not verified" in v.citation
     assert "griffiths" in seen and "minimal-sections" in seen
-
-
-def test_normalization_at_the_boundary():
-    # arbitrary data normalizes into the scan's e range
-    for e in range(-4, 5):
-        assert RankTwoData(e, 5, -3).twisted(-((e + 1) // 2)).e in (0, -1)
 
 
 def _schur3_pairings(ring, data, cycles):

@@ -28,7 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # chi(O(t)) on G(3,7), from cold caches
 COLD_G37_CALLS = {
     "chow.sum_of_products": 33,
-    "chow.linear_combination": 26,
+    "chow.linear_combination": 25,
     "chow._fill_pair": 30,
     "chow._lr_row": 425,
 }
@@ -55,12 +55,12 @@ COLD_G37_HITS = {
 # out: Python 3.12 inlines list, dict and set comprehensions, so their frames
 # are not calls there, and a generator expression is pinned apart, below
 COLD_REPLAY_MODULE_CALLS = {
-    "charclass": 1477,
-    "chow": 3555,
+    "charclass": 1471,
+    "chow": 3497,
     "classify": 1042,
     "cli": 4754,
     "hrr": 27,
-    "partitions": 779,
+    "partitions": 775,
 }
 # entries into the generator expressions of each module over the same pass:
 # cProfile counts every resume of a generator's frame as a call, so these
@@ -68,11 +68,11 @@ COLD_REPLAY_MODULE_CALLS = {
 # the calls above
 COLD_REPLAY_MODULE_RESUMES = {
     "charclass": 339,
-    "chow": 1411,
+    "chow": 1387,
     "classify": 3789,
     "cli": 1489,
     "hrr": 24,
-    "partitions": 482,
+    "partitions": 480,
 }
 # calls of named functions over the same pass
 COLD_REPLAY_CALLS = {
@@ -225,7 +225,7 @@ REACHED = {
     ),
     "chow": (
         "ChowClass.__add__", "ChowClass.__bool__", "ChowClass.__eq__", "ChowClass.__mul__", "ChowClass.__sub__",
-        "ChowClass._raw", "ChowClass.coefficient", "ChowClass.graded_pieces", "ChowClass.integrate",
+        "ChowClass._raw", "ChowClass.graded_pieces", "ChowClass.integrate",
         "ChowClass.is_homogeneous", "ChowClass.pair", "GrassmannRing.__new__", "GrassmannRing.all_partitions",
         "GrassmannRing.basis", "GrassmannRing.box", "GrassmannRing.dimension", "GrassmannRing.hyperplane",
         "GrassmannRing.hyperplane_powers", "GrassmannRing.omega", "GrassmannRing.one",
@@ -235,10 +235,10 @@ REACHED = {
     ),
     "charclass": (
         "ChernVector.__eq__", "ChernVector.__init__", "ChernVector.ch", "ChernVector.direct_sum",
-        "ChernVector.dual", "ChernVector.power_sums", "ChernVector.total", "PlaneForm.line",
+        "ChernVector.power_sums", "ChernVector.total", "PlaneForm.line",
         "PowerSumVector.__init__", "PowerSumVector.ch", "PowerSumVector.to_chern", "PowerSumVector.todd",
         "RankTwoData.twisted", "RankTwoForm.__call__", "RankTwoForm.at_twist", "RankTwoForm.from_terms",
-        "RankTwoForm.ratio", "_graded_solve", "_power_sums_from_character", "_rank_two_monomials", "exp_nilpotent",
+        "RankTwoForm.ratio", "_graded_solve", "_rank_two_monomials",
         "line_bundle", "line_values", "rank_two_character", "rank_two_chern", "rank_two_form", "tangent_bundle",
         "tangent_power_sums", "tautological_quotient", "tautological_subbundle", "todd_log_coefficients",
     ),
@@ -264,10 +264,12 @@ REACHED = {
 API = {
     "charclass.ChernVector.__hash__": "ChernVector: a value, usable as a dict key",
     "charclass.ChernVector.__repr__": "ChernVector",
+    "charclass.ChernVector.dual": "ChernVector: the dual bundle",
     "chow.ChowClass.__init__": "ChowClass: the public constructor; the engine builds by _raw",
     "chow.ChowClass.__hash__": "ChowClass: a value, usable as a dict key",
     "chow.ChowClass.__neg__": "ChowClass arithmetic",
     "chow.ChowClass.__truediv__": "ChowClass arithmetic",
+    "chow.ChowClass.coefficient": "ChowClass: one coefficient, by Schubert index",
     "chow.ChowClass.coeffs": "ChowClass: the coefficients as a dict",
     "classify.ScanRecords.__eq__": "enumerate_candidates returns this sequence",
     "classify.ScanRecords.__getitem__": "enumerate_candidates returns this sequence",
